@@ -40,10 +40,11 @@ class Vocabulary:
 
     The end-of-sequence token has an empty surface string, so emitting it
     never changes the rendered text. All other surfaces must be unique and
-    non-empty.
+    non-empty. Instances cache each punctuation set's stop mask (see
+    engine.stop_mask).
     """
 
-    __slots__ = ("tokens", "eos_id", "_by_surface", "_max_surface_len")
+    __slots__ = ("tokens", "eos_id", "_by_surface", "_max_surface_len", "_stop_masks")
 
     def __init__(self, tokens: Iterable[str], eos_id: TokenId):
         toks = tuple(tokens)
@@ -62,6 +63,7 @@ class Vocabulary:
         self.eos_id = eos_id
         self._by_surface = {t: i for i, t in enumerate(toks) if t}
         self._max_surface_len = max(len(t) for t in toks)
+        self._stop_masks: dict[frozenset[str], tuple[bool, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -15,7 +15,6 @@ concurrently without changing the result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,34 +44,22 @@ def entropy(dist: Distribution) -> float:
     return cached
 
 
-@dataclass(frozen=True)
-class ConfidenceReading:
-    """The three uncertainty views of one distribution: entropy in nats,
-    the top probability, and the top-1/top-2 margin."""
-
-    entropy: float
-    max_prob: float
-    margin: float
-
-
-def read_confidence(dist: Distribution) -> ConfidenceReading:
-    probs = dist.probs
-    if probs.size == 1:
-        return ConfidenceReading(entropy(dist), float(probs[0]), float(probs[0]))
-    top2 = np.partition(probs, probs.size - 2)[-2:]
-    return ConfidenceReading(entropy(dist), float(top2[1]), float(top2[1] - top2[0]))
-
-
 def confidence(dist: Distribution, measure: ConfidenceMeasure) -> float:
-    """Uncertainty score fed to trial_count. Entropy is reported raw;
-    the other measures are flipped onto a [0, 1] uncertainty scale."""
+    """Uncertainty score fed to trial_count. Entropy is reported raw; the
+    top probability and the top-1/top-2 margin are flipped onto a [0, 1]
+    uncertainty scale. A one-token vocabulary's margin is its top
+    probability."""
     if measure == "entropy":
         return entropy(dist)
-    reading = read_confidence(dist)
+    probs = dist.probs
+    if probs.size == 1:
+        second, top = 0.0, probs[0]
+    else:
+        second, top = np.partition(probs, probs.size - 2)[-2:]
     if measure == "max_prob":
-        return 1.0 - reading.max_prob
+        return 1.0 - float(top)
     if measure == "top1_minus_top2":
-        return 1.0 - reading.margin
+        return 1.0 - float(top - second)
     raise ValueError(f"unknown confidence measure {measure!r}")
 
 
@@ -107,11 +94,6 @@ def branch_score(probs) -> tuple[float, float]:
     return nll, math.exp(nll / len(probs))
 
 
-def perplexity(trial: Trial) -> float:
-    """Length-normalized perplexity, recomputed from the stored nll."""
-    return math.exp(trial.nll / len(trial.tokens))
-
-
 def select_best(trials) -> int:
     """Index of the lowest-perplexity trial; ties keep the lowest index."""
     if not trials:
@@ -125,12 +107,18 @@ def select_best(trials) -> int:
 
 def stop_mask(vocabulary, punctuation) -> tuple[bool, ...]:
     """Which tokens close a branch: eos, or any surface containing a
-    punctuation character."""
-    eos = vocabulary.eos_id
-    return tuple(
-        i == eos or any(ch in punctuation for ch in t)
-        for i, t in enumerate(vocabulary.tokens)
-    )
+    punctuation character. Built once per punctuation set and cached on
+    the vocabulary."""
+    key = frozenset(punctuation)
+    mask = vocabulary._stop_masks.get(key)
+    if mask is None:
+        eos = vocabulary.eos_id
+        mask = tuple(
+            i == eos or any(ch in key for ch in t)
+            for i, t in enumerate(vocabulary.tokens)
+        )
+        vocabulary._stop_masks[key] = mask
+    return mask
 
 
 def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len: int,
@@ -168,28 +156,8 @@ def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len
     return Trial(tuple(tokens), tuple(probs), nll, ppl, reason), calls
 
 
-def sample_branch(model: ModelSource, prefix: Sequence, config: DecodeConfig, rng: Rng) -> Trial:
-    """Sample one branch after the given prefix until punctuation, eos,
-    branch_cap, or global_cap; the stopping token is kept. Token
-    probabilities recorded in the trial are the model's, untempered."""
-    validate_config(config)
-    stops = stop_mask(model.vocabulary, config.punctuation)
-    first = model.next_distribution(prefix)
-    trial, _ = _grow_branch(
-        model, list(prefix.tokens if isinstance(prefix, Sequence) else prefix),
-        config, rng, 0, model.vocabulary.eos_id, stops, first,
-    )
-    return trial
-
-
-def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,
-                *, confidence_on_sampling_dist: bool = False) -> DecodeOutcome:
-    """Decode with entropy-adaptive trial budgets.
-
-    confidence_on_sampling_dist flips the confidence reading to the
-    tempered/truncated distribution instead of the raw model distribution;
-    it exists for the ablation harness and defaults to the raw reading.
-    """
+def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
+    """Decode with entropy-adaptive trial budgets."""
     validate_config(config)
     vocab = model.vocabulary
     eos = vocab.eos_id
@@ -208,8 +176,7 @@ def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,
             break
         dist = model.next_distribution(tuple(prefix))
         passes += 1
-        h_source = prepare_sampling_dist(dist, config) if confidence_on_sampling_dist else dist
-        h = confidence(h_source, config.confidence_measure)
+        h = confidence(dist, config.confidence_measure)
         n = trial_count(h, config)
         step = steps
         steps += 1

@@ -1,22 +1,19 @@
-"""Reproducibility surface: task corpus, suite runner, ablations, CLI."""
+"""Reproducibility surface: task corpus, suite runner, ablations. The CLI
+lives in cntp.harness.cli and is imported only when run."""
 
 from .ablation import AblationRow, AblationSpec, parse_values, render_table, run_ablation
-from .cli import build_parser, main
 from .runner import (
-    PRESET_TEMPERATURE,
     ReplayMismatchError,
     RunRecord,
     SuiteAggregate,
     SuiteResult,
     canonical_strategy,
     parse_strategy,
-    preset_temperature,
     read_records,
     replay,
     resolve_model,
     run_one,
     run_suite,
-    score,
     write_records,
 )
 from .tasks import (
@@ -34,7 +31,6 @@ from .tasks import (
 __all__ = [
     "AblationRow",
     "AblationSpec",
-    "PRESET_TEMPERATURE",
     "ReplayMismatchError",
     "RunRecord",
     "SuiteAggregate",
@@ -42,16 +38,13 @@ __all__ = [
     "Task",
     "build_fixture_suite",
     "build_kgram_suite",
-    "build_parser",
     "bundled_path",
     "canonical_strategy",
     "extractor_to_string",
     "load_tasks",
-    "main",
     "parse_extractor",
     "parse_strategy",
     "parse_values",
-    "preset_temperature",
     "read_records",
     "render_table",
     "replay",
@@ -60,7 +53,6 @@ __all__ = [
     "run_one",
     "run_suite",
     "save_tasks",
-    "score",
     "write_bundled_data",
     "write_records",
 ]

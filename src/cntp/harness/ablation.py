@@ -8,14 +8,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from ..core import DecodeConfig
+from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig
 from .runner import run_suite
 
 AXES = ("confidence_measure", "trial_scaling", "n_max_sweep",
         "temperature_top_p_grid", "best_of_n")
-
-_CONFIDENCE_VALUES = ("entropy", "max_prob", "top1_minus_top2")
-_SCALING_VALUES = ("positive", "fixed", "negative")
 
 # The flipped-probability measures live on a [0, 1] uncertainty scale, so
 # entropy-range thresholds would never trigger multi-trial steps; these
@@ -38,10 +35,10 @@ class AblationSpec:
 
 
 def _check_value(axis: str, value) -> None:
-    if axis == "confidence_measure" and value not in _CONFIDENCE_VALUES:
-        raise ValueError(f"confidence measure must be one of {_CONFIDENCE_VALUES}, got {value!r}")
-    if axis == "trial_scaling" and value not in _SCALING_VALUES:
-        raise ValueError(f"trial scaling must be one of {_SCALING_VALUES}, got {value!r}")
+    if axis == "confidence_measure" and value not in CONFIDENCE_MEASURES:
+        raise ValueError(f"confidence measure must be one of {CONFIDENCE_MEASURES}, got {value!r}")
+    if axis == "trial_scaling" and value not in TRIAL_SCALINGS:
+        raise ValueError(f"trial scaling must be one of {TRIAL_SCALINGS}, got {value!r}")
     if axis in ("n_max_sweep", "best_of_n"):
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{axis} values must be integers ≥ 1, got {value!r}")

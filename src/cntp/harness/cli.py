@@ -13,15 +13,14 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from ..core import DecodeConfig, load_config, validate_config
+from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, load_config, validate_config
 from ..models import ModelFileError, ModelServer, ProtocolError, save_kgram_model, train_kgram
 from ..theory import bundled_fixtures, check_theorem1, load_fixture
-from .ablation import AblationSpec, parse_values, render_table, run_ablation
+from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
 from .runner import (
+    STRATEGIES,
     ReplayMismatchError,
-    expand_model_spec,
     parse_strategy,
-    preset_temperature,
     read_records,
     replay,
     resolve_model,
@@ -29,7 +28,7 @@ from .runner import (
     run_suite,
     write_records,
 )
-from .tasks import Task, bundled_path, load_tasks, parse_extractor
+from .tasks import BUNDLES, Task, bundled_spec, load_tasks, parse_extractor
 
 
 class _UsageError(Exception):
@@ -41,17 +40,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bundled_names(kind: str) -> str:
+    return "bundled:{" + ",".join(name for name, e in BUNDLES.items() if kind in e) + "}"
+
+
 def _add_model_flag(parser):
     parser.add_argument("--model", required=True,
                         help="scripted-model path, kgram:<path>, remote:<host:port>, "
-                             "or bundled:{suite,kgram,theorem1_case}")
+                             "or " + _bundled_names("model"))
 
 
 def _add_config_flags(parser):
     parser.add_argument("--config",
-                        help="JSON decode-config file, or bundled:{suite,kgram,"
-                             "theorem1_case} for the config paired with that "
-                             "bundled model")
+                        help="JSON decode-config file, or " + _bundled_names("config")
+                             + " for the config paired with that bundled model")
     parser.add_argument("--seed", type=int, help="base RNG seed")
     parser.add_argument("--n-max", type=int, dest="n_max")
     parser.add_argument("--h-min", type=float, dest="h_min")
@@ -60,20 +62,19 @@ def _add_config_flags(parser):
                         help="sampling temperature; defaults to the strategy preset")
     parser.add_argument("--top-p", type=float, dest="top_p")
     parser.add_argument("--confidence-measure", dest="confidence_measure",
-                        choices=("entropy", "max_prob", "top1_minus_top2"))
-    parser.add_argument("--trial-scaling", dest="trial_scaling",
-                        choices=("positive", "fixed", "negative"))
+                        choices=CONFIDENCE_MEASURES)
+    parser.add_argument("--trial-scaling", dest="trial_scaling", choices=TRIAL_SCALINGS)
     parser.add_argument("--branch-cap", type=int, dest="branch_cap")
     parser.add_argument("--global-cap", type=int, dest="global_cap")
 
 
-def _add_strategy_flags(parser):
+def _add_strategy_flag(parser):
+    forms = [root if s.default_width is None else f"{root}[:n]" for root, s in STRATEGIES.items()]
+    defaults = [f"{root}:{s.default_width}" for root, s in STRATEGIES.items()
+                if s.default_width is not None]
     parser.add_argument("--strategy", default="cntp",
-                        help="greedy | stochastic | cntp | beam[:B] | sc[:n] | "
-                             "cntp_sc[:n] | best_of_n[:n]")
-    parser.add_argument("--beam", type=int, help="beam width for --strategy beam")
-    parser.add_argument("--paths", type=int,
-                        help="path count for sc, cntp_sc, and best_of_n")
+                        help=" | ".join(forms) + "; n is the beam width or path count "
+                             "(default " + ", ".join(defaults) + ")")
 
 
 def build_parser() -> _Parser:
@@ -82,7 +83,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decode", help="decode one prompt")
     _add_model_flag(p)
-    _add_strategy_flags(p)
+    _add_strategy_flag(p)
     _add_config_flags(p)
     p.add_argument("--prompt", required=True)
     p.add_argument("--out", default="runs", help="run-log directory")
@@ -90,10 +91,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run a task file")
     _add_model_flag(p)
-    _add_strategy_flags(p)
+    _add_strategy_flag(p)
     _add_config_flags(p)
     p.add_argument("--tasks", required=True,
-                   help="task file, or bundled:{suite,kgram}")
+                   help="task file, or " + _bundled_names("tasks"))
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="runs", help="run-log directory")
@@ -103,9 +104,7 @@ def build_parser() -> _Parser:
     _add_model_flag(p)
     _add_config_flags(p)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--axis", required=True,
-                   choices=("confidence_measure", "trial_scaling", "n_max_sweep",
-                            "temperature_top_p_grid", "best_of_n"))
+    p.add_argument("--axis", required=True, choices=AXES)
     p.add_argument("--values", required=True,
                    help="comma-separated; grid entries as TxP, e.g. 1.2x0.9")
     p.add_argument("--seeds", default="0,1,2,3,4")
@@ -146,16 +145,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _expand_config_spec(spec: str) -> str:
-    if spec in ("bundled:suite", "bundled:kgram", "bundled:theorem1_case"):
-        return bundled_path(spec.partition(":")[2] + ".config.json")
-    return spec
-
-
-def _build_config(args, strategy: str | None) -> DecodeConfig:
+def _build_config(args, root: str) -> DecodeConfig:
     """Flag > config file > strategy preset, per field where applicable."""
     if getattr(args, "config", None):
-        config = load_config(_expand_config_spec(args.config))
+        config = load_config(bundled_spec(args.config, "config"))
         temperature_pinned = True
     else:
         config = DecodeConfig()
@@ -168,29 +161,16 @@ def _build_config(args, strategy: str | None) -> DecodeConfig:
             updates[name] = value
     if getattr(args, "temperature", None) is not None:
         updates["temperature"] = args.temperature
-    elif not temperature_pinned and strategy is not None:
-        updates["temperature"] = preset_temperature(strategy)
+    elif not temperature_pinned:
+        updates["temperature"] = STRATEGIES[root].preset_temperature
     return validate_config(dataclasses.replace(config, **updates))
 
 
-def _effective_strategy(args) -> str:
-    text = args.strategy
-    root, sep, _ = text.partition(":")
-    if sep:
-        return text
-    if root == "beam" and getattr(args, "beam", None) is not None:
-        return f"beam:{args.beam}"
-    if root in ("sc", "cntp_sc", "best_of_n") and getattr(args, "paths", None) is not None:
-        return f"{root}:{args.paths}"
-    return text
-
-
-def _expand_tasks_spec(spec: str) -> str:
-    if spec == "bundled:suite":
-        return bundled_path("suite.tasks")
-    if spec == "bundled:kgram":
-        return bundled_path("kgram.tasks")
-    return spec
+def _load_model(spec: str):
+    """The model a --model spec names, and the spec its records carry: a
+    bundled name is stored expanded."""
+    spec = bundled_spec(spec, "model")
+    return resolve_model(spec), spec
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -209,13 +189,11 @@ def _ledger_line(cost: dict) -> str:
 
 
 def cmd_decode(args) -> int:
-    strategy = _effective_strategy(args)
-    parse_strategy(strategy)
-    model_spec = expand_model_spec(args.model)
-    model = resolve_model(model_spec)
-    config = _build_config(args, strategy)
+    root, _ = parse_strategy(args.strategy)
+    model, model_spec = _load_model(args.model)
+    config = _build_config(args, root)
     task = Task("decode", args.prompt, "", parse_extractor("full_text"))
-    record, _ = run_one(model, task, strategy, config, model_spec=model_spec)
+    record, _ = run_one(model, task, args.strategy, config, model_spec=model_spec)
     print(record.output)
     print(_ledger_line(record.cost))
     if args.out:
@@ -229,14 +207,12 @@ def cmd_decode(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    strategy = _effective_strategy(args)
-    parse_strategy(strategy)
-    model_spec = expand_model_spec(args.model)
-    model = resolve_model(model_spec)
-    config = _build_config(args, strategy)
-    tasks = load_tasks(_expand_tasks_spec(args.tasks))
+    root, _ = parse_strategy(args.strategy)
+    model, model_spec = _load_model(args.model)
+    config = _build_config(args, root)
+    tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
     seeds = _parse_seeds(args.seeds)
-    result = run_suite(model, tasks, strategy, config, seeds,
+    result = run_suite(model, tasks, args.strategy, config, seeds,
                        model_spec=model_spec, out_dir=args.out or None,
                        workers=args.workers)
     agg = result.aggregate
@@ -250,10 +226,9 @@ def cmd_suite(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model_spec = expand_model_spec(args.model)
-    model = resolve_model(model_spec)
+    model = resolve_model(args.model)
     config = _build_config(args, "cntp")
-    tasks = load_tasks(_expand_tasks_spec(args.tasks))
+    tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
     seeds = _parse_seeds(args.seeds)
     spec = AblationSpec(args.axis, parse_values(args.axis, args.values))
     rows = run_ablation(spec, config, model, tasks, seeds,
@@ -267,7 +242,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_theorem(args) -> int:
     if args.fixture:
-        fixtures = [load_fixture(expand_model_spec(args.fixture))]
+        fixtures = [load_fixture(bundled_spec(args.fixture, "model"))]
     else:
         fixtures = bundled_fixtures()
     dominance_ok = bound_ok = bound_checked = 0
@@ -310,7 +285,7 @@ def cmd_train_kgram(args) -> int:
 
 
 def cmd_serve_stub(args) -> int:
-    model = resolve_model(expand_model_spec(args.model))
+    model = resolve_model(args.model)
     server = ModelServer(model, host=args.host, port=args.port)
     print(f"serving {args.model} at {server.address}", flush=True)
     try:
@@ -331,7 +306,7 @@ def cmd_replay(args) -> int:
     if not 1 <= args.line <= len(records):
         raise _UsageError(f"--line must be in 1..{len(records)}")
     record = records[args.line - 1]
-    model = resolve_model(expand_model_spec(args.model)) if args.model else None
+    model = resolve_model(args.model) if args.model else None
     replay(record, model)
     print(f"replay ok: task {record.task_id} strategy {record.strategy} "
           f"seed {record.config['seed']}")

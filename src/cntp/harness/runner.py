@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -36,38 +37,51 @@ from ..models import (
     load_scripted_model,
 )
 from ..sampling import derive_seed
-from .tasks import Task, bundled_path, extractor_to_string, parse_extractor
-
-STRATEGY_ROOTS = ("greedy", "stochastic", "cntp", "beam", "sc", "cntp_sc", "best_of_n")
-
-# Per-strategy default sampling temperatures for suite runs; a CLI
-# --temperature flag or an explicit config file wins over these.
-PRESET_TEMPERATURE = {
-    "greedy": 0.0,
-    "stochastic": 0.6,
-    "cntp": 1.2,
-    "beam": 0.0,
-    "sc": 0.6,
-    "cntp_sc": 1.2,
-    "best_of_n": 0.6,
-}
-
-_DEFAULT_WIDTHS = {"beam": 4, "sc": 5, "cntp_sc": 5, "best_of_n": 5}
+from .tasks import Task, bundled_spec, extractor_to_string, parse_extractor
 
 
 class ReplayMismatchError(RuntimeError):
     """A replayed run did not reproduce the stored record."""
 
 
+@dataclass(frozen=True)
+class Strategy:
+    """One decoding strategy: the sampling temperature suite runs default to
+    (a --temperature flag or a config file wins), its default width (None
+    for strategies that take none), and run(model, prompt, config, width,
+    extractor), which returns a DecodeOutcome, or the voted (answer, cost)
+    pair for self-consistency."""
+
+    preset_temperature: float
+    default_width: int | None
+    run: Callable
+
+
+# The entries look the decoders up in this module's globals at call time,
+# so patching a decoder here reaches every strategy that runs it.
+STRATEGIES = {
+    "greedy": Strategy(0.0, None, lambda m, p, c, w, x: greedy_decode(m, p, c)),
+    "stochastic": Strategy(0.6, None, lambda m, p, c, w, x: stochastic_decode(m, p, c)),
+    "cntp": Strategy(1.2, None, lambda m, p, c, w, x: cntp_decode(m, p, c)),
+    "beam": Strategy(0.0, 4, lambda m, p, c, w, x: beam_search_decode(m, p, c, w)),
+    "sc": Strategy(0.6, 5, lambda m, p, c, w, x:
+                   self_consistency(stochastic_decode, m, p, c, w, x)),
+    "cntp_sc": Strategy(1.2, 5, lambda m, p, c, w, x:
+                        self_consistency(cntp_decode, m, p, c, w, x)),
+    "best_of_n": Strategy(0.6, 5, lambda m, p, c, w, x: best_of_n_whole_ppl(m, p, c, w)),
+}
+
+
 def parse_strategy(text: str) -> tuple[str, int | None]:
-    """Strategy strings: greedy, stochastic, cntp, beam[:B], sc[:n],
-    cntp_sc[:n], best_of_n[:n]."""
+    """Strategy strings: a STRATEGIES root, with :<width> for the roots that
+    take one (beam:B, sc:n, cntp_sc:n, best_of_n:n)."""
     root, sep, arg = text.partition(":")
-    if root not in STRATEGY_ROOTS:
+    strategy = STRATEGIES.get(root)
+    if strategy is None:
         raise ValueError(f"unknown strategy {text!r}")
-    if root in _DEFAULT_WIDTHS:
+    if strategy.default_width is not None:
         try:
-            width = int(arg) if sep else _DEFAULT_WIDTHS[root]
+            width = int(arg) if sep else strategy.default_width
         except ValueError as exc:
             raise ValueError(f"strategy parameter must be an integer: {text!r}") from exc
         if width < 1:
@@ -83,34 +97,9 @@ def canonical_strategy(text: str) -> str:
     return f"{root}:{width}" if width is not None else root
 
 
-def preset_temperature(strategy: str) -> float:
-    root, _ = parse_strategy(strategy)
-    return PRESET_TEMPERATURE[root]
-
-
-def extract_from_text(extractor, text: str) -> str:
-    """Text-mode extraction for score(). last_token falls back to the last
-    whitespace-separated field here; token-aware extraction is used wherever
-    the generated Sequence is available."""
-    if extractor.rule == "full_text":
-        return text
-    if extractor.rule == "text_after_marker":
-        if not extractor.marker or extractor.marker not in text:
-            return ""
-        return text.rsplit(extractor.marker, 1)[1]
-    if extractor.rule == "last_token":
-        fields = text.split()
-        return fields[-1] if fields else ""
-    raise ValueError(f"unknown extractor rule {extractor.rule!r}")
-
-
 def match_answer(answer: str, reference: str) -> bool:
     """Case-sensitive exact match after whitespace trim on both sides."""
     return answer.strip() == reference.strip()
-
-
-def score(output: str, task: Task) -> bool:
-    return match_answer(extract_from_text(task.extractor, output), task.reference_answer)
 
 
 @dataclass(frozen=True)
@@ -162,26 +151,13 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
     except ValueError as exc:
         raise ModelFileError(f"task {task.id}: prompt not encodable: {exc}") from exc
     start = time.perf_counter()
-    outcome: DecodeOutcome | None = None
     try:
-        if root == "greedy":
-            outcome = greedy_decode(model, prompt, config)
-        elif root == "stochastic":
-            outcome = stochastic_decode(model, prompt, config)
-        elif root == "cntp":
-            outcome = cntp_decode(model, prompt, config)
-        elif root == "beam":
-            outcome = beam_search_decode(model, prompt, config, width)
-        elif root == "best_of_n":
-            outcome = best_of_n_whole_ppl(model, prompt, config, width)
-        else:
-            decode_fn = stochastic_decode if root == "sc" else cntp_decode
-            answer, cost = self_consistency(decode_fn, model, prompt, config,
-                                            width, task.extractor)
+        result = STRATEGIES[root].run(model, prompt, config, width, task.extractor)
     except ProtocolError as exc:
         raise ProtocolError(f"task {task.id}: {exc}") from exc
     wall_time = time.perf_counter() - start
-    if outcome is not None:
+    if isinstance(result, DecodeOutcome):
+        outcome = result
         generated = vocab.sequence(outcome.sequence.tokens[len(prompt.tokens):])
         answer = task.extractor.extract(generated, vocab)
         cost = outcome.cost
@@ -190,6 +166,8 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
     else:
         # Self-consistency has no single output sequence; the voted answer
         # is the output and replay compares answers and ledgers instead.
+        outcome = None
+        answer, cost = result
         output = answer
         tokens = ()
     record = RunRecord(
@@ -324,21 +302,10 @@ def read_records(path: str) -> list[RunRecord]:
     return records
 
 
-def expand_model_spec(spec: str) -> str:
-    """bundled:<name> shorthands resolve to packaged data files."""
-    if spec == "bundled:suite":
-        return bundled_path("suite.model")
-    if spec == "bundled:kgram":
-        return "kgram:" + bundled_path("kgram.kgram")
-    if spec == "bundled:theorem1_case":
-        return bundled_path("theorem1_case.model")
-    return spec
-
-
 def resolve_model(spec: str) -> ModelSource:
     """Model specs: a scripted-model path, kgram:<path> (or a .kgram path),
-    or remote:<host:port>."""
-    spec = expand_model_spec(spec)
+    remote:<host:port>, or bundled:<name>."""
+    spec = bundled_spec(spec, "model")
     if spec.startswith("remote:"):
         return RemoteModel(spec[len("remote:"):])
     if spec.startswith("kgram:"):

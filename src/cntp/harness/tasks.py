@@ -222,6 +222,26 @@ def bundled_path(name: str) -> str:
     return str(resources.files("cntp").joinpath("data", name))
 
 
+# What bundled:<name> means as each kind of spec; model specs keep their
+# kgram: scheme in front of the data file's path.
+BUNDLES = {
+    "suite": {"model": "suite.model", "config": "suite.config.json", "tasks": "suite.tasks"},
+    "kgram": {"model": "kgram:kgram.kgram", "config": "kgram.config.json", "tasks": "kgram.tasks"},
+    "theorem1_case": {"model": "theorem1_case.model", "config": "theorem1_case.config.json"},
+}
+
+
+def bundled_spec(spec: str, kind: str) -> str:
+    """Expand bundled:<name> to the packaged model spec, config file or task
+    file (kind "model", "config" or "tasks") of that name; any other spec
+    comes back unchanged."""
+    scheme, _, name = spec.partition(":")
+    if scheme != "bundled" or kind not in BUNDLES.get(name, {}):
+        return spec
+    prefix, sep, filename = BUNDLES[name][kind].rpartition(":")
+    return prefix + sep + bundled_path(filename)
+
+
 def write_bundled_data(directory: str) -> list[str]:
     """Regenerate every bundled data file into directory; returns the file
     names written. The packaged copies under cntp/data were produced by

@@ -12,7 +12,6 @@ import json
 import socket
 import threading
 from abc import ABC, abstractmethod
-from typing import Iterable
 
 import numpy as np
 
@@ -48,11 +47,6 @@ class ModelSource(ABC):
     @abstractmethod
     def next_distribution(self, prefix) -> Distribution:
         """Full-vocabulary distribution after the given token prefix."""
-
-
-def detokenize(vocabulary: Vocabulary, token: TokenId) -> str:
-    """Surface text of one token; the eos token renders as ''."""
-    return vocabulary.surface(token)
 
 
 class ScriptedModel(ModelSource):
@@ -309,14 +303,13 @@ class ModelServer:
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
         self._listener = socket.create_server((host, port))
-        self._closed = threading.Event()
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.address = f"{actual_host}:{actual_port}"
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
 
     def _accept_loop(self) -> None:
-        while not self._closed.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
             except OSError:
@@ -344,8 +337,15 @@ class ModelServer:
             pass
 
     def close(self) -> None:
-        self._closed.set()
+        """Stop accepting: shutting the listener down wakes the accept thread
+        out of accept(), which then returns; connections already open are
+        served until their clients hang up."""
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed
+            pass
         self._listener.close()
+        self._thread.join()
 
     def __enter__(self) -> "ModelServer":
         return self

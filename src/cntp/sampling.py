@@ -70,11 +70,9 @@ class Rng:
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit seed deterministically derived from (seed, key); used to give
-    self-consistency paths and repeated runs independent streams."""
-    base = _mix64((seed & _M64) ^ 0x5851F42D4C957F2D)
-    for part in key:
-        base = _fold(base, part & _M64)
-    return base
+    self-consistency paths and repeated runs independent streams: the base
+    state of the stream Rng(seed, key)."""
+    return Rng(seed, key)._base
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:

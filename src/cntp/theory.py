@@ -78,7 +78,7 @@ Policy = SingleSamplePolicy | CntpPolicy | UniformMultisamplePolicy
 
 
 @dataclass(frozen=True)
-class EnumerationNode:
+class _EnumerationNode:
     """One decision point in the outcome tree: the tokens reached so far
     (prompt included) and the exact probability of reaching them."""
 
@@ -158,7 +158,7 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
     outcomes: list[tuple[tuple[TokenId, ...], float]] = []
     expected_cost = expected_steps = expected_high = 0.0
 
-    stack = [EnumerationNode(prompt_tokens, 1.0, 0)]
+    stack = [_EnumerationNode(prompt_tokens, 1.0, 0)]
     while stack:
         node = stack.pop()
         counter[0] += 1
@@ -180,7 +180,7 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
             q = prepare_sampling_dist(dist, config).probs
             for tok in np.flatnonzero(q):
                 tok = int(tok)
-                stack.append(EnumerationNode(
+                stack.append(_EnumerationNode(
                     node.tokens + (tok,), node.probability * float(q[tok]),
                     node.answer_len + 1,
                 ))
@@ -193,7 +193,7 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
             expected_cost += node.probability * n * mean_len
             for (toks, _, _, ln), win in zip(branches, _winner_probabilities(branches, n)):
                 if win > 0.0:
-                    stack.append(EnumerationNode(
+                    stack.append(_EnumerationNode(
                         node.tokens + toks, node.probability * win, node.answer_len + ln,
                     ))
     return _EnumResult(outcomes, expected_cost, expected_steps, expected_high)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import glob
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
-from cntp.harness import main, resolve_model
+from cntp.harness import resolve_model
+from cntp.harness.cli import main
 
 
 def _only_record(out_dir) -> dict:
@@ -34,7 +39,7 @@ def test_decode_prints_output_and_ledger(tmp_path, capsys):
 
 def test_decode_expands_beam_width_flag(tmp_path, capsys):
     rc = main(["decode", "--model", "bundled:suite", "--prompt", "Q00",
-               "--strategy", "beam", "--beam", "2", "--out", str(tmp_path)])
+               "--strategy", "beam:2", "--out", str(tmp_path)])
     capsys.readouterr()
     assert rc == 0
     assert _only_record(tmp_path)["strategy"] == "beam:2"
@@ -193,10 +198,12 @@ def test_replay_line_selection_errors(tmp_path, capsys):
     (["decode", "--prompt", "x"], 1),
     (["mystery-command"], 1),
     (["decode", "--model", "bundled:kgram", "--prompt", "x",
-      "--strategy", "beam", "--beam", "0", "--out", ""], 1),
+      "--strategy", "beam:0", "--out", ""], 1),
+    (["suite", "--model", "bundled:kgram", "--tasks", "bundled:kgram",
+      "--strategy", "beam", "--paths", "3", "--out", ""], 1),
 ], ids=["bad-seeds", "missing-model-file", "unreachable-remote",
         "unknown-strategy", "missing-required-flag", "unknown-command",
-        "zero-beam-width"])
+        "zero-beam-width", "width-flag-instead-of-strategy-string"])
 def test_error_exit_codes(argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().err
@@ -207,3 +214,16 @@ def test_usage_error_on_unencodable_prompt(capsys):
                "--strategy", "greedy", "--out", ""])
     assert rc == 2  # the prompt cannot be written in the model's vocabulary
     assert "not encodable" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_warnings():
+    """python -m cntp.harness.cli must not find the module already imported
+    by its package, which makes runpy warn on every call."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cntp.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cntp.harness.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "usage: cntp" in result.stdout

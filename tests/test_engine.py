@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cntp import (
+    AnswerExtractor,
     CostLedger,
     DecodeConfig,
     Distribution,
@@ -22,15 +23,15 @@ from cntp import (
     confidence,
     entropy,
     greedy_decode,
-    perplexity,
-    read_confidence,
-    sample_branch,
     select_best,
     stochastic_decode,
     stop_mask,
+    train_kgram,
     trial_count,
 )
-from cntp.engine import branch_score
+from cntp import engine
+from cntp.engine import _grow_branch, branch_score
+from cntp.harness import Task, run_one
 
 DEFAULTS = DecodeConfig(h_min=0.01, h_max=1.5, n_max=10)
 
@@ -90,17 +91,18 @@ def test_confidence_measures():
 
 
 def test_read_confidence_fields():
-    reading = read_confidence(Distribution([0.7, 0.3]))
-    assert reading.max_prob == pytest.approx(0.7)
-    assert reading.margin == pytest.approx(0.4)
-    single = read_confidence(Distribution([1.0]))
-    assert single.max_prob == 1.0 and single.margin == 1.0
+    dist = Distribution([0.7, 0.3])
+    assert confidence(dist, "max_prob") == pytest.approx(1 - 0.7)
+    assert confidence(dist, "top1_minus_top2") == pytest.approx(1 - 0.4)
+    # one token: the top probability and the margin are both 1
+    single = Distribution([1.0])
+    assert confidence(single, "max_prob") == 0.0
+    assert confidence(single, "top1_minus_top2") == 0.0
 
 
 def test_perplexity_worked_values():
     nll, ppl = branch_score((0.25, 0.25, 0.25))
     assert ppl == pytest.approx(4.0, abs=1e-12)
-    assert perplexity(Trial((0, 1, 2), (0.25,) * 3, nll, ppl, "eos")) == pytest.approx(4.0)
     assert branch_score((1.0,))[1] == pytest.approx(1.0, abs=1e-12)
     assert branch_score((0.5, 0.125))[1] == pytest.approx(4.0, abs=1e-12)
 
@@ -130,6 +132,33 @@ def test_stop_mask_flags_punctuation_and_eos():
     assert mask == (False, True, False, True, True)
 
 
+class _CountingDict(dict):
+    builds = 0
+
+    def __setitem__(self, key, value):
+        self.builds += 1
+        super().__setitem__(key, value)
+
+
+def test_stop_mask_is_built_once_per_vocabulary_and_punctuation(monkeypatch):
+    vocab = Vocabulary(("ab", "c.", ""), 2)
+    assert stop_mask(vocab, frozenset({"."})) is stop_mask(vocab, {"."})
+
+    model = train_kgram("the cat sat. the dog ran.", 2, 0.1)
+    model.vocabulary._stop_masks = cache = _CountingDict()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return stop_mask(*args)
+
+    monkeypatch.setattr(engine, "stop_mask", counted)
+    task = Task("t", "the", "", AnswerExtractor("full_text"))
+    run_one(model, task, "cntp_sc:5", DecodeConfig(global_cap=12))
+    assert len(calls) == 5  # one per self-consistency path
+    assert cache.builds == 1
+
+
 def _branch_model():
     """Emits "4" then "." deterministically, then eos."""
     vocab = Vocabulary(("4", ".", "x", ""), 3)
@@ -141,9 +170,18 @@ def _branch_model():
     return ScriptedModel(vocab, table, Distribution(eye[3]))
 
 
+def _sample_branch(model, prefix, config):
+    """One branch after prefix, grown the way cntp_decode grows its trials."""
+    vocab = model.vocabulary
+    trial, _ = _grow_branch(model, list(prefix), config, Rng(0), 0, vocab.eos_id,
+                            stop_mask(vocab, config.punctuation),
+                            model.next_distribution(tuple(prefix)))
+    return trial
+
+
 def test_sample_branch_stops_on_punctuation():
     model = _branch_model()
-    trial = sample_branch(model, Sequence((), ""), DecodeConfig(top_p=1.0), Rng(0))
+    trial = _sample_branch(model, (), DecodeConfig(top_p=1.0))
     assert trial.tokens == (0, 1)
     assert trial.stop_reason == "punctuation"
     assert trial.probs == (1.0, 1.0)
@@ -152,7 +190,7 @@ def test_sample_branch_stops_on_punctuation():
 
 def test_sample_branch_stops_on_eos():
     model = _branch_model()
-    trial = sample_branch(model, Sequence((0, 1), "4."), DecodeConfig(top_p=1.0), Rng(0))
+    trial = _sample_branch(model, (0, 1), DecodeConfig(top_p=1.0))
     assert trial.tokens == (3,)
     assert trial.stop_reason == "eos"
 
@@ -161,11 +199,11 @@ def test_sample_branch_honors_caps():
     vocab = Vocabulary(("x", ""), 1)
     loop = ScriptedModel(vocab, {}, Distribution([1.0, 0.0]))
     config = DecodeConfig(top_p=1.0, branch_cap=3, punctuation=frozenset())
-    trial = sample_branch(loop, Sequence((), ""), config, Rng(0))
+    trial = _sample_branch(loop, (), config)
     assert trial.tokens == (0, 0, 0) and trial.stop_reason == "branch_cap"
 
     config = DecodeConfig(top_p=1.0, branch_cap=64, global_cap=2, punctuation=frozenset())
-    trial = sample_branch(loop, Sequence((), ""), config, Rng(0))
+    trial = _sample_branch(loop, (), config)
     assert len(trial.tokens) == 2 and trial.stop_reason == "global_cap"
 
 
@@ -224,21 +262,6 @@ def test_cntp_n_max_one_equals_stochastic(bundled, kgram_bundle):
         assert adaptive.sequence == plain.sequence
         assert adaptive.cost == plain.cost
         assert adaptive.cost.high_entropy_steps == 0
-
-
-def test_cntp_confidence_on_sampling_dist_flag(bundled):
-    """Reading confidence from the tempered distribution at T=0 collapses
-    every step to a single trial, so the decode is greedy."""
-    fixture = next(f for f in bundled if f.name == "case_a")
-    config = dataclasses.replace(fixture.config, temperature=0.0)
-    out = cntp_decode(fixture.model, Sequence((), ""), config,
-                      confidence_on_sampling_dist=True)
-    assert out.cost.high_entropy_steps == 0
-    ref = greedy_decode(fixture.model, Sequence((), ""), config)
-    assert out.sequence == ref.sequence
-    # the raw reading still branches at the designed step
-    raw = cntp_decode(fixture.model, Sequence((), ""), config)
-    assert raw.cost.high_entropy_steps == 1
 
 
 def test_cntp_respects_global_cap():

@@ -20,6 +20,7 @@ from cntp import (
     ModelSource,
     ProtocolError,
     ScriptedModel,
+    Vocabulary,
     train_kgram,
 )
 from cntp.harness import (
@@ -37,7 +38,6 @@ from cntp.harness import (
     parse_extractor,
     parse_strategy,
     parse_values,
-    preset_temperature,
     render_table,
     replay,
     resolve_model,
@@ -45,16 +45,12 @@ from cntp.harness import (
     run_one,
     run_suite,
     save_tasks,
-    score,
     write_bundled_data,
 )
+from cntp.harness import runner
 from cntp.harness.ablation import format_count, variant
-from cntp.harness.runner import (
-    aggregate_records,
-    expand_model_spec,
-    extract_from_text,
-    read_records,
-)
+from cntp.harness.runner import STRATEGIES, aggregate_records, match_answer, read_records
+from cntp.harness.tasks import bundled_spec
 
 
 def test_extractor_strings_round_trip():
@@ -67,16 +63,21 @@ def test_extractor_strings_round_trip():
         parse_extractor("mystery")
 
 
+def _extract(extractor, text):
+    """The extractor's answer from a character-vocabulary decode of text."""
+    chars = sorted(set(text))
+    vocab = Vocabulary(tuple(chars) + ("",), len(chars))
+    return extractor.extract(vocab.sequence(vocab.encode(text)), vocab)
+
+
 def test_score_rules():
-    marker_task = Task("t", "p", "42.", AnswerExtractor("text_after_marker", "="))
-    assert score("the total = 42.", marker_task)
-    assert not score("no marker here", marker_task)
-    full = Task("t", "p", "a.", AnswerExtractor("full_text"))
-    assert not score("", full)
-    assert not score("A.", full)  # case sensitive
-    last = Task("t", "p", "7", AnswerExtractor("last_token"))
-    assert score("the answer 7", last)
-    assert extract_from_text(AnswerExtractor("last_token"), "") == ""
+    marker = AnswerExtractor("text_after_marker", "=")
+    assert match_answer(_extract(marker, "the total = 42."), "42.")
+    assert not match_answer(_extract(marker, "no marker here"), "42.")
+    full = AnswerExtractor("full_text")
+    assert not match_answer(_extract(full, ""), "a.")
+    assert not match_answer(_extract(full, "A."), "a.")  # case sensitive
+    assert match_answer(_extract(full, " a.\n"), "a.")  # trimmed
 
 
 def test_token_aware_last_token_skips_eos(two_token_vocab):
@@ -133,9 +134,26 @@ def test_strategy_strings():
     assert canonical_strategy("sc") == "sc:5"
     assert canonical_strategy("greedy") == "greedy"
     assert canonical_strategy("beam:2") == "beam:2"
-    assert preset_temperature("cntp_sc:3") == pytest.approx(1.2)
-    assert preset_temperature("beam") == pytest.approx(0.0)
-    assert preset_temperature("stochastic") == pytest.approx(0.6)
+    assert STRATEGIES["cntp_sc"].preset_temperature == pytest.approx(1.2)
+    assert STRATEGIES["beam"].preset_temperature == pytest.approx(0.0)
+    assert STRATEGIES["stochastic"].preset_temperature == pytest.approx(0.6)
+
+
+def test_strategies_look_decoders_up_at_call_time(monkeypatch, suite_bundle):
+    """A decoder patched in the runner module reaches every strategy that
+    runs it, self-consistency paths included."""
+    model, tasks, config = suite_bundle
+    calls = []
+    original = runner.cntp_decode
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(runner, "cntp_decode", spy)
+    run_one(model, tasks[0], "cntp", config)
+    run_one(model, tasks[0], "cntp_sc:3", config)
+    assert len(calls) == 4
 
 
 def test_run_record_round_trip(suite_bundle):
@@ -298,10 +316,17 @@ def test_replay_needs_a_model_source(kgram_bundle):
 
 
 def test_model_spec_expansion_and_resolution(tmp_path):
-    assert expand_model_spec("bundled:suite").endswith("suite.model")
-    assert expand_model_spec("bundled:kgram").startswith("kgram:")
-    assert expand_model_spec("bundled:theorem1_case").endswith("theorem1_case.model")
-    assert expand_model_spec("plain.model") == "plain.model"
+    assert bundled_spec("bundled:suite", "model") == bundled_path("suite.model")
+    assert bundled_spec("bundled:kgram", "model") == "kgram:" + bundled_path("kgram.kgram")
+    assert bundled_spec("bundled:theorem1_case", "model") == bundled_path("theorem1_case.model")
+    assert bundled_spec("bundled:kgram", "config") == bundled_path("kgram.config.json")
+    assert bundled_spec("bundled:theorem1_case", "config") == \
+        bundled_path("theorem1_case.config.json")
+    assert bundled_spec("bundled:suite", "tasks") == bundled_path("suite.tasks")
+    # no task file ships with the theorem fixture; unknown names pass through
+    assert bundled_spec("bundled:theorem1_case", "tasks") == "bundled:theorem1_case"
+    assert bundled_spec("bundled:mystery", "config") == "bundled:mystery"
+    assert bundled_spec("plain.model", "model") == "plain.model"
 
     from cntp import save_kgram_model
     path = str(tmp_path / "toy.kgram")

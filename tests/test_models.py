@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from cntp import (
     ScriptedModel,
     Sequence,
     Vocabulary,
-    detokenize,
     greedy_decode,
     load_kgram_model,
     load_scripted_model,
@@ -195,9 +195,9 @@ def test_kgram_file_errors(tmp_path):
 
 def test_detokenize_surfaces():
     vocab = Vocabulary((".", "\n", "x", ""), 3)
-    assert detokenize(vocab, 0) == "."
-    assert detokenize(vocab, 1) == "\n"
-    assert detokenize(vocab, 3) == ""
+    assert vocab.surface(0) == "."
+    assert vocab.surface(1) == "\n"
+    assert vocab.surface(3) == ""
 
 
 def test_remote_model_round_trips_rows(tiny_model):
@@ -222,6 +222,20 @@ def test_remote_decode_matches_local(tiny_model):
     assert over_wire.cost == local.cost
 
 
+def test_server_close_stops_the_accept_thread(tiny_model):
+    server = ModelServer(tiny_model)
+    with RemoteModel(server.address) as remote:
+        remote.next_distribution(())
+    closer = threading.Thread(target=server.close, daemon=True)
+    closer.start()
+    closer.join(timeout=2.0)
+    assert not closer.is_alive()
+    assert not server._thread.is_alive()
+    host, port = server.address.rsplit(":", 1)
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((host, int(port)), timeout=2.0)
+
+
 def test_remote_rejects_bad_addresses():
     with pytest.raises(ProtocolError, match="host:port"):
         RemoteModel("nohost")
@@ -238,8 +252,6 @@ def _raw_server(lines):
     """One-shot server that sends the given lines and echoes nothing else."""
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
-
-    import threading
 
     def serve():
         conn, _ = listener.accept()
