@@ -8,6 +8,7 @@ the adaptive engine, so their ledgers compare like for like.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -18,17 +19,17 @@ from .core import (
     Sequence,
     StepTrace,
     Vocabulary,
-    validate_config,
+    validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .engine import branch_score, confidence
 from .models import ModelSource
 from .sampling import Rng, derive_seed, greedy_token, prepare_sampling_dist, sample_token
 
 
-def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
-    """Argmax decoding; ties go to the lowest token id. Temperature, top_p,
-    and seed have no effect."""
-    validate_config(config)
+def _one_token_per_step(model: ModelSource, prompt: Sequence, config: DecodeConfig,
+                        pick: Callable) -> DecodeOutcome:
+    """Decode one token per step, pick(dist, step) choosing it; each step
+    costs one pass and one generated token."""
     vocab = model.vocabulary
     eos = vocab.eos_id
     prefix = list(prompt.tokens)
@@ -39,7 +40,7 @@ def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) ->
         if answer_len >= config.global_cap or (answer_len and prefix[-1] == eos):
             break
         dist = model.next_distribution(tuple(prefix))
-        tok = greedy_token(dist)
+        tok = pick(dist, len(trace))
         prefix.append(tok)
         trace.append(StepTrace(confidence(dist, config.confidence_measure), 1, None,
                                float(dist.probs[tok])))
@@ -48,33 +49,21 @@ def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) ->
     return DecodeOutcome(vocab.sequence(prefix), cost, tuple(trace))
 
 
+def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
+    """Argmax decoding; ties go to the lowest token id. Temperature, top_p,
+    and seed have no effect."""
+    return _one_token_per_step(model, prompt, config, lambda dist, step: greedy_token(dist))
+
+
 def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,
                       rng: Rng | None = None) -> DecodeOutcome:
     """One sampled token per step from the tempered, nucleus-truncated
     distribution. Draws come from per-step streams keyed (seed, step, 0),
     the same discipline the adaptive engine uses for single-trial steps."""
-    validate_config(config)
     if rng is None:
         rng = Rng(config.seed)
-    vocab = model.vocabulary
-    eos = vocab.eos_id
-    prefix = list(prompt.tokens)
-    prompt_len = len(prefix)
-    trace: list[StepTrace] = []
-    step = 0
-    while True:
-        answer_len = len(prefix) - prompt_len
-        if answer_len >= config.global_cap or (answer_len and prefix[-1] == eos):
-            break
-        dist = model.next_distribution(tuple(prefix))
-        sampling = prepare_sampling_dist(dist, config)
-        tok = sample_token(sampling, rng.derive(step, 0))
-        prefix.append(tok)
-        trace.append(StepTrace(confidence(dist, config.confidence_measure), 1, None,
-                               float(dist.probs[tok])))
-        step += 1
-    cost = CostLedger(forward_passes=step, generated_tokens=step, total_steps=step)
-    return DecodeOutcome(vocab.sequence(prefix), cost, tuple(trace))
+    return _one_token_per_step(model, prompt, config, lambda dist, step: sample_token(
+        prepare_sampling_dist(dist, config), rng.derive(step, 0)))
 
 
 def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,
@@ -87,9 +76,6 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     Beams report no per-step trace; the ledger counts one pass and one
     generated token per expanded beam per round.
     """
-    import math
-
-    validate_config(config)
     if beam_width < 1:
         raise ValueError("beam width must be ≥ 1")
     vocab = model.vocabulary
@@ -177,7 +163,6 @@ def self_consistency(decode_fn: DecodeFn, model: ModelSource, prompt: Sequence,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be ≥ 1")
-    validate_config(config)
     vocab = model.vocabulary
     prompt_len = len(prompt.tokens)
     tally = VoteTally()
@@ -199,7 +184,6 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
     n runs."""
     if n < 1:
         raise ValueError("n must be ≥ 1")
-    validate_config(config)
     best_outcome: DecodeOutcome | None = None
     best_ppl = float("inf")
     total = CostLedger()

@@ -176,27 +176,46 @@ class DecodeConfig:
     confidence_measure: ConfidenceMeasure = "entropy"
     trial_scaling: TrialScaling = "positive"
 
+    def __post_init__(self):
+        validate_config(self)
+
+
+# Typed fields. Neither kind takes a bool, and the int fields take no numpy
+# integer: records serialize the config with json.
+_REAL_FIELDS = ("h_min", "h_max", "temperature", "top_p")
+_INT_FIELDS = ("n_max", "branch_cap", "global_cap", "seed")
+
 
 def validate_config(config: DecodeConfig) -> DecodeConfig:
     """Return the config unchanged, or raise ConfigError naming the first
-    violated invariant."""
+    violated invariant: field types first, then values. DecodeConfig runs
+    this on construction, dataclasses.replace included."""
+    for name in _REAL_FIELDS:
+        value = getattr(config, name)
+        if not isinstance(value, float) and type(value) is not int:
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
+    for name in _INT_FIELDS:
+        value = getattr(config, name)
+        if type(value) is not int:
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if not math.isfinite(config.h_min) or config.h_min < 0:
         raise ConfigError("h_min must be ≥ 0")
     if not math.isfinite(config.h_max) or not config.h_min < config.h_max:
         raise ConfigError("h_min must be < h_max")
-    if not isinstance(config.n_max, int) or config.n_max < 1:
+    if config.n_max < 1:
         raise ConfigError("n_max must be ≥ 1")
     if not math.isfinite(config.temperature) or config.temperature < 0:
         raise ConfigError("temperature must be ≥ 0")
     if not math.isfinite(config.top_p) or not 0 < config.top_p <= 1:
         raise ConfigError("top_p must be in (0, 1]")
-    if any(not isinstance(c, str) or len(c) != 1 for c in config.punctuation):
+    if config.punctuation is not DEFAULT_PUNCTUATION and any(
+            not isinstance(c, str) or len(c) != 1 for c in config.punctuation):
         raise ConfigError("punctuation entries must be single characters")
-    if not isinstance(config.branch_cap, int) or config.branch_cap < 1:
+    if config.branch_cap < 1:
         raise ConfigError("branch_cap must be ≥ 1")
-    if not isinstance(config.global_cap, int) or config.global_cap < 1:
+    if config.global_cap < 1:
         raise ConfigError("global_cap must be ≥ 1")
-    if not isinstance(config.seed, int) or not 0 <= config.seed < 2**64:
+    if not 0 <= config.seed < 2**64:
         raise ConfigError("seed must be a 64-bit unsigned integer")
     if config.confidence_measure not in CONFIDENCE_MEASURES:
         raise ConfigError(f"confidence_measure must be one of {CONFIDENCE_MEASURES}")
@@ -224,11 +243,16 @@ def config_from_dict(data: dict, source: str = "config") -> DecodeConfig:
         punct = kwargs["punctuation"]
         if not isinstance(punct, str):
             raise ConfigError(f"{source}: punctuation must be a string of characters")
-        kwargs["punctuation"] = frozenset(punct)
-    for key in ("h_min", "h_max", "temperature", "top_p"):
-        if key in kwargs and isinstance(kwargs[key], int):
+        punct = frozenset(punct)
+        # Sharing the default set spares validate_config its costliest check.
+        kwargs["punctuation"] = DEFAULT_PUNCTUATION if punct == DEFAULT_PUNCTUATION else punct
+    for key in _REAL_FIELDS:
+        if type(kwargs.get(key)) is int:
             kwargs[key] = float(kwargs[key])
-    return validate_config(DecodeConfig(**kwargs))
+    try:
+        return DecodeConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def load_config(path: str) -> DecodeConfig:
@@ -247,11 +271,12 @@ def load_config(path: str) -> DecodeConfig:
 class CostLedger:
     """Decode cost accounting.
 
-    forward_passes counts every next_distribution call the decoder made; at
-    a branching step each trial's first token is its own call, so a step
-    with N single-token trials costs N passes. generated_tokens counts every
-    sampled token, including tokens of discarded trials. high_entropy_steps
-    counts exactly the steps where more than one trial ran.
+    forward_passes is the paper's logical cost: one pass per sampled token
+    per trial, so a step with N single-token trials costs N passes. It is
+    not a count of backend calls; the trials of a step share the one read
+    of the step's prefix. generated_tokens counts every sampled token,
+    including tokens of discarded trials. high_entropy_steps counts exactly
+    the steps where more than one trial ran.
     """
 
     forward_passes: int = 0

@@ -27,7 +27,7 @@ from .core import (
     Sequence,
     StepTrace,
     Trial,
-    validate_config,
+    validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .models import ModelSource
 from .sampling import Rng, prepare_sampling_dist, sample_token
@@ -77,10 +77,8 @@ def trial_count(h: float, config: DecodeConfig) -> int:
     span = config.h_max - config.h_min
     if scaling == "positive":
         raw = math.floor((h - config.h_min) * n_max / span)
-    elif scaling == "negative":
+    else:  # "negative"; the config's construction rejects any other value
         raw = n_max - math.floor((h - config.h_min) / span * n_max)
-    else:
-        raise ValueError(f"unknown trial scaling {scaling!r}")
     return max(1, min(n_max, raw))
 
 
@@ -158,7 +156,6 @@ def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """Decode with entropy-adaptive trial budgets."""
-    validate_config(config)
     vocab = model.vocabulary
     eos = vocab.eos_id
     stops = stop_mask(vocab, config.punctuation)
@@ -188,15 +185,14 @@ def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> D
             trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
             continue
         high_steps += 1
+        # Every trial starts from the prefix the confidence read already
+        # fetched. The ledger still charges trials 1..n-1 a pass each for
+        # their first token; the confidence read is trial 0's.
+        passes += n - 1
         trials = []
         for i in range(n):
-            if i == 0:
-                first = dist  # the confidence pass doubles as trial 0's first pass
-            else:
-                first = model.next_distribution(tuple(prefix))
-                passes += 1
             trial, calls = _grow_branch(
-                model, prefix, config, base.derive(step, i), answer_len, eos, stops, first
+                model, prefix, config, base.derive(step, i), answer_len, eos, stops, dist
             )
             passes += calls
             generated += len(trial.tokens)

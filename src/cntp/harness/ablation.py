@@ -6,13 +6,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
-from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig
-from .runner import run_suite
-
-AXES = ("confidence_measure", "trial_scaling", "n_max_sweep",
-        "temperature_top_p_grid", "best_of_n")
+from ..core import DecodeConfig
+from .runner import parse_strategy, run_suite
 
 # The flipped-probability measures live on a [0, 1] uncertainty scale, so
 # entropy-range thresholds would never trigger multi-trial steps; these
@@ -20,73 +18,73 @@ AXES = ("confidence_measure", "trial_scaling", "n_max_sweep",
 UNIT_SCALE_THRESHOLDS = (0.01, 0.9)
 
 
+def _measure(config: DecodeConfig, value) -> tuple[DecodeConfig, str]:
+    lo, hi = (config.h_min, config.h_max) if value == "entropy" else UNIT_SCALE_THRESHOLDS
+    return replace(config, confidence_measure=value, h_min=lo, h_max=hi), "cntp"
+
+
+def _grid(config: DecodeConfig, value) -> tuple[DecodeConfig, str]:
+    temperature, top_p = value
+    return replace(config, temperature=temperature, top_p=top_p), "cntp"
+
+
+def _parse_pair(text: str) -> tuple[float, float]:
+    t, sep, p = text.partition("x")
+    if not sep:
+        raise ValueError(f"grid value {text!r} must look like TxP")
+    return float(t), float(p)
+
+
+# Axis name -> (parse one CLI value, apply a value to a config). apply
+# returns the (config, strategy) pair that the value's cell runs.
+AXES = {
+    "confidence_measure": (str, _measure),
+    "trial_scaling": (str, lambda c, v: (replace(c, trial_scaling=v), "cntp")),
+    "n_max_sweep": (int, lambda c, v: (replace(c, n_max=v), "cntp")),
+    "temperature_top_p_grid": (_parse_pair, _grid),
+    "best_of_n": (int, lambda c, v: (c, f"best_of_n:{v}")),
+}
+
+
+def _axis(name: str) -> tuple[Callable, Callable]:
+    if name not in AXES:
+        raise ValueError(f"unknown ablation axis {name!r}")
+    return AXES[name]
+
+
 @dataclass(frozen=True)
 class AblationSpec:
+    """An axis and its values. Each value is checked by applying it to the
+    default config, whose construction checks the config's invariants, and
+    by parsing the strategy string it yields."""
+
     axis: str
     values: tuple
 
     def __post_init__(self):
-        if self.axis not in AXES:
-            raise ValueError(f"unknown ablation axis {self.axis!r}")
+        _, apply = _axis(self.axis)
         if not self.values:
             raise ValueError("ablation needs at least one value")
         for value in self.values:
-            _check_value(self.axis, value)
-
-
-def _check_value(axis: str, value) -> None:
-    if axis == "confidence_measure" and value not in CONFIDENCE_MEASURES:
-        raise ValueError(f"confidence measure must be one of {CONFIDENCE_MEASURES}, got {value!r}")
-    if axis == "trial_scaling" and value not in TRIAL_SCALINGS:
-        raise ValueError(f"trial scaling must be one of {TRIAL_SCALINGS}, got {value!r}")
-    if axis in ("n_max_sweep", "best_of_n"):
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"{axis} values must be integers ≥ 1, got {value!r}")
-    if axis == "temperature_top_p_grid":
-        ok = (isinstance(value, tuple) and len(value) == 2
-              and value[0] >= 0 and 0 < value[1] <= 1)
-        if not ok:
-            raise ValueError(f"grid values must be (temperature, top_p) pairs, got {value!r}")
+            try:
+                parse_strategy(apply(DecodeConfig(), value)[1])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{self.axis} value {value!r}: {exc}") from exc
 
 
 def parse_values(axis: str, text: str) -> tuple:
     """CLI value lists: comma-separated; grid entries as TxP, e.g.
     "0.6x0.9,1.2x0.95"."""
+    parse, _ = _axis(axis)
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty value list")
-    values = []
-    for part in parts:
-        if axis in ("n_max_sweep", "best_of_n"):
-            values.append(int(part))
-        elif axis == "temperature_top_p_grid":
-            t, sep, p = part.partition("x")
-            if not sep:
-                raise ValueError(f"grid value {part!r} must look like TxP")
-            values.append((float(t), float(p)))
-        else:
-            values.append(part)
-    return tuple(values)
+    return tuple(parse(part) for part in parts)
 
 
 def variant(axis: str, value, config: DecodeConfig) -> tuple[DecodeConfig, str]:
     """The (config, strategy) pair one ablation cell runs with."""
-    if axis == "confidence_measure":
-        cfg = dataclasses.replace(config, confidence_measure=value)
-        if value != "entropy":
-            lo, hi = UNIT_SCALE_THRESHOLDS
-            cfg = dataclasses.replace(cfg, h_min=lo, h_max=hi)
-        return cfg, "cntp"
-    if axis == "trial_scaling":
-        return dataclasses.replace(config, trial_scaling=value), "cntp"
-    if axis == "n_max_sweep":
-        return dataclasses.replace(config, n_max=value), "cntp"
-    if axis == "temperature_top_p_grid":
-        t, p = value
-        return dataclasses.replace(config, temperature=t, top_p=p), "cntp"
-    if axis == "best_of_n":
-        return config, f"best_of_n:{value}"
-    raise ValueError(f"unknown ablation axis {axis!r}")
+    return _axis(axis)[1](config, value)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
-from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, load_config, validate_config
+from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, load_config
 from ..models import ModelFileError, ModelServer, ProtocolError, save_kgram_model, train_kgram
 from ..theory import bundled_fixtures, check_theorem1, load_fixture
 from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
@@ -149,28 +149,16 @@ def _build_config(args, root: str) -> DecodeConfig:
     """Flag > config file > strategy preset, per field where applicable."""
     if getattr(args, "config", None):
         config = load_config(bundled_spec(args.config, "config"))
-        temperature_pinned = True
+        updates = {}
     else:
         config = DecodeConfig()
-        temperature_pinned = False
-    updates = {}
-    for name in ("n_max", "h_min", "h_max", "top_p", "confidence_measure",
+        updates = {"temperature": STRATEGIES[root].preset_temperature}
+    for name in ("n_max", "h_min", "h_max", "temperature", "top_p", "confidence_measure",
                  "trial_scaling", "branch_cap", "global_cap", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
-    if getattr(args, "temperature", None) is not None:
-        updates["temperature"] = args.temperature
-    elif not temperature_pinned:
-        updates["temperature"] = STRATEGIES[root].preset_temperature
-    return validate_config(dataclasses.replace(config, **updates))
-
-
-def _load_model(spec: str):
-    """The model a --model spec names, and the spec its records carry: a
-    bundled name is stored expanded."""
-    spec = bundled_spec(spec, "model")
-    return resolve_model(spec), spec
+    return dataclasses.replace(config, **updates)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -190,10 +178,10 @@ def _ledger_line(cost: dict) -> str:
 
 def cmd_decode(args) -> int:
     root, _ = parse_strategy(args.strategy)
-    model, model_spec = _load_model(args.model)
+    model = resolve_model(args.model)
     config = _build_config(args, root)
     task = Task("decode", args.prompt, "", parse_extractor("full_text"))
-    record, _ = run_one(model, task, args.strategy, config, model_spec=model_spec)
+    record, _ = run_one(model, task, args.strategy, config, model_spec=args.model)
     print(record.output)
     print(_ledger_line(record.cost))
     if args.out:
@@ -208,12 +196,12 @@ def cmd_decode(args) -> int:
 
 def cmd_suite(args) -> int:
     root, _ = parse_strategy(args.strategy)
-    model, model_spec = _load_model(args.model)
+    model = resolve_model(args.model)
     config = _build_config(args, root)
     tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
     seeds = _parse_seeds(args.seeds)
     result = run_suite(model, tasks, args.strategy, config, seeds,
-                       model_spec=model_spec, out_dir=args.out or None,
+                       model_spec=args.model, out_dir=args.out or None,
                        workers=args.workers)
     agg = result.aggregate
     print(f"strategy={agg.strategy} tasks={agg.n_tasks} seeds={agg.n_seeds}")

@@ -26,7 +26,8 @@ from ..baselines import (
     self_consistency,
     stochastic_decode,
 )
-from ..core import DecodeConfig, DecodeOutcome, config_from_dict, config_to_dict, validate_config
+from ..core import DecodeConfig, DecodeOutcome, config_from_dict, config_to_dict
+from ..core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
 from ..engine import cntp_decode
 from ..models import (
     ModelFileError,
@@ -144,7 +145,6 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
     """Execute one strategy on one task. The record's seed field holds
     config.seed; suite runs overwrite it with the suite-level seed."""
     root, width = parse_strategy(strategy)
-    validate_config(config)
     vocab = model.vocabulary
     try:
         prompt = vocab.sequence(vocab.encode(task.prompt))

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 
 from ..baselines import AnswerExtractor, greedy_decode
-from ..core import DecodeConfig, Distribution, TokenId, config_to_dict, validate_config
+from ..core import DecodeConfig, Distribution, TokenId, config_to_dict
 from ..models import (
     KGramModel,
     ModelFileError,
@@ -162,7 +162,7 @@ def build_fixture_suite() -> tuple[ScriptedModel, list[Task], DecodeConfig]:
         ))
 
     h_min, h_max = derive_thresholds(all_low, all_high, SUITE_N_MAX)
-    config = validate_config(DecodeConfig(h_min=h_min, h_max=h_max, n_max=SUITE_N_MAX))
+    config = DecodeConfig(h_min=h_min, h_max=h_max, n_max=SUITE_N_MAX)
     validate_regimes(all_low, all_high, config)
     # Default row: forced eos, so every wrong turn ends the sequence.
     default = Distribution(np.eye(len(vocab))[vocab.eos_id])
@@ -194,7 +194,7 @@ def build_kgram_suite(corpus: str = KGRAM_CORPUS) -> tuple[KGramModel, list[Task
     under the returned config (which caps answers at KGRAM_ANSWER_LEN
     tokens), so greedy scores 1.0 on this suite by construction."""
     model = train_kgram(corpus, KGRAM_K, KGRAM_ALPHA)
-    config = validate_config(DecodeConfig(global_cap=KGRAM_ANSWER_LEN))
+    config = DecodeConfig(global_cap=KGRAM_ANSWER_LEN)
     vocab = model.vocabulary
     tasks: list[Task] = []
     seen_prompts: set[str] = set()

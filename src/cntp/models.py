@@ -95,16 +95,19 @@ def load_scripted_model(path: str) -> ScriptedModel:
         raise ModelFileError(f"{path}: bad vocabulary: {exc}") from exc
     try:
         default = Distribution(data["default"])
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ModelFileError(f"{path}: default row: {exc}") from exc
     table: dict[tuple[TokenId, ...], Distribution] = {}
     for i, row in enumerate(data["rows"]):
         if not isinstance(row, dict) or "prefix" not in row or "probs" not in row:
             raise ModelFileError(f"{path}: row {i} must hold 'prefix' and 'probs'")
-        prefix = tuple(row["prefix"])
+        prefix = row["prefix"]
+        if not isinstance(prefix, list) or any(type(t) is not int for t in prefix):
+            raise ModelFileError(f"{path}: row {i}: prefix must be a list of integer token ids")
+        prefix = tuple(prefix)
         try:
             table[prefix] = Distribution(row["probs"])
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ModelFileError(f"{path}: row {i} (prefix {list(prefix)}): {exc}") from exc
     try:
         return ScriptedModel(vocab, table, default)
@@ -146,20 +149,27 @@ class KGramModel(ModelSource):
         self.k = k
         self.alpha = alpha
         self.counts = counts
+        # Trained contexts only: every unseen context shares one row.
         self._cache: dict[tuple[TokenId, ...], Distribution] = {}
+        self._unseen = self._row({})
+
+    def _row(self, bucket: dict[TokenId, int]) -> Distribution:
+        size = len(self.vocabulary)
+        row = np.full(size, self.alpha, dtype=np.float64)
+        total = self.alpha * size
+        for token, count in bucket.items():
+            row[token] += count
+            total += count
+        return Distribution(row / total)
 
     def next_distribution(self, prefix) -> Distribution:
         context = _prefix_key(prefix)[-self.k:]
         dist = self._cache.get(context)
         if dist is None:
-            size = len(self.vocabulary)
-            row = np.full(size, self.alpha, dtype=np.float64)
-            total = self.alpha * size
-            for token, count in self.counts.get(context, {}).items():
-                row[token] += count
-                total += count
-            dist = Distribution(row / total)
-            self._cache[context] = dist
+            bucket = self.counts.get(context)
+            if bucket is None:
+                return self._unseen
+            dist = self._cache[context] = self._row(bucket)
         return dist
 
 

@@ -38,7 +38,7 @@ class Rng:
     for large Monte Carlo runs.
     """
 
-    __slots__ = ("seed", "stream", "_base", "_state")
+    __slots__ = ("_base", "_state")
 
     def __init__(self, seed: int, stream: int | tuple[int, ...] = ()):
         if isinstance(stream, int):
@@ -46,8 +46,6 @@ class Rng:
         base = _mix64((seed & _M64) ^ 0x5851F42D4C957F2D)
         for part in stream:
             base = _fold(base, part & _M64)
-        self.seed = seed
-        self.stream = stream
         self._base = base
         self._state = base
 
@@ -56,8 +54,6 @@ class Rng:
         base = self._base
         for part in key:
             base = _fold(base, part & _M64)
-        child.seed = self.seed
-        child.stream = self.stream + key
         child._base = base
         child._state = base
         return child

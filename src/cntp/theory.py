@@ -28,9 +28,9 @@ from .core import (
     Sequence,
     TokenId,
     Vocabulary,
-    config_from_dict,
     config_to_dict,
-    validate_config,
+    load_config,
+    validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .engine import branch_score, confidence, entropy, stop_mask, trial_count
 from .models import ModelFileError, ModelSource, ScriptedModel, load_scripted_model, save_scripted_model
@@ -95,10 +95,11 @@ class _EnumResult:
     expected_high: float
 
 
-def _enumerate_branch_set(model, config, prefix, answer_len, stops, eos, counter, budget):
-    """All branches a trial could sample from this prefix: (tokens, sampled
-    probability, perplexity, length), with probabilities under the tempered
-    sampling distribution and perplexities under the model's own."""
+def _enumerate_branch_set(model, config, prefix, dist, answer_len, stops, eos, counter, budget):
+    """All branches a trial could sample from this prefix, whose
+    distribution dist the caller has read: (tokens, sampled probability,
+    perplexity, length), with probabilities under the tempered sampling
+    distribution and perplexities under the model's own."""
     out = []
 
     def grow(local, toks, qprob, model_probs, first_dist):
@@ -120,7 +121,7 @@ def _enumerate_branch_set(model, config, prefix, answer_len, stops, eos, counter
             else:
                 grow(local + (tok,), toks2, qp2, probs2, None)
 
-    grow(prefix, (), 1.0, (), None)
+    grow(prefix, (), 1.0, (), dist)
     return out
 
 
@@ -150,7 +151,6 @@ def _winner_probabilities(branches, n: int) -> list[float]:
 def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId, ...],
                max_len: int | None, node_budget: int) -> _EnumResult:
     config = policy.config
-    validate_config(config)
     eos = model.vocabulary.eos_id
     stops = stop_mask(model.vocabulary, config.punctuation)
     cap = config.global_cap if max_len is None else min(max_len, config.global_cap)
@@ -187,7 +187,8 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
         else:
             expected_high += node.probability
             branches = _enumerate_branch_set(
-                model, config, node.tokens, node.answer_len, stops, eos, counter, node_budget
+                model, config, node.tokens, dist, node.answer_len, stops, eos, counter,
+                node_budget,
             )
             mean_len = sum(q * ln for _, q, _, ln in branches)
             expected_cost += node.probability * n * mean_len
@@ -466,9 +467,7 @@ def build_theorem1_fixture(per_step, *, n_max: int = 10, width: int = 8,
         vocab, table, per_step, (), width, branch_style
     )
     h_min, h_max = derive_thresholds(low_entropies, high_entropies, n_max)
-    config = validate_config(DecodeConfig(
-        h_min=h_min, h_max=h_max, n_max=n_max, temperature=1.0, top_p=1.0,
-    ))
+    config = DecodeConfig(h_min=h_min, h_max=h_max, n_max=n_max, temperature=1.0, top_p=1.0)
     validate_regimes(low_entropies, high_entropies, config)
     eos_row = table[reference]
     model = ScriptedModel(vocab, table, eos_row)
@@ -499,7 +498,7 @@ def _assumption1_survey(fixture: Theorem1Fixture, node_budget: int):
             continue
         any_multi = True
         branches = _enumerate_branch_set(
-            model, config, prefix, pos, stops, eos, counter, node_budget
+            model, config, prefix, dist, pos, stops, eos, counter, node_budget
         )
         correct_branch = None
         for toks, q, ppl, ln in branches:
@@ -602,7 +601,6 @@ def load_fixture(model_path: str, ref_path: str | None = None,
             ref_tokens = tuple(json.load(fh)["tokens"])
     except (OSError, ValueError, KeyError) as exc:
         raise ModelFileError(f"{ref_path}: bad reference file: {exc}") from exc
-    with open(config_path, "r", encoding="utf-8") as fh:
-        config = config_from_dict(json.load(fh), source=config_path)
+    config = load_config(config_path)
     reference = ReferenceSequence(ref_tokens, model.vocabulary.text(ref_tokens))
     return Theorem1Fixture(model, reference, config, name=name or model_path)

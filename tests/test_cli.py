@@ -12,7 +12,7 @@ import pytest
 
 import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
-from cntp.harness import resolve_model
+from cntp.harness import bundled_path, resolve_model
 from cntp.harness.cli import main
 
 
@@ -161,6 +161,7 @@ def test_replay_round_trip_and_tamper_detection(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     rec_path = glob.glob(str(out_dir / "*" / "records.jsonl"))[0]
+    assert _only_record(out_dir)["model_spec"] == "bundled:kgram"  # kept as given
 
     assert main(["replay", "--record", rec_path]) == 0
     assert "replay ok" in capsys.readouterr().out
@@ -174,6 +175,34 @@ def test_replay_round_trip_and_tamper_detection(tmp_path, capsys):
         fh.write(json.dumps(data) + "\n")
     assert main(["replay", "--record", rec_path]) == 4
     assert "replay mismatch" in capsys.readouterr().err
+
+
+def test_suite_records_keep_the_bundled_spec_and_replay(tmp_path, capsys):
+    rc = main(["suite", "--model", "bundled:suite", "--tasks", "bundled:suite",
+               "--config", "bundled:suite", "--strategy", "cntp", "--seeds", "0",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    rec_path = glob.glob(str(tmp_path / "*" / "records.jsonl"))[0]
+    with open(rec_path, encoding="utf-8") as fh:
+        specs = {json.loads(line)["model_spec"] for line in fh}
+    assert specs == {"bundled:suite"}
+    assert main(["replay", "--record", rec_path, "--line", "50"]) == 0
+    capsys.readouterr()
+
+
+def test_replay_accepts_an_expanded_bundled_spec(tmp_path, capsys):
+    """Records written before bundled specs were kept as given carry the
+    expanded kgram:<path> spec, and still replay."""
+    out_dir = tmp_path / "runs"
+    assert main(["decode", "--model", "bundled:kgram", "--prompt", "the ca",
+                 "--strategy", "cntp", "--seed", "3", "--out", str(out_dir)]) == 0
+    rec_path = glob.glob(str(out_dir / "*" / "records.jsonl"))[0]
+    data = _only_record(out_dir)
+    data["model_spec"] = "kgram:" + bundled_path("kgram.kgram")
+    with open(rec_path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data) + "\n")
+    assert main(["replay", "--record", rec_path]) == 0
+    assert "replay ok" in capsys.readouterr().out
 
 
 def test_replay_line_selection_errors(tmp_path, capsys):
@@ -207,6 +236,32 @@ def test_replay_line_selection_errors(tmp_path, capsys):
 def test_error_exit_codes(argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"h_min": "x"}, {"n_max": True}, {"h_min": True},
+], ids=["string-h_min", "bool-n_max", "bool-h_min"])
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, config, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["decode", "--model", "bundled:suite", "--prompt", "Q00",
+               "--config", str(path), "--out", ""])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"{path}: {next(iter(config))} must be" in err
+
+
+@pytest.mark.parametrize("prefix", [["z"], [True]], ids=["string-token", "bool-token"])
+def test_scripted_rows_with_bad_prefixes_exit_2(tmp_path, prefix, capsys):
+    path = tmp_path / "bad.model"
+    path.write_text(json.dumps({
+        "tokens": ["a.", "b.", ""], "eos": 2,
+        "rows": [{"prefix": prefix, "probs": [0.5, 0.5, 0.0]}],
+        "default": [0.0, 0.0, 1.0],
+    }), encoding="utf-8")
+    rc = main(["decode", "--model", str(path), "--prompt", "a.", "--out", ""])
+    assert rc == 2
+    assert "row 0: prefix must be a list of integer token ids" in capsys.readouterr().err
 
 
 def test_usage_error_on_unencodable_prompt(capsys):

@@ -111,11 +111,32 @@ def test_default_config_is_valid():
         ({"confidence_measure": "psychic"}, "confidence_measure"),
         ({"trial_scaling": "sideways"}, "trial_scaling"),
         ({"punctuation": frozenset({".."})}, "single characters"),
+        ({"h_min": "x"}, "h_min must be a real number"),
+        ({"h_max": None}, "h_max must be a real number"),
+        ({"temperature": True}, "temperature must be a real number"),
+        ({"top_p": np.int64(1)}, "top_p must be a real number"),
+        ({"n_max": True}, "n_max must be an integer"),
+        ({"n_max": 2.0}, "n_max must be an integer"),
+        ({"branch_cap": np.int64(4)}, "branch_cap must be an integer"),
+        ({"global_cap": "12"}, "global_cap must be an integer"),
+        ({"seed": False}, "seed must be an integer"),
     ],
 )
 def test_validate_config_names_first_violation(fields, message):
     with pytest.raises(ConfigError, match=message):
         validate_config(dataclasses.replace(DecodeConfig(), **fields))
+
+
+def test_configs_are_checked_on_construction_and_replace():
+    with pytest.raises(ConfigError, match="n_max must be ≥ 1"):
+        DecodeConfig(n_max=0)
+    with pytest.raises(ConfigError, match="n_max must be ≥ 1"):
+        dataclasses.replace(DecodeConfig(), n_max=0)
+
+
+def test_config_real_fields_take_ints_and_numpy_floats():
+    config = DecodeConfig(h_min=0, h_max=2, temperature=np.float64(0.5), top_p=1)
+    assert (config.h_min, config.h_max, config.top_p) == (0, 2, 1)
 
 
 def test_config_dict_round_trip():
@@ -138,6 +159,17 @@ def test_config_from_dict_coerces_integer_reals():
     config = config_from_dict({"h_max": 2, "temperature": 1, "top_p": 1})
     assert config.h_max == 2.0 and isinstance(config.h_max, float)
     assert config.temperature == 1.0 and config.top_p == 1.0
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"h_min": "x"}, "h_min must be a real number"),
+    ({"h_min": True}, "h_min must be a real number"),  # not widened to 1.0
+    ({"n_max": True}, "n_max must be an integer"),  # not read as 1
+    ({"seed": 1.0}, "seed must be an integer"),
+])
+def test_config_from_dict_rejects_wrong_types(data, message):
+    with pytest.raises(ConfigError, match=f"cfg.json: {message}"):
+        config_from_dict(data, source="cfg.json")
 
 
 def test_load_config_reports_json_errors(tmp_path):

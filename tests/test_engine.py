@@ -14,6 +14,7 @@ from cntp import (
     CostLedger,
     DecodeConfig,
     Distribution,
+    ModelSource,
     Rng,
     ScriptedModel,
     Sequence,
@@ -245,6 +246,28 @@ def test_cntp_trace_on_designed_fixture(bundled):
     assert out.per_step_trace[0].chosen_prob == pytest.approx(0.9, abs=1e-12)
     assert out.cost == CostLedger(forward_passes=13, generated_tokens=13,
                                   high_entropy_steps=1, total_steps=4)
+
+
+class _CountingModel(ModelSource):
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocabulary = inner.vocabulary
+        self.calls = 0
+
+    def next_distribution(self, prefix):
+        self.calls += 1
+        return self.inner.next_distribution(prefix)
+
+
+def test_cntp_trials_share_the_confidence_read(bundled):
+    """The ten trials of case_a's middle step all start from the prefix the
+    confidence read fetched, and each ends after one token, so the decode
+    reads the model once per step while the ledger still counts 13 passes."""
+    fixture = next(f for f in bundled if f.name == "case_a")
+    model = _CountingModel(fixture.model)
+    out = cntp_decode(model, Sequence((), ""), dataclasses.replace(fixture.config, seed=7))
+    assert out.cost.forward_passes == 13
+    assert model.calls == 4
 
 
 def test_cntp_n_max_one_equals_stochastic(bundled, kgram_bundle):

@@ -343,12 +343,18 @@ def test_ablation_spec_validation():
         AblationSpec("mystery", (1,))
     with pytest.raises(ValueError, match="at least one value"):
         AblationSpec("n_max_sweep", ())
-    with pytest.raises(ValueError, match="confidence measure"):
+    with pytest.raises(ValueError, match="confidence_measure must be one of"):
         AblationSpec("confidence_measure", ("vibes",))
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="n_max must be ≥ 1"):
         AblationSpec("n_max_sweep", (0,))
-    with pytest.raises(ValueError, match="pairs"):
+    with pytest.raises(ValueError, match=r"top_p must be in \(0, 1\]"):
         AblationSpec("temperature_top_p_grid", ((0.6, 0.0),))
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        AblationSpec("n_max_sweep", (True,))
+    with pytest.raises(ValueError, match="strategy parameter must be ≥ 1"):
+        AblationSpec("best_of_n", (0,))
+    with pytest.raises(ValueError, match="temperature_top_p_grid value"):
+        AblationSpec("temperature_top_p_grid", ((0.6, 0.9, 1.0),))
 
 
 def test_ablation_value_parsing():
@@ -367,7 +373,7 @@ def test_ablation_value_parsing():
 
 def test_ablation_variants_rescale_unit_thresholds():
     base = DecodeConfig(h_min=0.2, h_max=1.4, n_max=10)
-    cfg, strategy = variant("confidence_measure", "top_token", base)
+    cfg, strategy = variant("confidence_measure", "max_prob", base)
     assert strategy == "cntp"
     assert (cfg.h_min, cfg.h_max) == (0.01, 0.9)
     cfg, _ = variant("confidence_measure", "entropy", base)

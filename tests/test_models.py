@@ -103,6 +103,33 @@ def test_scripted_file_errors_carry_context(tmp_path):
         load_scripted_model(str(denormalized))
 
 
+@pytest.mark.parametrize("prefix", [[0.0], "a"])  # ["z"] and [true]: see test_cli
+def test_scripted_rows_need_integer_prefixes(tmp_path, prefix):
+    path = tmp_path / "bad_prefix.model"
+    path.write_text(json.dumps({
+        "tokens": ["a", "b", ""], "eos": 2,
+        "rows": [{"prefix": prefix, "probs": [0.5, 0.5, 0.0]}],
+        "default": [0.0, 0.0, 1.0],
+    }))
+    with pytest.raises(ModelFileError, match="prefix"):
+        load_scripted_model(str(path))
+
+
+@pytest.mark.parametrize("field", ["probs", "default"])
+def test_scripted_rows_must_be_probability_lists(tmp_path, field):
+    data = {"tokens": ["a", "b", ""], "eos": 2,
+            "rows": [{"prefix": [0], "probs": [0.5, 0.5, 0.0]}],
+            "default": [0.0, 0.0, 1.0]}
+    if field == "probs":
+        data["rows"][0]["probs"] = {"a": 1}
+    else:
+        data["default"] = {"a": 1}
+    path = tmp_path / "object_row.model"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelFileError, match="row"):
+        load_scripted_model(str(path))
+
+
 def test_scripted_empty_table_is_valid(tmp_path):
     path = tmp_path / "default_only.model"
     path.write_text(json.dumps({
@@ -150,6 +177,17 @@ def test_kgram_large_alpha_approaches_uniform():
         probs = model.next_distribution((a,)).probs
         distances.append(float(np.abs(probs - 1 / 3).max()))
     assert distances[0] > distances[1] > distances[2]
+
+
+def test_kgram_unseen_contexts_share_one_row():
+    model = train_kgram("ababab", k=2, alpha=0.5)
+    a, b = model.vocabulary.encode("a")[0], model.vocabulary.encode("b")[0]
+    unseen = model.next_distribution((a, a))
+    assert model.next_distribution((b, b)) is unseen
+    assert model.next_distribution(()) is unseen
+    assert unseen.probs.tolist() == pytest.approx([1 / 3] * 3, abs=1e-12)
+    model.next_distribution((a, b))
+    assert set(model._cache) == {(a, b)}  # only trained contexts are cached
 
 
 def test_kgram_uses_last_k_tokens_only():

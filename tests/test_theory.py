@@ -38,6 +38,7 @@ from cntp import (
     write_fixture,
 )
 from cntp.theory import ( # noqa: the survey helpers are part of the tested surface
+    _assumption1_survey,
     _winner_probabilities,
     derive_thresholds,
     plan_vocabulary,
@@ -298,6 +299,27 @@ def test_enumerate_sequences_accumulates_joint_logprob():
     assert set(got) == set(expect)
     for toks, lp in expect.items():
         assert got[toks] == pytest.approx(lp, abs=1e-12)
+
+
+def test_oracle_reads_each_prefix_once(bundled):
+    """On a fixture whose branches are single tokens, every node's branch
+    set grows from the distribution the node already read."""
+    case_a = next(f for f in bundled if f.name == "case_a")
+    reads = []
+
+    class Recording(ModelSource):
+        vocabulary = case_a.model.vocabulary
+
+        def next_distribution(self, prefix):
+            reads.append(tuple(prefix))
+            return case_a.model.next_distribution(prefix)
+
+    model = Recording()
+    enumerate_outcomes(model, CntpPolicy(case_a.config))
+    assert len(reads) == len(set(reads)) == 13
+    reads.clear()
+    _assumption1_survey(Theorem1Fixture(model, case_a.reference, case_a.config), 10_000)
+    assert reads == [(), (0,), (0, 1)]
 
 
 def test_fixture_files_round_trip(tmp_path, bundled):
