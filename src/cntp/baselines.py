@@ -2,7 +2,8 @@
 beam search, majority-vote self-consistency, and whole-answer best-of-N.
 
 All strategies share the DecodeConfig and the cost-ledger conventions of
-the adaptive engine, so their ledgers compare like for like.
+the adaptive engine, so their ledgers compare like for like; greedy and
+stochastic run the engine's own decode loop.
 """
 
 from __future__ import annotations
@@ -17,53 +18,28 @@ from .core import (
     DecodeConfig,
     DecodeOutcome,
     Sequence,
-    StepTrace,
     Vocabulary,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
-from .engine import branch_score, confidence
+from .engine import SingleSamplePolicy, branch_score, policy_decode
 from .models import ModelSource
-from .sampling import Rng, derive_seed, greedy_token, prepare_sampling_dist, sample_token
-
-
-def _one_token_per_step(model: ModelSource, prompt: Sequence, config: DecodeConfig,
-                        pick: Callable) -> DecodeOutcome:
-    """Decode one token per step, pick(dist, step) choosing it; each step
-    costs one pass and one generated token."""
-    vocab = model.vocabulary
-    eos = vocab.eos_id
-    prefix = list(prompt.tokens)
-    prompt_len = len(prefix)
-    trace: list[StepTrace] = []
-    while True:
-        answer_len = len(prefix) - prompt_len
-        if answer_len >= config.global_cap or (answer_len and prefix[-1] == eos):
-            break
-        dist = model.next_distribution(tuple(prefix))
-        tok = pick(dist, len(trace))
-        prefix.append(tok)
-        trace.append(StepTrace(confidence(dist, config.confidence_measure), 1, None,
-                               float(dist.probs[tok])))
-    steps = len(trace)
-    cost = CostLedger(forward_passes=steps, generated_tokens=steps, total_steps=steps)
-    return DecodeOutcome(vocab.sequence(prefix), cost, tuple(trace))
+from .sampling import derive_seed
+from .engine import confidence  # noqa: F401  bench/tracing.py patches it here by name
+from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as confidence)
 
 
 def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
-    """Argmax decoding; ties go to the lowest token id. Temperature, top_p,
-    and seed have no effect."""
-    return _one_token_per_step(model, prompt, config, lambda dist, step: greedy_token(dist))
+    """Argmax decoding, ties to the lowest token id: the single-sample policy
+    at temperature 0, so the config's temperature, top_p and seed do nothing."""
+    return policy_decode(model, prompt,
+                         SingleSamplePolicy(dataclasses.replace(config, temperature=0.0)))
 
 
-def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,
-                      rng: Rng | None = None) -> DecodeOutcome:
+def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """One sampled token per step from the tempered, nucleus-truncated
-    distribution. Draws come from per-step streams keyed (seed, step, 0),
-    the same discipline the adaptive engine uses for single-trial steps."""
-    if rng is None:
-        rng = Rng(config.seed)
-    return _one_token_per_step(model, prompt, config, lambda dist, step: sample_token(
-        prepare_sampling_dist(dist, config), rng.derive(step, 0)))
+    distribution, drawn from streams keyed (seed, step, 0): the engine's
+    loop under the single-sample policy, equal to cntp_decode at n_max=1."""
+    return policy_decode(model, prompt, SingleSamplePolicy(config))
 
 
 def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig,

@@ -50,6 +50,8 @@ class Vocabulary:
         toks = tuple(tokens)
         if not toks:
             raise ValueError("vocabulary must contain at least one token")
+        if type(eos_id) is not int:
+            raise TypeError(f"eos id must be an integer, got {eos_id!r}")
         if not 0 <= eos_id < len(toks):
             raise ValueError(f"eos id {eos_id} out of range for {len(toks)} tokens")
         if toks[eos_id] != "":

@@ -1,10 +1,10 @@
-"""Entropy-gated multi-trial decoding.
+"""Entropy-gated multi-trial decoding, on the loop greedy and stochastic share.
 
-Each step reads the model's untempered full-vocabulary distribution, maps
-its confidence reading onto a trial budget, and either samples one token or
-samples several short branches and keeps the one with the lowest
-length-normalized perplexity. Perplexities are always computed from the
-model's own probabilities, not the tempered sampling distribution.
+Each step reads the model's untempered full-vocabulary distribution, asks a
+policy for a trial budget, and either samples one token or samples several
+short branches and keeps the one with the lowest length-normalized
+perplexity. Perplexities are always computed from the model's own
+probabilities, not the tempered sampling distribution.
 
 Determinism: every random draw comes from a stream keyed by
 (seed, step index, trial index), so equal seeds reproduce equal outcomes
@@ -15,6 +15,7 @@ concurrently without changing the result.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .core import (
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .models import ModelSource
-from .sampling import Rng, prepare_sampling_dist, sample_token
+from .sampling import Rng, greedy_token, prepare_sampling_dist, sample_token
 
 
 def entropy(dist: Distribution) -> float:
@@ -119,6 +120,21 @@ def stop_mask(vocabulary, punctuation) -> tuple[bool, ...]:
     return mask
 
 
+def branch_stop(tok: int, length: int, answer_len: int, eos: int,
+                stops: tuple[bool, ...], config: DecodeConfig) -> str | None:
+    """Why a branch of length tokens ending in tok, begun answer_len tokens
+    into the answer, stops (None: it grows on). Engine and oracle share it."""
+    if tok == eos:
+        return "eos"
+    if stops[tok]:
+        return "punctuation"
+    if length >= config.branch_cap:
+        return "branch_cap"
+    if answer_len + length >= config.global_cap:
+        return "global_cap"
+    return None
+
+
 def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len: int,
                  eos: int, stops: tuple[bool, ...], first_dist: Distribution):
     """Sample one branch. Returns (trial, continuation_calls); the caller
@@ -128,24 +144,12 @@ def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len
     calls = 0
     dist = first_dist
     local = prefix
-    added = 0
     while True:
-        sampling = prepare_sampling_dist(dist, config)
-        tok = sample_token(sampling, rng)
+        tok = sample_token(prepare_sampling_dist(dist, config), rng)
         tokens.append(tok)
         probs.append(float(dist.probs[tok]))
-        added += 1
-        if tok == eos:
-            reason = "eos"
-            break
-        if stops[tok]:
-            reason = "punctuation"
-            break
-        if added >= config.branch_cap:
-            reason = "branch_cap"
-            break
-        if answer_len + added >= config.global_cap:
-            reason = "global_cap"
+        reason = branch_stop(tok, len(tokens), answer_len, eos, stops, config)
+        if reason is not None:
             break
         local = local + [tok]
         dist = model.next_distribution(tuple(local))
@@ -154,11 +158,48 @@ def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len
     return Trial(tuple(tokens), tuple(probs), nll, ppl, reason), calls
 
 
-def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
-    """Decode with entropy-adaptive trial budgets."""
+@dataclass(frozen=True)
+class UniformMultisamplePolicy:
+    """n trials at every step regardless of confidence."""
+
+    config: DecodeConfig
+    n: int
+    reads_confidence = False  # not a field: unannotated
+
+    def trials(self, h: float | None) -> int:
+        return self.n
+
+
+@dataclass(frozen=True)
+class SingleSamplePolicy(UniformMultisamplePolicy):
+    """One trial at every step: stochastic decoding, and greedy at T=0."""
+
+    n: int = field(default=1, init=False)
+
+
+@dataclass(frozen=True)
+class CntpPolicy:
+    """The adaptive engine: trial_count maps confidence onto the budget."""
+
+    config: DecodeConfig
+    reads_confidence = True
+
+    def trials(self, h: float | None) -> int:
+        return trial_count(h, self.config)
+
+
+Policy = SingleSamplePolicy | CntpPolicy | UniformMultisamplePolicy
+
+
+def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> DecodeOutcome:
+    """The one per-step decode loop: each step reads the prefix once and
+    takes one token, or the best of n branches if the policy asks for n."""
+    config = policy.config
     vocab = model.vocabulary
     eos = vocab.eos_id
     stops = stop_mask(vocab, config.punctuation)
+    # At T=0 sampling is a one-hot on the lowest-id argmax, read by greedy_token.
+    greedy = config.temperature == 0.0
     base = Rng(config.seed)
     prefix = list(prompt.tokens)
     prompt_len = len(prefix)
@@ -167,19 +208,17 @@ def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> D
 
     while True:
         answer_len = len(prefix) - prompt_len
-        if answer_len >= config.global_cap:
-            break
-        if answer_len and prefix[-1] == eos:
+        if answer_len >= config.global_cap or (answer_len and prefix[-1] == eos):
             break
         dist = model.next_distribution(tuple(prefix))
         passes += 1
         h = confidence(dist, config.confidence_measure)
-        n = trial_count(h, config)
+        n = policy.trials(h)
         step = steps
         steps += 1
         if n == 1:
-            sampling = prepare_sampling_dist(dist, config)
-            tok = sample_token(sampling, base.derive(step, 0))
+            tok = (greedy_token(dist) if greedy else
+                   sample_token(prepare_sampling_dist(dist, config), base.derive(step, 0)))
             prefix.append(tok)
             generated += 1
             trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
@@ -208,3 +247,8 @@ def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> D
         total_steps=steps,
     )
     return DecodeOutcome(vocab.sequence(prefix), cost, tuple(trace))
+
+
+def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
+    """Decode with entropy-adaptive trial budgets."""
+    return policy_decode(model, prompt, CntpPolicy(config))

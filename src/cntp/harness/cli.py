@@ -7,6 +7,7 @@ error, 3 backend (remote model) error, 4 replay mismatch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -178,10 +179,10 @@ def _ledger_line(cost: dict) -> str:
 
 def cmd_decode(args) -> int:
     root, _ = parse_strategy(args.strategy)
-    model = resolve_model(args.model)
-    config = _build_config(args, root)
-    task = Task("decode", args.prompt, "", parse_extractor("full_text"))
-    record, _ = run_one(model, task, args.strategy, config, model_spec=args.model)
+    with resolve_model(args.model) as model:
+        config = _build_config(args, root)
+        task = Task("decode", args.prompt, "", parse_extractor("full_text"))
+        record, _ = run_one(model, task, args.strategy, config, model_spec=args.model)
     print(record.output)
     print(_ledger_line(record.cost))
     if args.out:
@@ -196,13 +197,13 @@ def cmd_decode(args) -> int:
 
 def cmd_suite(args) -> int:
     root, _ = parse_strategy(args.strategy)
-    model = resolve_model(args.model)
-    config = _build_config(args, root)
-    tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
-    seeds = _parse_seeds(args.seeds)
-    result = run_suite(model, tasks, args.strategy, config, seeds,
-                       model_spec=args.model, out_dir=args.out or None,
-                       workers=args.workers)
+    with resolve_model(args.model) as model:
+        config = _build_config(args, root)
+        tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
+        seeds = _parse_seeds(args.seeds)
+        result = run_suite(model, tasks, args.strategy, config, seeds,
+                           model_spec=args.model, out_dir=args.out or None,
+                           workers=args.workers)
     agg = result.aggregate
     print(f"strategy={agg.strategy} tasks={agg.n_tasks} seeds={agg.n_seeds}")
     print(f"accuracy={agg.accuracy_mean:.4f} ± {agg.accuracy_std:.4f}")
@@ -214,13 +215,13 @@ def cmd_suite(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    model = resolve_model(args.model)
-    config = _build_config(args, "cntp")
-    tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
-    seeds = _parse_seeds(args.seeds)
-    spec = AblationSpec(args.axis, parse_values(args.axis, args.values))
-    rows = run_ablation(spec, config, model, tasks, seeds,
-                        workers=args.workers, out_path=args.out)
+    with resolve_model(args.model) as model:
+        config = _build_config(args, "cntp")
+        tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
+        seeds = _parse_seeds(args.seeds)
+        spec = AblationSpec(args.axis, parse_values(args.axis, args.values))
+        rows = run_ablation(spec, config, model, tasks, seeds,
+                            workers=args.workers, out_path=args.out)
     print(f"axis: {spec.axis}")
     print(render_table(rows))
     if args.out:
@@ -273,19 +274,17 @@ def cmd_train_kgram(args) -> int:
 
 
 def cmd_serve_stub(args) -> int:
-    model = resolve_model(args.model)
-    server = ModelServer(model, host=args.host, port=args.port)
-    print(f"serving {args.model} at {server.address}", flush=True)
-    try:
-        if args.duration is not None:
-            time.sleep(args.duration)
-        else:
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    with resolve_model(args.model) as model, \
+            ModelServer(model, host=args.host, port=args.port) as server:
+        print(f"serving {args.model} at {server.address}", flush=True)
+        try:
+            if args.duration is not None:
+                time.sleep(args.duration)
+            else:
+                while True:
+                    time.sleep(3600)
+        except KeyboardInterrupt:
+            pass
     return 0
 
 
@@ -294,8 +293,8 @@ def cmd_replay(args) -> int:
     if not 1 <= args.line <= len(records):
         raise _UsageError(f"--line must be in 1..{len(records)}")
     record = records[args.line - 1]
-    model = resolve_model(args.model) if args.model else None
-    replay(record, model)
+    with (resolve_model(args.model) if args.model else contextlib.nullcontext()) as model:
+        replay(record, model)
     print(f"replay ok: task {record.task_id} strategy {record.strategy} "
           f"seed {record.config['seed']}")
     return 0

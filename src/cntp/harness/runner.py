@@ -304,7 +304,8 @@ def read_records(path: str) -> list[RunRecord]:
 
 def resolve_model(spec: str) -> ModelSource:
     """Model specs: a scripted-model path, kgram:<path> (or a .kgram path),
-    remote:<host:port>, or bundled:<name>."""
+    remote:<host:port>, or bundled:<name>. The caller closes the model; a
+    remote one holds a socket."""
     spec = bundled_spec(spec, "model")
     if spec.startswith("remote:"):
         return RemoteModel(spec[len("remote:"):])
@@ -325,7 +326,8 @@ def replay(record: RunRecord, model: ModelSource | None = None) -> DecodeOutcome
     if model is None:
         if not record.model_spec:
             raise ModelFileError("record carries no model spec; pass a model")
-        model = resolve_model(record.model_spec)
+        with resolve_model(record.model_spec) as model:
+            return replay(record, model)
     config = config_from_dict(record.config, source="record config")
     task = Task(record.task_id, record.prompt, record.reference_answer,
                 parse_extractor(record.extractor))

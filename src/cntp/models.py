@@ -9,6 +9,7 @@ directly; nothing here applies temperature or truncation.
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 from abc import ABC, abstractmethod
@@ -47,6 +48,15 @@ class ModelSource(ABC):
     @abstractmethod
     def next_distribution(self, prefix) -> Distribution:
         """Full-vocabulary distribution after the given token prefix."""
+
+    def close(self) -> None:
+        """Release what the backend holds open; local backends hold nothing."""
+
+    def __enter__(self) -> "ModelSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 class ScriptedModel(ModelSource):
@@ -141,10 +151,10 @@ class KGramModel(ModelSource):
 
     def __init__(self, vocabulary: Vocabulary, k: int, alpha: float,
                  counts: dict[tuple[TokenId, ...], dict[TokenId, int]]):
-        if k < 1:
-            raise ValueError("k must be ≥ 1")
-        if not alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k must be an integer ≥ 1, got {k!r}")
+        if (not isinstance(alpha, float) and type(alpha) is not int) or not 0 < alpha < math.inf:
+            raise ValueError(f"alpha must be a finite real number > 0, got {alpha!r}")
         self.vocabulary = vocabulary
         self.k = k
         self.alpha = alpha
@@ -178,10 +188,6 @@ def train_kgram(corpus: str, k: int, alpha: float) -> KGramModel:
     corpus's distinct characters (sorted) plus eos."""
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    if k < 1:
-        raise ValueError("k must be ≥ 1")
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
     chars = sorted(set(corpus))
     vocab = Vocabulary(tuple(chars) + ("",), eos_id=len(chars))
     ids = [vocab.encode(c)[0] for c in corpus]
@@ -249,13 +255,18 @@ class RemoteModel(ModelSource):
             raise ProtocolError(f"cannot connect to {address}: {exc}") from exc
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
-        hello = self._read_record()
-        if "tokens" not in hello or "eos" not in hello:
-            raise ProtocolError(f"{address}: hello record must carry 'tokens' and 'eos'")
         try:
-            self.vocabulary = Vocabulary(hello["tokens"], hello["eos"])
-        except ValueError as exc:
-            raise ProtocolError(f"{address}: bad vocabulary in hello: {exc}") from exc
+            hello = self._read_record()
+            if "tokens" not in hello or "eos" not in hello:
+                raise ProtocolError(f"{address}: hello record must carry 'tokens' and 'eos'")
+            try:
+                self.vocabulary = Vocabulary(hello["tokens"], hello["eos"])
+            except (ValueError, TypeError) as exc:
+                raise ProtocolError(f"{address}: bad vocabulary in hello: {exc}") from exc
+        except BaseException:
+            # The caller never gets an object it could close.
+            self.close()
+            raise
 
     def _read_record(self) -> dict:
         line = self._file.readline()
@@ -298,12 +309,6 @@ class RemoteModel(ModelSource):
             self._file.close()
         finally:
             self._sock.close()
-
-    def __enter__(self) -> "RemoteModel":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class ModelServer:

@@ -32,7 +32,9 @@ from .core import (
     load_config,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
-from .engine import branch_score, confidence, entropy, stop_mask, trial_count
+from .engine import UniformMultisamplePolicy  # noqa: F401  re-exported with the other policies
+from .engine import (CntpPolicy, Policy, SingleSamplePolicy, branch_score, branch_stop,
+                     confidence, entropy, stop_mask, trial_count)
 from .models import ModelFileError, ModelSource, ScriptedModel, load_scripted_model, save_scripted_model
 from .sampling import prepare_sampling_dist
 
@@ -49,32 +51,6 @@ class ReferenceSequence:
 
     tokens: tuple[TokenId, ...]
     text: str
-
-
-@dataclass(frozen=True)
-class SingleSamplePolicy:
-    """One sampled token per step, the plain stochastic baseline."""
-
-    config: DecodeConfig
-
-
-@dataclass(frozen=True)
-class CntpPolicy:
-    """The adaptive engine's behavior: entropy-gated trial budgets with
-    lowest-perplexity branch selection."""
-
-    config: DecodeConfig
-
-
-@dataclass(frozen=True)
-class UniformMultisamplePolicy:
-    """n branch trials at every step regardless of entropy."""
-
-    config: DecodeConfig
-    n: int
-
-
-Policy = SingleSamplePolicy | CntpPolicy | UniformMultisamplePolicy
 
 
 @dataclass(frozen=True)
@@ -114,8 +90,7 @@ def _enumerate_branch_set(model, config, prefix, dist, answer_len, stops, eos, c
             toks2 = toks + (tok,)
             probs2 = model_probs + (float(model_p[tok]),)
             qp2 = qprob * float(q[tok])
-            if (tok == eos or stops[tok] or len(toks2) >= config.branch_cap
-                    or answer_len + len(toks2) >= config.global_cap):
+            if branch_stop(tok, len(toks2), answer_len, eos, stops, config) is not None:
                 nll, ppl = branch_score(probs2)
                 out.append((toks2, qp2, ppl, len(toks2)))
             else:
@@ -168,12 +143,8 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
             outcomes.append((node.tokens, node.probability))
             continue
         dist = model.next_distribution(node.tokens)
-        if isinstance(policy, SingleSamplePolicy):
-            n = 1
-        elif isinstance(policy, CntpPolicy):
-            n = trial_count(confidence(dist, config.confidence_measure), config)
-        else:
-            n = policy.n
+        n = policy.trials(confidence(dist, config.confidence_measure)
+                          if policy.reads_confidence else None)
         expected_steps += node.probability
         if n == 1:
             expected_cost += node.probability

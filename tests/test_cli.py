@@ -282,3 +282,24 @@ def test_module_entry_point_runs_without_warnings():
     )
     assert result.returncode == 0, result.stderr
     assert "usage: cntp" in result.stdout
+
+
+_SCRIPTED = {"tokens": ["a.", ""], "eos": 1, "rows": [], "default": [0.5, 0.5]}
+_KGRAM = {"k": 1, "alpha": 0.5, "tokens": ["a", ""], "eos": 1, "counts": {"0": {"0": 2}}}
+
+
+@pytest.mark.parametrize("base, field, value, message", [
+    (_SCRIPTED, "eos", True, "eos id must be an integer, got True"),
+    (_KGRAM, "eos", True, "eos id must be an integer, got True"),
+    (_KGRAM, "k", True, "k must be an integer ≥ 1, got True"),
+    (_KGRAM, "alpha", "1", "alpha must be a finite real number > 0, got '1'"),
+], ids=["scripted-bool-eos", "kgram-bool-eos", "kgram-bool-k", "kgram-string-alpha"])
+def test_model_files_with_mistyped_fields_exit_2(tmp_path, base, field, value, message,
+                                                 capsys):
+    kgram = base is _KGRAM
+    path = tmp_path / ("m.kgram" if kgram else "m.model")
+    path.write_text(json.dumps({**base, field: value}), encoding="utf-8")
+    rc = main(["decode", "--model", str(path), "--prompt", "a" if kgram else "a.",
+               "--strategy", "greedy", "--out", ""])
+    assert rc == 2
+    assert message in capsys.readouterr().err

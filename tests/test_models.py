@@ -311,17 +311,23 @@ def test_remote_validates_hello_and_responses():
         RemoteModel(_raw_server([b'{"greeting": "hi"}\n']))
 
     hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
-    remote = RemoteModel(_raw_server([hello, b'{"probs": [0.9, 0.2]}\n']))
-    with pytest.raises(ProtocolError, match="failed validation"):
-        remote.next_distribution(())
+    with RemoteModel(_raw_server([hello, b'{"probs": [0.9, 0.2]}\n'])) as remote:
+        with pytest.raises(ProtocolError, match="failed validation"):
+            remote.next_distribution(())
 
-    remote = RemoteModel(_raw_server([hello, b'{"probs": [0.5, 0.25, 0.25]}\n']))
-    with pytest.raises(ProtocolError, match="entries"):
-        remote.next_distribution(())
+    with RemoteModel(_raw_server([hello, b'{"probs": [0.5, 0.25, 0.25]}\n'])) as remote:
+        with pytest.raises(ProtocolError, match="entries"):
+            remote.next_distribution(())
 
-    remote = RemoteModel(_raw_server([hello, b'{"error": "no such row"}\n']))
-    with pytest.raises(ProtocolError, match="server error"):
-        remote.next_distribution(())
+    with RemoteModel(_raw_server([hello, b'{"error": "no such row"}\n'])) as remote:
+        with pytest.raises(ProtocolError, match="server error"):
+            remote.next_distribution(())
+
+
+def test_remote_rejects_a_bool_eos_in_hello():
+    hello = json.dumps({"tokens": ["a", ""], "eos": True}).encode() + b"\n"
+    with pytest.raises(ProtocolError, match="eos id must be an integer"):
+        RemoteModel(_raw_server([hello]))
 
 
 def test_server_reports_bad_requests_and_keeps_serving(tiny_model):

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cntp import (
@@ -177,10 +177,18 @@ def distributions(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(distributions(), st.floats(0.1, 5.0))
+# Two leaders one ulp apart temper to the same float, so np.argmax of the
+# output may name the other one: rounding can merge probabilities, never
+# reorder them.
+@example(Distribution([0.15384615384615385, 0.30769230769230765, 0.3076923076923077,
+                       0.15384615384615385, 0.07692307692307693]), 0.5)
 def test_temperature_preserves_argmax_and_normalization(dist, temperature):
     out = apply_temperature(dist, temperature)
     assert abs(float(out.probs.sum()) - 1.0) <= 1e-9
-    assert int(np.argmax(out.probs)) == int(np.argmax(dist.probs))
+    assert out.probs[int(np.argmax(dist.probs))] == out.probs.max()
+    # monotone: p_i < p_j never becomes out_i > out_j
+    order = np.argsort(dist.probs, kind="stable")
+    assert np.all(np.diff(out.probs[order]) >= 0)
 
 
 @settings(max_examples=60, deadline=None)

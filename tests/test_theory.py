@@ -4,11 +4,14 @@ fixture family."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,9 +37,11 @@ from cntp import (
     enumerate_sequences,
     exact_correctness,
     expected_cost,
+    greedy_decode,
     load_fixture,
     write_fixture,
 )
+from cntp.engine import policy_decode
 from cntp.theory import ( # noqa: the survey helpers are part of the tested surface
     _assumption1_survey,
     _winner_probabilities,
@@ -355,3 +360,57 @@ def test_bundled_family_names_and_shapes(bundled):
         assert fixture.reference.tokens, fixture.name
         assert fixture.config.temperature == 1.0
         assert fixture.config.top_p == 1.0
+
+
+def _chi_square_p_value(observed: Counter, exact: dict, runs: int) -> float:
+    """Pearson chi-square p-value of observed outcome counts against exact
+    outcome probabilities; outcomes expected fewer than 5 times share one
+    bin."""
+    assert set(observed) <= set(exact), "the engine produced an outcome the oracle rules out"
+    bins, rest_obs, rest_exp = [], 0, 0.0
+    for tokens, p in exact.items():
+        if p * runs >= 5:
+            bins.append((observed[tokens], p * runs))
+        else:
+            rest_obs += observed[tokens]
+            rest_exp += p * runs
+    if rest_exp > 0:
+        bins.append((rest_obs, rest_exp))
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    return float(scipy.stats.chi2.sf(stat, len(bins) - 1))
+
+
+# Pinned before the run: with fixed seeds the test is deterministic, and a
+# correct engine clears this bound on all nine histograms.
+CHI_SQUARE_MIN_P = 1e-4
+DIFFERENTIAL_RUNS = 3000
+
+
+@pytest.mark.parametrize("model_seed", [3, 17, 29])
+def test_engine_histograms_match_the_oracle_on_random_models(model_seed):
+    """The engine's loop and the oracle run the same policy objects, so
+    the engine's outcome frequencies must match the enumerated
+    probabilities, and greedy must reproduce the oracle's single outcome."""
+    model = make_random_scripted(np.random.default_rng(model_seed), width=3, depth=3)
+    config = DecodeConfig(h_min=0.8, h_max=1.2, n_max=3, temperature=0.8, top_p=0.95,
+                          punctuation=frozenset("b"), branch_cap=2, global_cap=4)
+    prompt = model.vocabulary.sequence(())
+    policies = (
+        lambda c: SingleSamplePolicy(c),
+        lambda c: CntpPolicy(c),
+        lambda c: UniformMultisamplePolicy(c, 2),
+    )
+    for make in policies:
+        exact = {seq.tokens: p for seq, p in enumerate_outcomes(model, make(config))}
+        observed = Counter(
+            policy_decode(model, prompt, make(dataclasses.replace(config, seed=seed)))
+            .sequence.tokens
+            for seed in range(DIFFERENTIAL_RUNS)
+        )
+        assert _chi_square_p_value(observed, exact, DIFFERENTIAL_RUNS) >= CHI_SQUARE_MIN_P
+
+    greedy = SingleSamplePolicy(dataclasses.replace(config, temperature=0.0))
+    [(only, p)] = enumerate_outcomes(model, greedy)
+    assert p == 1.0
+    assert policy_decode(model, prompt, greedy).sequence == only
+    assert greedy_decode(model, prompt, config).sequence == only
