@@ -11,8 +11,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
@@ -33,6 +35,10 @@ TRIAL_SCALINGS = ("positive", "fixed", "negative")
 
 class ConfigError(ValueError):
     """A DecodeConfig field violates an invariant, or a config file is malformed."""
+
+
+class ModelFileError(ValueError):
+    """A model, task, record or other data file is unreadable or malformed."""
 
 
 class Vocabulary:
@@ -57,6 +63,8 @@ class Vocabulary:
         if toks[eos_id] != "":
             raise ValueError("eos token must have an empty surface string")
         for i, t in enumerate(toks):
+            if type(t) is not str:
+                raise TypeError(f"token {i} must be a string, got {t!r}")
             if i != eos_id and t == "":
                 raise ValueError(f"token {i} has an empty surface but is not eos")
         if len(set(toks)) != len(toks):
@@ -108,7 +116,10 @@ class Distribution:
     __slots__ = ("probs", "_entropy", "_cumsum", "_prepared")
 
     def __init__(self, probs):
-        arr = np.asarray(probs, dtype=np.float64)
+        try:
+            arr = np.asarray(probs, dtype=np.float64)
+        except OverflowError:  # an integer past the float range
+            raise ValueError("distribution entries must be finite") from None
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
         if not np.all(np.isfinite(arr)):
@@ -226,7 +237,97 @@ def validate_config(config: DecodeConfig) -> DecodeConfig:
     return config
 
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(DecodeConfig))
+# The one reader and writer of JSON files and wire records. A reader raises
+# the caller's error class for bad content, and ModelFileError for a file it
+# cannot read. A field kind maps to the types its value, its list items or
+# its object values may have, and to its name in errors.
+_KINDS = {
+    "int": ({int}, None, "an integer"),
+    "real": ({float, int}, None, "a real number"),
+    "bool": ({bool}, None, "true or false"),
+    "str": ({str}, None, "a string"),
+    "object": ({dict}, None, "a JSON object"),
+    "[int]": ({list}, {int}, "a list of integers"),
+    "[real]": ({list}, {float, int}, "a list of real numbers"),
+    "[str]": ({list}, {str}, "a list of strings"),
+    "[object]": ({list}, {dict}, "a list of JSON objects"),
+    "{object}": ({dict}, {dict}, "a JSON object of JSON objects"),
+}
+
+
+def check_fields(data, kinds: dict[str, str], error: type, where: str, *,
+                 closed: bool = False, optional: bool = False) -> dict:
+    """The fields of a JSON object that kinds declares, each of its kind; a
+    real is finite, and an int given for one becomes the equal float. closed
+    rejects other fields; optional lets declared ones be absent."""
+    if type(data) is not dict:
+        raise error(f"{where}: expected a JSON object, got {reprlib.repr(data)}")
+    unknown = closed and sorted(set(data) - set(kinds))
+    if unknown:
+        raise error(f"{where}: unknown field {unknown[0]!r}")
+    out = {}
+    for name, kind in kinds.items():
+        if name not in data:
+            if optional:
+                continue
+            raise error(f"{where}: missing required field {name!r}")
+        value = data[name]
+        types, items, description = _KINDS[kind]
+        # A bool is never a number. A container costs one pass over its item types.
+        ok = type(value) in types and (items is None or items.issuperset(
+            map(type, value.values() if type(value) is dict else value)))
+        if not ok or kind == "real" and not abs(value) <= sys.float_info.max:
+            raise error(f"{where}: {name} must be {description}, got {reprlib.repr(value)}")
+        out[name] = float(value) if kind == "real" else value
+    return out
+
+
+def read_text(path: str, error: type = ModelFileError) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    except OSError as exc:
+        raise ModelFileError(f"{path}: {exc}") from exc
+
+
+def parse_json(text, error: type, where: str):
+    """The JSON value a file, a file line or a wire line (str or bytes) holds."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and deep nesting too
+        raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
+def read_json(path: str, error: type):
+    return parse_json(read_text(path, error), error, path)
+
+
+def read_lines(path: str, error: type) -> Iterator[tuple[int, object]]:
+    """(line number, value) for each non-blank line of a JSON-lines file."""
+    for lineno, line in enumerate(read_text(path, error).split("\n"), start=1):
+        if line.strip():
+            yield lineno, parse_json(line, error, f"{path}: line {lineno}")
+
+
+def json_line(record) -> str:
+    return json.dumps(record) + "\n"
+
+
+def write_json(path: str, data, indent: int | None = 1) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=indent)
+        fh.write("\n")
+
+
+def write_lines(path: str, records, append: bool = False) -> None:
+    with open(path, "a" if append else "w", encoding="utf-8") as fh:
+        fh.writelines(map(json_line, records))
+
+
+_CONFIG_KINDS = {**dict.fromkeys(_REAL_FIELDS, "real"), **dict.fromkeys(_INT_FIELDS, "int"),
+                 **dict.fromkeys(("punctuation", "confidence_measure", "trial_scaling"), "str")}
 
 
 def config_to_dict(config: DecodeConfig) -> dict:
@@ -237,20 +338,11 @@ def config_to_dict(config: DecodeConfig) -> dict:
 
 
 def config_from_dict(data: dict, source: str = "config") -> DecodeConfig:
-    unknown = sorted(set(data) - set(_CONFIG_FIELDS))
-    if unknown:
-        raise ConfigError(f"{source}: unknown config key: {unknown[0]}")
-    kwargs = dict(data)
+    kwargs = check_fields(data, _CONFIG_KINDS, ConfigError, source, closed=True, optional=True)
     if "punctuation" in kwargs:
-        punct = kwargs["punctuation"]
-        if not isinstance(punct, str):
-            raise ConfigError(f"{source}: punctuation must be a string of characters")
-        punct = frozenset(punct)
+        punct = frozenset(kwargs["punctuation"])
         # Sharing the default set spares validate_config its costliest check.
         kwargs["punctuation"] = DEFAULT_PUNCTUATION if punct == DEFAULT_PUNCTUATION else punct
-    for key in _REAL_FIELDS:
-        if type(kwargs.get(key)) is int:
-            kwargs[key] = float(kwargs[key])
     try:
         return DecodeConfig(**kwargs)
     except ConfigError as exc:
@@ -258,15 +350,8 @@ def config_from_dict(data: dict, source: str = "config") -> DecodeConfig:
 
 
 def load_config(path: str) -> DecodeConfig:
-    """Read a JSON config file holding exactly the DecodeConfig field names."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
-    return config_from_dict(data, source=path)
+    """Read a JSON config file holding DecodeConfig field names only."""
+    return config_from_dict(read_json(path, ConfigError), source=path)
 
 
 @dataclass(frozen=True)

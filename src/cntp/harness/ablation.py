@@ -5,11 +5,10 @@ line-delimited machine log."""
 from __future__ import annotations
 
 import dataclasses
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
-from ..core import DecodeConfig
+from ..core import DecodeConfig, write_lines
 from .runner import parse_strategy, run_suite
 
 # The flipped-probability measures live on a [0, 1] uncertainty scale, so
@@ -115,9 +114,7 @@ def run_ablation(spec: AblationSpec, base_config: DecodeConfig, model, tasks, se
             generated_tokens_mean=agg.generated_tokens_mean,
         ))
     if out_path is not None:
-        with open(out_path, "a", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(dataclasses.asdict(row)) + "\n")
+        write_lines(out_path, map(dataclasses.asdict, rows), append=True)
     return rows
 
 

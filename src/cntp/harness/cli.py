@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import os
 import sys
 import time
-from datetime import datetime, timezone
 
-from ..core import CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, load_config
+from ..core import (CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, config_from_dict,
+                    load_config, read_text)
 from ..models import ModelFileError, ModelServer, ProtocolError, save_kgram_model, train_kgram
 from ..theory import bundled_fixtures, check_theorem1, load_fixture
 from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
@@ -27,7 +26,7 @@ from .runner import (
     resolve_model,
     run_one,
     run_suite,
-    write_records,
+    write_run,
 )
 from .tasks import BUNDLES, Task, bundled_spec, load_tasks, parse_extractor
 
@@ -186,12 +185,7 @@ def cmd_decode(args) -> int:
     print(record.output)
     print(_ledger_line(record.cost))
     if args.out:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S.%f")
-        run_dir = os.path.join(args.out, f"{stamp}-s{config.seed}")
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, "records.jsonl")
-        write_records(path, [record])
-        print(f"record: {path}")
+        print(f"record: {write_run(args.out, config.seed, [record])}")
     return 0
 
 
@@ -261,11 +255,9 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_train_kgram(args) -> int:
-    try:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            corpus = fh.read()
-    except OSError as exc:
-        raise ModelFileError(f"{args.corpus}: {exc}") from exc
+    corpus = read_text(args.corpus)
+    if not corpus:
+        raise ModelFileError(f"{args.corpus}: corpus is empty")
     model = train_kgram(corpus, args.k, args.alpha)
     save_kgram_model(model, args.out)
     print(f"trained k={args.k} alpha={args.alpha} vocabulary={len(model.vocabulary)} "
@@ -295,8 +287,9 @@ def cmd_replay(args) -> int:
     record = records[args.line - 1]
     with (resolve_model(args.model) if args.model else contextlib.nullcontext()) as model:
         replay(record, model)
+    # A stored config may leave fields, the seed included, at their defaults.
     print(f"replay ok: task {record.task_id} strategy {record.strategy} "
-          f"seed {record.config['seed']}")
+          f"seed {config_from_dict(record.config).seed}")
     return 0
 
 

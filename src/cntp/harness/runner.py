@@ -11,7 +11,6 @@ would be wrong.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from collections.abc import Callable
@@ -26,17 +25,11 @@ from ..baselines import (
     self_consistency,
     stochastic_decode,
 )
-from ..core import DecodeConfig, DecodeOutcome, config_from_dict, config_to_dict
+from ..core import (CostLedger, DecodeConfig, DecodeOutcome, ModelFileError, check_fields,
+                    config_from_dict, config_to_dict, read_lines, write_json, write_lines)
 from ..core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
 from ..engine import cntp_decode
-from ..models import (
-    ModelFileError,
-    ModelSource,
-    ProtocolError,
-    RemoteModel,
-    load_kgram_model,
-    load_scripted_model,
-)
+from ..models import ModelSource, ProtocolError, RemoteModel, load_kgram_model, load_scripted_model
 from ..sampling import derive_seed
 from .tasks import Task, bundled_spec, extractor_to_string, parse_extractor
 
@@ -122,22 +115,27 @@ class RunRecord:
     timestamp: str
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["tokens"] = list(self.tokens)
-        return data
+        return dataclasses.asdict(self)
 
     @staticmethod
-    def from_dict(data: dict) -> "RunRecord":
-        fields = {f.name for f in dataclasses.fields(RunRecord)}
-        unknown = set(data) - fields
-        if unknown:
-            raise ModelFileError(f"unknown record fields: {sorted(unknown)}")
-        missing = fields - set(data)
-        if missing:
-            raise ModelFileError(f"missing record fields: {sorted(missing)}")
-        data = dict(data)
-        data["tokens"] = tuple(data["tokens"])
-        return RunRecord(**data)
+    def from_dict(data: dict, where: str = "record") -> "RunRecord":
+        """Check every field of a stored record; any fault raises ModelFileError."""
+        data = check_fields(data, _RECORD_KINDS, ModelFileError, where, closed=True)
+        check_fields(data["cost"], _COST_KINDS, ModelFileError, f"{where}: cost", closed=True)
+        try:
+            config_from_dict(data["config"])
+            parse_strategy(data["strategy"])
+            parse_extractor(data["extractor"])
+        except ValueError as exc:  # ConfigError included
+            raise ModelFileError(f"{where}: {exc}") from exc
+        return RunRecord(**{**data, "tokens": tuple(data["tokens"])})
+
+
+# Record fields as JSON kinds, read off the annotations above.
+_JSON_KINDS = {"str": "str", "int": "int", "bool": "bool", "float": "real", "dict": "object",
+               "tuple[int, ...]": "[int]"}
+_RECORD_KINDS = {f.name: _JSON_KINDS[f.type] for f in dataclasses.fields(RunRecord)}
+_COST_KINDS = dict.fromkeys((f.name for f in dataclasses.fields(CostLedger)), "int")
 
 
 def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
@@ -265,38 +263,28 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
 
     run_dir = None
     if out_dir is not None:
-        stamp = datetime.now(timezone.utc).strftime("%Y%m%d-%H%M%S.%f")
-        run_dir = os.path.join(out_dir, f"{stamp}-s{seeds[0]}")
-        os.makedirs(run_dir, exist_ok=True)
-        write_records(os.path.join(run_dir, "records.jsonl"), records)
-        with open(os.path.join(run_dir, "aggregate.json"), "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(aggregate), fh, indent=1)
-            fh.write("\n")
+        run_dir = os.path.dirname(write_run(out_dir, seeds[0], records))
+        write_json(os.path.join(run_dir, "aggregate.json"), dataclasses.asdict(aggregate))
     return SuiteResult(records, aggregate, run_dir)
+
+
+def write_run(out_dir: str, seed: int, records) -> str:
+    """Write records to out_dir/<UTC stamp>-s<seed>/records.jsonl; returns its path."""
+    run_dir = os.path.join(out_dir, f"{datetime.now(timezone.utc):%Y%m%d-%H%M%S.%f}-s{seed}")
+    os.makedirs(run_dir, exist_ok=True)
+    path = os.path.join(run_dir, "records.jsonl")
+    write_records(path, records)
+    return path
 
 
 def write_records(path: str, records) -> None:
     """Append-only line-delimited record log."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record.to_dict()) + "\n")
+    write_lines(path, (record.to_dict() for record in records), append=True)
 
 
 def read_records(path: str) -> list[RunRecord]:
-    records: list[RunRecord] = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(RunRecord.from_dict(json.loads(line)))
-        except (ValueError, TypeError) as exc:
-            raise ModelFileError(f"{path}: line {lineno}: {exc}") from exc
+    records = [RunRecord.from_dict(data, f"{path}: line {lineno}")
+               for lineno, data in read_lines(path, ModelFileError)]
     if not records:
         raise ModelFileError(f"{path}: no records found")
     return records

@@ -12,7 +12,6 @@ greedy continuation under the bundled config, so greedy decoding scores
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -20,15 +19,9 @@ from importlib import resources
 import numpy as np
 
 from ..baselines import AnswerExtractor, greedy_decode
-from ..core import DecodeConfig, Distribution, TokenId, config_to_dict
-from ..models import (
-    KGramModel,
-    ModelFileError,
-    ScriptedModel,
-    save_kgram_model,
-    save_scripted_model,
-    train_kgram,
-)
+from ..core import (DecodeConfig, Distribution, ModelFileError, TokenId, check_fields,
+                    config_to_dict, read_lines, write_json, write_lines)
+from ..models import KGramModel, ScriptedModel, save_kgram_model, save_scripted_model, train_kgram
 from ..theory import (
     build_theorem1_fixture,
     derive_thresholds,
@@ -68,45 +61,26 @@ def extractor_to_string(extractor: AnswerExtractor) -> str:
 
 def load_tasks(path: str) -> list[Task]:
     """Parse a line-delimited task file; errors carry line context."""
-    tasks: list[Task] = []
-    seen: set[str] = set()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    tasks: dict[str, Task] = {}
+    for lineno, data in read_lines(path, ModelFileError):
+        where = f"{path}: line {lineno}"
+        task = check_fields(data, {"id": "str", "prompt": "str", "reference_answer": "str",
+                                   "extractor": "str"}, ModelFileError, where)
+        if task["id"] in tasks:
+            raise ModelFileError(f"{where}: duplicate task id {task['id']!r}")
         try:
-            data = json.loads(line)
-            task = Task(
-                id=str(data["id"]),
-                prompt=str(data["prompt"]),
-                reference_answer=str(data["reference_answer"]),
-                extractor=parse_extractor(data["extractor"]),
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ModelFileError(f"{path}: line {lineno}: {exc}") from exc
-        if task.id in seen:
-            raise ModelFileError(f"{path}: line {lineno}: duplicate task id {task.id!r}")
-        seen.add(task.id)
-        tasks.append(task)
+            tasks[task["id"]] = Task(task["id"], task["prompt"], task["reference_answer"],
+                                     parse_extractor(task["extractor"]))
+        except ValueError as exc:
+            raise ModelFileError(f"{where}: {exc}") from exc
     if not tasks:
         raise ModelFileError(f"{path}: no tasks found")
-    return tasks
+    return list(tasks.values())
 
 
 def save_tasks(tasks, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for task in tasks:
-            fh.write(json.dumps({
-                "id": task.id,
-                "prompt": task.prompt,
-                "reference_answer": task.reference_answer,
-                "extractor": extractor_to_string(task.extractor),
-            }) + "\n")
+    write_lines(path, ({"id": t.id, "prompt": t.prompt, "reference_answer": t.reference_answer,
+                        "extractor": extractor_to_string(t.extractor)} for t in tasks))
 
 
 # Ten plan shapes cycled over the fifty fixture tasks. Most contain a
@@ -259,16 +233,12 @@ def write_bundled_data(directory: str) -> list[str]:
     model, tasks, config = build_fixture_suite()
     save_scripted_model(model, path("suite.model"))
     save_tasks(tasks, path("suite.tasks"))
-    with open(path("suite.config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=1)
-        fh.write("\n")
+    write_json(path("suite.config.json"), config_to_dict(config))
 
     with open(path("kgram_corpus.txt"), "w", encoding="utf-8") as fh:
         fh.write(KGRAM_CORPUS + "\n")
     kmodel, ktasks, kconfig = build_kgram_suite()
     save_kgram_model(kmodel, path("kgram.kgram"))
     save_tasks(ktasks, path("kgram.tasks"))
-    with open(path("kgram.config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(kconfig), fh, indent=1)
-        fh.write("\n")
+    write_json(path("kgram.config.json"), config_to_dict(kconfig))
     return written

@@ -8,19 +8,16 @@ directly; nothing here applies temperature or truncation.
 
 from __future__ import annotations
 
-import json
 import math
 import socket
 import threading
 from abc import ABC, abstractmethod
+from itertools import chain
 
 import numpy as np
 
-from .core import Distribution, Sequence, TokenId, Vocabulary
-
-
-class ModelFileError(ValueError):
-    """A model or task file failed to parse or validate."""
+from .core import (Distribution, ModelFileError, Sequence, TokenId, Vocabulary, check_fields,
+                   json_line, parse_json, read_json, write_json)
 
 
 class ProtocolError(RuntimeError):
@@ -87,46 +84,32 @@ class ScriptedModel(ModelSource):
 
 def load_scripted_model(path: str) -> ScriptedModel:
     """Parse a .model JSON file; errors carry line or row context."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ModelFileError(f"{path}: model file must hold a JSON object")
-    for field in ("tokens", "eos", "rows", "default"):
-        if field not in data:
-            raise ModelFileError(f"{path}: missing required field {field!r}")
-    try:
-        vocab = Vocabulary(data["tokens"], data["eos"])
-    except (ValueError, TypeError) as exc:
-        raise ModelFileError(f"{path}: bad vocabulary: {exc}") from exc
+    data = check_fields(read_json(path, ModelFileError), {
+        "tokens": "[str]", "eos": "int", "rows": "[object]", "default": "[real]"},
+        ModelFileError, path)
     try:
         default = Distribution(data["default"])
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ModelFileError(f"{path}: default row: {exc}") from exc
     table: dict[tuple[TokenId, ...], Distribution] = {}
     for i, row in enumerate(data["rows"]):
-        if not isinstance(row, dict) or "prefix" not in row or "probs" not in row:
-            raise ModelFileError(f"{path}: row {i} must hold 'prefix' and 'probs'")
-        prefix = row["prefix"]
-        if not isinstance(prefix, list) or any(type(t) is not int for t in prefix):
-            raise ModelFileError(f"{path}: row {i}: prefix must be a list of integer token ids")
-        prefix = tuple(prefix)
+        row = check_fields(row, {"prefix": "[int]", "probs": "[real]"}, ModelFileError,
+                           f"{path}: row {i}")
+        prefix = tuple(row["prefix"])
+        if prefix in table:
+            raise ModelFileError(f"{path}: row {i}: prefix {list(prefix)} is listed twice")
         try:
             table[prefix] = Distribution(row["probs"])
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ModelFileError(f"{path}: row {i} (prefix {list(prefix)}): {exc}") from exc
     try:
-        return ScriptedModel(vocab, table, default)
+        return ScriptedModel(Vocabulary(data["tokens"], data["eos"]), table, default)
     except ValueError as exc:
         raise ModelFileError(f"{path}: {exc}") from exc
 
 
 def save_scripted_model(model: ScriptedModel, path: str) -> None:
-    data = {
+    write_json(path, {
         "tokens": list(model.vocabulary.tokens),
         "eos": model.vocabulary.eos_id,
         "rows": [
@@ -134,10 +117,7 @@ def save_scripted_model(model: ScriptedModel, path: str) -> None:
             for prefix, dist in sorted(model.table.items())
         ],
         "default": model.default.probs.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 class KGramModel(ModelSource):
@@ -155,6 +135,14 @@ class KGramModel(ModelSource):
             raise ValueError(f"k must be an integer ≥ 1, got {k!r}")
         if (not isinstance(alpha, float) and type(alpha) is not int) or not 0 < alpha < math.inf:
             raise ValueError(f"alpha must be a finite real number > 0, got {alpha!r}")
+        ids = {*chain.from_iterable(counts), *chain.from_iterable(counts.values())}
+        if set(map(len, counts)) - {k} or not ids <= set(range(len(vocabulary))):
+            raise ValueError(f"contexts must be k={k} token ids and next tokens one, all below "
+                             f"{len(vocabulary)}")
+        tallies = [*chain.from_iterable(map(dict.values, counts.values()))]
+        if tallies and not ({int}.issuperset(map(type, tallies))  # past 2**53 no float is exact
+                            and 0 <= min(tallies) and max(tallies) <= 2**53):
+            raise ValueError("counts must be integers in 0..2**53")
         self.vocabulary = vocabulary
         self.k = k
         self.alpha = alpha
@@ -201,7 +189,7 @@ def train_kgram(corpus: str, k: int, alpha: float) -> KGramModel:
 
 
 def save_kgram_model(model: KGramModel, path: str) -> None:
-    data = {
+    write_json(path, {
         "k": model.k,
         "alpha": model.alpha,
         "tokens": list(model.vocabulary.tokens),
@@ -210,28 +198,25 @@ def save_kgram_model(model: KGramModel, path: str) -> None:
             ",".join(map(str, ctx)): {str(t): n for t, n in sorted(bucket.items())}
             for ctx, bucket in sorted(model.counts.items())
         },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=1)
-        fh.write("\n")
+    })
 
 
 def load_kgram_model(path: str) -> KGramModel:
+    data = check_fields(read_json(path, ModelFileError), {
+        "k": "int", "alpha": "real", "tokens": "[str]", "eos": "int", "counts": "{object}"},
+        ModelFileError, path)
+    # Token ids spelled as save_kgram_model writes them; "01" or " 1" is no id.
+    ids = {str(t): t for t in range(len(data["tokens"]))}.__getitem__
+    counts: dict[tuple[TokenId, ...], dict[TokenId, int]] = {}
+    for ctx, bucket in data["counts"].items():
+        try:
+            counts[tuple(map(ids, ctx.split(",")))] = dict(zip(map(ids, bucket), bucket.values()))
+        except KeyError as exc:
+            raise ModelFileError(f"{path}: counts[{ctx!r}]: {exc.args[0]!r} is not a token "
+                                 f"id below {len(data['tokens'])}") from exc
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ModelFileError(f"{path}: {exc}") from exc
-    try:
-        vocab = Vocabulary(data["tokens"], data["eos"])
-        counts = {
-            tuple(int(t) for t in ctx.split(",")): {int(t): int(n) for t, n in bucket.items()}
-            for ctx, bucket in data["counts"].items()
-        }
-        return KGramModel(vocab, data["k"], data["alpha"], counts)
-    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        return KGramModel(Vocabulary(data["tokens"], data["eos"]), data["k"], data["alpha"], counts)
+    except ValueError as exc:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
@@ -240,8 +225,7 @@ class RemoteModel(ModelSource):
 
     On connect the server sends one hello record with the vocabulary; after
     that each request {"prefix": [ids]} is answered by {"probs": [...]}.
-    Requests are serialized per connection. Responses are trusted except for
-    distribution validation.
+    Requests are serialized per connection; every record is type-checked.
     """
 
     def __init__(self, address: str, timeout: float = 10.0):
@@ -256,52 +240,45 @@ class RemoteModel(ModelSource):
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
         try:
-            hello = self._read_record()
-            if "tokens" not in hello or "eos" not in hello:
-                raise ProtocolError(f"{address}: hello record must carry 'tokens' and 'eos'")
+            hello = check_fields(self._exchange(b""), {"tokens": "[str]", "eos": "int"},
+                                 ProtocolError, f"{address}: hello record")
             try:
                 self.vocabulary = Vocabulary(hello["tokens"], hello["eos"])
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ProtocolError(f"{address}: bad vocabulary in hello: {exc}") from exc
         except BaseException:
             # The caller never gets an object it could close.
             self.close()
             raise
 
-    def _read_record(self) -> dict:
-        line = self._file.readline()
+    def _exchange(self, request: bytes):
+        """Send request (empty for none) and read one record back."""
+        try:
+            self._file.write(request)
+            self._file.flush()
+            line = self._file.readline()
+        except OSError as exc:  # a reset or timed-out connection
+            raise ProtocolError(f"{self.address}: connection failed: {exc}") from exc
         if not line:
             raise ProtocolError(f"{self.address}: connection closed by server")
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"{self.address}: malformed record: {exc.msg}") from exc
-        if not isinstance(record, dict):
-            raise ProtocolError(f"{self.address}: record must be a JSON object")
-        if "error" in record:
+        record = parse_json(line, ProtocolError, self.address)
+        if type(record) is dict and "error" in record:
             raise ProtocolError(f"{self.address}: server error: {record['error']}")
         return record
 
     def next_distribution(self, prefix) -> Distribution:
-        key = _prefix_key(prefix)
+        request = json_line({"prefix": list(_prefix_key(prefix))}).encode()
         with self._lock:
-            try:
-                self._file.write(json.dumps({"prefix": list(key)}).encode() + b"\n")
-                self._file.flush()
-            except OSError as exc:
-                raise ProtocolError(f"{self.address}: send failed: {exc}") from exc
-            record = self._read_record()
-        if "probs" not in record:
-            raise ProtocolError(f"{self.address}: response record must carry 'probs'")
+            record = self._exchange(request)
+        probs = check_fields(record, {"probs": "[real]"}, ProtocolError,
+                             f"{self.address}: response")["probs"]
         try:
-            dist = Distribution(record["probs"])
+            dist = Distribution(probs)
         except ValueError as exc:
             raise ProtocolError(f"{self.address}: response failed validation: {exc}") from exc
         if len(dist) != len(self.vocabulary):
-            raise ProtocolError(
-                f"{self.address}: response has {len(dist)} entries, vocabulary has "
-                f"{len(self.vocabulary)}"
-            )
+            raise ProtocolError(f"{self.address}: response has {len(dist)} entries, "
+                                f"vocabulary has {len(self.vocabulary)}")
         return dist
 
     def close(self) -> None:
@@ -333,20 +310,22 @@ class ModelServer:
 
     def _serve_one(self, conn: socket.socket) -> None:
         vocab = self._model.vocabulary
-        hello = {"tokens": list(vocab.tokens), "eos": vocab.eos_id}
         try:
             with conn, conn.makefile("rwb") as fh:
-                fh.write(json.dumps(hello).encode() + b"\n")
+                fh.write(json_line({"tokens": list(vocab.tokens), "eos": vocab.eos_id}).encode())
                 fh.flush()
                 for line in fh:
                     try:
-                        request = json.loads(line)
-                        prefix = tuple(int(t) for t in request["prefix"])
-                        probs = self._model.next_distribution(prefix).probs.tolist()
-                        reply = {"probs": probs}
-                    except Exception as exc:  # malformed request: report, keep serving
+                        prefix = check_fields(parse_json(line, ProtocolError, "request"),
+                                              {"prefix": "[int]"}, ProtocolError,
+                                              "request")["prefix"]
+                        if prefix and not 0 <= min(prefix) <= max(prefix) < len(vocab):
+                            raise ProtocolError(f"request: prefix ids outside 0..{len(vocab) - 1}")
+                        dist = self._model.next_distribution(tuple(prefix))
+                        reply = {"probs": dist.probs.tolist()}
+                    except Exception as exc:  # a bad request or a failing model: report it
                         reply = {"error": str(exc)}
-                    fh.write(json.dumps(reply).encode() + b"\n")
+                    fh.write(json_line(reply).encode())
                     fh.flush()
         except OSError:
             pass

@@ -14,28 +14,19 @@ actual row entropies.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ConfigError,
-    DecodeConfig,
-    Distribution,
-    Sequence,
-    TokenId,
-    Vocabulary,
-    config_to_dict,
-    load_config,
-    validate_config,  # noqa: F401  bench/tracing.py patches it here by name
-)
+from .core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
+from .core import (ConfigError, DecodeConfig, Distribution, ModelFileError, Sequence, TokenId,
+                   Vocabulary, check_fields, config_to_dict, load_config, read_json, write_json)
 from .engine import UniformMultisamplePolicy  # noqa: F401  re-exported with the other policies
 from .engine import (CntpPolicy, Policy, SingleSamplePolicy, branch_score, branch_stop,
                      confidence, entropy, stop_mask, trial_count)
-from .models import ModelFileError, ModelSource, ScriptedModel, load_scripted_model, save_scripted_model
+from .models import ModelSource, ScriptedModel, load_scripted_model, save_scripted_model
 from .sampling import prepare_sampling_dist
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -553,12 +544,8 @@ def write_fixture(fixture: Theorem1Fixture, model_path: str) -> None:
     """Write the .model file plus .ref and .config.json sidecars."""
     save_scripted_model(fixture.model, model_path)
     base = model_path[:-6] if model_path.endswith(".model") else model_path
-    with open(base + ".ref", "w", encoding="utf-8") as fh:
-        json.dump({"tokens": list(fixture.reference.tokens)}, fh)
-        fh.write("\n")
-    with open(base + ".config.json", "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(fixture.config), fh, indent=1)
-        fh.write("\n")
+    write_json(base + ".ref", {"tokens": list(fixture.reference.tokens)}, indent=None)
+    write_json(base + ".config.json", config_to_dict(fixture.config))
 
 
 def load_fixture(model_path: str, ref_path: str | None = None,
@@ -567,11 +554,10 @@ def load_fixture(model_path: str, ref_path: str | None = None,
     model = load_scripted_model(model_path)
     ref_path = ref_path or base + ".ref"
     config_path = config_path or base + ".config.json"
-    try:
-        with open(ref_path, "r", encoding="utf-8") as fh:
-            ref_tokens = tuple(json.load(fh)["tokens"])
-    except (OSError, ValueError, KeyError) as exc:
-        raise ModelFileError(f"{ref_path}: bad reference file: {exc}") from exc
+    ref_tokens = tuple(check_fields(read_json(ref_path, ModelFileError), {"tokens": "[int]"},
+                                    ModelFileError, ref_path)["tokens"])
+    if any(not 0 <= t < len(model.vocabulary) for t in ref_tokens):
+        raise ModelFileError(f"{ref_path}: tokens hold ids outside the model's vocabulary")
     config = load_config(config_path)
     reference = ReferenceSequence(ref_tokens, model.vocabulary.text(ref_tokens))
     return Theorem1Fixture(model, reference, config, name=name or model_path)

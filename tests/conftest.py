@@ -4,16 +4,26 @@ task suites, and a seeded random scripted-model factory.
 Acceptance tests register one summary line per criterion; the terminal
 summary hook prints them after the run so the pass/fail lines survive
 pytest's output capture.
+
+With CI set (GitHub Actions sets it), hypothesis runs the "ci" profile: its
+examples are derandomized, so CI=1 replays a CI failure locally.
 """
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cntp import DecodeConfig, Distribution, ScriptedModel, Vocabulary
 from cntp.harness import build_fixture_suite, build_kgram_suite
 from cntp.theory import bundled_fixtures, check_theorem1
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ACCEPTANCE_LINES: list[str] = []
 

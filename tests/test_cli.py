@@ -12,7 +12,7 @@ import pytest
 
 import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
-from cntp.harness import bundled_path, resolve_model
+from cntp.harness import build_fixture_suite, bundled_path, resolve_model, run_one
 from cntp.harness.cli import main
 
 
@@ -221,6 +221,8 @@ def test_replay_line_selection_errors(tmp_path, capsys):
     (["suite", "--model", "bundled:kgram", "--tasks", "bundled:kgram",
       "--strategy", "greedy", "--seeds", "a,b"], 1),
     (["decode", "--model", "missing.model", "--prompt", "x", "--out", ""], 2),
+    (["decode", "--model", "bundled:suite", "--prompt", "Q00", "--config", "missing.json",
+      "--out", ""], 2),
     (["decode", "--model", "remote:127.0.0.1:9", "--prompt", "x", "--out", ""], 3),
     (["decode", "--model", "bundled:kgram", "--prompt", "x",
       "--strategy", "mystery", "--out", ""], 1),
@@ -230,7 +232,7 @@ def test_replay_line_selection_errors(tmp_path, capsys):
       "--strategy", "beam:0", "--out", ""], 1),
     (["suite", "--model", "bundled:kgram", "--tasks", "bundled:kgram",
       "--strategy", "beam", "--paths", "3", "--out", ""], 1),
-], ids=["bad-seeds", "missing-model-file", "unreachable-remote",
+], ids=["bad-seeds", "missing-model-file", "missing-config-file", "unreachable-remote",
         "unknown-strategy", "missing-required-flag", "unknown-command",
         "zero-beam-width", "width-flag-instead-of-strategy-string"])
 def test_error_exit_codes(argv, code, capsys):
@@ -261,7 +263,7 @@ def test_scripted_rows_with_bad_prefixes_exit_2(tmp_path, prefix, capsys):
     }), encoding="utf-8")
     rc = main(["decode", "--model", str(path), "--prompt", "a.", "--out", ""])
     assert rc == 2
-    assert "row 0: prefix must be a list of integer token ids" in capsys.readouterr().err
+    assert "row 0: prefix must be a list of integers, got" in capsys.readouterr().err
 
 
 def test_usage_error_on_unencodable_prompt(capsys):
@@ -289,10 +291,10 @@ _KGRAM = {"k": 1, "alpha": 0.5, "tokens": ["a", ""], "eos": 1, "counts": {"0": {
 
 
 @pytest.mark.parametrize("base, field, value, message", [
-    (_SCRIPTED, "eos", True, "eos id must be an integer, got True"),
-    (_KGRAM, "eos", True, "eos id must be an integer, got True"),
-    (_KGRAM, "k", True, "k must be an integer ≥ 1, got True"),
-    (_KGRAM, "alpha", "1", "alpha must be a finite real number > 0, got '1'"),
+    (_SCRIPTED, "eos", True, "eos must be an integer, got True"),
+    (_KGRAM, "eos", True, "eos must be an integer, got True"),
+    (_KGRAM, "k", True, "k must be an integer, got True"),
+    (_KGRAM, "alpha", "1", "alpha must be a real number, got '1'"),
 ], ids=["scripted-bool-eos", "kgram-bool-eos", "kgram-bool-k", "kgram-string-alpha"])
 def test_model_files_with_mistyped_fields_exit_2(tmp_path, base, field, value, message,
                                                  capsys):
@@ -303,3 +305,99 @@ def test_model_files_with_mistyped_fields_exit_2(tmp_path, base, field, value, m
                "--strategy", "greedy", "--out", ""])
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+_TASK = {"id": "t", "prompt": "Q00", "reference_answer": "x", "extractor": "full_text"}
+
+
+def _record() -> dict:
+    """A stored record that replays: greedy on the bundled suite."""
+    model, tasks, config = build_fixture_suite()
+    return run_one(model, tasks[0], "greedy", config, model_spec="bundled:suite")[0].to_dict()
+
+
+def _json(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+_DECODE_MODEL = ["decode", "--model", "{}", "--out", ""]
+_SUITE_TASKS = ["suite", "--model", "bundled:suite", "--tasks", "{}", "--seeds", "0", "--out", ""]
+
+
+def _scripted(**fields):
+    return "m.model", _json({**_SCRIPTED, **fields}), _DECODE_MODEL + ["--prompt", "a."]
+
+
+def _kgram(counts):
+    return "m.kgram", _json({**_KGRAM, "counts": counts}), _DECODE_MODEL + ["--prompt", "a"]
+
+
+def _tasks(content: bytes):
+    return "t.tasks", content, _SUITE_TASKS
+
+
+# name -> ((file name, file bytes, argv reading it), exit code, message). Each
+# input ended in a traceback, was quietly coerced, or exited with the wrong code.
+_MALFORMED = {
+    "scripted-rows-not-a-list": (
+        _scripted(rows=5), 2, "rows must be a list of JSON objects, got 5"),
+    "scripted-bool-probabilities": (
+        _scripted(default=[False, True]), 2,
+        "default must be a list of real numbers, got [False, True]"),
+    "scripted-number-token": (_scripted(tokens=[1, ""]), 2, "tokens must be a list of strings"),
+    "kgram-next-token-out-of-range": (_kgram({"0": {"7": 2}}), 2, "'7' is not a token id below 2"),
+    "kgram-bool-count": (_kgram({"0": {"0": True}}), 2, "counts must be integers"),
+    "kgram-real-count": (_kgram({"0": {"0": 2.7}}), 2, "counts must be integers"),
+    "kgram-negative-count": (_kgram({"0": {"0": -5}}), 2, "counts must be integers"),
+    "kgram-context-out-of-range": (_kgram({"5": {"0": 2}}), 2, "'5' is not a token id below 2"),
+    "kgram-context-longer-than-k": (
+        _kgram({"0,0": {"0": 2}}), 2, "contexts must be k=1 token ids"),
+    "kgram-padded-token-id": (_kgram({" 0": {"0": 2}}), 2, "' 0' is not a token id"),
+    "task-number-extractor": (
+        _tasks(_json({**_TASK, "extractor": 5})), 2, "line 1: extractor must be a string, got 5"),
+    "task-number-id": (_tasks(_json({**_TASK, "id": 5})), 2, "line 1: id must be a string, got 5"),
+    "task-file-not-utf8": (_tasks(b'{"id": "\xff"}\n'), 2, "not UTF-8 text"),
+    "corpus-not-utf8": (
+        ("c.txt", b"the \xff cat", ["train-kgram", "--corpus", "{}", "--out", "{}.kgram"]),
+        2, "not UTF-8 text"),
+    "config-not-utf8": (
+        ("c.json", b'{"h_min": "\xff"}',
+         ["decode", "--model", "bundled:suite", "--prompt", "Q00", "--config", "{}", "--out", ""]),
+        1, "not UTF-8 text"),
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_files_exit_with_their_code(tmp_path, name, capsys):
+    (filename, content, argv), code, message = _MALFORMED[name]
+    path = tmp_path / filename
+    path.write_bytes(content)
+    assert main([arg.replace("{}", str(path)) for arg in argv]) == code
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"config": 5}, "config must be a JSON object, got 5"),
+    ({"config": []}, "config must be a JSON object, got []"),
+    ({"tokens": "abc"}, "tokens must be a list of integers, got 'abc'"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"correct": 1}, "correct must be true or false, got 1"),
+    ({"cost": {"forward_passes": 1.5}}, "cost: forward_passes must be an integer, got 1.5"),
+    ({"config": {"n_max": 0}}, "line 1: config: n_max must be ≥ 1"),
+    ({"strategy": "mystery"}, "line 1: unknown strategy 'mystery'"),
+], ids=["config-number", "config-list", "tokens-string", "seed-string", "correct-number",
+        "cost-fields", "config-value", "unknown-strategy"])
+def test_malformed_records_exit_2(tmp_path, patch, message, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({**_record(), **patch}) + "\n", encoding="utf-8")
+    assert main(["replay", "--record", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_replay_of_a_record_whose_config_leaves_the_seed_at_its_default(tmp_path, capsys):
+    record = _record()
+    record["config"] = {k: v for k, v in record["config"].items() if k != "seed"}
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(["replay", "--record", str(path)]) == 0
+    assert "seed 0" in capsys.readouterr().out

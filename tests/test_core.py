@@ -57,6 +57,8 @@ def test_vocabulary_construction_rules():
         Vocabulary((), 0)
     with pytest.raises(ValueError, match="not eos"):
         Vocabulary(("", "a", ""), 2)
+    with pytest.raises(TypeError, match="token 0 must be a string, got 1"):
+        Vocabulary((1, ""), 1)
 
 
 def test_distribution_accepts_normalized_vectors():
@@ -76,6 +78,8 @@ def test_distribution_rejects_denormalized_input():
         Distribution([float("nan"), 1.0])
     with pytest.raises(ValueError, match="finite"):
         Distribution([float("inf"), 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        Distribution([10**400, 0])  # past the float range
     with pytest.raises(ValueError):
         Distribution([])
     with pytest.raises(ValueError):
@@ -149,7 +153,7 @@ def test_config_dict_round_trip():
 
 
 def test_config_from_dict_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="unknown field"):
         config_from_dict({"n_max": 3, "banana": 1})
     with pytest.raises(ConfigError, match="punctuation"):
         config_from_dict({"punctuation": [".", ","]})

@@ -161,11 +161,11 @@ def test_run_record_round_trip(suite_bundle):
     record, _ = run_one(model, tasks[0], "greedy", config, model_spec="bundled:suite")
     data = json.loads(json.dumps(record.to_dict()))
     assert RunRecord.from_dict(data) == record
-    with pytest.raises(ModelFileError, match="unknown record fields"):
+    with pytest.raises(ModelFileError, match="unknown field 'extra'"):
         RunRecord.from_dict({**data, "extra": 1})
     short = dict(data)
     del short["seed"]
-    with pytest.raises(ModelFileError, match="missing record fields"):
+    with pytest.raises(ModelFileError, match="missing required field 'seed'"):
         RunRecord.from_dict(short)
 
 

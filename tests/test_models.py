@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -101,6 +102,13 @@ def test_scripted_file_errors_carry_context(tmp_path):
     }))
     with pytest.raises(ModelFileError, match=r"row 0 \(prefix \[0\]\)"):
         load_scripted_model(str(denormalized))
+
+    twice = tmp_path / "twice.model"
+    row = {"prefix": [0], "probs": [0.5, 0.5, 0.0]}
+    twice.write_text(json.dumps({"tokens": ["a", "b", ""], "eos": 2, "rows": [row, row],
+                                 "default": [0.0, 0.0, 1.0]}))
+    with pytest.raises(ModelFileError, match=r"row 1: prefix \[0\] is listed twice"):
+        load_scripted_model(str(twice))
 
 
 @pytest.mark.parametrize("prefix", [[0.0], "a"])  # ["z"] and [true]: see test_cli
@@ -227,7 +235,7 @@ def test_kgram_file_errors(tmp_path):
     with pytest.raises(ModelFileError, match="invalid JSON"):
         load_kgram_model(str(path))
     path.write_text(json.dumps({"k": 1}))
-    with pytest.raises(ModelFileError, match="bad k-gram file"):
+    with pytest.raises(ModelFileError, match="missing required field 'alpha'"):
         load_kgram_model(str(path))
 
 
@@ -304,7 +312,7 @@ def _raw_server(lines):
 
 
 def test_remote_validates_hello_and_responses():
-    with pytest.raises(ProtocolError, match="malformed record"):
+    with pytest.raises(ProtocolError, match="invalid JSON"):
         RemoteModel(_raw_server([b"not json\n"]))
 
     with pytest.raises(ProtocolError, match="hello record"):
@@ -326,7 +334,7 @@ def test_remote_validates_hello_and_responses():
 
 def test_remote_rejects_a_bool_eos_in_hello():
     hello = json.dumps({"tokens": ["a", ""], "eos": True}).encode() + b"\n"
-    with pytest.raises(ProtocolError, match="eos id must be an integer"):
+    with pytest.raises(ProtocolError, match="eos must be an integer"):
         RemoteModel(_raw_server([hello]))
 
 
@@ -344,3 +352,69 @@ def test_server_reports_bad_requests_and_keeps_serving(tiny_model):
             fh.flush()
             reply = json.loads(fh.readline())
             assert reply["probs"] == [0.7, 0.3, 0.0]
+
+
+@pytest.mark.parametrize("response, message", [
+    (b'{"probs": {"a": 1}}\n', "probs must be a list of real numbers"),
+    (b'{"probs": [true, false]}\n', "probs must be a list of real numbers"),
+    (b'[0.5, 0.5]\n', "expected a JSON object"),
+    (b'{"probs": [0.5, \xff]}\n', "invalid JSON"),
+], ids=["object", "bools", "bare-list", "not-utf8"])
+def test_remote_rejects_mistyped_responses(response, message):
+    hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
+    with RemoteModel(_raw_server([hello, response])) as remote:
+        with pytest.raises(ProtocolError, match=message):
+            remote.next_distribution(())
+
+
+def test_remote_reports_a_reset_connection_as_a_backend_error():
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, _ = listener.accept()
+        conn.sendall(json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n")
+        conn.recv(4096)
+        # Zero linger: close() sends a reset instead of a clean shutdown.
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+        listener.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with RemoteModel(f"127.0.0.1:{port}") as remote:
+        with pytest.raises(ProtocolError):
+            remote.next_distribution(())
+    thread.join()
+
+
+def test_server_answers_mistyped_or_out_of_range_ids_with_an_error(tiny_model):
+    with ModelServer(tiny_model) as server:
+        host, port = server.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port))) as conn, conn.makefile("rwb") as fh:
+            fh.readline()  # hello
+            for prefix in (["0"], [True], [0.0], [2.7], [3], [-1], "0", None):
+                fh.write(json.dumps({"prefix": prefix}).encode() + b"\n")
+                fh.flush()
+                reply = json.loads(fh.readline())
+                assert list(reply) == ["error"], prefix
+            for request in (b"[0]\n", b'{"prefix": [0]\xff}\n', b"{}\n"):
+                fh.write(request)
+                fh.flush()
+                assert list(json.loads(fh.readline())) == ["error"], request
+            fh.write(json.dumps({"prefix": [0]}).encode() + b"\n")
+            fh.flush()
+            assert json.loads(fh.readline()) == {"probs": [0.2, 0.2, 0.6]}
+
+
+@pytest.mark.parametrize("counts, message", [
+    ({(0, 5): {0: 1}}, "all below 3"),
+    ({(0,): {0: 1}}, "k=2"),
+    ({(0, 1): {-1: 1}}, "all below 3"),
+    ({(0, 1): {0: -1}}, "counts must be integers"),
+    ({(0, 1): {0: 1.0}}, "counts must be integers"),
+    ({(0, 1): {0: 2**53 + 1}}, "counts must be integers"),
+], ids=["context-id", "context-length", "next-token-id", "negative", "real", "past-2**53"])
+def test_kgram_rejects_counts_outside_its_vocabulary_and_k(counts, message):
+    with pytest.raises(ValueError, match=message):
+        KGramModel(Vocabulary(("a", "b", ""), 2), 2, 0.5, counts)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -347,8 +348,12 @@ def test_fixture_loader_rejects_a_broken_reference_file(tmp_path, bundled):
     path = str(tmp_path / "broken.model")
     write_fixture(case_b, path)
     (tmp_path / "broken.ref").write_text("not json\n", encoding="utf-8")
-    with pytest.raises(ModelFileError, match="bad reference file"):
+    with pytest.raises(ModelFileError, match=r"broken\.ref: invalid JSON"):
         load_fixture(path)
+    for tokens in ([0, 99], [-1], [True]):
+        (tmp_path / "broken.ref").write_text(json.dumps({"tokens": tokens}), encoding="utf-8")
+        with pytest.raises(ModelFileError, match=r"broken\.ref: tokens"):
+            load_fixture(path)
 
 
 def test_bundled_family_names_and_shapes(bundled):
