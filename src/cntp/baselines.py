@@ -9,8 +9,10 @@ stochastic run the engine's own decode loop.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Literal
 
 from .core import (
@@ -22,17 +24,21 @@ from .core import (
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .engine import SingleSamplePolicy, branch_score, policy_decode
-from .models import ModelSource
+from .models import Cursor, ModelSource
 from .sampling import derive_seed
 from .engine import confidence  # noqa: F401  bench/tracing.py patches it here by name
 from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as confidence)
 
 
+@lru_cache(maxsize=256)  # DecodeConfig is frozen, so equal configs share one copy
+def _at_zero_temperature(config: DecodeConfig) -> DecodeConfig:
+    return dataclasses.replace(config, temperature=0.0)
+
+
 def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """Argmax decoding, ties to the lowest token id: the single-sample policy
     at temperature 0, so the config's temperature, top_p and seed do nothing."""
-    return policy_decode(model, prompt,
-                         SingleSamplePolicy(dataclasses.replace(config, temperature=0.0)))
+    return policy_decode(model, prompt, SingleSamplePolicy(_at_zero_temperature(config)))
 
 
 def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
@@ -57,33 +63,50 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     vocab = model.vocabulary
     eos = vocab.eos_id
     prompt_tokens = prompt.tokens
-    # (logprob, tokens, finished)
-    beams: list[tuple[float, tuple[int, ...], bool]] = [(0.0, (), False)]
+    # A beam is (logprob, rank, length, path, cursor): rank is its place in
+    # token order among the beams, path its tokens as (last token, parent
+    # path) links, and a finished beam's cursor is None.
+    beams: list[tuple[float, int, int, tuple | None, Cursor | None]] = [
+        (0.0, 0, 0, None, model.start(prompt_tokens))]
     passes = generated = rounds = 0
-    while any(not fin for _, _, fin in beams):
+    while any(beam[4] is not None for beam in beams):
         rounds += 1
-        candidates: list[tuple[float, tuple[int, ...], bool]] = [
-            b for b in beams if b[2]
-        ]
-        for lp, toks, fin in beams:
-            if fin:
+        # Beams hold distinct tokens, live ones all the same number and
+        # finished ones no more, and none is a prefix of another. So
+        # candidates sort by tokens as by (their beam's rank, the token
+        # added, -1 for none), and no round touches a whole token list.
+        candidates = []
+        for b, (lp, rank, _, _, cursor) in enumerate(beams):
+            if cursor is None:
+                candidates.append((-lp, rank, -1, b))
                 continue
             passes += 1
             generated += 1
-            dist = model.next_distribution(prompt_tokens + toks)
-            probs = dist.probs
-            for tok in range(probs.size):
-                p = probs[tok]
-                if p <= 0.0:
-                    continue
-                new_toks = toks + (tok,)
-                done = tok == eos or len(new_toks) >= config.global_cap
-                candidates.append((lp + math.log(p), new_toks, done))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = candidates[:beam_width]
-    best_lp, best_toks, _ = beams[0]
+            for tok, p in enumerate(cursor.dist().probs.tolist()):
+                if p > 0.0:
+                    candidates.append((-(lp + math.log(p)), rank, tok, b))
+        survivors = heapq.nsmallest(beam_width, candidates)
+        ranks = [0] * len(survivors)
+        for r, i in enumerate(sorted(range(len(survivors)), key=lambda i: survivors[i][1:3])):
+            ranks[i] = r
+        next_beams = []
+        for (neg_lp, _, tok, b), rank in zip(survivors, ranks):
+            lp, _, length, path, cursor = beams[b]
+            if tok < 0:
+                next_beams.append((lp, rank, length, path, None))
+                continue
+            length += 1
+            done = tok == eos or length >= config.global_cap
+            next_beams.append((-neg_lp, rank, length, (tok, path),
+                               None if done else cursor.advance(tok)))
+        beams = next_beams
+    best_toks = []
+    path = beams[0][3]
+    while path is not None:
+        tok, path = path
+        best_toks.append(tok)
     cost = CostLedger(forward_passes=passes, generated_tokens=generated, total_steps=rounds)
-    return DecodeOutcome(vocab.sequence(prompt_tokens + best_toks), cost, ())
+    return DecodeOutcome(vocab.sequence(prompt_tokens + tuple(reversed(best_toks))), cost, ())
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,11 @@ TokenId = int
 
 NORMALIZATION_TOL = 1e-9
 
+# The smallest positive temperature. Sampling divides log-probabilities by
+# it, and log(p) is at least log(5e-324) > -745, so above this floor every
+# finite log(p) stays finite; below it a row can turn to NaN.
+MIN_TEMPERATURE = 1e-300
+
 # Characters that terminate a sampled branch (the token carrying one is kept).
 DEFAULT_PUNCTUATION = frozenset({".", ",", "?", "!", ":", ";", ")", "]", "}", "\n"})
 
@@ -191,6 +196,9 @@ class DecodeConfig:
 
     def __post_init__(self):
         validate_config(self)
+        # Any iterable of characters is kept as a frozenset, so every config hashes.
+        if not isinstance(self.punctuation, frozenset):
+            object.__setattr__(self, "punctuation", frozenset(self.punctuation))
 
 
 # Typed fields. Neither kind takes a bool, and the int fields take no numpy
@@ -217,8 +225,12 @@ def validate_config(config: DecodeConfig) -> DecodeConfig:
         raise ConfigError("h_min must be < h_max")
     if config.n_max < 1:
         raise ConfigError("n_max must be ≥ 1")
+    if config.n_max > sys.float_info.max:  # trial_count computes in floats
+        raise ConfigError(f"n_max must be at most {sys.float_info.max!r}")
     if not math.isfinite(config.temperature) or config.temperature < 0:
         raise ConfigError("temperature must be ≥ 0")
+    if 0 < config.temperature < MIN_TEMPERATURE:
+        raise ConfigError(f"temperature must be 0 or at least {MIN_TEMPERATURE!r}")
     if not math.isfinite(config.top_p) or not 0 < config.top_p <= 1:
         raise ConfigError("top_p must be in (0, 1]")
     if config.punctuation is not DEFAULT_PUNCTUATION and any(

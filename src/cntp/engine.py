@@ -30,7 +30,7 @@ from .core import (
     Trial,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
-from .models import ModelSource
+from .models import Cursor, ModelSource
 from .sampling import Rng, greedy_token, prepare_sampling_dist, sample_token
 
 
@@ -77,10 +77,13 @@ def trial_count(h: float, config: DecodeConfig) -> int:
         return min(n_max, (n_max + 2) // 2)
     span = config.h_max - config.h_min
     if scaling == "positive":
-        raw = math.floor((h - config.h_min) * n_max / span)
+        ramp = (h - config.h_min) * n_max / span
     else:  # "negative"; the config's construction rejects any other value
-        raw = n_max - math.floor((h - config.h_min) / span * n_max)
-    return max(1, min(n_max, raw))
+        ramp = (h - config.h_min) / span * n_max
+    # Clamped to 0..n_max before the floor, which raises on the ±inf that a
+    # tiny span or an n_max near the float range gives.
+    level = math.floor(min(max(ramp, 0), n_max))
+    return max(1, level if scaling == "positive" else n_max - level)
 
 
 def branch_score(probs) -> tuple[float, float]:
@@ -135,15 +138,16 @@ def branch_stop(tok: int, length: int, answer_len: int, eos: int,
     return None
 
 
-def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len: int,
-                 eos: int, stops: tuple[bool, ...], first_dist: Distribution):
-    """Sample one branch. Returns (trial, continuation_calls); the caller
-    accounts for the first token's pass itself."""
+def _grow_branch(cursor: Cursor, first_dist: Distribution, config: DecodeConfig, rng: Rng,
+                 answer_len: int, eos: int, stops: tuple[bool, ...]):
+    """Sample one branch from cursor, whose distribution first_dist the
+    caller has read. Returns (trial, continuation_calls, cursor before the
+    branch's last token); the caller accounts for the first token's pass
+    itself."""
     tokens: list[int] = []
     probs: list[float] = []
     calls = 0
     dist = first_dist
-    local = prefix
     while True:
         tok = sample_token(prepare_sampling_dist(dist, config), rng)
         tokens.append(tok)
@@ -151,11 +155,11 @@ def _grow_branch(model, prefix: list, config: DecodeConfig, rng: Rng, answer_len
         reason = branch_stop(tok, len(tokens), answer_len, eos, stops, config)
         if reason is not None:
             break
-        local = local + [tok]
-        dist = model.next_distribution(tuple(local))
+        cursor = cursor.advance(tok)
+        dist = cursor.dist()
         calls += 1
     nll, ppl = branch_score(probs)
-    return Trial(tuple(tokens), tuple(probs), nll, ppl, reason), calls
+    return Trial(tuple(tokens), tuple(probs), nll, ppl, reason), calls, cursor
 
 
 @dataclass(frozen=True)
@@ -192,25 +196,28 @@ Policy = SingleSamplePolicy | CntpPolicy | UniformMultisamplePolicy
 
 
 def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> DecodeOutcome:
-    """The one per-step decode loop: each step reads the prefix once and
+    """The one per-step decode loop: each step reads its cursor once and
     takes one token, or the best of n branches if the policy asks for n."""
     config = policy.config
     vocab = model.vocabulary
     eos = vocab.eos_id
     stops = stop_mask(vocab, config.punctuation)
-    # At T=0 sampling is a one-hot on the lowest-id argmax, read by greedy_token.
+    # At T=0 sampling is a one-hot on the lowest-id argmax, read by greedy_token,
+    # so a single-sample step draws nothing; the Rng waits for the first draw.
     greedy = config.temperature == 0.0
-    base = Rng(config.seed)
-    prefix = list(prompt.tokens)
-    prompt_len = len(prefix)
+    base = None if greedy else Rng(config.seed)
+    cursor = model.start(prompt.tokens)
+    tokens = list(prompt.tokens)  # the output only: reads go through the cursor
+    prompt_len = len(tokens)
+    global_cap = config.global_cap
     trace: list[StepTrace] = []
     passes = generated = high_steps = steps = 0
 
     while True:
-        answer_len = len(prefix) - prompt_len
-        if answer_len >= config.global_cap or (answer_len and prefix[-1] == eos):
+        answer_len = len(tokens) - prompt_len
+        if answer_len >= global_cap or (answer_len and tokens[-1] == eos):
             break
-        dist = model.next_distribution(tuple(prefix))
+        dist = cursor.dist()
         passes += 1
         h = confidence(dist, config.confidence_measure)
         n = policy.trials(h)
@@ -219,25 +226,32 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         if n == 1:
             tok = (greedy_token(dist) if greedy else
                    sample_token(prepare_sampling_dist(dist, config), base.derive(step, 0)))
-            prefix.append(tok)
+            tokens.append(tok)
+            cursor = cursor.advance(tok)
             generated += 1
             trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
             continue
         high_steps += 1
-        # Every trial starts from the prefix the confidence read already
-        # fetched. The ledger still charges trials 1..n-1 a pass each for
-        # their first token; the confidence read is trial 0's.
+        # Every trial forks the step's cursor and starts from the distribution
+        # the confidence read already fetched. The ledger still charges trials
+        # 1..n-1 a pass each for their first token; the confidence read is
+        # trial 0's.
         passes += n - 1
-        trials = []
+        if base is None:  # T=0: the trials still draw, from one-hot rows
+            base = Rng(config.seed)
+        step_rng = base.derive(step)  # derive(step, i) == derive(step).derive(i)
+        trials, ends = [], []
         for i in range(n):
-            trial, calls = _grow_branch(
-                model, prefix, config, base.derive(step, i), answer_len, eos, stops, dist
-            )
+            trial, calls, end = _grow_branch(cursor, dist, config, step_rng.derive(i),
+                                             answer_len, eos, stops)
             passes += calls
             generated += len(trial.tokens)
             trials.append(trial)
-        best = trials[select_best(trials)]
-        prefix.extend(best.tokens)
+            ends.append(end)
+        b = select_best(trials)
+        best = trials[b]
+        tokens.extend(best.tokens)
+        cursor = ends[b].advance(best.tokens[-1])
         trace.append(StepTrace(h, n, best.ppl, None))
 
     cost = CostLedger(
@@ -246,7 +260,7 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         high_entropy_steps=high_steps,
         total_steps=steps,
     )
-    return DecodeOutcome(vocab.sequence(prefix), cost, tuple(trace))
+    return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

@@ -15,7 +15,7 @@ import time
 from ..core import (CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, config_from_dict,
                     load_config, read_text)
 from ..models import ModelFileError, ModelServer, ProtocolError, save_kgram_model, train_kgram
-from ..theory import bundled_fixtures, check_theorem1, load_fixture
+from ..theory import EnumerationBudgetError, bundled_fixtures, check_theorem1, load_fixture
 from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
 from .runner import (
     STRATEGIES,
@@ -230,8 +230,11 @@ def cmd_theorem(args) -> int:
         fixtures = bundled_fixtures()
     dominance_ok = bound_ok = bound_checked = 0
     for fixture in fixtures:
-        report = check_theorem1(fixture, node_budget=args.node_budget)
         name = fixture.name or "fixture"
+        try:
+            report = check_theorem1(fixture, node_budget=args.node_budget)
+        except EnumerationBudgetError as exc:
+            raise _UsageError(f"{name}: {exc}; raise --node-budget") from exc
         single_token = fixture.branch_style == "punct"
         line = (f"{name}: P_single={report.p_single_correct:.6f} "
                 f"P_cntp={report.p_cntp_correct:.6f} "

@@ -1,9 +1,11 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
 models, and a remote client speaking newline-delimited JSON.
 
-Every backend exposes the same two members: a vocabulary and a
-deterministic next_distribution(prefix). Backends emit probabilities
-directly; nothing here applies temperature or truncation.
+Every backend exposes a vocabulary and a deterministic
+next_distribution(prefix), and hands out cursors through start(prefix): an
+immutable position whose advance(tok) steps one token on and whose dist()
+reads the distribution there. Backends emit probabilities directly; nothing
+here applies temperature or truncation.
 """
 
 from __future__ import annotations
@@ -33,11 +35,33 @@ def _prefix_key(prefix) -> tuple[TokenId, ...]:
     return tuple(prefix)
 
 
+class Cursor:
+    """An immutable position in a model's token tree. advance(tok) returns
+    the position one token on; dist() reads the distribution there, which is
+    model.next_distribution of the same prefix. This generic cursor keeps
+    the whole prefix and reads through next_distribution; a backend whose
+    distribution depends on less of the prefix overrides start() with a
+    cursor that keeps only that."""
+
+    __slots__ = ("_model", "_key")
+
+    def __init__(self, model: "ModelSource", key):
+        self._model = model
+        self._key = key
+
+    def advance(self, tok: TokenId) -> "Cursor":
+        return Cursor(self._model, self._key + (tok,))
+
+    def dist(self) -> Distribution:
+        return self._model.next_distribution(self._key)
+
+
 class ModelSource(ABC):
     """Deterministic next-token distribution source.
 
     next_distribution must return an identical distribution for identical
-    prefixes, and must stay consistent under concurrent calls.
+    prefixes, and must stay consistent under concurrent calls. Decoders walk
+    the model through start(prefix) cursors.
     """
 
     vocabulary: Vocabulary
@@ -45,6 +69,10 @@ class ModelSource(ABC):
     @abstractmethod
     def next_distribution(self, prefix) -> Distribution:
         """Full-vocabulary distribution after the given token prefix."""
+
+    def start(self, prefix) -> Cursor:
+        """A cursor at the end of prefix (a Sequence or token ids)."""
+        return Cursor(self, _prefix_key(prefix))
 
     def close(self) -> None:
         """Release what the backend holds open; local backends hold nothing."""
@@ -161,7 +189,9 @@ class KGramModel(ModelSource):
         return Distribution(row / total)
 
     def next_distribution(self, prefix) -> Distribution:
-        context = _prefix_key(prefix)[-self.k:]
+        return self._context_dist(_prefix_key(prefix)[-self.k:])
+
+    def _context_dist(self, context: tuple[TokenId, ...]) -> Distribution:
         dist = self._cache.get(context)
         if dist is None:
             bucket = self.counts.get(context)
@@ -169,6 +199,22 @@ class KGramModel(ModelSource):
                 return self._unseen
             dist = self._cache[context] = self._row(bucket)
         return dist
+
+    def start(self, prefix) -> Cursor:
+        return _ContextCursor(self, _prefix_key(prefix)[-self.k:])
+
+
+class _ContextCursor(Cursor):
+    """Keeps only the last k tokens, all a k-gram row depends on."""
+
+    __slots__ = ()
+
+    def advance(self, tok: TokenId) -> Cursor:
+        model = self._model
+        return _ContextCursor(model, (self._key + (tok,))[-model.k:])
+
+    def dist(self) -> Distribution:
+        return self._model._context_dist(self._key)
 
 
 def train_kgram(corpus: str, k: int, alpha: float) -> KGramModel:

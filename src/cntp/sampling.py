@@ -7,6 +7,9 @@ return new validated distributions; the input is never mutated.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import lru_cache
+
 import numpy as np
 
 from .core import Distribution, DecodeConfig, TokenId
@@ -21,8 +24,13 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+@lru_cache(maxsize=4096)  # key parts repeat: step indices, trial indices, seeds
+def _mix_part(part: int) -> int:
+    return _mix64((part + _GOLDEN) & _M64)
+
+
 def _fold(h: int, part: int) -> int:
-    return _mix64(h ^ _mix64((part + _GOLDEN) & _M64))
+    return _mix64(h ^ _mix_part(part))
 
 
 class Rng:
@@ -122,26 +130,26 @@ def prepare_sampling_dist(dist: Distribution, config: DecodeConfig) -> Distribut
     return cached
 
 
-def _support_cumsum(dist: Distribution):
+def _support_cumsum(dist: Distribution) -> tuple[list[int], list[float]]:
+    """The nonzero token ids and their running mass, as Python lists: a
+    bisect over a few floats costs less than a numpy call."""
     cached = dist._cumsum
     if cached is None:
         support = np.flatnonzero(dist.probs)
-        cached = (support, np.cumsum(dist.probs[support]))
+        cached = (support.tolist(), np.cumsum(dist.probs[support]).tolist())
         dist._cumsum = cached
     return cached
 
 
 def sample_token(dist: Distribution, rng) -> TokenId:
-    """Inverse-CDF draw in vocabulary order from one uniform variate.
-    Zero-probability tokens are never produced."""
+    """Inverse-CDF draw in vocabulary order from one uniform variate: the
+    first token whose running mass reaches it (np.searchsorted's side="left"
+    on the same doubles). Zero-probability tokens are never produced."""
     support, cum = _support_cumsum(dist)
-    u = rng.uniform()
-    idx = int(np.searchsorted(cum, u, side="left"))
-    if idx >= support.size:
-        idx = support.size - 1
-    return int(support[idx])
+    idx = bisect_left(cum, rng.uniform())
+    return support[idx if idx < len(support) else -1]
 
 
 def greedy_token(dist: Distribution) -> TokenId:
     """Argmax token; ties break toward the lowest id."""
-    return int(np.argmax(dist.probs))
+    return int(dist.probs.argmax())

@@ -135,6 +135,54 @@ def test_beam_score_non_decreasing_in_width(random_model_factory):
     assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
 
+def _reference_beam(model, prompt, config, beam_width):
+    """Beam search as first written: every candidate builds its token tuple
+    and all of them sort on (-logprob, tokens)."""
+    eos = model.vocabulary.eos_id
+    beams = [(0.0, (), False)]
+    passes = rounds = 0
+    while any(not fin for _, _, fin in beams):
+        rounds += 1
+        candidates = [b for b in beams if b[2]]
+        for lp, toks, fin in beams:
+            if fin:
+                continue
+            passes += 1
+            probs = model.next_distribution(prompt.tokens + toks).probs
+            for tok in range(probs.size):
+                if probs[tok] > 0.0:
+                    new = toks + (tok,)
+                    done = tok == eos or len(new) >= config.global_cap
+                    candidates.append((lp + math.log(probs[tok]), new, done))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_width]
+    return prompt.tokens + beams[0][1], passes, rounds
+
+
+def test_beam_matches_the_full_sort_on_tied_models():
+    """Rows drawn from a few powers of two tie log probabilities everywhere,
+    also between children of beams with different scores, so the order among
+    equal scores decides the beams; eos in most rows leaves finished beams
+    competing with live ones."""
+    rows = ([0.25, 0.25, 0.25, 0.25], [0.5, 0.25, 0.0, 0.25], [0.5, 0.5, 0.0, 0.0],
+            [0.0, 0.5, 0.25, 0.25], [0.25, 0.0, 0.25, 0.5], [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0])
+    vocab = Vocabulary(("a", "b", "c", ""), 3)
+    rng = np.random.default_rng(314)
+    for _ in range(60):
+        table, prefixes = {}, [()]
+        for _ in range(3):
+            table.update((p, Distribution(rows[rng.integers(len(rows))])) for p in prefixes)
+            prefixes = [p + (t,) for p in prefixes for t in range(3)]
+        model = ScriptedModel(vocab, table, Distribution(rows[rng.integers(len(rows))]))
+        config = DecodeConfig(global_cap=int(rng.integers(1, 6)))
+        for width in (1, 2, 3, 5, 8):
+            out = beam_search_decode(model, PROMPT, config, width)
+            tokens, passes, rounds = _reference_beam(model, PROMPT, config, width)
+            assert out.sequence.tokens == tokens
+            assert (out.cost.forward_passes, out.cost.total_steps) == (passes, rounds)
+
+
 def test_beam_rejects_zero_width(two_token_vocab):
     model = _forced_eos_model(two_token_vocab, [1.0, 0.0, 0.0])
     with pytest.raises(ValueError):

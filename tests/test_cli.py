@@ -253,6 +253,25 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, config, capsys):
     assert f"{path}: {next(iter(config))} must be" in err
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"n_max": 10**400}, "n_max must be at most"),
+    ({"temperature": 5e-324}, "temperature must be 0 or at least 1e-300"),
+], ids=["n_max-past-the-float-range", "subnormal-temperature"])
+def test_config_values_out_of_range_exit_1(tmp_path, config, message, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    rc = main(["decode", "--model", "bundled:suite", "--prompt", "Q00", "--strategy", "cntp",
+               "--config", str(path), "--out", ""])
+    assert rc == 1
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_theorem_over_its_node_budget_exits_1(capsys):
+    assert main(["theorem", "--node-budget", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: case_a: enumeration exceeded 1 nodes; raise --node-budget" in err
+
+
 @pytest.mark.parametrize("prefix", [["z"], [True]], ids=["string-token", "bool-token"])
 def test_scripted_rows_with_bad_prefixes_exit_2(tmp_path, prefix, capsys):
     path = tmp_path / "bad.model"

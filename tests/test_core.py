@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cntp import (
+    DEFAULT_PUNCTUATION,
     ConfigError,
     CostLedger,
     DecodeConfig,
@@ -124,6 +125,8 @@ def test_default_config_is_valid():
         ({"branch_cap": np.int64(4)}, "branch_cap must be an integer"),
         ({"global_cap": "12"}, "global_cap must be an integer"),
         ({"seed": False}, "seed must be an integer"),
+        ({"n_max": 10**400}, "n_max must be at most"),
+        ({"temperature": 5e-324}, "temperature must be 0 or at least 1e-300"),
     ],
 )
 def test_validate_config_names_first_violation(fields, message):
@@ -141,6 +144,17 @@ def test_configs_are_checked_on_construction_and_replace():
 def test_config_real_fields_take_ints_and_numpy_floats():
     config = DecodeConfig(h_min=0, h_max=2, temperature=np.float64(0.5), top_p=1)
     assert (config.h_min, config.h_max, config.top_p) == (0, 2, 1)
+
+
+def test_config_keeps_punctuation_as_a_frozenset():
+    """Any iterable of characters is stored as a frozenset, so every config
+    hashes and equals the one built from a frozenset."""
+    expected = DecodeConfig(punctuation=frozenset(".!"))
+    for given in ({".", "!"}, [".", "!"], "!."):
+        config = DecodeConfig(punctuation=given)
+        assert type(config.punctuation) is frozenset
+        assert config == expected and hash(config) == hash(expected)
+    assert DecodeConfig().punctuation is DEFAULT_PUNCTUATION
 
 
 def test_config_dict_round_trip():

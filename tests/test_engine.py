@@ -14,12 +14,14 @@ from cntp import (
     CostLedger,
     DecodeConfig,
     Distribution,
+    KGramModel,
     ModelSource,
     Rng,
     ScriptedModel,
     Sequence,
     Trial,
     Vocabulary,
+    beam_search_decode,
     cntp_decode,
     confidence,
     entropy,
@@ -32,7 +34,10 @@ from cntp import (
 )
 from cntp import engine
 from cntp.engine import _grow_branch, branch_score
-from cntp.harness import Task, run_one
+from cntp.harness import Task, bundled_path, run_one
+from cntp.models import load_kgram_model
+
+from conftest import make_random_scripted
 
 DEFAULTS = DecodeConfig(h_min=0.01, h_max=1.5, n_max=10)
 
@@ -60,6 +65,22 @@ def test_trial_count_worked_values():
     assert trial_count(0.755, DEFAULTS) == 5
     negative = dataclasses.replace(DEFAULTS, trial_scaling="negative")
     assert trial_count(0.2, negative) == 9
+
+
+def test_trial_count_saturates_when_the_ramp_overflows():
+    """A span of one subnormal sends the ramp to ±inf; the budget saturates
+    instead of math.floor raising OverflowError."""
+    tiny = DecodeConfig(h_min=0.0, h_max=5e-324, n_max=7)
+    assert trial_count(1.0, tiny) == 7
+    assert trial_count(0.0, tiny) == 1
+    negative = dataclasses.replace(tiny, trial_scaling="negative")
+    assert trial_count(1.0, negative) == 1
+    assert trial_count(0.0, negative) == 7
+    below = DecodeConfig(h_min=1.0, h_max=1.0 + 5e-16, n_max=7)
+    assert trial_count(0.0, below) == 1
+    assert trial_count(0.0, dataclasses.replace(below, trial_scaling="negative")) == 7
+    huge = DecodeConfig(n_max=10**308)  # (h - h_min) * n_max overflows to inf
+    assert trial_count(2.0, huge) == 10**308
 
 
 def test_trial_count_fixed_scaling_midpoint():
@@ -174,9 +195,9 @@ def _branch_model():
 def _sample_branch(model, prefix, config):
     """One branch after prefix, grown the way cntp_decode grows its trials."""
     vocab = model.vocabulary
-    trial, _ = _grow_branch(model, list(prefix), config, Rng(0), 0, vocab.eos_id,
-                            stop_mask(vocab, config.punctuation),
-                            model.next_distribution(tuple(prefix)))
+    cursor = model.start(prefix)
+    trial, _, _ = _grow_branch(cursor, cursor.dist(), config, Rng(0), 0, vocab.eos_id,
+                               stop_mask(vocab, config.punctuation))
     return trial
 
 
@@ -268,6 +289,86 @@ def test_cntp_trials_share_the_confidence_read(bundled):
     out = cntp_decode(model, Sequence((), ""), dataclasses.replace(fixture.config, seed=7))
     assert out.cost.forward_passes == 13
     assert model.calls == 4
+
+
+def _exact(outcome):
+    """An outcome with every float spelled exactly."""
+    hexed = lambda x: None if x is None else float.hex(x)  # noqa: E731
+    trace = [(hexed(t.confidence), t.n_trials, hexed(t.chosen_ppl), hexed(t.chosen_prob))
+             for t in outcome.per_step_trace]
+    return outcome.sequence.tokens, outcome.cost, trace
+
+
+_CURSOR_DECODERS = {
+    "greedy": greedy_decode,
+    "stochastic": stochastic_decode,
+    "cntp": cntp_decode,
+    "beam:2": lambda model, prompt, config: beam_search_decode(model, prompt, config, 2),
+}
+
+
+@pytest.mark.parametrize("strategy", _CURSOR_DECODERS)
+def test_native_cursors_decode_as_the_generic_one(strategy):
+    """Each backend's own cursor and the generic cursor over a model that
+    exposes only next_distribution give the same tokens, ledgers and traces:
+    on random scripted models and on the bundled k-gram model at cap 4096."""
+    decode = _CURSOR_DECODERS[strategy]
+    rng = np.random.default_rng(61)
+    cases = []
+    for i in range(8):
+        model = make_random_scripted(rng, width=3, depth=4, eos_floor=0.02)
+        config = DecodeConfig(h_min=0.3, h_max=1.0, n_max=4, branch_cap=3, global_cap=9,
+                              top_p=0.95, punctuation=frozenset(), seed=i)
+        cases.append((model, Sequence((), ""), config))
+    kgram = load_kgram_model(bundled_path("kgram.kgram"))
+    prompt = kgram.vocabulary.sequence(kgram.vocabulary.encode("the ca"))
+    cases.append((kgram, prompt, DecodeConfig(h_min=0.5, h_max=2.5, n_max=4, global_cap=4096,
+                                              seed=3)))
+    for model, prompt, config in cases:
+        generic = _CountingModel(model)
+        native = decode(model, prompt, config)
+        assert _exact(native) == _exact(decode(generic, prompt, config))
+        assert generic.calls > 0
+
+
+def test_kgram_cursor_never_reads_a_full_prefix(monkeypatch):
+    """A long k-gram cntp decode keeps only the last k tokens: it never hands
+    KGramModel.next_distribution a prefix longer than k."""
+    model = load_kgram_model(bundled_path("kgram.kgram"))
+    seen = []
+    original = KGramModel.next_distribution
+
+    def spy(self, prefix):
+        seen.append(len(prefix))
+        return original(self, prefix)
+
+    monkeypatch.setattr(KGramModel, "next_distribution", spy)
+    prompt = model.vocabulary.sequence(model.vocabulary.encode("the ca"))
+    config = DecodeConfig(h_min=0.5, h_max=2.5, n_max=4, global_cap=4096, seed=5)
+    out = cntp_decode(model, prompt, config)
+    assert len(out.sequence.tokens) - len(prompt.tokens) == 4096
+    assert out.cost.high_entropy_steps > 0
+    assert all(n <= model.k for n in seen)
+
+
+@pytest.mark.parametrize("policy", (engine.CntpPolicy,
+                                    lambda c: engine.UniformMultisamplePolicy(c, 3)))
+def test_multi_trial_steps_decode_at_zero_temperature(suite_bundle, policy):
+    """At T=0 a multi-trial step still runs its trials, which draw from
+    one-hot rows: every trial takes the argmax, so the tokens are greedy's."""
+    model, tasks, config = suite_bundle
+    config = dataclasses.replace(config, temperature=0.0)
+    vocab = model.vocabulary
+    high_steps = 0
+    for task in tasks:
+        prompt = vocab.sequence(vocab.encode(task.prompt))
+        out = engine.policy_decode(model, prompt, policy(config))
+        assert out.sequence == greedy_decode(model, prompt, config).sequence
+        high_steps += out.cost.high_entropy_steps
+    assert high_steps > 0
+    first = vocab.sequence(vocab.encode(tasks[0].prompt))
+    assert cntp_decode(model, first, config).cost == CostLedger(
+        forward_passes=13, generated_tokens=13, high_entropy_steps=1, total_steps=4)
 
 
 def test_cntp_n_max_one_equals_stochastic(bundled, kgram_bundle):

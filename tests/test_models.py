@@ -10,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cntp import (
     DecodeConfig,
@@ -29,6 +31,9 @@ from cntp import (
     save_scripted_model,
     train_kgram,
 )
+from cntp.harness import bundled_path
+
+from conftest import make_random_scripted
 
 
 @pytest.fixture
@@ -49,6 +54,35 @@ def test_scripted_accepts_prefix_in_any_shape(tiny_model):
     as_tuple = tiny_model.next_distribution((0,))
     assert tiny_model.next_distribution([0]) is as_tuple
     assert tiny_model.next_distribution(Sequence((0,), "a")) is as_tuple
+
+
+# Cursors are checked against next_distribution on: a random scripted model
+# whose rows run three tokens deep, the bundled k-gram model (k=3) and a
+# k=2 model trained here, whose unseen contexts share one row.
+_CURSOR_MODELS = (
+    make_random_scripted(np.random.default_rng(8), width=3, depth=3),
+    load_kgram_model(bundled_path("kgram.kgram")),
+    train_kgram("abcab. bca? cab.", 2, 0.5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_CURSOR_MODELS))), st.data())
+def test_cursor_reads_what_next_distribution_reads(which, data):
+    model = _CURSOR_MODELS[which]
+    ids = st.integers(0, len(model.vocabulary) - 1)
+    prefix = tuple(data.draw(st.lists(ids, max_size=8), label="prefix"))
+    walk = data.draw(st.lists(ids, min_size=1, max_size=8), label="walk")
+    assert model.start(prefix).dist() is model.next_distribution(prefix)
+    # start accepts a prefix in any shape, as next_distribution does
+    assert model.start(list(prefix)).dist() is model.next_distribution(prefix)
+    cursor = model.start(prefix)
+    for tok in walk:
+        advanced = cursor.advance(tok)
+        prefix += (tok,)
+        assert advanced.dist() is model.next_distribution(prefix)
+        assert cursor.advance(tok).dist() is advanced.dist()  # immutable: forks agree
+        cursor = advanced
 
 
 def test_scripted_returns_bitwise_identical_rows(tiny_model):

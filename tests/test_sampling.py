@@ -132,6 +132,29 @@ def test_sample_token_frequencies_match_binomial():
     assert abs(hits / n - 0.7) <= 3 * sigma
 
 
+def _searchsorted_token(dist: Distribution, u: float) -> int:
+    """The numpy draw sample_token replaced: np.searchsorted on the
+    support's cumsum, clamped to the last supported token."""
+    support = np.flatnonzero(dist.probs)
+    cum = np.cumsum(dist.probs[support])
+    return int(support[min(int(np.searchsorted(cum, u, side="left")), support.size - 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3, 0.7]), min_size=1, max_size=9)
+       .filter(any), st.floats(0.0, 1.0, exclude_max=True))
+def test_sample_token_bisect_equals_searchsorted(weights, u):
+    arr = np.asarray(weights)
+    dist = Distribution(arr / arr.sum())
+    cum = np.cumsum(dist.probs[dist.probs > 0]).tolist()
+    # u on every cumsum entry, just either side of it, past the last one
+    # (the running mass can end below 1), and the drawn u.
+    us = [u, 0.0, math.nextafter(1.0, 0.0), math.nextafter(cum[-1], 2.0)]
+    us += [v for c in cum for v in (c, math.nextafter(c, 0.0), math.nextafter(c, 2.0))]
+    for v in us:
+        assert sample_token(dist, ScriptedUniforms([v])) == _searchsorted_token(dist, v)
+
+
 def test_greedy_token_ties_break_low():
     assert greedy_token(Distribution([0.7, 0.3])) == 0
     assert greedy_token(Distribution([0.5, 0.5])) == 0
