@@ -96,17 +96,6 @@ def branch_score(probs) -> tuple[float, float]:
     return nll, math.exp(nll / len(probs))
 
 
-def select_best(trials) -> int:
-    """Index of the lowest-perplexity trial; ties keep the lowest index."""
-    if not trials:
-        raise ValueError("select_best needs at least one trial")
-    best = 0
-    for i in range(1, len(trials)):
-        if trials[i].ppl < trials[best].ppl:
-            best = i
-    return best
-
-
 def stop_mask(vocabulary, punctuation) -> tuple[bool, ...]:
     """Which tokens close a branch: eos, or any surface containing a
     punctuation character. Built once per punctuation set and cached on
@@ -240,18 +229,18 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         if base is None:  # T=0: the trials still draw, from one-hot rows
             base = Rng(config.seed)
         step_rng = base.derive(step)  # derive(step, i) == derive(step).derive(i)
-        trials, ends = [], []
+        # Only the running best trial is kept, so memory is flat in n. It has
+        # the lowest perplexity; a strict < lets the lowest index win ties.
+        best = best_end = None
         for i in range(n):
             trial, calls, end = _grow_branch(cursor, dist, config, step_rng.derive(i),
                                              answer_len, eos, stops)
             passes += calls
             generated += len(trial.tokens)
-            trials.append(trial)
-            ends.append(end)
-        b = select_best(trials)
-        best = trials[b]
+            if best is None or trial.ppl < best.ppl:
+                best, best_end = trial, end
         tokens.extend(best.tokens)
-        cursor = ends[b].advance(best.tokens[-1])
+        cursor = best_end.advance(best.tokens[-1])
         trace.append(StepTrace(h, n, best.ppl, None))
 
     cost = CostLedger(

@@ -1,5 +1,5 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON.
+models, and a remote client speaking newline-delimited JSON (wire 1 and 2).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
@@ -266,12 +266,41 @@ def load_kgram_model(path: str) -> KGramModel:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
+# The wire protocol's version; README, "Wire protocol", describes both.
+WIRE_VERSION = 2
+# Longest request or reply line, newline included. A reply row takes at most
+# 25 bytes a token, so this fits a vocabulary of 670 000 tokens.
+LINE_CAP = 1 << 24
+# Rows the client interns by reply line, and reply lines the server keeps by
+# row; past it the oldest entry goes.
+ROW_CACHE = 1024
+
+
+def _remember(cache: dict, key, value) -> None:
+    if len(cache) >= ROW_CACHE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _shared_length(a: tuple, b: tuple) -> int:
+    """How many leading tokens a and b share."""
+    n = min(len(a), len(b))
+    if a[:n] == b[:n]:  # one extends or repeats the other, as most requests do
+        return n
+    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+
+
 class RemoteModel(ModelSource):
     """Client for the line-delimited JSON protocol.
 
-    On connect the server sends one hello record with the vocabulary; after
-    that each request {"prefix": [ids]} is answered by {"probs": [...]}.
-    Requests are serialized per connection; every record is type-checked.
+    On connect the server sends one hello record with the vocabulary and the
+    wire version it speaks. Each request names a prefix, and the reply is
+    {"probs": [...]}. To a wire-2 server a request names it as a delta on the
+    prefix of the last request answered, {"keep": n, "append": [ids]};
+    otherwise, and after any error, it sends {"prefix": [ids]}. Equal reply
+    lines give the same Distribution, so a repeated row is neither parsed
+    nor validated again and keeps its sampling caches. Requests are
+    serialized per connection; every record is type-checked.
     """
 
     def __init__(self, address: str, timeout: float = 10.0):
@@ -285,11 +314,16 @@ class RemoteModel(ModelSource):
             raise ProtocolError(f"cannot connect to {address}: {exc}") from exc
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
+        self._rows: dict[bytes, Distribution] = {}
+        self._held: tuple[TokenId, ...] | None = None  # the prefix the server holds
         try:
-            hello = check_fields(self._exchange(b""), {"tokens": "[str]", "eos": "int"},
-                                 ProtocolError, f"{address}: hello record")
+            hello = self._record(self._exchange(b""))
+            where = f"{address}: hello record"
+            fields = check_fields(hello, {"tokens": "[str]", "eos": "int"}, ProtocolError, where)
+            wire = check_fields(hello, {"wire": "int"}, ProtocolError, where, optional=True)
+            self._deltas = wire.get("wire", 1) >= 2
             try:
-                self.vocabulary = Vocabulary(hello["tokens"], hello["eos"])
+                self.vocabulary = Vocabulary(fields["tokens"], fields["eos"])
             except ValueError as exc:
                 raise ProtocolError(f"{address}: bad vocabulary in hello: {exc}") from exc
         except BaseException:
@@ -297,26 +331,31 @@ class RemoteModel(ModelSource):
             self.close()
             raise
 
-    def _exchange(self, request: bytes):
-        """Send request (empty for none) and read one record back."""
+    def _exchange(self, request: bytes) -> bytes:
+        """Send request (empty for none) and read one line back. A failed
+        read leaves the stream out of step, so it closes the connection."""
         try:
             self._file.write(request)
             self._file.flush()
-            line = self._file.readline()
-        except OSError as exc:  # a reset or timed-out connection
+            line = self._file.readline(LINE_CAP + 1)
+        except (OSError, ValueError) as exc:  # reset, timed out, or closed before
+            self.close()
             raise ProtocolError(f"{self.address}: connection failed: {exc}") from exc
         if not line:
             raise ProtocolError(f"{self.address}: connection closed by server")
+        if len(line) > LINE_CAP:
+            self.close()
+            raise ProtocolError(f"{self.address}: reply line longer than {LINE_CAP} bytes")
+        return line
+
+    def _record(self, line: bytes):
         record = parse_json(line, ProtocolError, self.address)
         if type(record) is dict and "error" in record:
             raise ProtocolError(f"{self.address}: server error: {record['error']}")
         return record
 
-    def next_distribution(self, prefix) -> Distribution:
-        request = json_line({"prefix": list(_prefix_key(prefix))}).encode()
-        with self._lock:
-            record = self._exchange(request)
-        probs = check_fields(record, {"probs": "[real]"}, ProtocolError,
+    def _row(self, line: bytes) -> Distribution:
+        probs = check_fields(self._record(line), {"probs": "[real]"}, ProtocolError,
                              f"{self.address}: response")["probs"]
         try:
             dist = Distribution(probs)
@@ -327,11 +366,50 @@ class RemoteModel(ModelSource):
                                 f"vocabulary has {len(self.vocabulary)}")
         return dist
 
+    def next_distribution(self, prefix) -> Distribution:
+        key = _prefix_key(prefix)
+        with self._lock:
+            held, self._held = self._held, None  # unknown until this request is answered
+            if held is None or not self._deltas:
+                request = {"prefix": list(key)}
+            else:
+                keep = _shared_length(held, key)
+                request = {"keep": keep, "append": list(key[keep:])}
+            line = self._exchange(json_line(request).encode())
+            dist = self._rows.get(line)
+            if dist is None:
+                dist = self._row(line)
+                _remember(self._rows, line, dist)
+            self._held = key
+        return dist
+
     def close(self) -> None:
         try:
             self._file.close()
+        except OSError:  # a broken connection cannot flush
+            pass
         finally:
             self._sock.close()
+
+
+def _requested_prefix(record, held: tuple[TokenId, ...] | None,
+                      size: int) -> tuple[TokenId, ...]:
+    """The prefix a request names: whole, or as a delta on held, the prefix
+    of the connection's last answered request (None before one)."""
+    if type(record) is dict and "keep" in record:
+        fields = check_fields(record, {"keep": "int", "append": "[int]"}, ProtocolError,
+                              "request", closed=True)
+        keep, ids = fields["keep"], fields["append"]
+        if held is None:
+            raise ProtocolError("request: keep needs an answered request before it")
+        if not 0 <= keep <= len(held):
+            raise ProtocolError(f"request: keep must be in 0..{len(held)}, got {keep}")
+    else:
+        ids = check_fields(record, {"prefix": "[int]"}, ProtocolError, "request")["prefix"]
+        held, keep = (), 0
+    if ids and not 0 <= min(ids) <= max(ids) < size:
+        raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
+    return held[:keep] + tuple(ids)
 
 
 class ModelServer:
@@ -340,6 +418,8 @@ class ModelServer:
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
+        self._lines: dict[Distribution, bytes] = {}  # each row's reply line
+        self._lines_lock = threading.Lock()
         self._listener = socket.create_server((host, port))
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.address = f"{actual_host}:{actual_port}"
@@ -354,24 +434,37 @@ class ModelServer:
                 return
             threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
 
+    def _reply(self, dist: Distribution) -> bytes:
+        line = self._lines.get(dist)
+        if line is None:
+            line = json_line({"probs": dist.probs.tolist()}).encode()
+            with self._lines_lock:
+                _remember(self._lines, dist, line)
+        return line
+
     def _serve_one(self, conn: socket.socket) -> None:
         vocab = self._model.vocabulary
+        held = None  # the prefix of this connection's last answered request
         try:
             with conn, conn.makefile("rwb") as fh:
-                fh.write(json_line({"tokens": list(vocab.tokens), "eos": vocab.eos_id}).encode())
+                fh.write(json_line({"tokens": list(vocab.tokens), "eos": vocab.eos_id,
+                                    "wire": WIRE_VERSION}).encode())
                 fh.flush()
-                for line in fh:
+                while line := fh.readline(LINE_CAP + 1):
+                    if len(line) > LINE_CAP:  # the rest of the line is never read
+                        fh.write(json_line({"error": f"request: line longer than {LINE_CAP} "
+                                                     "bytes; closing the connection"}).encode())
+                        fh.flush()
+                        return
                     try:
-                        prefix = check_fields(parse_json(line, ProtocolError, "request"),
-                                              {"prefix": "[int]"}, ProtocolError,
-                                              "request")["prefix"]
-                        if prefix and not 0 <= min(prefix) <= max(prefix) < len(vocab):
-                            raise ProtocolError(f"request: prefix ids outside 0..{len(vocab) - 1}")
-                        dist = self._model.next_distribution(tuple(prefix))
-                        reply = {"probs": dist.probs.tolist()}
+                        prefix = _requested_prefix(parse_json(line, ProtocolError, "request"),
+                                                   held, len(vocab))
+                        reply = self._reply(self._model.next_distribution(prefix))
+                        held = prefix
                     except Exception as exc:  # a bad request or a failing model: report it
-                        reply = {"error": str(exc)}
-                    fh.write(json_line(reply).encode())
+                        held = None
+                        reply = json_line({"error": str(exc)}).encode()
+                    fh.write(reply)
                     fh.flush()
         except OSError:
             pass

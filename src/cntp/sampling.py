@@ -7,8 +7,8 @@ return new validated distributions; the input is never mutated.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,13 +24,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-@lru_cache(maxsize=4096)  # key parts repeat: step indices, trial indices, seeds
-def _mix_part(part: int) -> int:
-    return _mix64((part + _GOLDEN) & _M64)
+# Key parts are step, trial and path indices, mostly small, so the mix of
+# each part below 4096 is computed once. A table, unlike a cache, never grows
+# or evicts, so a step of 20 000 trials holds no more memory than one of 2000.
+_SMALL_PARTS = array("Q", (_mix64((part + _GOLDEN) & _M64) for part in range(4096)))
 
 
 def _fold(h: int, part: int) -> int:
-    return _mix64(h ^ _mix_part(part))
+    mixed = _SMALL_PARTS[part] if part < 4096 else _mix64((part + _GOLDEN) & _M64)
+    return _mix64(h ^ mixed)
 
 
 class Rng:

@@ -12,7 +12,7 @@ import pytest
 
 import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
-from cntp.harness import build_fixture_suite, bundled_path, resolve_model, run_one
+from cntp.harness import build_fixture_suite, bundled_path, load_tasks, resolve_model, run_one
 from cntp.harness.cli import main
 
 
@@ -420,3 +420,25 @@ def test_replay_of_a_record_whose_config_leaves_the_seed_at_its_default(tmp_path
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     assert main(["replay", "--record", str(path)]) == 0
     assert "seed 0" in capsys.readouterr().out
+
+
+def test_decodes_through_a_serve_stub_process_match_local_decodes(capsys):
+    """cntp decode --model remote: against a cntp serve-stub process, for
+    cntp on every bundled k-gram task: the output and the ledger line."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cntp.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen(
+            [sys.executable, "-m", "cntp.harness.cli", "serve-stub", "--model", "bundled:kgram",
+             "--duration", "300"], stdout=subprocess.PIPE, text=True, env=env) as proc:
+        try:
+            address = proc.stdout.readline().split()[-1]
+            for task in load_tasks(bundled_path("kgram.tasks")):
+                args = ["--prompt", task.prompt, "--strategy", "cntp", "--config",
+                        "bundled:kgram", "--out", ""]
+                outputs = []
+                for model in (f"remote:{address}", "bundled:kgram"):
+                    assert main(["decode", "--model", model, *args]) == 0
+                    outputs.append(capsys.readouterr().out)
+                assert outputs[0] == outputs[1], task.id
+        finally:
+            proc.terminate()

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +20,13 @@ from cntp import (
     Rng,
     ScriptedModel,
     Sequence,
-    Trial,
     Vocabulary,
     beam_search_decode,
     cntp_decode,
     confidence,
     entropy,
     greedy_decode,
-    select_best,
+    sample_token,
     stochastic_decode,
     stop_mask,
     train_kgram,
@@ -137,15 +137,48 @@ def test_stored_ppl_matches_recomputation():
         assert abs(ppl - math.exp(nll / len(probs))) <= 1e-9
 
 
-def test_select_best_argmin_with_low_index_ties():
-    def trial(ppl):
-        return Trial((0,), (1.0,), 0.0, ppl, "eos")
+def _one_step_model(row):
+    """Every token but eos ends a branch, so each trial is one token; after
+    the first step the default row forces eos."""
+    vocab = Vocabulary(("a.", "b.", "c.", ""), 3)
+    return ScriptedModel(vocab, {(): Distribution(row)}, Distribution([0.0, 0.0, 0.0, 1.0]))
 
-    assert select_best([trial(4.0), trial(2.0), trial(3.0)]) == 1
-    assert select_best([trial(2.0), trial(2.0)]) == 0
-    assert select_best([trial(9.0)]) == 0
-    with pytest.raises(ValueError):
-        select_best([])
+
+def test_policy_decode_keeps_the_lowest_ppl_trial_and_the_lowest_index_on_ties():
+    # a. and b. tie on perplexity 2.5 and both beat c. (5.0): the step keeps
+    # the first trial that drew a. or b., and c. only when all three drew it.
+    model = _one_step_model([0.4, 0.4, 0.2, 0.0])
+    root = model.next_distribution(())
+    ties = 0
+    for seed in range(200):
+        config = DecodeConfig(h_min=0.01, h_max=0.05, n_max=3, temperature=1.0, top_p=1.0,
+                              seed=seed)
+        drawn = [sample_token(root, Rng(seed).derive(0, i)) for i in range(3)]
+        ppl = [branch_score((root.probs[tok],))[1] for tok in drawn]
+        winner = min(range(3), key=lambda i: (ppl[i], i))
+        outcome = cntp_decode(model, Sequence((), ""), config)
+        assert outcome.sequence.tokens == (drawn[winner], 3), seed
+        assert outcome.per_step_trace[0].chosen_ppl == ppl[winner]
+        ties += {drawn[winner], 2} != set(drawn)  # a. and b. both drawn
+    assert ties > 20
+
+
+def test_policy_decode_memory_is_flat_in_the_trial_count():
+    model = _one_step_model([0.5, 0.5, 0.0, 0.0])
+
+    def peak(n_max):
+        config = DecodeConfig(h_min=0.01, h_max=0.05, n_max=n_max, temperature=1.0, top_p=1.0)
+        tracemalloc.start()
+        try:
+            outcome = cntp_decode(model, Sequence((), ""), config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.per_step_trace[0].n_trials == n_max
+        return peak
+
+    small, large = peak(2_000), peak(20_000)
+    assert large <= 2 * small, (small, large)
 
 
 def test_stop_mask_flags_punctuation_and_eos():

@@ -3,8 +3,9 @@
 Arbitrary JSON values, raw bytes, and valid documents with one field
 replaced or dropped go to each file loader, to read_records, to RemoteModel
 as hello and response lines from a stub socket, and to ModelServer as
-request lines. Only ConfigError, ModelFileError and ProtocolError may
-escape, and the CLI reading the same input exits with a code in 0..4.
+request lines of both wire versions. Only ConfigError, ModelFileError and
+ProtocolError may escape, and the CLI reading the same input exits with a
+code in 0..4.
 
 Run with CI=1 to replay the derandomized examples a CI failure reports.
 """
@@ -200,7 +201,7 @@ _HELLO = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2}).encode()
 
 
 @settings(max_examples=40, deadline=None)
-@given(documents({"tokens": ["a.", "b.", ""], "eos": 2}))
+@given(documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 2}))
 def test_remote_hello_lines(hello):
     with _stub_server(_line(hello)) as address:
         try:
@@ -235,8 +236,8 @@ def served(workdir):
             yield fh
 
 
-@settings(max_examples=60, deadline=None)
-@given(documents({"prefix": [0, 1]}))
+@settings(max_examples=90, deadline=None)
+@given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]}))
 def test_server_request_lines(served, request):
     served.write(_line(request))
     served.flush()

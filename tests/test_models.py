@@ -3,10 +3,14 @@ training and smoothing, and the line-delimited remote protocol."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import socket
 import struct
+import sys
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from cntp import (
     Distribution,
     KGramModel,
     ModelFileError,
+    ModelSource,
     ModelServer,
     ProtocolError,
     RemoteModel,
@@ -32,6 +37,8 @@ from cntp import (
     train_kgram,
 )
 from cntp.harness import bundled_path
+from cntp.harness.cli import main
+from cntp.models import LINE_CAP
 
 from conftest import make_random_scripted
 
@@ -452,3 +459,277 @@ def test_server_answers_mistyped_or_out_of_range_ids_with_an_error(tiny_model):
 def test_kgram_rejects_counts_outside_its_vocabulary_and_k(counts, message):
     with pytest.raises(ValueError, match=message):
         KGramModel(Vocabulary(("a", "b", ""), 2), 2, 0.5, counts)
+
+
+class _PrefixHashModel(ModelSource):
+    """Rows keyed by a checksum of the whole prefix: a server that applied a
+    delta to the wrong prefix would almost always answer another row."""
+
+    vocabulary = Vocabulary(("a", "b", "c", ""), 3)
+    rows = [Distribution(row) for row in np.random.default_rng(8).dirichlet(np.ones(4), 64)]
+
+    def next_distribution(self, prefix):
+        return self.rows[zlib.crc32(bytes(tuple(prefix))) % len(self.rows)]
+
+
+# One walk: each move extends the last prefix, forks back to a shorter one
+# and extends it, repeats it, or starts over from the empty prefix.
+_moves = st.lists(st.one_of(
+    st.tuples(st.just("extend"), st.lists(st.integers(0, 3), min_size=1, max_size=4)),
+    st.tuples(st.just("fork"), st.integers(0, 40), st.integers(0, 3)),
+    st.tuples(st.just("repeat")),
+    st.tuples(st.just("empty")),
+), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_moves)
+def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
+    model = _PrefixHashModel()
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        assert remote._deltas
+        prefix = ()
+        for move in moves:
+            if move[0] == "extend":
+                prefix += tuple(move[1])
+            elif move[0] == "fork":
+                prefix = prefix[:min(move[1], max(len(prefix) - 1, 0))] + (move[2],)
+            elif move[0] == "empty":
+                prefix = ()
+            got = remote.next_distribution(prefix)
+            assert got.probs.tobytes() == model.next_distribution(prefix).probs.tobytes()
+
+
+def _recording_server(replies, hello=None):
+    """A one-connection server that sends hello (a wire-2 one by default),
+    answers each request line with the next of replies and appends the
+    requests it read, parsed, to the list it returns with its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    requests = []
+    hello = hello or {"tokens": ["a", "b", ""], "eos": 2, "wire": 2}
+
+    def serve():
+        with listener:
+            conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as fh:
+            fh.write(json.dumps(hello).encode() + b"\n")
+            fh.flush()
+            for reply in replies:
+                line = fh.readline()
+                if not line:
+                    return
+                requests.append(json.loads(line))
+                fh.write(reply)
+                fh.flush()
+            fh.readline()  # until the client hangs up
+
+    threading.Thread(target=serve, daemon=True).start()
+    return f"127.0.0.1:{listener.getsockname()[1]}", requests
+
+
+_ROW = b'{"probs": [0.5, 0.25, 0.25]}\n'
+
+
+def test_client_sends_deltas_on_the_prefix_last_answered():
+    address, requests = _recording_server([_ROW] * 6)
+    with RemoteModel(address) as remote:
+        for prefix in ((0, 1), (0, 1, 1, 0), (0, 1, 0), (0, 1, 0), (), (1,)):
+            remote.next_distribution(prefix)
+    assert requests == [
+        {"prefix": [0, 1]},
+        {"keep": 2, "append": [1, 0]},  # extend
+        {"keep": 2, "append": [0]},  # fork one token back
+        {"keep": 3, "append": []},  # repeat
+        {"keep": 0, "append": []},  # the empty prefix
+        {"keep": 0, "append": [1]},
+    ]
+
+
+def test_client_speaks_wire_1_to_a_hello_without_a_version():
+    address, requests = _recording_server([_ROW] * 3, {"tokens": ["a", "b", ""], "eos": 2})
+    with RemoteModel(address) as remote:
+        assert not remote._deltas
+        for prefix in ((0,), (0, 1), (0, 1)):
+            remote.next_distribution(prefix)
+    assert requests == [{"prefix": [0]}, {"prefix": [0, 1]}, {"prefix": [0, 1]}]
+
+
+@pytest.mark.parametrize("bad_reply, error", [
+    (b'{"error": "no row"}\n', "server error"),
+    (b'{"probs": [0.5, 0.5]}\n', "entries"),
+    (b'{"probs": [0.5, 0.25]}\n', "failed validation"),
+    (b"not json\n", "invalid JSON"),
+], ids=["error-record", "short-row", "bad-row", "not-json"])
+def test_client_resends_the_whole_prefix_after_an_error(bad_reply, error):
+    address, requests = _recording_server([_ROW, bad_reply, _ROW, _ROW])
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        with pytest.raises(ProtocolError, match=error):
+            remote.next_distribution((0, 1))
+        remote.next_distribution((0, 1, 1))
+        remote.next_distribution((0, 1, 1, 0))
+    assert requests == [{"prefix": [0]}, {"keep": 1, "append": [1]}, {"prefix": [0, 1, 1]},
+                        {"keep": 3, "append": [0]}]
+
+
+def test_equal_reply_lines_give_the_same_distribution(tiny_model):
+    address, _ = _recording_server([_ROW, _ROW, b'{"probs": [0.5, 0.25, 0.25] }\n'])
+    with RemoteModel(address) as remote:
+        first, again, spaced = (remote.next_distribution(p) for p in ((0,), (1,), (0,)))
+    assert again is first
+    assert spaced is not first and spaced.probs.tobytes() == first.probs.tobytes()
+    with ModelServer(tiny_model) as server, RemoteModel(server.address) as remote:
+        # Two prefixes that share the default row, which is prepared once.
+        assert remote.next_distribution((1, 1)) is remote.next_distribution((0, 0))
+        assert remote.next_distribution(()) is not remote.next_distribution((1,))
+
+
+def _raw_connection(server):
+    host, port = server.address.rsplit(":", 1)
+    conn = socket.create_connection((host, int(port)), timeout=10)
+    fh = conn.makefile("rwb")
+    return conn, fh, json.loads(fh.readline())
+
+
+def _ask(fh, request) -> dict:
+    fh.write(json.dumps(request).encode() + b"\n")
+    fh.flush()
+    return json.loads(fh.readline())
+
+
+def test_server_serves_wire_1_and_wire_2_requests_on_one_connection():
+    model = _PrefixHashModel()
+
+    def row(prefix):
+        return {"probs": model.next_distribution(prefix).probs.tolist()}
+
+    with ModelServer(model) as server:
+        conn, fh, hello = _raw_connection(server)
+        with conn, fh:
+            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 2}
+            assert _ask(fh, {"prefix": [0, 1, 2]}) == row((0, 1, 2))
+            assert _ask(fh, {"keep": 3, "append": [2, 2]}) == row((0, 1, 2, 2, 2))
+            assert _ask(fh, {"keep": 1, "append": [0]}) == row((0, 0))
+            assert _ask(fh, {"prefix": [1]}) == row((1,))  # replaces the held prefix
+            assert _ask(fh, {"keep": 1, "append": []}) == row((1,))
+            assert _ask(fh, {"keep": 0, "append": []}) == row(())
+
+
+@pytest.mark.parametrize("request_, message", [
+    ({"keep": -1, "append": [0]}, "keep must be in 0..2"),
+    ({"keep": True, "append": [0]}, "keep must be an integer"),
+    ({"keep": 3, "append": [0]}, "keep must be in 0..2"),
+    ({"keep": 1.0, "append": [0]}, "keep must be an integer"),
+    ({"keep": 1}, "missing required field 'append'"),
+    ({"keep": 1, "append": [4]}, "prefix ids outside 0..3"),
+    ({"keep": 1, "append": [True]}, "append must be a list of integers"),
+    ({"keep": 1, "append": [0], "prefix": [0]}, "unknown field 'prefix'"),
+], ids=["negative", "bool", "past-the-held-prefix", "real", "no-append", "id-out-of-range",
+        "bool-id", "with-prefix"])
+def test_server_rejects_bad_deltas_and_keeps_serving(request_, message):
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            assert "error" in _ask(fh, {"keep": 0, "append": [0]})  # no prefix answered yet
+            assert "probs" in _ask(fh, {"prefix": [0, 1]})
+            reply = _ask(fh, request_)
+            assert list(reply) == ["error"] and message in reply["error"], reply
+            # An error drops the held prefix, so only a whole prefix is served next.
+            assert "answered request" in _ask(fh, {"keep": 0, "append": []})["error"]
+            assert _ask(fh, {"prefix": [2]})["probs"] == model.next_distribution((2,)).probs.tolist()
+
+
+class _FailingModel(_PrefixHashModel):
+    def next_distribution(self, prefix):
+        if tuple(prefix) == (1, 1):
+            raise ValueError("no row for 1 1")
+        return super().next_distribution(prefix)
+
+
+def test_client_recovers_from_a_model_error_with_the_whole_prefix():
+    model = _FailingModel()
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        assert remote.next_distribution((1,)) is remote.next_distribution((1,))
+        with pytest.raises(ProtocolError, match="no row for 1 1"):
+            remote.next_distribution((1, 1))
+        for prefix in ((1, 2), (1, 2, 0), (1,)):
+            assert remote.next_distribution(prefix).probs.tobytes() == \
+                model.next_distribution(prefix).probs.tobytes()
+
+
+def test_server_closes_a_connection_whose_request_line_is_over_the_cap(tiny_model):
+    # Valid JSON but for its length: the parent served it. Exactly LINE_CAP + 1
+    # bytes, so that the server reads all of it before it closes.
+    head, tail = b'{"prefix": [', b"0]}"
+    request = head + b" " * (LINE_CAP + 1 - len(head) - len(tail)) + tail
+    with ModelServer(tiny_model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            conn.sendall(request)
+            conn.shutdown(socket.SHUT_WR)
+            reply = json.loads(fh.readline())
+            assert list(reply) == ["error"] and "longer than" in reply["error"]
+            assert fh.readline() == b""
+        with RemoteModel(server.address) as remote:  # other connections are served
+            assert remote.next_distribution((0,)).probs.tolist() == [0.2, 0.2, 0.6]
+
+
+def test_client_rejects_a_reply_line_over_the_cap():
+    # A one-token vocabulary's row, valid JSON but for its length, sent
+    # without a newline: the client reads exactly LINE_CAP + 1 bytes of it.
+    head, tail = b'{"probs": [1.', b"]}"
+    reply = head + b"0" * (LINE_CAP + 1 - len(head) - len(tail)) + tail
+    hello = json.dumps({"tokens": [""], "eos": 0, "wire": 2}).encode() + b"\n"
+    with RemoteModel(_raw_server([hello, reply])) as remote:
+        with pytest.raises(ProtocolError, match=f"longer than {LINE_CAP} bytes"):
+            remote.next_distribution(())
+        with pytest.raises(ProtocolError, match="connection failed"):
+            remote.next_distribution(())  # the rest of the line was never read
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["decode", "--model", f"remote:{_raw_server([hello, reply])}",
+                     "--prompt", "", "--strategy", "greedy", "--out", ""])
+    assert code == 3 and "longer than" in err.getvalue()
+
+
+class _ManyRowsModel(_PrefixHashModel):
+    """More distinct rows than ROW_CACHE, so both sides' caches evict."""
+
+    rows = [Distribution(row) for row in np.random.default_rng(9).dirichlet(np.ones(4), 1500)]
+
+
+def test_threads_sharing_a_server_and_a_client_read_the_local_rows():
+    model = _ManyRowsModel()
+    errors = []
+
+    def walk(remote, seed):
+        rng = np.random.default_rng(seed)
+        prefix = ()
+        try:
+            for _ in range(400):
+                prefix = prefix[:int(rng.integers(0, len(prefix) + 1))] + (int(rng.integers(4)),)
+                got = remote.next_distribution(prefix).probs.tobytes()
+                if got != model.next_distribution(prefix).probs.tobytes():
+                    errors.append(prefix)
+        except Exception as exc:  # reported below: a thread cannot fail the test itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ModelServer(model) as server, RemoteModel(server.address) as shared:
+            own = [RemoteModel(server.address) for _ in range(3)]
+            try:
+                threads = [threading.Thread(target=walk, args=(remote, i))
+                           for i, remote in enumerate(own + [shared] * 3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                for remote in own:
+                    remote.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []

@@ -191,6 +191,16 @@ def test_derive_seed_is_stable_and_64_bit():
     assert derive_seed(123, 0, 1) != derive_seed(123, 1, 0)
 
 
+def test_rng_streams_keep_their_values():
+    # Key parts below, at and above the 4096 whose mixes sampling tabulates,
+    # and a 64-bit part; the values are those of the memoised mix before it.
+    assert Rng(7).derive(3, 4095).uniform().hex() == "0x1.348501ae1146dp-1"
+    assert Rng(7, (4096, 2**63)).uniform().hex() == "0x1.6917ad7def73ap-1"
+    assert Rng(0).derive(0, 0).uniform().hex() == "0x1.915d5343ef289p-1"
+    assert derive_seed(5, 0, 1, 4097) == 10558108599720113453
+    assert derive_seed(2**64 - 1, 12345678901234567890) == 10611361118182074562
+
+
 @st.composite
 def distributions(draw):
     weights = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=12))
