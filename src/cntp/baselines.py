@@ -12,7 +12,6 @@ import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Literal
 
 from .core import (
@@ -30,15 +29,11 @@ from .engine import confidence  # noqa: F401  bench/tracing.py patches it here b
 from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as confidence)
 
 
-@lru_cache(maxsize=256)  # DecodeConfig is frozen, so equal configs share one copy
-def _at_zero_temperature(config: DecodeConfig) -> DecodeConfig:
-    return dataclasses.replace(config, temperature=0.0)
-
-
 def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """Argmax decoding, ties to the lowest token id: the single-sample policy
     at temperature 0, so the config's temperature, top_p and seed do nothing."""
-    return policy_decode(model, prompt, SingleSamplePolicy(_at_zero_temperature(config)))
+    return policy_decode(model, prompt,
+                         SingleSamplePolicy(dataclasses.replace(config, temperature=0.0)))
 
 
 def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

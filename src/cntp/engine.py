@@ -157,9 +157,8 @@ class UniformMultisamplePolicy:
 
     config: DecodeConfig
     n: int
-    reads_confidence = False  # not a field: unannotated
 
-    def trials(self, h: float | None) -> int:
+    def trials(self, h: float) -> int:
         return self.n
 
 
@@ -175,9 +174,8 @@ class CntpPolicy:
     """The adaptive engine: trial_count maps confidence onto the budget."""
 
     config: DecodeConfig
-    reads_confidence = True
 
-    def trials(self, h: float | None) -> int:
+    def trials(self, h: float) -> int:
         return trial_count(h, self.config)
 
 

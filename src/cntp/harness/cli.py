@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 import time
 
@@ -38,6 +39,26 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+def _checked(kind, ok, what: str):
+    """An argparse type: kind(text), rejected as a usage error unless ok
+    holds for it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_WORKERS = _checked(int, lambda n: n >= 1, "an integer ≥ 1")
+_PORT = _checked(int, lambda n: 0 <= n <= 65535, "an integer in 0..65535")
+# NaN fails the comparison too.
+_DURATION = _checked(float, lambda s: 0 <= s < math.inf, "a finite number of seconds ≥ 0")
 
 
 def _bundled_names(kind: str) -> str:
@@ -96,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", required=True,
                    help="task file, or " + _bundled_names("tasks"))
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.add_argument("--out", default="runs", help="run-log directory")
     p.set_defaults(func=cmd_suite)
 
@@ -108,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values", required=True,
                    help="comma-separated; grid entries as TxP, e.g. 1.2x0.9")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_WORKERS, default=1)
     p.add_argument("--out", help="JSONL output path for ablation rows")
     p.set_defaults(func=cmd_ablate)
 
@@ -132,8 +153,8 @@ def build_parser() -> _Parser:
                        help="serve a model over the line-delimited TCP protocol")
     _add_model_flag(p)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
-    p.add_argument("--duration", type=float,
+    p.add_argument("--port", type=_PORT, default=0)
+    p.add_argument("--duration", type=_DURATION,
                    help="serve for this many seconds, then exit (default: forever)")
     p.set_defaults(func=cmd_serve_stub)
 
@@ -272,12 +293,11 @@ def cmd_serve_stub(args) -> int:
     with resolve_model(args.model) as model, \
             ModelServer(model, host=args.host, port=args.port) as server:
         print(f"serving {args.model} at {server.address}", flush=True)
+        # Slept in bounded steps: one sleep past the platform's time_t overflows.
+        deadline = time.monotonic() + (math.inf if args.duration is None else args.duration)
         try:
-            if args.duration is not None:
-                time.sleep(args.duration)
-            else:
-                while True:
-                    time.sleep(3600)
+            while (left := deadline - time.monotonic()) > 0:
+                time.sleep(min(left, 3600))
         except KeyboardInterrupt:
             pass
     return 0

@@ -244,6 +244,8 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         raise ValueError("no seeds given")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be unique")
+    if workers < 1:
+        raise ValueError("workers must be ≥ 1")
     canonical = canonical_strategy(strategy)
     jobs = [(seed, idx, task) for seed in seeds for idx, task in enumerate(tasks)]
 

@@ -135,7 +135,7 @@ def build_fixture_suite() -> tuple[ScriptedModel, list[Task], DecodeConfig]:
             extractor=AnswerExtractor("full_text"),
         ))
 
-    h_min, h_max = derive_thresholds(all_low, all_high, SUITE_N_MAX)
+    h_min, h_max = derive_thresholds(all_low, all_high)
     config = DecodeConfig(h_min=h_min, h_max=h_max, n_max=SUITE_N_MAX)
     validate_regimes(all_low, all_high, config)
     # Default row: forced eos, so every wrong turn ends the sequence.
@@ -162,19 +162,19 @@ KGRAM_SUITE_SIZE = 20
 KGRAM_ANSWER_LEN = 12
 
 
-def build_kgram_suite(corpus: str = KGRAM_CORPUS) -> tuple[KGramModel, list[Task], DecodeConfig]:
+def build_kgram_suite() -> tuple[KGramModel, list[Task], DecodeConfig]:
     """Twenty continuation tasks on a character model trained from the
     bundled corpus. Each reference is the model's own greedy continuation
     under the returned config (which caps answers at KGRAM_ANSWER_LEN
     tokens), so greedy scores 1.0 on this suite by construction."""
-    model = train_kgram(corpus, KGRAM_K, KGRAM_ALPHA)
+    model = train_kgram(KGRAM_CORPUS, KGRAM_K, KGRAM_ALPHA)
     config = DecodeConfig(global_cap=KGRAM_ANSWER_LEN)
     vocab = model.vocabulary
     tasks: list[Task] = []
     seen_prompts: set[str] = set()
     offset = 0
     while len(tasks) < KGRAM_SUITE_SIZE:
-        prompt = corpus[offset : offset + 6]
+        prompt = KGRAM_CORPUS[offset : offset + 6]
         offset += 29
         if len(prompt) < 6 or prompt in seen_prompts:
             continue

@@ -342,6 +342,7 @@ class RemoteModel(ModelSource):
             self.close()
             raise ProtocolError(f"{self.address}: connection failed: {exc}") from exc
         if not line:
+            self.close()
             raise ProtocolError(f"{self.address}: connection closed by server")
         if len(line) > LINE_CAP:
             self.close()

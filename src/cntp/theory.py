@@ -115,11 +115,11 @@ def _winner_probabilities(branches, n: int) -> list[float]:
 
 
 def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId, ...],
-               max_len: int | None, node_budget: int) -> _EnumResult:
+               node_budget: int) -> _EnumResult:
     config = policy.config
     eos = model.vocabulary.eos_id
     stops = stop_mask(model.vocabulary, config.punctuation)
-    cap = config.global_cap if max_len is None else min(max_len, config.global_cap)
+    cap = config.global_cap
     counter = [0]
     outcomes: list[tuple[tuple[TokenId, ...], float]] = []
     expected_cost = expected_steps = expected_high = 0.0
@@ -134,8 +134,7 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
             outcomes.append((node.tokens, node.probability))
             continue
         dist = model.next_distribution(node.tokens)
-        n = policy.trials(confidence(dist, config.confidence_measure)
-                          if policy.reads_confidence else None)
+        n = policy.trials(confidence(dist, config.confidence_measure))
         expected_steps += node.probability
         if n == 1:
             expected_cost += node.probability
@@ -163,12 +162,11 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
 
 
 def enumerate_outcomes(model: ModelSource, policy: Policy, prompt: Sequence | None = None,
-                       max_len: int | None = None,
                        node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[Sequence, float]]:
     """Every complete sequence the policy can emit, with its exact
     probability. Probabilities sum to 1."""
     prompt_tokens = prompt.tokens if prompt is not None else ()
-    result = _enumerate(model, policy, prompt_tokens, max_len, node_budget)
+    result = _enumerate(model, policy, prompt_tokens, node_budget)
     vocab = model.vocabulary
     return [(vocab.sequence(toks), p) for toks, p in result.outcomes]
 
@@ -181,12 +179,12 @@ def _answer_matches(outcome_tokens, prompt_len: int, eos: TokenId, reference_tok
 
 
 def exact_correctness(model: ModelSource, policy: Policy, reference: ReferenceSequence,
-                      prompt: Sequence | None = None, max_len: int | None = None,
+                      prompt: Sequence | None = None,
                       node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Exact probability that the policy emits the reference answer (a
     trailing eos on the outcome is not part of the answer)."""
     prompt_tokens = prompt.tokens if prompt is not None else ()
-    result = _enumerate(model, policy, prompt_tokens, max_len, node_budget)
+    result = _enumerate(model, policy, prompt_tokens, node_budget)
     eos = model.vocabulary.eos_id
     return sum(
         p for toks, p in result.outcomes
@@ -195,12 +193,11 @@ def exact_correctness(model: ModelSource, policy: Policy, reference: ReferenceSe
 
 
 def expected_cost(model: ModelSource, policy: Policy, prompt: Sequence | None = None,
-                  max_len: int | None = None,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Probability-weighted forward passes under the engine's ledger
     convention: one pass per sampled token per trial."""
     prompt_tokens = prompt.tokens if prompt is not None else ()
-    return _enumerate(model, policy, prompt_tokens, max_len, node_budget).expected_cost
+    return _enumerate(model, policy, prompt_tokens, node_budget).expected_cost
 
 
 def enumerate_sequences(model: ModelSource, prompt: Sequence | None = None,
@@ -276,7 +273,7 @@ class Theorem1Fixture:
     branch_style: str = "punct"
 
 
-def derive_thresholds(low_entropies, high_entropies, n_max):
+def derive_thresholds(low_entropies, high_entropies):
     """Pick (h_min, h_max) so declared regimes bind: every high entropy sits
     a clear margin above h_max (saturating to n_max trials even after the
     multiply-then-divide rounding in trial_count) and every low entropy a
@@ -428,7 +425,7 @@ def build_theorem1_fixture(per_step, *, n_max: int = 10, width: int = 8,
     reference, low_entropies, high_entropies = script_plan(
         vocab, table, per_step, (), width, branch_style
     )
-    h_min, h_max = derive_thresholds(low_entropies, high_entropies, n_max)
+    h_min, h_max = derive_thresholds(low_entropies, high_entropies)
     config = DecodeConfig(h_min=h_min, h_max=h_max, n_max=n_max, temperature=1.0, top_p=1.0)
     validate_regimes(low_entropies, high_entropies, config)
     eos_row = table[reference]
@@ -485,8 +482,8 @@ def check_theorem1(fixture: Theorem1Fixture,
     """Exact dominance and cost report for one fixture. Violations are
     reported through the returned fields, never raised."""
     config = fixture.config
-    single = _enumerate(fixture.model, SingleSamplePolicy(config), (), None, node_budget)
-    adaptive = _enumerate(fixture.model, CntpPolicy(config), (), None, node_budget)
+    single = _enumerate(fixture.model, SingleSamplePolicy(config), (), node_budget)
+    adaptive = _enumerate(fixture.model, CntpPolicy(config), (), node_budget)
     eos = fixture.model.vocabulary.eos_id
     ref = fixture.reference.tokens
     p_single = sum(p for toks, p in single.outcomes if _answer_matches(toks, 0, eos, ref))
@@ -548,16 +545,15 @@ def write_fixture(fixture: Theorem1Fixture, model_path: str) -> None:
     write_json(base + ".config.json", config_to_dict(fixture.config))
 
 
-def load_fixture(model_path: str, ref_path: str | None = None,
-                 config_path: str | None = None, name: str = "") -> Theorem1Fixture:
+def load_fixture(model_path: str, name: str = "") -> Theorem1Fixture:
+    """Read a fixture as write_fixture writes it: the .model file and its sidecars."""
     base = model_path[:-6] if model_path.endswith(".model") else model_path
     model = load_scripted_model(model_path)
-    ref_path = ref_path or base + ".ref"
-    config_path = config_path or base + ".config.json"
+    ref_path = base + ".ref"
     ref_tokens = tuple(check_fields(read_json(ref_path, ModelFileError), {"tokens": "[int]"},
                                     ModelFileError, ref_path)["tokens"])
     if any(not 0 <= t < len(model.vocabulary) for t in ref_tokens):
         raise ModelFileError(f"{ref_path}: tokens hold ids outside the model's vocabulary")
-    config = load_config(config_path)
+    config = load_config(base + ".config.json")
     reference = ReferenceSequence(ref_tokens, model.vocabulary.text(ref_tokens))
     return Theorem1Fixture(model, reference, config, name=name or model_path)

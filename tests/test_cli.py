@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,21 @@ def test_serve_stub_runs_for_duration(capsys):
     assert "serving" in out
 
 
+def test_serve_stub_sleeps_a_long_duration_in_bounded_steps(monkeypatch, capsys):
+    """A single sleep of 1e12 s overflows the platform's time_t."""
+    naps = []
+
+    def nap(seconds):
+        naps.append(seconds)
+        if len(naps) == 3:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(time, "sleep", nap)
+    assert main(["serve-stub", "--model", "bundled:kgram", "--duration", "1e12"]) == 0
+    assert "serving" in capsys.readouterr().out
+    assert naps == [3600, 3600, 3600]
+
+
 def test_remote_decode_matches_local(capsys):
     server = ModelServer(resolve_model("bundled:kgram"))
     try:
@@ -264,6 +280,36 @@ def test_config_values_out_of_range_exit_1(tmp_path, config, message, capsys):
                "--config", str(path), "--out", ""])
     assert rc == 1
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+_SUITE = ["--model", "bundled:suite", "--tasks", "bundled:suite", "--config", "bundled:suite",
+          "--seeds", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["serve-stub", "--model", "bundled:suite", "--port", "70000"],
+     "--port: must be an integer in 0..65535, got '70000'"),
+    (["serve-stub", "--model", "bundled:suite", "--port", "-1"],
+     "--port: must be an integer in 0..65535, got '-1'"),
+    (["serve-stub", "--model", "bundled:suite", "--duration", "inf"],
+     "--duration: must be a finite number of seconds ≥ 0, got 'inf'"),
+    (["serve-stub", "--model", "bundled:suite", "--duration", "-1"],
+     "--duration: must be a finite number of seconds ≥ 0, got '-1'"),
+    (["serve-stub", "--model", "bundled:suite", "--duration", "nan"],
+     "--duration: must be a finite number of seconds ≥ 0, got 'nan'"),
+    (["suite", *_SUITE, "--workers", "-2"], "--workers: must be an integer ≥ 1, got '-2'"),
+    (["suite", *_SUITE, "--workers", "0"], "--workers: must be an integer ≥ 1, got '0'"),
+    (["ablate", *_SUITE, "--axis", "n_max_sweep", "--values", "1,2", "--workers", "-2"],
+     "--workers: must be an integer ≥ 1, got '-2'"),
+], ids=["port-past-65535", "negative-port", "infinite-duration", "negative-duration",
+        "nan-duration", "negative-workers", "zero-workers", "ablate-negative-workers"])
+def test_out_of_range_flags_exit_1_before_anything_starts(tmp_path, monkeypatch, argv,
+                                                          message, capsys):
+    monkeypatch.chdir(tmp_path)  # where suite writes its default runs/ directory
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert f"usage error: argument {message}" in err
 
 
 def test_theorem_over_its_node_budget_exits_1(capsys):

@@ -49,6 +49,7 @@ from cntp.harness import (
 )
 from cntp.harness import runner
 from cntp.harness.ablation import format_count, variant
+from cntp.harness.cli import main
 from cntp.harness.runner import STRATEGIES, aggregate_records, match_answer, read_records
 from cntp.harness.tasks import bundled_spec
 
@@ -237,6 +238,9 @@ def test_run_suite_rejects_bad_inputs(suite_bundle):
         run_suite(model, tasks[:1], "greedy", config, [1, 1])
     with pytest.raises(ValueError, match="no tasks"):
         run_suite(model, [], "greedy", config, [0])
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be ≥ 1"):
+            run_suite(model, tasks[:1], "greedy", config, [0], workers=workers)
 
 
 def test_run_suite_writes_replayable_artifacts(tmp_path, kgram_bundle):
@@ -305,6 +309,22 @@ def test_replay_checks_voted_answers(kgram_bundle):
     tampered = dataclasses.replace(record, answer="nope")
     with pytest.raises(ReplayMismatchError, match="answer"):
         replay(tampered, model)
+
+
+def test_replay_reports_a_record_that_stops_short(tmp_path, kgram_bundle, capsys):
+    """A record whose tokens are a strict prefix of the replayed ones agrees
+    at every step it has, so only the lengths tell the two apart."""
+    model, tasks, config = kgram_bundle
+    record, _ = run_one(model, tasks[0], "greedy", config, model_spec="bundled:kgram")
+    n = len(record.tokens)
+    short = dataclasses.replace(record, tokens=record.tokens[:-1])
+    with pytest.raises(ReplayMismatchError,
+                       match=f"first diverging step {n - 1}: length {n - 1} became {n}"):
+        replay(short, model)
+    path = runner.write_run(str(tmp_path), 0, [short])
+    assert main(["replay", "--record", path]) == 4
+    assert f"replay mismatch: task kg00: first diverging step {n - 1}: length {n - 1} " \
+           f"became {n}" in capsys.readouterr().err
 
 
 def test_replay_needs_a_model_source(kgram_bundle):

@@ -38,7 +38,7 @@ from cntp import (
 )
 from cntp.harness import bundled_path
 from cntp.harness.cli import main
-from cntp.models import LINE_CAP
+from cntp.models import LINE_CAP, ROW_CACHE
 
 from conftest import make_random_scripted
 
@@ -429,6 +429,16 @@ def test_remote_reports_a_reset_connection_as_a_backend_error():
     thread.join()
 
 
+def test_remote_closes_its_connection_when_the_server_hangs_up():
+    hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
+    with RemoteModel(_raw_server([hello])) as remote:
+        with pytest.raises(ProtocolError, match="connection closed by server"):
+            remote.next_distribution(())
+        assert remote._sock.fileno() == -1
+        with pytest.raises(ProtocolError, match="connection failed"):
+            remote.next_distribution(())
+
+
 def test_server_answers_mistyped_or_out_of_range_ids_with_an_error(tiny_model):
     with ModelServer(tiny_model) as server:
         host, port = server.address.rsplit(":", 1)
@@ -733,3 +743,28 @@ def test_threads_sharing_a_server_and_a_client_read_the_local_rows():
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+def test_row_caches_drop_their_oldest_rows_past_row_cache():
+    model = _ManyRowsModel()
+    # Prefixes with distinct rows, 100 more than either cache holds.
+    prefixes, seen = [], set()
+    for n in range(4**6):
+        prefix = tuple(n >> shift & 3 for shift in range(0, 12, 2))
+        row = id(model.next_distribution(prefix))
+        if row not in seen:
+            seen.add(row)
+            prefixes.append(prefix)
+        if len(prefixes) == ROW_CACHE + 100:
+            break
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        first = remote.next_distribution(prefixes[0])
+        for prefix in prefixes[1:]:
+            remote.next_distribution(prefix)
+        assert len(remote._rows) == len(server._lines) == ROW_CACHE
+        assert first not in remote._rows.values()
+        assert model.next_distribution(prefixes[0]) not in server._lines
+        again = remote.next_distribution(prefixes[0])
+        assert again is not first
+        assert again.probs.tobytes() == model.next_distribution(prefixes[0]).probs.tobytes()
+        assert len(remote._rows) == len(server._lines) == ROW_CACHE

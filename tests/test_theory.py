@@ -66,7 +66,8 @@ def _by_tokens(outcomes):
 
 def test_enumerate_outcomes_depth_one():
     model = _one_step_model([0.7, 0.3, 0.0])
-    got = _by_tokens(enumerate_outcomes(model, SingleSamplePolicy(PLAIN), max_len=1))
+    one_token = dataclasses.replace(PLAIN, global_cap=1)
+    got = _by_tokens(enumerate_outcomes(model, SingleSamplePolicy(one_token)))
     assert set(got) == {(0,), (1,)}
     assert got[(0,)] == pytest.approx(0.7, abs=1e-12)
     assert got[(1,)] == pytest.approx(0.3, abs=1e-12)
@@ -264,10 +265,24 @@ def test_selection_premise_violation_breaks_dominance():
     assert not report.dominance_holds
 
 
+def test_assumption1_fails_where_the_reference_is_never_sampled():
+    """The reference token has no mass at a multi-trial step, so no branch
+    carries it: the survey stops there and reports the assumption broken."""
+    vocab = Vocabulary(("a.", "b.", "c.", ""), 3)
+    row = Distribution([0.0, 0.5, 0.5, 0.0])
+    model = ScriptedModel(vocab, {(): row}, Distribution([0.0, 0.0, 0.0, 1.0]))
+    config = DecodeConfig(h_min=0.3, h_max=0.6, n_max=5, temperature=1.0, top_p=1.0)
+    fixture = Theorem1Fixture(model, ReferenceSequence((0,), "a."), config, name="absent")
+    assert _assumption1_survey(fixture, 10_000) == (False, True, [])
+    report = check_theorem1(fixture)
+    assert report.assumption1_holds is False
+    assert report.p_single_correct == report.p_cntp_correct == 0.0
+
+
 def test_derive_thresholds_margins_and_infeasibility():
-    assert derive_thresholds([0.3], [1.2], 10) == pytest.approx((0.35, 1.15))
+    assert derive_thresholds([0.3], [1.2]) == pytest.approx((0.35, 1.15))
     with pytest.raises(ConfigError, match="infeasible"):
-        derive_thresholds([1.2], [0.8], 5)
+        derive_thresholds([1.2], [0.8])
 
 
 def test_validate_regimes_rejects_a_non_binding_plan():
