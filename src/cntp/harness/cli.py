@@ -55,7 +55,7 @@ def _checked(kind, ok, what: str):
     return parse
 
 
-_WORKERS = _checked(int, lambda n: n >= 1, "an integer ≥ 1")
+_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer ≥ 1")
 _PORT = _checked(int, lambda n: 0 <= n <= 65535, "an integer in 0..65535")
 # NaN fails the comparison too.
 _DURATION = _checked(float, lambda s: 0 <= s < math.inf, "a finite number of seconds ≥ 0")
@@ -117,7 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tasks", required=True,
                    help="task file, or " + _bundled_names("tasks"))
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seed list")
-    p.add_argument("--workers", type=_WORKERS, default=1)
+    p.add_argument("--workers", type=_AT_LEAST_ONE, default=1)
     p.add_argument("--out", default="runs", help="run-log directory")
     p.set_defaults(func=cmd_suite)
 
@@ -129,7 +129,7 @@ def build_parser() -> _Parser:
     p.add_argument("--values", required=True,
                    help="comma-separated; grid entries as TxP, e.g. 1.2x0.9")
     p.add_argument("--seeds", default="0,1,2,3,4")
-    p.add_argument("--workers", type=_WORKERS, default=1)
+    p.add_argument("--workers", type=_AT_LEAST_ONE, default=1)
     p.add_argument("--out", help="JSONL output path for ablation rows")
     p.set_defaults(func=cmd_ablate)
 
@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fixture",
                    help="fixture .model path (with .ref/.config.json sidecars); "
                         "default: the bundled fixture family")
-    p.add_argument("--node-budget", type=int, dest="node_budget", default=10_000_000)
+    p.add_argument("--node-budget", type=_AT_LEAST_ONE, dest="node_budget", default=10_000_000)
     p.set_defaults(func=cmd_theorem)
 
     p = sub.add_parser("train-kgram",

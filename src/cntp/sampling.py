@@ -132,9 +132,11 @@ def prepare_sampling_dist(dist: Distribution, config: DecodeConfig) -> Distribut
     return cached
 
 
-def _support_cumsum(dist: Distribution) -> tuple[list[int], list[float]]:
-    """The nonzero token ids and their running mass, as Python lists: a
-    bisect over a few floats costs less than a numpy call."""
+def support_cumsum(dist: Distribution) -> tuple[list[int], list[float]]:
+    """The tokens a row can produce: its nonzero ids in vocabulary order and
+    their running mass, as Python lists cached on the row. The sampler
+    bisects the mass (a bisect over a few floats costs less than a numpy
+    call); the enumeration oracle walks the ids."""
     cached = dist._cumsum
     if cached is None:
         support = np.flatnonzero(dist.probs)
@@ -147,7 +149,7 @@ def sample_token(dist: Distribution, rng) -> TokenId:
     """Inverse-CDF draw in vocabulary order from one uniform variate: the
     first token whose running mass reaches it (np.searchsorted's side="left"
     on the same doubles). Zero-probability tokens are never produced."""
-    support, cum = _support_cumsum(dist)
+    support, cum = support_cumsum(dist)
     idx = bisect_left(cum, rng.uniform())
     return support[idx if idx < len(support) else -1]
 

@@ -27,7 +27,7 @@ from .engine import UniformMultisamplePolicy  # noqa: F401  re-exported with the
 from .engine import (CntpPolicy, Policy, SingleSamplePolicy, branch_score, branch_stop,
                      confidence, entropy, stop_mask, trial_count)
 from .models import ModelSource, ScriptedModel, load_scripted_model, save_scripted_model
-from .sampling import prepare_sampling_dist
+from .sampling import prepare_sampling_dist, support_cumsum
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -42,16 +42,6 @@ class ReferenceSequence:
 
     tokens: tuple[TokenId, ...]
     text: str
-
-
-@dataclass(frozen=True)
-class _EnumerationNode:
-    """One decision point in the outcome tree: the tokens reached so far
-    (prompt included) and the exact probability of reaching them."""
-
-    tokens: tuple[TokenId, ...]
-    probability: float
-    answer_len: int
 
 
 @dataclass(frozen=True)
@@ -74,13 +64,12 @@ def _enumerate_branch_set(model, config, prefix, dist, answer_len, stops, eos, c
         if counter[0] > budget:
             raise EnumerationBudgetError(f"enumeration exceeded {budget} nodes")
         dist = first_dist if first_dist is not None else model.next_distribution(local)
-        q = prepare_sampling_dist(dist, config).probs
-        model_p = dist.probs
-        for tok in np.flatnonzero(q):
-            tok = int(tok)
+        q = prepare_sampling_dist(dist, config)
+        qp, model_p = q.probs, dist.probs
+        for tok in support_cumsum(q)[0]:
             toks2 = toks + (tok,)
             probs2 = model_probs + (float(model_p[tok]),)
-            qp2 = qprob * float(q[tok])
+            qp2 = qprob * float(qp[tok])
             if branch_stop(tok, len(toks2), answer_len, eos, stops, config) is not None:
                 nll, ppl = branch_score(probs2)
                 out.append((toks2, qp2, ppl, len(toks2)))
@@ -114,8 +103,10 @@ def _winner_probabilities(branches, n: int) -> list[float]:
     return winners
 
 
-def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId, ...],
+def _enumerate(model: ModelSource, policy: Policy, prompt: Sequence | None,
                node_budget: int) -> _EnumResult:
+    """Walk the outcome tree depth first. A node is (tokens reached so far,
+    prompt included; exact probability of reaching them; answer length)."""
     config = policy.config
     eos = model.vocabulary.eos_id
     stops = stop_mask(model.vocabulary, config.punctuation)
@@ -124,40 +115,34 @@ def _enumerate(model: ModelSource, policy: Policy, prompt_tokens: tuple[TokenId,
     outcomes: list[tuple[tuple[TokenId, ...], float]] = []
     expected_cost = expected_steps = expected_high = 0.0
 
-    stack = [_EnumerationNode(prompt_tokens, 1.0, 0)]
+    stack = [(prompt.tokens if prompt is not None else (), 1.0, 0)]
     while stack:
-        node = stack.pop()
+        tokens, prob, answer_len = stack.pop()
         counter[0] += 1
         if counter[0] > node_budget:
             raise EnumerationBudgetError(f"enumeration exceeded {node_budget} nodes")
-        if node.answer_len >= cap or (node.answer_len and node.tokens[-1] == eos):
-            outcomes.append((node.tokens, node.probability))
+        if answer_len >= cap or (answer_len and tokens[-1] == eos):
+            outcomes.append((tokens, prob))
             continue
-        dist = model.next_distribution(node.tokens)
+        dist = model.next_distribution(tokens)
         n = policy.trials(confidence(dist, config.confidence_measure))
-        expected_steps += node.probability
+        expected_steps += prob
         if n == 1:
-            expected_cost += node.probability
-            q = prepare_sampling_dist(dist, config).probs
-            for tok in np.flatnonzero(q):
-                tok = int(tok)
-                stack.append(_EnumerationNode(
-                    node.tokens + (tok,), node.probability * float(q[tok]),
-                    node.answer_len + 1,
-                ))
+            expected_cost += prob
+            q = prepare_sampling_dist(dist, config)
+            qp = q.probs
+            for tok in support_cumsum(q)[0]:
+                stack.append((tokens + (tok,), prob * float(qp[tok]), answer_len + 1))
         else:
-            expected_high += node.probability
+            expected_high += prob
             branches = _enumerate_branch_set(
-                model, config, node.tokens, dist, node.answer_len, stops, eos, counter,
-                node_budget,
+                model, config, tokens, dist, answer_len, stops, eos, counter, node_budget,
             )
             mean_len = sum(q * ln for _, q, _, ln in branches)
-            expected_cost += node.probability * n * mean_len
+            expected_cost += prob * n * mean_len
             for (toks, _, _, ln), win in zip(branches, _winner_probabilities(branches, n)):
                 if win > 0.0:
-                    stack.append(_EnumerationNode(
-                        node.tokens + toks, node.probability * win, node.answer_len + ln,
-                    ))
+                    stack.append((tokens + toks, prob * win, answer_len + ln))
     return _EnumResult(outcomes, expected_cost, expected_steps, expected_high)
 
 
@@ -165,17 +150,20 @@ def enumerate_outcomes(model: ModelSource, policy: Policy, prompt: Sequence | No
                        node_budget: int = DEFAULT_NODE_BUDGET) -> list[tuple[Sequence, float]]:
     """Every complete sequence the policy can emit, with its exact
     probability. Probabilities sum to 1."""
-    prompt_tokens = prompt.tokens if prompt is not None else ()
-    result = _enumerate(model, policy, prompt_tokens, node_budget)
     vocab = model.vocabulary
-    return [(vocab.sequence(toks), p) for toks, p in result.outcomes]
+    return [(vocab.sequence(toks), p)
+            for toks, p in _enumerate(model, policy, prompt, node_budget).outcomes]
 
 
-def _answer_matches(outcome_tokens, prompt_len: int, eos: TokenId, reference_tokens) -> bool:
-    toks = outcome_tokens[prompt_len:]
-    if toks and toks[-1] == eos:
-        toks = toks[:-1]
-    return toks == reference_tokens
+def _p_correct(result: _EnumResult, prompt_len: int, eos: TokenId, reference_tokens) -> float:
+    """Total probability of the outcomes whose answer (the tokens after the
+    prompt, less a trailing eos) is the reference."""
+
+    def answer(toks):
+        toks = toks[prompt_len:]
+        return toks[:-1] if toks and toks[-1] == eos else toks
+
+    return sum(p for toks, p in result.outcomes if answer(toks) == reference_tokens)
 
 
 def exact_correctness(model: ModelSource, policy: Policy, reference: ReferenceSequence,
@@ -183,21 +171,16 @@ def exact_correctness(model: ModelSource, policy: Policy, reference: ReferenceSe
                       node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Exact probability that the policy emits the reference answer (a
     trailing eos on the outcome is not part of the answer)."""
-    prompt_tokens = prompt.tokens if prompt is not None else ()
-    result = _enumerate(model, policy, prompt_tokens, node_budget)
-    eos = model.vocabulary.eos_id
-    return sum(
-        p for toks, p in result.outcomes
-        if _answer_matches(toks, len(prompt_tokens), eos, reference.tokens)
-    )
+    result = _enumerate(model, policy, prompt, node_budget)
+    return _p_correct(result, len(prompt) if prompt is not None else 0,
+                      model.vocabulary.eos_id, reference.tokens)
 
 
 def expected_cost(model: ModelSource, policy: Policy, prompt: Sequence | None = None,
                   node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Probability-weighted forward passes under the engine's ledger
     convention: one pass per sampled token per trial."""
-    prompt_tokens = prompt.tokens if prompt is not None else ()
-    return _enumerate(model, policy, prompt_tokens, node_budget).expected_cost
+    return _enumerate(model, policy, prompt, node_budget).expected_cost
 
 
 def enumerate_sequences(model: ModelSource, prompt: Sequence | None = None,
@@ -208,9 +191,8 @@ def enumerate_sequences(model: ModelSource, prompt: Sequence | None = None,
     for beam-search optimality checks."""
     vocab = model.vocabulary
     eos = vocab.eos_id
-    prompt_tokens = prompt.tokens if prompt is not None else ()
     out: list[tuple[Sequence, float]] = []
-    stack = [(prompt_tokens, 0.0, 0)]
+    stack = [(prompt.tokens if prompt is not None else (), 0.0, 0)]
     nodes = 0
     while stack:
         tokens, lp, answer_len = stack.pop()
@@ -220,9 +202,9 @@ def enumerate_sequences(model: ModelSource, prompt: Sequence | None = None,
         if answer_len >= max_answer_len or (answer_len and tokens[-1] == eos):
             out.append((vocab.sequence(tokens), lp))
             continue
-        probs = model.next_distribution(tokens).probs
-        for tok in np.flatnonzero(probs):
-            tok = int(tok)
+        dist = model.next_distribution(tokens)
+        probs = dist.probs
+        for tok in support_cumsum(dist)[0]:
             stack.append((tokens + (tok,), lp + math.log(float(probs[tok])), answer_len + 1))
     return out
 
@@ -437,7 +419,9 @@ def build_theorem1_fixture(per_step, *, n_max: int = 10, width: int = 8,
 def _assumption1_survey(fixture: Theorem1Fixture, node_budget: int):
     """Walk the reference path and verify that at every multi-trial step the
     correct continuation is present and has strictly the lowest perplexity
-    among all candidate branches."""
+    among all candidate branches. Returns (holds, any multi-trial step,
+    correct-token probabilities at those steps, the answer position where no
+    branch carried the reference and the walk stopped, or None)."""
     model, config = fixture.model, fixture.config
     eos = model.vocabulary.eos_id
     stops = stop_mask(model.vocabulary, config.punctuation)
@@ -459,22 +443,17 @@ def _assumption1_survey(fixture: Theorem1Fixture, node_budget: int):
         branches = _enumerate_branch_set(
             model, config, prefix, dist, pos, stops, eos, counter, node_budget
         )
-        correct_branch = None
-        for toks, q, ppl, ln in branches:
-            if toks == reference[pos : pos + ln]:
-                correct_branch = (toks, q, ppl, ln)
-                break
-        if correct_branch is None:
-            holds = False
-            break
-        _, _, correct_ppl, ln = correct_branch
+        correct = next((b for b in branches if b[0] == reference[pos : pos + b[3]]), None)
+        if correct is None:
+            return False, True, correct_probs, pos
+        correct_toks, _, correct_ppl, ln = correct
         correct_probs.append(float(dist.probs[reference[pos]]))
         for toks, _, ppl, _ in branches:
-            if toks != correct_branch[0] and not ppl > correct_ppl:
+            if toks != correct_toks and not ppl > correct_ppl:
                 holds = False
-        prefix += correct_branch[0]
+        prefix += correct_toks
         pos += ln
-    return holds, any_multi, correct_probs
+    return holds, any_multi, correct_probs, None
 
 
 def check_theorem1(fixture: Theorem1Fixture,
@@ -482,22 +461,25 @@ def check_theorem1(fixture: Theorem1Fixture,
     """Exact dominance and cost report for one fixture. Violations are
     reported through the returned fields, never raised."""
     config = fixture.config
-    single = _enumerate(fixture.model, SingleSamplePolicy(config), (), node_budget)
-    adaptive = _enumerate(fixture.model, CntpPolicy(config), (), node_budget)
+    single = _enumerate(fixture.model, SingleSamplePolicy(config), None, node_budget)
+    adaptive = _enumerate(fixture.model, CntpPolicy(config), None, node_budget)
     eos = fixture.model.vocabulary.eos_id
     ref = fixture.reference.tokens
-    p_single = sum(p for toks, p in single.outcomes if _answer_matches(toks, 0, eos, ref))
-    p_cntp = sum(p for toks, p in adaptive.outcomes if _answer_matches(toks, 0, eos, ref))
+    p_single = _p_correct(single, 0, eos, ref)
+    p_cntp = _p_correct(adaptive, 0, eos, ref)
     steps = adaptive.expected_steps
     frac_high = adaptive.expected_high / steps if steps else 0.0
     bound = steps * (1.0 + frac_high * (config.n_max - 1))
-    holds, any_multi, correct_probs = _assumption1_survey(fixture, node_budget)
+    holds, any_multi, correct_probs, stopped = _assumption1_survey(fixture, node_budget)
+    notes = []
     if correct_probs:
-        note = ("multi-trial steps see correct-candidate probabilities "
-                + ", ".join(f"{p:.3f}" for p in correct_probs)
-                + "; selection succeeds once any trial draws the candidate")
-    else:
-        note = "no multi-trial step on the reference path"
+        notes.append("multi-trial steps see correct-candidate probabilities "
+                     + ", ".join(f"{p:.3f}" for p in correct_probs)
+                     + "; selection succeeds once any trial draws the candidate")
+    if stopped is not None:
+        notes.append(f"no branch carries the reference at the multi-trial step at answer "
+                     f"position {stopped}, where the survey stopped")
+    note = "; ".join(notes) or "no multi-trial step on the reference path"
     return TheoremReport(
         p_single_correct=p_single,
         p_cntp_correct=p_cntp,

@@ -4,9 +4,11 @@ name fail the tests, not only the traced benchmark run."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import pathlib
 
+from cntp import theory
 from cntp.harness import runner
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -38,3 +40,18 @@ def test_bench_tracer_installs_traces_and_uninstalls(suite_bundle):
     assert values["models.calls"] > 0
     assert values["sampling.draws"] > 0
     assert values["baselines.decode_s.greedy"] > 0
+
+
+def test_bench_tracer_sees_the_oracle(bundled):
+    """The oracle reads its model and prepares rows through the names the
+    tracer patches; a walk that routed around them would read 0 here."""
+    case_a = next(f for f in bundled if f.name == "case_a")
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        theory.check_theorem1(dataclasses.replace(case_a, model=tracer.model(case_a.model)))
+    finally:
+        tracer.uninstall()
+    values = tracer.snapshot()
+    assert values["theory.model_calls"] > 0
+    assert values["theory.prepare_s"] > 0

@@ -301,8 +301,11 @@ _SUITE = ["--model", "bundled:suite", "--tasks", "bundled:suite", "--config", "b
     (["suite", *_SUITE, "--workers", "0"], "--workers: must be an integer ≥ 1, got '0'"),
     (["ablate", *_SUITE, "--axis", "n_max_sweep", "--values", "1,2", "--workers", "-2"],
      "--workers: must be an integer ≥ 1, got '-2'"),
+    (["theorem", "--node-budget", "0"], "--node-budget: must be an integer ≥ 1, got '0'"),
+    (["theorem", "--node-budget", "-1"], "--node-budget: must be an integer ≥ 1, got '-1'"),
 ], ids=["port-past-65535", "negative-port", "infinite-duration", "negative-duration",
-        "nan-duration", "negative-workers", "zero-workers", "ablate-negative-workers"])
+        "nan-duration", "negative-workers", "zero-workers", "ablate-negative-workers",
+        "zero-node-budget", "negative-node-budget"])
 def test_out_of_range_flags_exit_1_before_anything_starts(tmp_path, monkeypatch, argv,
                                                           message, capsys):
     monkeypatch.chdir(tmp_path)  # where suite writes its default runs/ directory

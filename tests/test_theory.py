@@ -5,6 +5,7 @@ fixture family."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -273,10 +274,14 @@ def test_assumption1_fails_where_the_reference_is_never_sampled():
     model = ScriptedModel(vocab, {(): row}, Distribution([0.0, 0.0, 0.0, 1.0]))
     config = DecodeConfig(h_min=0.3, h_max=0.6, n_max=5, temperature=1.0, top_p=1.0)
     fixture = Theorem1Fixture(model, ReferenceSequence((0,), "a."), config, name="absent")
-    assert _assumption1_survey(fixture, 10_000) == (False, True, [])
+    assert _assumption1_survey(fixture, 10_000) == (False, True, [], 0)
     report = check_theorem1(fixture)
     assert report.assumption1_holds is False
     assert report.p_single_correct == report.p_cntp_correct == 0.0
+    # A multi-trial step exists, so the note names where the survey stopped.
+    assert report.strict is True
+    assert report.assumption2_note == ("no branch carries the reference at the multi-trial "
+                                       "step at answer position 0, where the survey stopped")
 
 
 def test_derive_thresholds_margins_and_infeasibility():
@@ -341,6 +346,47 @@ def test_oracle_reads_each_prefix_once(bundled):
     reads.clear()
     _assumption1_survey(Theorem1Fixture(model, case_a.reference, case_a.config), 10_000)
     assert reads == [(), (0,), (0, 1)]
+
+
+# sha256 of _oracle_float_lines. The oracle's floats are exact claims, so a
+# change to any of them must be deliberate and re-pin this.
+ORACLE_FLOATS_SHA256 = "a1fb50fdf1fd97e25ff30e4ecd95abadc72b8afe27013bfff42356c31ea17752"
+
+
+def _oracle_float_lines(reports, suite_bundle) -> list[str]:
+    """float.hex of every float field of the bundled reports, of the exact
+    correctness of each suite task under single-sample and cntp, and of the
+    outcome probabilities and expected cost of three random models."""
+    lines = []
+    for name, report in sorted(reports.items()):
+        for field in dataclasses.fields(report):
+            value = getattr(report, field.name)
+            if isinstance(value, float):
+                lines.append(f"{name} {field.name} {value.hex()}")
+    model, tasks, config = suite_bundle
+    vocab = model.vocabulary
+    for task in tasks:
+        prompt = vocab.sequence(vocab.encode(task.prompt))
+        ref = ReferenceSequence(vocab.encode(task.reference_answer), task.reference_answer)
+        for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
+            p = exact_correctness(model, policy, ref, prompt)
+            lines.append(f"{task.id} {type(policy).__name__} {p.hex()}")
+    config = DecodeConfig(h_min=0.6, h_max=1.4, n_max=4, temperature=0.7, top_p=0.8)
+    for seed in range(3):
+        random_model = make_random_scripted(np.random.default_rng(seed), width=4, depth=3)
+        for policy in (SingleSamplePolicy(config), CntpPolicy(config),
+                       UniformMultisamplePolicy(config, 2)):
+            label = f"random{seed} {type(policy).__name__}"
+            for seq, p in enumerate_outcomes(random_model, policy):
+                lines.append(f"{label} {seq.tokens} {p.hex()}")
+            lines.append(f"{label} cost {expected_cost(random_model, policy).hex()}")
+    return lines
+
+
+def test_oracle_floats_are_pinned(bundled_reports, suite_bundle):
+    lines = _oracle_float_lines(bundled_reports, suite_bundle)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORACLE_FLOATS_SHA256, "\n".join(lines)
 
 
 def test_fixture_files_round_trip(tmp_path, bundled):
