@@ -162,8 +162,7 @@ def self_consistency(decode_fn: DecodeFn, model: ModelSource, prompt: Sequence,
     tally = VoteTally()
     total = CostLedger()
     for i in range(n_paths):
-        path_config = dataclasses.replace(config, seed=derive_seed(config.seed, i))
-        outcome = decode_fn(model, prompt, path_config)
+        outcome = decode_fn(model, prompt, config.with_seed(derive_seed(config.seed, i)))
         generated = vocab.sequence(outcome.sequence.tokens[prompt_len:])
         tally.add(extractor.extract(generated, vocab))
         total = total + outcome.cost
@@ -182,8 +181,7 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
     best_ppl = float("inf")
     total = CostLedger()
     for i in range(n):
-        run_config = dataclasses.replace(config, seed=derive_seed(config.seed, i))
-        outcome = stochastic_decode(model, prompt, run_config)
+        outcome = stochastic_decode(model, prompt, config.with_seed(derive_seed(config.seed, i)))
         total = total + outcome.cost
         probs = [t.chosen_prob for t in outcome.per_step_trace]
         _, ppl = branch_score(probs) if probs else (0.0, float("inf"))

@@ -200,11 +200,41 @@ class DecodeConfig:
         if not isinstance(self.punctuation, frozenset):
             object.__setattr__(self, "punctuation", frozenset(self.punctuation))
 
+    def with_seed(self, seed: int) -> "DecodeConfig":
+        """This config with another seed: equal to dataclasses.replace(self,
+        seed=seed), but only the seed is checked, since every other field
+        was checked when this config was built."""
+        check_seed(seed)
+        config = object.__new__(type(self))
+        # Field by field, as __init__ sets them. Copying __dict__ instead
+        # builds the instance dicts that CPython otherwise keeps inline, and
+        # every later attribute read (the engine's are per token) slows.
+        for name in _CONFIG_FIELDS:
+            object.__setattr__(config, name, seed if name == "seed" else getattr(self, name))
+        return config
+
+
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(DecodeConfig))
 
 # Typed fields. Neither kind takes a bool, and the int fields take no numpy
 # integer: records serialize the config with json.
 _REAL_FIELDS = ("h_min", "h_max", "temperature", "top_p")
 _INT_FIELDS = ("n_max", "branch_cap", "global_cap", "seed")
+
+
+def _check_int(name: str, value) -> None:
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed) -> int:
+    """Return the seed unchanged, or raise the ConfigError validate_config
+    raises for it: a seed is an int, not a bool or a numpy integer, in
+    0..2**64-1."""
+    _check_int("seed", seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be a 64-bit unsigned integer")
+    return seed
 
 
 def validate_config(config: DecodeConfig) -> DecodeConfig:
@@ -216,9 +246,7 @@ def validate_config(config: DecodeConfig) -> DecodeConfig:
         if not isinstance(value, float) and type(value) is not int:
             raise ConfigError(f"{name} must be a real number, got {value!r}")
     for name in _INT_FIELDS:
-        value = getattr(config, name)
-        if type(value) is not int:
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        _check_int(name, getattr(config, name))
     if not math.isfinite(config.h_min) or config.h_min < 0:
         raise ConfigError("h_min must be ≥ 0")
     if not math.isfinite(config.h_max) or not config.h_min < config.h_max:
@@ -240,8 +268,7 @@ def validate_config(config: DecodeConfig) -> DecodeConfig:
         raise ConfigError("branch_cap must be ≥ 1")
     if config.global_cap < 1:
         raise ConfigError("global_cap must be ≥ 1")
-    if not 0 <= config.seed < 2**64:
-        raise ConfigError("seed must be a 64-bit unsigned integer")
+    check_seed(config.seed)
     if config.confidence_measure not in CONFIDENCE_MEASURES:
         raise ConfigError(f"confidence_measure must be one of {CONFIDENCE_MEASURES}")
     if config.trial_scaling not in TRIAL_SCALINGS:
@@ -343,8 +370,9 @@ _CONFIG_KINDS = {**dict.fromkeys(_REAL_FIELDS, "real"), **dict.fromkeys(_INT_FIE
 
 
 def config_to_dict(config: DecodeConfig) -> dict:
-    """JSON-ready snapshot; the punctuation set becomes a sorted string."""
-    d = dataclasses.asdict(config)
+    """JSON-ready snapshot, in field order; the punctuation set becomes a
+    sorted string. Every other field is an immutable scalar, so no copy."""
+    d = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     d["punctuation"] = "".join(sorted(config.punctuation))
     return d
 

@@ -13,8 +13,8 @@ import math
 import sys
 import time
 
-from ..core import (CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, config_from_dict,
-                    load_config, read_text)
+from ..core import (CONFIDENCE_MEASURES, TRIAL_SCALINGS, DecodeConfig, check_seed,
+                    config_from_dict, load_config, read_text)
 from ..models import ModelFileError, ModelServer, ProtocolError, save_kgram_model, train_kgram
 from ..theory import EnumerationBudgetError, bundled_fixtures, check_theorem1, load_fixture
 from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
@@ -184,9 +184,9 @@ def _build_config(args, root: str) -> DecodeConfig:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"bad seed list {text!r}") from exc
+        seeds = [check_seed(int(part)) for part in text.split(",") if part.strip()]
+    except ValueError as exc:  # ConfigError included
+        raise _UsageError(f"bad seed list {text!r}: {exc}") from exc
     if not seeds:
         raise _UsageError("empty seed list")
     return seeds

@@ -26,7 +26,8 @@ from ..baselines import (
     stochastic_decode,
 )
 from ..core import (CostLedger, DecodeConfig, DecodeOutcome, ModelFileError, check_fields,
-                    config_from_dict, config_to_dict, read_lines, write_json, write_lines)
+                    check_seed, config_from_dict, config_to_dict, read_lines, write_json,
+                    write_lines)
 from ..core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
 from ..engine import cntp_decode
 from ..models import ModelSource, ProtocolError, RemoteModel, load_kgram_model, load_scripted_model
@@ -87,7 +88,10 @@ def parse_strategy(text: str) -> tuple[str, int | None]:
 
 
 def canonical_strategy(text: str) -> str:
-    root, width = parse_strategy(text)
+    return _strategy_text(*parse_strategy(text))
+
+
+def _strategy_text(root: str, width: int | None) -> str:
     return f"{root}:{width}" if width is not None else root
 
 
@@ -135,13 +139,16 @@ class RunRecord:
 _JSON_KINDS = {"str": "str", "int": "int", "bool": "bool", "float": "real", "dict": "object",
                "tuple[int, ...]": "[int]"}
 _RECORD_KINDS = {f.name: _JSON_KINDS[f.type] for f in dataclasses.fields(RunRecord)}
-_COST_KINDS = dict.fromkeys((f.name for f in dataclasses.fields(CostLedger)), "int")
+_COST_FIELDS = tuple(f.name for f in dataclasses.fields(CostLedger))
+_COST_KINDS = dict.fromkeys(_COST_FIELDS, "int")
 
 
 def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
-            *, model_spec: str = "") -> tuple[RunRecord, DecodeOutcome | None]:
+            *, model_spec: str = "",
+            record_seed: int | None = None) -> tuple[RunRecord, DecodeOutcome | None]:
     """Execute one strategy on one task. The record's seed field holds
-    config.seed; suite runs overwrite it with the suite-level seed."""
+    record_seed, or config.seed when it is None; suite runs pass the
+    suite-level seed."""
     root, width = parse_strategy(strategy)
     vocab = model.vocabulary
     try:
@@ -170,18 +177,18 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
         tokens = ()
     record = RunRecord(
         task_id=task.id,
-        strategy=canonical_strategy(strategy),
+        strategy=_strategy_text(root, width),
         model_spec=model_spec,
         prompt=task.prompt,
         reference_answer=task.reference_answer,
         extractor=extractor_to_string(task.extractor),
         config=config_to_dict(config),
-        seed=config.seed,
+        seed=config.seed if record_seed is None else record_seed,
         tokens=tokens,
         output=output,
         answer=answer,
         correct=match_answer(answer, task.reference_answer),
-        cost=dataclasses.asdict(cost),
+        cost={name: getattr(cost, name) for name in _COST_FIELDS},
         wall_time=wall_time,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
@@ -242,6 +249,8 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         raise ValueError("no tasks to run")
     if not seeds:
         raise ValueError("no seeds given")
+    for seed in seeds:
+        check_seed(seed)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be unique")
     if workers < 1:
@@ -251,9 +260,8 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
 
     def execute(job):
         seed, idx, task = job
-        cfg = dataclasses.replace(config, seed=derive_seed(seed, idx))
-        record, _ = run_one(model, task, canonical, cfg, model_spec=model_spec)
-        return dataclasses.replace(record, seed=seed)
+        cfg = config.with_seed(derive_seed(seed, idx))
+        return run_one(model, task, canonical, cfg, model_spec=model_spec, record_seed=seed)[0]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

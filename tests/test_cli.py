@@ -13,7 +13,8 @@ import pytest
 
 import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
-from cntp.harness import build_fixture_suite, bundled_path, load_tasks, resolve_model, run_one
+from cntp.harness import (AblationSpec, build_fixture_suite, bundled_path, load_tasks,
+                           resolve_model, run_ablation, run_one, run_suite)
 from cntp.harness.cli import main
 
 
@@ -313,6 +314,31 @@ def test_out_of_range_flags_exit_1_before_anything_starts(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == "" and list(tmp_path.iterdir()) == []
     assert f"usage error: argument {message}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["suite", *_SUITE[:-2], "--strategy", "greedy"],
+    ["ablate", *_SUITE[:-2], "--axis", "n_max_sweep", "--values", "1,2"],
+], ids=["suite", "ablate"])
+@pytest.mark.parametrize("seeds", ["18446744073709551616", "-1", "0,18446744073709551616"])
+def test_seeds_outside_64_bits_exit_1(tmp_path, monkeypatch, command, seeds, capsys):
+    """A seed past 2**64-1 or below 0 is not wrapped into range: 2**64
+    would decode exactly what seed 0 decodes."""
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, "--seeds", seeds]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert "usage error: bad seed list" in err
+    assert "seed must be a 64-bit unsigned integer" in err
+
+
+@pytest.mark.parametrize("seed", [2**64, -1, True, 1.0])
+def test_run_suite_and_run_ablation_reject_seeds_outside_64_bits(seed, suite_bundle):
+    model, tasks, config = suite_bundle
+    with pytest.raises(ValueError, match="seed must be"):
+        run_suite(model, tasks, "greedy", config, [0, seed])
+    with pytest.raises(ValueError, match="seed must be"):
+        run_ablation(AblationSpec("n_max_sweep", (1, 2)), config, model, tasks, [seed])
 
 
 def test_theorem_over_its_node_budget_exits_1(capsys):

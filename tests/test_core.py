@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cntp import (
     DEFAULT_PUNCTUATION,
@@ -22,6 +24,7 @@ from cntp import (
     load_config,
     validate_config,
 )
+from cntp.core import CONFIDENCE_MEASURES, TRIAL_SCALINGS
 
 
 def test_vocabulary_basics():
@@ -164,6 +167,52 @@ def test_config_dict_round_trip():
     assert data["punctuation"] == "!."  # sorted into a stable string
     assert config_from_dict(data) == config
     assert json.loads(json.dumps(data)) == data
+
+
+@st.composite
+def valid_configs(draw) -> DecodeConfig:
+    h_min = draw(st.integers(0, 5) | st.floats(0, 5))
+    return DecodeConfig(
+        h_min=h_min,
+        h_max=h_min + draw(st.floats(0.01, 5)),
+        n_max=draw(st.integers(1, 10**6)),
+        temperature=draw(st.just(0.0) | st.integers(0, 3) | st.floats(1e-300, 5)),
+        top_p=draw(st.floats(0, 1, exclude_min=True)),
+        punctuation=draw(st.just(DEFAULT_PUNCTUATION) | st.frozensets(st.characters(),
+                                                                       max_size=4)),
+        branch_cap=draw(st.integers(1, 10**9)),
+        global_cap=draw(st.integers(1, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        confidence_measure=draw(st.sampled_from(CONFIDENCE_MEASURES)),
+        trial_scaling=draw(st.sampled_from(TRIAL_SCALINGS)),
+    )
+
+
+@given(valid_configs(), st.integers(0, 2**64 - 1))
+def test_with_seed_equals_replace(config, seed):
+    swapped = config.with_seed(seed)
+    replaced = dataclasses.replace(config, seed=seed)
+    assert type(swapped) is DecodeConfig and swapped.seed == seed
+    assert swapped == replaced and hash(swapped) == hash(replaced)
+    assert config_to_dict(swapped) == config_to_dict(replaced)
+    assert list(config_to_dict(swapped)) == list(config_to_dict(replaced))
+
+
+@given(valid_configs())
+def test_config_dict_matches_the_asdict_form(config):
+    old = dataclasses.asdict(config)
+    old["punctuation"] = "".join(sorted(config.punctuation))
+    assert json.dumps(config_to_dict(config)) == json.dumps(old)
+
+
+@given(valid_configs(), st.booleans() | st.integers(max_value=-1) | st.integers(min_value=2**64)
+       | st.integers(0, 2**63 - 1).map(np.int64) | st.integers(0, 2**64 - 1).map(np.uint64))
+def test_with_seed_rejects_what_validate_config_rejects(config, seed):
+    with pytest.raises(ConfigError) as expected:
+        dataclasses.replace(config, seed=seed)
+    with pytest.raises(ConfigError) as swapped:
+        config.with_seed(seed)
+    assert str(swapped.value) == str(expected.value)
 
 
 def test_config_from_dict_rejects_unknown_keys():

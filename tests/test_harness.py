@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import filecmp
+import hashlib
 import json
 import os
 import statistics
@@ -21,6 +22,7 @@ from cntp import (
     ProtocolError,
     ScriptedModel,
     Vocabulary,
+    load_config,
     train_kgram,
 )
 from cntp.harness import (
@@ -253,6 +255,30 @@ def test_run_suite_writes_replayable_artifacts(tmp_path, kgram_bundle):
     with open(os.path.join(result.run_dir, "aggregate.json"), encoding="utf-8") as fh:
         agg = json.load(fh)
     assert agg["accuracy_mean"] == pytest.approx(result.aggregate.accuracy_mean)
+
+
+# sha256 of the record lines of every strategy on the bundled suite at seeds
+# 0-2, without wall_time and timestamp; see test_suite_records_are_pinned.
+SUITE_RECORDS_SHA256 = "6ff8069ece1a001080215157d4fb656e24717a6374ffd567b9634d2416d763c0"
+
+
+def test_suite_records_are_pinned():
+    """Every record field but the two clock readings, for all seven
+    strategies, is bit-identical to what the record builder wrote before it
+    stopped copying dataclasses."""
+    model = resolve_model("bundled:suite")
+    tasks = load_tasks(bundled_path("suite.tasks"))
+    config = load_config(bundled_path("suite.config.json"))
+    lines = []
+    for strategy in ("greedy", "stochastic", "cntp", "beam:4", "sc:5", "cntp_sc:5",
+                     "best_of_n:5"):
+        for record in run_suite(model, tasks, strategy, config, [0, 1, 2]).records:
+            data = record.to_dict()
+            del data["wall_time"], data["timestamp"]
+            lines.append(json.dumps(data))
+    assert len(lines) == 7 * len(tasks) * 3
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SUITE_RECORDS_SHA256
 
 
 def _record(task_id, seed, correct):
