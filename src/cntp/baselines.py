@@ -8,7 +8,6 @@ stochastic run the engine's own decode loop.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -32,8 +31,8 @@ from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as con
 def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """Argmax decoding, ties to the lowest token id: the single-sample policy
     at temperature 0, so the config's temperature, top_p and seed do nothing."""
-    return policy_decode(model, prompt,
-                         SingleSamplePolicy(dataclasses.replace(config, temperature=0.0)))
+    # 0.0 is always a valid temperature, so the copy skips validate_config.
+    return policy_decode(model, prompt, SingleSamplePolicy(config._with("temperature", 0.0)))
 
 
 def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
@@ -51,7 +50,8 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     Finished beams are frozen and keep competing on their final score.
     All ties break toward the lexicographically smallest token sequence.
     Beams report no per-step trace; the ledger counts one pass and one
-    generated token per expanded beam per round.
+    generated token per expanded beam per round. Each round reads its live
+    beams' rows in one model.next_distributions call.
     """
     if beam_width < 1:
         raise ValueError("beam width must be ≥ 1")
@@ -64,8 +64,11 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     beams: list[tuple[float, int, int, tuple | None, Cursor | None]] = [
         (0.0, 0, 0, None, model.start(prompt_tokens))]
     passes = generated = rounds = 0
-    while any(beam[4] is not None for beam in beams):
+    while live := [cursor for *_, cursor in beams if cursor is not None]:
         rounds += 1
+        passes += len(live)
+        generated += len(live)
+        rows = iter(model.next_distributions(live))
         # Beams hold distinct tokens, live ones all the same number and
         # finished ones no more, and none is a prefix of another. So
         # candidates sort by tokens as by (their beam's rank, the token
@@ -75,9 +78,7 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
             if cursor is None:
                 candidates.append((-lp, rank, -1, b))
                 continue
-            passes += 1
-            generated += 1
-            for tok, p in enumerate(cursor.dist().probs.tolist()):
+            for tok, p in enumerate(next(rows).probs.tolist()):
                 if p > 0.0:
                     candidates.append((-(lp + math.log(p)), rank, tok, b))
         survivors = heapq.nsmallest(beam_width, candidates)

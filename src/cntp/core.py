@@ -204,13 +204,16 @@ class DecodeConfig:
         """This config with another seed: equal to dataclasses.replace(self,
         seed=seed), but only the seed is checked, since every other field
         was checked when this config was built."""
-        check_seed(seed)
+        return self._with("seed", check_seed(seed))
+
+    def _with(self, key: str, value) -> "DecodeConfig":
+        """This config with one field set to a value the caller has checked."""
         config = object.__new__(type(self))
         # Field by field, as __init__ sets them. Copying __dict__ instead
         # builds the instance dicts that CPython otherwise keeps inline, and
         # every later attribute read (the engine's are per token) slows.
         for name in _CONFIG_FIELDS:
-            object.__setattr__(config, name, seed if name == "seed" else getattr(self, name))
+            object.__setattr__(config, name, value if name == key else getattr(self, name))
         return config
 
 
@@ -290,6 +293,7 @@ _KINDS = {
     "[real]": ({list}, {float, int}, "a list of real numbers"),
     "[str]": ({list}, {str}, "a list of strings"),
     "[object]": ({list}, {dict}, "a list of JSON objects"),
+    "[list]": ({list}, {list}, "a list of lists"),
     "{object}": ({dict}, {dict}, "a JSON object of JSON objects"),
 }
 

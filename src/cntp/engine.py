@@ -8,8 +8,11 @@ probabilities, not the tempered sampling distribution.
 
 Determinism: every random draw comes from a stream keyed by
 (seed, step index, trial index), so equal seeds reproduce equal outcomes
-regardless of evaluation order; the branch trials within a step could run
-concurrently without changing the result.
+regardless of evaluation order. A step's trials therefore grow in lockstep:
+each round every live trial draws one token, and the trials that grow on
+read their next rows in one model.next_distributions batch, which a remote
+backend sends as one request. The outcome is the one a trial-by-trial loop
+gives.
 """
 
 from __future__ import annotations
@@ -127,28 +130,73 @@ def branch_stop(tok: int, length: int, answer_len: int, eos: int,
     return None
 
 
-def _grow_branch(cursor: Cursor, first_dist: Distribution, config: DecodeConfig, rng: Rng,
-                 answer_len: int, eos: int, stops: tuple[bool, ...]):
-    """Sample one branch from cursor, whose distribution first_dist the
-    caller has read. Returns (trial, continuation_calls, cursor before the
-    branch's last token); the caller accounts for the first token's pass
-    itself."""
-    tokens: list[int] = []
-    probs: list[float] = []
-    calls = 0
-    dist = first_dist
+# Most trials a multi-trial step grows at once. Their lanes are what a step
+# holds in memory, so its memory is flat in the trial count.
+TRIAL_CHUNK = 64
+
+
+def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
+                 config: DecodeConfig, rngs: list[Rng], answer_len: int, eos: int,
+                 stops: tuple[bool, ...]):
+    """Sample one branch per stream of rngs from cursor, whose distribution
+    first_dist the caller has read, all in lockstep: each round every live
+    branch draws one token from its own stream, and the branches that grow
+    on read their next rows in one model.next_distributions call. The last
+    branch left grows on alone, reading its cursor. Returns (the branch with
+    the lowest (ppl, index) as a Trial, the cursor before its last token,
+    rows read); the caller accounts for the first tokens' passes itself."""
+    # Parallel per-lane lists, rebuilt each round: (index, rng, tokens,
+    # probs) of each live branch, its cursor and its next row.
+    lanes = [(i, rng, [], []) for i, rng in enumerate(rngs)]
+    cursors = [cursor] * len(lanes)
+    rows = [first_dist] * len(lanes)
+    best = best_key = best_end = None
+    reads = length = 0
+    # A branch stops on a stop token (eos is one) or at this length, the
+    # nearer of its two caps; branch_stop names the reason once it stops.
+    cap = min(config.branch_cap, config.global_cap - answer_len)
     while True:
-        tok = sample_token(prepare_sampling_dist(dist, config), rng)
-        tokens.append(tok)
-        probs.append(float(dist.probs[tok]))
-        reason = branch_stop(tok, len(tokens), answer_len, eos, stops, config)
-        if reason is not None:
+        length += 1
+        capped = length >= cap  # a round's branches share their length
+        live, advanced = [], []
+        for lane, cur, dist in zip(lanes, cursors, rows):
+            i, rng, tokens, probs = lane
+            tok = sample_token(prepare_sampling_dist(dist, config), rng)
+            tokens.append(tok)
+            probs.append(float(dist.probs[tok]))
+            if not (capped or stops[tok]):
+                live.append(lane)
+                advanced.append(cur.advance(tok))
+                continue
+            reason = branch_stop(tok, length, answer_len, eos, stops, config)
+            nll, ppl = branch_score(probs)
+            if best is None or (ppl, i) < best_key:
+                best = Trial(tuple(tokens), tuple(probs), nll, ppl, reason)
+                best_key, best_end = (ppl, i), cur
+        if len(live) < 2:
             break
-        cursor = cursor.advance(tok)
-        dist = cursor.dist()
-        calls += 1
-    nll, ppl = branch_score(probs)
-    return Trial(tuple(tokens), tuple(probs), nll, ppl, reason), calls, cursor
+        lanes, cursors = live, advanced
+        rows = model.next_distributions(cursors)
+        reads += len(cursors)
+    if live:  # the last branch left: a batch of one needs no per-round lists
+        (i, rng, tokens, probs), = live
+        cur = advanced[0]
+        while True:
+            dist = cur.dist()
+            reads += 1
+            length += 1
+            tok = sample_token(prepare_sampling_dist(dist, config), rng)
+            tokens.append(tok)
+            probs.append(float(dist.probs[tok]))
+            if stops[tok] or length >= cap:
+                break
+            cur = cur.advance(tok)
+        reason = branch_stop(tok, length, answer_len, eos, stops, config)
+        nll, ppl = branch_score(probs)
+        if best is None or (ppl, i) < best_key:
+            best = Trial(tuple(tokens), tuple(probs), nll, ppl, reason)
+            best_end = cur
+    return best, best_end, reads
 
 
 @dataclass(frozen=True)
@@ -227,14 +275,16 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         if base is None:  # T=0: the trials still draw, from one-hot rows
             base = Rng(config.seed)
         step_rng = base.derive(step)  # derive(step, i) == derive(step).derive(i)
-        # Only the running best trial is kept, so memory is flat in n. It has
-        # the lowest perplexity; a strict < lets the lowest index win ties.
+        # Trials grow TRIAL_CHUNK at a time and only the running best is kept,
+        # so memory is flat in n. It has the lowest perplexity; a strict <
+        # lets the lowest index, an earlier chunk's, win ties.
         best = best_end = None
-        for i in range(n):
-            trial, calls, end = _grow_branch(cursor, dist, config, step_rng.derive(i),
+        for lo in range(0, n, TRIAL_CHUNK):
+            rngs = [step_rng.derive(i) for i in range(lo, min(n, lo + TRIAL_CHUNK))]
+            trial, end, reads = _grow_trials(model, cursor, dist, config, rngs,
                                              answer_len, eos, stops)
-            passes += calls
-            generated += len(trial.tokens)
+            passes += reads
+            generated += reads + len(rngs)  # a branch of k tokens reads k - 1 rows
             if best is None or trial.ppl < best.ppl:
                 best, best_end = trial, end
         tokens.extend(best.tokens)

@@ -119,7 +119,12 @@ class RunRecord:
     timestamp: str
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name, in field order, as dataclasses.asdict gives
+        them; the config and cost dicts, which hold scalars, are copied."""
+        data = {name: getattr(self, name) for name in _RECORD_KINDS}
+        data["config"] = dict(self.config)
+        data["cost"] = dict(self.cost)
+        return data
 
     @staticmethod
     def from_dict(data: dict, where: str = "record") -> "RunRecord":

@@ -1,11 +1,12 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON (wire 1 and 2).
+models, and a remote client speaking newline-delimited JSON (wires 1 to 3).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
 immutable position whose advance(tok) steps one token on and whose dist()
-reads the distribution there. Backends emit probabilities directly; nothing
-here applies temperature or truncation.
+reads the distribution there. next_distributions(cursors) reads several
+cursors at once. Backends emit probabilities directly; nothing here applies
+temperature or truncation.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class ModelSource(ABC):
     def start(self, prefix) -> Cursor:
         """A cursor at the end of prefix (a Sequence or token ids)."""
         return Cursor(self, _prefix_key(prefix))
+
+    def next_distributions(self, cursors: list[Cursor]) -> list[Distribution]:
+        """The distribution at each of this model's cursors, in order: one
+        batch, which a backend that serves several prefixes at once answers
+        in one call."""
+        return [cursor.dist() for cursor in cursors]
 
     def close(self) -> None:
         """Release what the backend holds open; local backends hold nothing."""
@@ -266,8 +273,10 @@ def load_kgram_model(path: str) -> KGramModel:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
-# The wire protocol's version; README, "Wire protocol", describes both.
-WIRE_VERSION = 2
+# The wire protocol's version; README, "Wire protocol", describes all three.
+WIRE_VERSION = 3
+# Most branches one wire-3 request may name; the client splits larger batches.
+BRANCHES_CAP = 64
 # Longest request or reply line, newline included. A reply row takes at most
 # 25 bytes a token, so this fits a vocabulary of 670 000 tokens.
 LINE_CAP = 1 << 24
@@ -282,12 +291,13 @@ def _remember(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def _shared_length(a: tuple, b: tuple) -> int:
-    """How many leading tokens a and b share."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:  # one extends or repeats the other, as most requests do
-        return n
-    return next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+def _shared_length(held: tuple, keys) -> int:
+    """How many leading tokens held shares with every one of keys."""
+    n = len(held)
+    for key in keys:
+        if key[:n] != held[:n]:  # most keys extend or repeat held
+            n = next((i for i, (x, y) in enumerate(zip(held, key)) if x != y), len(key))
+    return n
 
 
 class RemoteModel(ModelSource):
@@ -296,11 +306,14 @@ class RemoteModel(ModelSource):
     On connect the server sends one hello record with the vocabulary and the
     wire version it speaks. Each request names a prefix, and the reply is
     {"probs": [...]}. To a wire-2 server a request names it as a delta on the
-    prefix of the last request answered, {"keep": n, "append": [ids]};
-    otherwise, and after any error, it sends {"prefix": [ids]}. Equal reply
-    lines give the same Distribution, so a repeated row is neither parsed
-    nor validated again and keeps its sampling caches. Requests are
-    serialized per connection; every record is type-checked.
+    prefix the server holds, that of the last request answered,
+    {"keep": n, "append": [ids]}; otherwise, and after any error, it sends
+    {"prefix": [ids]}. To a wire-3 server next_distributions sends a batch of
+    prefixes as one {"keep": n, "branches": [[ids], ...]} request, answered
+    with one row line per branch; to an older one, one request per prefix.
+    Equal reply lines give the same Distribution, so a repeated row is
+    neither parsed nor validated again and keeps its sampling caches.
+    Requests are serialized per connection; every record is type-checked.
     """
 
     def __init__(self, address: str, timeout: float = 10.0):
@@ -317,11 +330,11 @@ class RemoteModel(ModelSource):
         self._rows: dict[bytes, Distribution] = {}
         self._held: tuple[TokenId, ...] | None = None  # the prefix the server holds
         try:
-            hello = self._record(self._exchange(b""))
+            hello = self._record(self._exchange())
             where = f"{address}: hello record"
             fields = check_fields(hello, {"tokens": "[str]", "eos": "int"}, ProtocolError, where)
             wire = check_fields(hello, {"wire": "int"}, ProtocolError, where, optional=True)
-            self._deltas = wire.get("wire", 1) >= 2
+            self._wire = wire.get("wire", 1)
             try:
                 self.vocabulary = Vocabulary(fields["tokens"], fields["eos"])
             except ValueError as exc:
@@ -331,12 +344,13 @@ class RemoteModel(ModelSource):
             self.close()
             raise
 
-    def _exchange(self, request: bytes) -> bytes:
-        """Send request (empty for none) and read one line back. A failed
-        read leaves the stream out of step, so it closes the connection."""
+    def _exchange(self, request: bytes = b"") -> bytes:
+        """Send request, if any, and read one line back. A failed read
+        leaves the stream out of step, so it closes the connection."""
         try:
-            self._file.write(request)
-            self._file.flush()
+            if request:
+                self._file.write(request)
+                self._file.flush()
             line = self._file.readline(LINE_CAP + 1)
         except (OSError, ValueError) as exc:  # reset, timed out, or closed before
             self.close()
@@ -356,6 +370,9 @@ class RemoteModel(ModelSource):
         return record
 
     def _row(self, line: bytes) -> Distribution:
+        dist = self._rows.get(line)
+        if dist is not None:
+            return dist
         probs = check_fields(self._record(line), {"probs": "[real]"}, ProtocolError,
                              f"{self.address}: response")["probs"]
         try:
@@ -365,24 +382,55 @@ class RemoteModel(ModelSource):
         if len(dist) != len(self.vocabulary):
             raise ProtocolError(f"{self.address}: response has {len(dist)} entries, "
                                 f"vocabulary has {len(self.vocabulary)}")
+        _remember(self._rows, line, dist)
         return dist
 
-    def next_distribution(self, prefix) -> Distribution:
-        key = _prefix_key(prefix)
-        with self._lock:
+    def _ask(self, request: dict, count: int) -> list[Distribution]:
+        """Send request and read its count reply rows. A server answers a
+        request it cannot serve with one error line; any other failure
+        before the last row leaves reply lines unread, so it closes the
+        connection."""
+        rows: list[Distribution] = []
+        line = self._exchange(json_line(request).encode())
+        while True:
+            try:
+                rows.append(self._row(line))
+            except ProtocolError:
+                if len(rows) + 1 < count and (rows or not _is_error_line(line)):
+                    self.close()
+                raise
+            if len(rows) == count:
+                return rows
+            line = self._exchange()
+
+    def _fetch(self, keys: list[tuple[TokenId, ...]]) -> list[Distribution]:
+        """The rows of keys, in order, in as few requests as the server's
+        wire version allows. The caller holds the lock."""
+        rows: list[Distribution] = []
+        while len(rows) < len(keys):
+            key = keys[len(rows)]
             held, self._held = self._held, None  # unknown until this request is answered
-            if held is None or not self._deltas:
-                request = {"prefix": list(key)}
+            if held is None or self._wire < 2:
+                request, batch, after = {"prefix": key}, 1, key
+            elif self._wire < 3 or len(rows) + 1 == len(keys):
+                keep = _shared_length(held, (key,))
+                request, batch, after = {"keep": keep, "append": key[keep:]}, 1, key
             else:
-                keep = _shared_length(held, key)
-                request = {"keep": keep, "append": list(key[keep:])}
-            line = self._exchange(json_line(request).encode())
-            dist = self._rows.get(line)
-            if dist is None:
-                dist = self._row(line)
-                _remember(self._rows, line, dist)
-            self._held = key
-        return dist
+                branches = keys[len(rows):len(rows) + BRANCHES_CAP]
+                keep = _shared_length(held, branches)
+                request = {"keep": keep, "branches": [k[keep:] for k in branches]}
+                batch, after = len(branches), held[:keep]
+            rows += self._ask(request, batch)
+            self._held = after
+        return rows
+
+    def next_distribution(self, prefix) -> Distribution:
+        with self._lock:
+            return self._fetch([_prefix_key(prefix)])[0]
+
+    def next_distributions(self, cursors: list[Cursor]) -> list[Distribution]:
+        with self._lock:
+            return self._fetch([cursor._key for cursor in cursors])
 
     def close(self) -> None:
         try:
@@ -393,24 +441,55 @@ class RemoteModel(ModelSource):
             self._sock.close()
 
 
-def _requested_prefix(record, held: tuple[TokenId, ...] | None,
-                      size: int) -> tuple[TokenId, ...]:
-    """The prefix a request names: whole, or as a delta on held, the prefix
-    of the connection's last answered request (None before one)."""
+def _is_error_line(line: bytes) -> bool:
+    try:
+        record = parse_json(line, ProtocolError, "reply")
+    except ProtocolError:
+        return False
+    return type(record) is dict and "error" in record
+
+
+def _kept(held: tuple[TokenId, ...] | None, keep: int) -> tuple[TokenId, ...]:
+    if held is None:
+        raise ProtocolError("request: keep needs an answered request before it")
+    if not 0 <= keep <= len(held):
+        raise ProtocolError(f"request: keep must be in 0..{len(held)}, got {keep}")
+    return held[:keep]
+
+
+def _check_ids(ids: list, size: int) -> None:
+    if ids and not 0 <= min(ids) <= max(ids) < size:
+        raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
+
+
+def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
+    """The prefixes a request names, and the prefix the connection holds
+    once they are answered. held is the prefix of the connection's last
+    answered request (None before one); a request names one prefix whole,
+    one as a delta on held, or a batch of branches off held[:keep], after
+    which the connection holds held[:keep]."""
+    if type(record) is dict and "branches" in record:
+        fields = check_fields(record, {"keep": "int", "branches": "[list]"}, ProtocolError,
+                              "request", closed=True)
+        base, branches = _kept(held, fields["keep"]), fields["branches"]
+        if not 1 <= len(branches) <= BRANCHES_CAP:
+            raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
+                                f"got {len(branches)}")
+        ids = [*chain.from_iterable(branches)]
+        if not {int}.issuperset(map(type, ids)):
+            raise ProtocolError("request: branches must be lists of integers")
+        _check_ids(ids, size)
+        return [base + tuple(branch) for branch in branches], base
     if type(record) is dict and "keep" in record:
         fields = check_fields(record, {"keep": "int", "append": "[int]"}, ProtocolError,
                               "request", closed=True)
-        keep, ids = fields["keep"], fields["append"]
-        if held is None:
-            raise ProtocolError("request: keep needs an answered request before it")
-        if not 0 <= keep <= len(held):
-            raise ProtocolError(f"request: keep must be in 0..{len(held)}, got {keep}")
+        base, ids = _kept(held, fields["keep"]), fields["append"]
     else:
         ids = check_fields(record, {"prefix": "[int]"}, ProtocolError, "request")["prefix"]
-        held, keep = (), 0
-    if ids and not 0 <= min(ids) <= max(ids) < size:
-        raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
-    return held[:keep] + tuple(ids)
+        base = ()
+    _check_ids(ids, size)
+    prefix = base + tuple(ids)
+    return [prefix], prefix
 
 
 class ModelServer:
@@ -458,14 +537,17 @@ class ModelServer:
                         fh.flush()
                         return
                     try:
-                        prefix = _requested_prefix(parse_json(line, ProtocolError, "request"),
-                                                   held, len(vocab))
-                        reply = self._reply(self._model.next_distribution(prefix))
-                        held = prefix
+                        prefixes, after = _requested_prefixes(
+                            parse_json(line, ProtocolError, "request"), held, len(vocab))
+                        # Every row before the first line goes out: a model that
+                        # fails on one branch gets the request one error line.
+                        replies = [self._reply(self._model.next_distribution(prefix))
+                                   for prefix in prefixes]
+                        held = after
                     except Exception as exc:  # a bad request or a failing model: report it
                         held = None
-                        reply = json_line({"error": str(exc)}).encode()
-                    fh.write(reply)
+                        replies = [json_line({"error": str(exc)}).encode()]
+                    fh.writelines(replies)
                     fh.flush()
         except OSError:
             pass

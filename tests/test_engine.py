@@ -4,6 +4,8 @@ budget mapping, branch sampling, selection, and the full decode loop."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -33,8 +35,9 @@ from cntp import (
     trial_count,
 )
 from cntp import engine
-from cntp.engine import _grow_branch, branch_score
-from cntp.harness import Task, bundled_path, run_one
+from cntp.core import load_config
+from cntp.engine import _grow_trials, branch_score
+from cntp.harness import Task, bundled_path, load_tasks, run_one
 from cntp.models import load_kgram_model
 
 from conftest import make_random_scripted
@@ -229,8 +232,8 @@ def _sample_branch(model, prefix, config):
     """One branch after prefix, grown the way cntp_decode grows its trials."""
     vocab = model.vocabulary
     cursor = model.start(prefix)
-    trial, _, _ = _grow_branch(cursor, cursor.dist(), config, Rng(0), 0, vocab.eos_id,
-                               stop_mask(vocab, config.punctuation))
+    trial, _, _ = _grow_trials(model, cursor, cursor.dist(), config, [Rng(0)], 0,
+                               vocab.eos_id, stop_mask(vocab, config.punctuation))
     return trial
 
 
@@ -330,6 +333,36 @@ def _exact(outcome):
     trace = [(hexed(t.confidence), t.n_trials, hexed(t.chosen_ppl), hexed(t.chosen_prob))
              for t in outcome.per_step_trace]
     return outcome.sequence.tokens, outcome.cost, trace
+
+
+def _kgram_cntp_lines(model):
+    """One JSON line per cntp decode of the bundled k-gram tasks at seeds
+    0-2 and global_cap 128: tokens, ledger, and the trace spelled exactly."""
+    tasks = load_tasks(bundled_path("kgram.tasks"))
+    config = dataclasses.replace(load_config(bundled_path("kgram.config.json")),
+                                 global_cap=128)
+    vocab = model.vocabulary
+    lines = []
+    for seed in (0, 1, 2):
+        seeded = config.with_seed(seed)
+        for task in tasks:
+            tokens, cost, trace = _exact(
+                cntp_decode(model, vocab.sequence(vocab.encode(task.prompt)), seeded))
+            lines.append(json.dumps([task.id, seed, tokens, dataclasses.astuple(cost), trace]))
+    return lines
+
+
+# sha256 of _kgram_cntp_lines on the local k-gram model, computed before
+# the trials of a step ran in lockstep; see test_kgram_cntp_outcomes_are_pinned.
+KGRAM_CNTP_SHA256 = "cc72c1686376a0763cb216d46700a29e8402d0a6c4bc0391ff602007cf51979e"
+
+
+def test_kgram_cntp_outcomes_are_pinned():
+    """cntp outcomes on the bundled k-gram tasks are bit-identical to those
+    of the serial trial loop the lockstep loop replaced."""
+    lines = _kgram_cntp_lines(load_kgram_model(bundled_path("kgram.kgram")))
+    assert len(lines) == 60
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == KGRAM_CNTP_SHA256
 
 
 _CURSOR_DECODERS = {

@@ -3,7 +3,7 @@
 Arbitrary JSON values, raw bytes, and valid documents with one field
 replaced or dropped go to each file loader, to read_records, to RemoteModel
 as hello and response lines from a stub socket, and to ModelServer as
-request lines of both wire versions. Only ConfigError, ModelFileError and
+request lines of every wire version. Only ConfigError, ModelFileError and
 ProtocolError may escape, and the CLI reading the same input exits with a
 code in 0..4.
 
@@ -236,10 +236,15 @@ def served(workdir):
             yield fh
 
 
-@settings(max_examples=90, deadline=None)
-@given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]}))
+@settings(max_examples=120, deadline=None)
+@given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]})
+       | documents({"keep": 1, "branches": [[0], [1, 0]]}))
 def test_server_request_lines(served, request):
     served.write(_line(request))
     served.flush()
     reply = json.loads(served.readline())
     assert list(reply) in (["probs"], ["error"])
+    if "probs" in reply:  # the server parsed the line; a batch gets a row per branch
+        record = json.loads(_line(request))
+        for _ in range(len(record.get("branches", [None])) - 1):
+            assert list(json.loads(served.readline())) == ["probs"]

@@ -281,6 +281,21 @@ def test_suite_records_are_pinned():
     assert digest == SUITE_RECORDS_SHA256
 
 
+def test_record_to_dict_is_the_asdict_form_byte_for_byte():
+    """RunRecord.to_dict reads field values by name; its JSON equals that of
+    dataclasses.asdict, which it replaced, for every strategy's records on
+    the bundled suite."""
+    model = resolve_model("bundled:suite")
+    tasks = load_tasks(bundled_path("suite.tasks"))
+    config = load_config(bundled_path("suite.config.json"))
+    for strategy in ("greedy", "stochastic", "cntp", "beam:4", "sc:5", "cntp_sc:5",
+                     "best_of_n:5"):
+        for record in run_suite(model, tasks, strategy, config, [0, 1]).records:
+            data = record.to_dict()
+            assert json.dumps(data) == json.dumps(dataclasses.asdict(record))
+            assert data["config"] is not record.config and data["cost"] is not record.cost
+
+
 def _record(task_id, seed, correct):
     return RunRecord(
         task_id=task_id, strategy="greedy", model_spec="", prompt="p",

@@ -4,6 +4,7 @@ training and smoothing, and the line-delimited remote protocol."""
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import socket
@@ -26,9 +27,12 @@ from cntp import (
     ModelServer,
     ProtocolError,
     RemoteModel,
+    Rng,
     ScriptedModel,
     Sequence,
     Vocabulary,
+    beam_search_decode,
+    cntp_decode,
     greedy_decode,
     load_kgram_model,
     load_scripted_model,
@@ -36,9 +40,12 @@ from cntp import (
     save_scripted_model,
     train_kgram,
 )
-from cntp.harness import bundled_path
+from cntp import models
+from cntp.core import load_config
+from cntp.engine import _grow_trials, stop_mask
+from cntp.harness import bundled_path, load_tasks
 from cntp.harness.cli import main
-from cntp.models import LINE_CAP, ROW_CACHE
+from cntp.models import BRANCHES_CAP, LINE_CAP, ROW_CACHE
 
 from conftest import make_random_scripted
 
@@ -497,7 +504,7 @@ _moves = st.lists(st.one_of(
 def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
     model = _PrefixHashModel()
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._deltas
+        assert remote._wire == 3
         prefix = ()
         for move in moves:
             if move[0] == "extend":
@@ -510,10 +517,12 @@ def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
             assert got.probs.tobytes() == model.next_distribution(prefix).probs.tobytes()
 
 
-def _recording_server(replies, hello=None):
+def _recording_server(replies, hello=None, hang_up=False):
     """A one-connection server that sends hello (a wire-2 one by default),
     answers each request line with the next of replies and appends the
-    requests it read, parsed, to the list it returns with its address."""
+    requests it read, parsed, to the list it returns with its address.
+    Past the replies it waits for the client to hang up, or with hang_up
+    closes the connection itself."""
     listener = socket.create_server(("127.0.0.1", 0))
     requests = []
     hello = hello or {"tokens": ["a", "b", ""], "eos": 2, "wire": 2}
@@ -531,7 +540,8 @@ def _recording_server(replies, hello=None):
                 requests.append(json.loads(line))
                 fh.write(reply)
                 fh.flush()
-            fh.readline()  # until the client hangs up
+            if not hang_up:
+                fh.readline()  # until the client hangs up
 
     threading.Thread(target=serve, daemon=True).start()
     return f"127.0.0.1:{listener.getsockname()[1]}", requests
@@ -558,7 +568,7 @@ def test_client_sends_deltas_on_the_prefix_last_answered():
 def test_client_speaks_wire_1_to_a_hello_without_a_version():
     address, requests = _recording_server([_ROW] * 3, {"tokens": ["a", "b", ""], "eos": 2})
     with RemoteModel(address) as remote:
-        assert not remote._deltas
+        assert remote._wire == 1
         for prefix in ((0,), (0, 1), (0, 1)):
             remote.next_distribution(prefix)
     assert requests == [{"prefix": [0]}, {"prefix": [0, 1]}, {"prefix": [0, 1]}]
@@ -616,7 +626,7 @@ def test_server_serves_wire_1_and_wire_2_requests_on_one_connection():
     with ModelServer(model) as server:
         conn, fh, hello = _raw_connection(server)
         with conn, fh:
-            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 2}
+            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 3}
             assert _ask(fh, {"prefix": [0, 1, 2]}) == row((0, 1, 2))
             assert _ask(fh, {"keep": 3, "append": [2, 2]}) == row((0, 1, 2, 2, 2))
             assert _ask(fh, {"keep": 1, "append": [0]}) == row((0, 0))
@@ -768,3 +778,279 @@ def test_row_caches_drop_their_oldest_rows_past_row_cache():
         assert again is not first
         assert again.probs.tobytes() == model.next_distribution(prefixes[0]).probs.tobytes()
         assert len(remote._rows) == len(server._lines) == ROW_CACHE
+
+
+# -- wire 3: a batch of branches per request ---------------------------------
+
+
+def _rows_of(model, prefixes):
+    return [{"probs": model.next_distribution(p).probs.tolist()} for p in prefixes]
+
+
+def _ask_batch(fh, request, count) -> list[dict]:
+    """Send request and read count reply lines, or one if the first is an error."""
+    replies = [_ask(fh, request)]
+    while "error" not in replies[0] and len(replies) < count:
+        replies.append(json.loads(fh.readline()))
+    return replies
+
+
+def test_server_answers_branches_off_the_kept_prefix_and_holds_it():
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, hello = _raw_connection(server)
+        with conn, fh:
+            assert hello["wire"] == 3
+            assert _ask(fh, {"prefix": [0, 1, 2]}) == _rows_of(model, [(0, 1, 2)])[0]
+            request = {"keep": 2, "branches": [[2], [], [0, 1]]}
+            assert _ask_batch(fh, request, 3) == _rows_of(model, [(0, 1, 2), (0, 1), (0, 1, 0, 1)])
+            # The connection now holds (0, 1): keep 2 is its whole length.
+            assert "keep must be in 0..2" in _ask(fh, {"keep": 3, "append": []})["error"]
+            assert _ask(fh, {"prefix": [0, 1]}) == _rows_of(model, [(0, 1)])[0]
+            request = {"keep": 2, "branches": [[3]] * BRANCHES_CAP}
+            rows = _rows_of(model, [(0, 1, 3)]) * BRANCHES_CAP
+            assert _ask_batch(fh, request, BRANCHES_CAP) == rows
+            assert _ask(fh, {"keep": 2, "append": [3, 3]}) == _rows_of(model, [(0, 1, 3, 3)])[0]
+
+
+@pytest.mark.parametrize("request_, message", [
+    ({"keep": -1, "branches": [[0]]}, "keep must be in 0..2"),
+    ({"keep": 3, "branches": [[0]]}, "keep must be in 0..2"),
+    ({"keep": True, "branches": [[0]]}, "keep must be an integer"),
+    ({"keep": 1.0, "branches": [[0]]}, "keep must be an integer"),
+    ({"branches": [[0]]}, "missing required field 'keep'"),
+    ({"keep": 1, "branches": [[0], [True]]}, "branches must be lists of integers"),
+    ({"keep": 1, "branches": [[0.0]]}, "branches must be lists of integers"),
+    ({"keep": 1, "branches": [["0"]]}, "branches must be lists of integers"),
+    ({"keep": 1, "branches": [[4]]}, "prefix ids outside 0..3"),
+    ({"keep": 1, "branches": [[0], [-1]]}, "prefix ids outside 0..3"),
+    ({"keep": 1, "branches": [0]}, "branches must be a list of lists"),
+    ({"keep": 1, "branches": "0"}, "branches must be a list of lists"),
+    ({"keep": 1, "branches": []}, f"branches must hold 1..{BRANCHES_CAP} lists, got 0"),
+    ({"keep": 1, "branches": [[0]] * (BRANCHES_CAP + 1)}, f"got {BRANCHES_CAP + 1}"),
+    ({"keep": 1, "branches": [[0]], "append": [0]}, "unknown field 'append'"),
+    ({"keep": 1, "branches": [[0]], "prefix": [0]}, "unknown field 'prefix'"),
+], ids=["negative-keep", "keep-past-the-held-prefix", "bool-keep", "real-keep", "no-keep",
+        "bool-id", "real-id", "string-id", "id-past-the-vocabulary", "negative-id",
+        "branch-not-a-list", "branches-not-a-list", "no-branches", "over-the-cap",
+        "with-append", "with-prefix"])
+def test_server_rejects_bad_branches_with_one_line_and_keeps_serving(request_, message):
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            # Before any answered request there is no prefix to keep.
+            assert "answered request" in _ask(fh, {"keep": 0, "branches": [[0]]})["error"]
+            assert "probs" in _ask(fh, {"prefix": [0, 1]})
+            reply = _ask(fh, request_)
+            assert list(reply) == ["error"] and message in reply["error"], reply
+            # One error line, and the held prefix is gone.
+            assert "answered request" in _ask(fh, {"keep": 0, "branches": [[0]]})["error"]
+            assert _ask_batch(fh, {"prefix": [2]}, 1) == _rows_of(model, [(2,)])
+
+
+def test_server_answers_a_batch_whose_model_fails_on_a_branch_with_one_error_line():
+    model = _FailingModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            assert "probs" in _ask(fh, {"prefix": [1]})
+            reply = _ask(fh, {"keep": 1, "branches": [[0], [1], [2]]})
+            assert list(reply) == ["error"] and "no row for 1 1" in reply["error"]
+            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
+
+
+_HELLO_3 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 3}
+
+
+def _cursors(model, keys):
+    return [model.start(key) for key in keys]
+
+
+def test_client_sends_one_branches_request_per_batch_to_a_wire_3_server():
+    address, requests = _recording_server([_ROW, _ROW * 2, _ROW, _ROW * 3, _ROW], _HELLO_3)
+    with RemoteModel(address) as remote:
+        assert remote._wire == 3
+        # Nothing held yet: the first prefix goes whole, the rest as branches.
+        rows = remote.next_distributions(_cursors(remote, [(0, 1), (0, 1, 1), (0, 0)]))
+        assert len(rows) == 3 and rows[0] is rows[1] is rows[2]
+        remote.next_distribution((0, 1, 1))  # held is (0,) after the batch
+        remote.next_distributions(_cursors(remote, [(0, 1, 1, 0), (0, 1, 1, 1), (0, 1)]))
+        remote.next_distributions(_cursors(remote, [(0, 1, 0)]))  # one cursor: a delta
+    assert requests == [
+        {"prefix": [0, 1]},
+        {"keep": 1, "branches": [[1, 1], [0]]},
+        {"keep": 1, "append": [1, 1]},
+        {"keep": 2, "branches": [[1, 0], [1, 1], []]},
+        {"keep": 2, "append": [0]},
+    ]
+
+
+def test_client_splits_batches_past_the_branch_cap():
+    count = 2 * BRANCHES_CAP + 5
+    address, requests = _recording_server(
+        [_ROW, _ROW * BRANCHES_CAP, _ROW * BRANCHES_CAP, _ROW * 4], _HELLO_3)
+    with RemoteModel(address) as remote:
+        keys = [(0,) + (1,) * i for i in range(count)]
+        assert len(remote.next_distributions(_cursors(remote, keys))) == count
+    assert requests[0] == {"prefix": [0]}
+    assert [len(r["branches"]) for r in requests[1:]] == [BRANCHES_CAP, BRANCHES_CAP, 4]
+    assert [r["keep"] for r in requests[1:]] == [1, 1, 1]
+    assert [b for r in requests[1:] for b in r["branches"]] == [[1] * i for i in range(1, count)]
+
+
+@pytest.mark.parametrize("wire", [1, 2])
+def test_client_sends_one_request_per_cursor_to_an_older_server(wire):
+    hello = {"tokens": ["a", "b", ""], "eos": 2, **({"wire": 2} if wire == 2 else {})}
+    address, requests = _recording_server([_ROW] * 3, hello)
+    with RemoteModel(address) as remote:
+        remote.next_distributions(_cursors(remote, [(0,), (0, 1), (1,)]))
+    if wire == 1:
+        assert requests == [{"prefix": [0]}, {"prefix": [0, 1]}, {"prefix": [1]}]
+    else:
+        assert requests == [{"prefix": [0]}, {"keep": 1, "append": [1]},
+                            {"keep": 0, "append": [1]}]
+
+
+def test_client_keeps_the_connection_after_an_error_line_to_a_batch():
+    address, requests = _recording_server(
+        [_ROW, b'{"error": "no rows"}\n', _ROW, _ROW * 2], _HELLO_3)
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        with pytest.raises(ProtocolError, match="server error: no rows"):
+            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
+        remote.next_distributions(_cursors(remote, [(1,), (1, 0), (1, 1)]))
+    assert requests == [{"prefix": [0]}, {"keep": 1, "branches": [[1], [0]]},
+                        {"prefix": [1]}, {"keep": 1, "branches": [[0], [1]]}]
+
+
+@pytest.mark.parametrize("reply, error", [
+    (_ROW + b'{"error": "late"}\n' + _ROW, "server error: late"),
+    (b'{"probs": [0.5, 0.5]}\n' + _ROW * 2, "entries"),
+    (b"not json\n" + _ROW * 2, "invalid JSON"),
+], ids=["error-after-a-row", "short-first-row", "first-line-not-json"])
+def test_client_closes_the_connection_when_batch_reply_lines_would_be_left(reply, error):
+    address, _ = _recording_server([_ROW, reply, _ROW], _HELLO_3)
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        with pytest.raises(ProtocolError, match=error):
+            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0), (1,)]))
+        with pytest.raises(ProtocolError, match="connection failed"):
+            remote.next_distribution((0,))
+
+
+def test_client_takes_a_short_batch_reply_as_a_closed_connection():
+    address, _ = _recording_server([_ROW, _ROW], _HELLO_3, hang_up=True)
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        with pytest.raises(ProtocolError, match="connection closed by server"):
+            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
+    # The CLI exits 3. Every step of this decode is at high entropy, so its
+    # first step reads the empty prefix, then its trials' second tokens in
+    # one batch, which gets one row of three.
+    row = b'{"probs": [0.5, 0.5, 0.0]}\n'
+    address, _ = _recording_server([row, row], _HELLO_3, hang_up=True)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
+                     "cntp", "--h-min", "0.01", "--h-max", "0.1", "--n-max", "3",
+                     "--global-cap", "3", "--out", ""])
+    assert code == 3 and "connection closed by server" in err.getvalue()
+
+
+def _kgram_cases(global_cap: int):
+    """The bundled k-gram model, and each bundled task's prompt under the
+    bundled config capped at global_cap."""
+    model = load_kgram_model(bundled_path("kgram.kgram"))
+    config = dataclasses.replace(load_config(bundled_path("kgram.config.json")),
+                                 global_cap=global_cap)
+    vocab = model.vocabulary
+    prompts = [vocab.sequence(vocab.encode(task.prompt))
+               for task in load_tasks(bundled_path("kgram.tasks"))]
+    return model, prompts, config
+
+
+def _beam_4(model, prompt, config):
+    return beam_search_decode(model, prompt, config, 4)
+
+
+@pytest.mark.parametrize("wire", [3, 2])
+def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
+    """cntp and beam:4 over a wire-3 ModelServer, whose batches they use, and
+    over a stub that speaks only wire 2, equal the local decodes."""
+    if wire == 2:
+        monkeypatch.setattr(models, "WIRE_VERSION", 2)
+        original = models._requested_prefixes
+
+        def wire_2_only(record, held, size):
+            if type(record) is dict and "branches" in record:
+                raise ProtocolError("request: a wire-2 server takes no branches")
+            return original(record, held, size)
+
+        monkeypatch.setattr(models, "_requested_prefixes", wire_2_only)
+    model, prompts, config = _kgram_cases(64)
+    multi_trial_steps = 0
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        assert remote._wire == wire
+        for prompt in prompts:
+            for decode, seeds in ((cntp_decode, (0, 1)), (_beam_4, (0,))):
+                for seed in seeds:
+                    seeded = config.with_seed(seed)
+                    local, over_wire = (decode(m, prompt, seeded) for m in (model, remote))
+                    assert over_wire.sequence.tokens == local.sequence.tokens
+                    assert over_wire.cost == local.cost
+                    assert over_wire.per_step_trace == local.per_step_trace
+                    multi_trial_steps += local.cost.high_entropy_steps
+    assert multi_trial_steps > 0
+
+
+def _longest_trials_less_one(model, prompt, config, outcome) -> int:
+    """Sum over the multi-trial steps of outcome of its longest trial's
+    length less one, each trial regrown alone from its own stream."""
+    vocab = model.vocabulary
+    stops = stop_mask(vocab, config.punctuation)
+    base = Rng(config.seed)
+    tokens, start = outcome.sequence.tokens, len(prompt.tokens)
+    at = start
+    total = 0
+    for step, trace in enumerate(outcome.per_step_trace):
+        if trace.n_trials == 1:
+            at += 1
+            continue
+        cursor = model.start(tokens[:at])
+        trials = [_grow_trials(model, cursor, cursor.dist(), config, [base.derive(step, i)],
+                               at - start, vocab.eos_id, stops)[::2]
+                  for i in range(trace.n_trials)]
+        total += max(reads for _, reads in trials)
+        best = min(range(len(trials)), key=lambda i: (trials[i][0].ppl, i))
+        chosen = trials[best][0].tokens
+        assert tokens[at:at + len(chosen)] == chosen
+        at += len(chosen)
+    assert at == len(tokens)
+    return total
+
+
+def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeypatch):
+    """Over wire 3 a cntp decode makes total_steps + the sum over its
+    multi-trial steps of (longest trial - 1) requests, and a beam:4 decode
+    one per round, both fewer than their forward passes."""
+    requests = []
+    original = models._requested_prefixes
+    monkeypatch.setattr(models, "_requested_prefixes",
+                        lambda *args: requests.append(args) or original(*args))
+    model, prompts, config = _kgram_cases(128)
+    config = config.with_seed(3)
+    rounds = 0
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        for prompt in prompts[:6]:
+            before = len(requests)
+            out = cntp_decode(remote, prompt, config)
+            made = len(requests) - before
+            extra = _longest_trials_less_one(model, prompt, config, out)
+            assert made == out.cost.total_steps + extra
+            assert made < out.cost.forward_passes
+            rounds += extra
+            # beam:4 reads each round's live beams in one request.
+            before = len(requests)
+            out = _beam_4(remote, prompt, config)
+            assert len(requests) - before == out.cost.total_steps < out.cost.forward_passes
+    assert rounds > 0
