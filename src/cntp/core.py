@@ -114,6 +114,8 @@ class Distribution:
     """A full-vocabulary probability vector.
 
     Entries must be finite, non-negative, and sum to 1 within 1e-9.
+    An owned float64 array is adopted and frozen; a view, or any other
+    input, is copied, so no caller can write to a validated row.
     Instances cache derived quantities (entropy, cumulative sums, prepared
     sampling vectors); the caches are idempotent so concurrent reads are safe.
     """
@@ -127,12 +129,20 @@ class Distribution:
             raise ValueError("distribution entries must be finite") from None
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite")
-        if np.any(arr < 0):
-            raise ValueError("distribution entries must be non-negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if arr.base is not None:  # a view: the caller could still write to it
+            arr = arr.copy()
+        # Two ufunc reductions accept a valid row: non-negative entries with
+        # a finite sum are all finite. The min goes first, since the sum of
+        # [inf, -inf] would warn. np.add.reduce is the pairwise sum arr.sum()
+        # runs, so the total is bit-identical.
+        lo = np.minimum.reduce(arr)
+        total = float(np.add.reduce(arr)) if lo >= 0 else math.nan
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
+            # Only a rejected row gets here, to name its first fault.
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("distribution entries must be finite")
+            if lo < 0:
+                raise ValueError("distribution entries must be non-negative")
             raise ValueError(f"distribution entries sum to {total!r}, expected 1 within 1e-9")
         arr.setflags(write=False)
         self.probs = arr

@@ -102,7 +102,7 @@ class ScriptedModel(ModelSource):
         normalized: dict[tuple[TokenId, ...], Distribution] = {}
         for prefix, dist in table.items():
             key = _prefix_key(prefix)
-            if any(not 0 <= t < size for t in key):
+            if key and not 0 <= min(key) <= max(key) < size:
                 raise ValueError(f"prefix {list(key)} holds token ids outside the vocabulary")
             if len(dist) != size:
                 raise ValueError(
@@ -277,6 +277,9 @@ def load_kgram_model(path: str) -> KGramModel:
 WIRE_VERSION = 3
 # Most branches one wire-3 request may name; the client splits larger batches.
 BRANCHES_CAP = 64
+# Most connections a ModelServer serves at once; one past it gets an error
+# line as its hello and is closed.
+CONNECTION_CAP = 64
 # Longest request or reply line, newline included. A reply row takes at most
 # 25 bytes a token, so this fits a vocabulary of 670 000 tokens.
 LINE_CAP = 1 << 24
@@ -494,12 +497,16 @@ def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
 
 class ModelServer:
     """Stub server exposing any ModelSource over the wire protocol. Meant
-    for tests and the serve-stub CLI command, not production serving."""
+    for tests and the serve-stub CLI command, not production serving. It
+    serves at most CONNECTION_CAP connections at once; one past the cap gets
+    a single error line and is closed, and a slot frees when a client
+    hangs up."""
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
         self._lines: dict[Distribution, bytes] = {}  # each row's reply line
         self._lines_lock = threading.Lock()
+        self._slots = threading.BoundedSemaphore(CONNECTION_CAP)
         self._listener = socket.create_server((host, port))
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.address = f"{actual_host}:{actual_port}"
@@ -512,6 +519,14 @@ class ModelServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
+            if not self._slots.acquire(blocking=False):
+                with conn:
+                    try:
+                        conn.sendall(json_line({"error": f"server holds its cap of "
+                                                         f"{CONNECTION_CAP} connections"}).encode())
+                    except OSError:
+                        pass
+                continue
             threading.Thread(target=self._serve_one, args=(conn,), daemon=True).start()
 
     def _reply(self, dist: Distribution) -> bytes:
@@ -551,6 +566,8 @@ class ModelServer:
                     fh.flush()
         except OSError:
             pass
+        finally:
+            self._slots.release()
 
     def close(self) -> None:
         """Stop accepting: shutting the listener down wakes the accept thread

@@ -6,12 +6,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cntp
 from cntp import (
     DEFAULT_PUNCTUATION,
     ConfigError,
@@ -24,7 +29,11 @@ from cntp import (
     load_config,
     validate_config,
 )
-from cntp.core import CONFIDENCE_MEASURES, TRIAL_SCALINGS
+from cntp.core import CONFIDENCE_MEASURES, NORMALIZATION_TOL, TRIAL_SCALINGS
+from cntp.engine import entropy
+from cntp.harness import bundled_path, resolve_model
+from cntp.models import load_scripted_model
+from cntp.theory import bundled_fixtures
 
 
 def test_vocabulary_basics():
@@ -74,26 +83,124 @@ def test_distribution_accepts_normalized_vectors():
 
 
 def test_distribution_rejects_denormalized_input():
-    with pytest.raises(ValueError, match="sum"):
-        Distribution([0.7, 0.28])  # never silently renormalized
-    with pytest.raises(ValueError, match="non-negative"):
-        Distribution([1.1, -0.1])
-    with pytest.raises(ValueError, match="finite"):
-        Distribution([float("nan"), 1.0])
-    with pytest.raises(ValueError, match="finite"):
-        Distribution([float("inf"), 0.0])
-    with pytest.raises(ValueError, match="finite"):
-        Distribution([10**400, 0])  # past the float range
-    with pytest.raises(ValueError):
-        Distribution([])
-    with pytest.raises(ValueError):
-        Distribution([[0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sum"):
+            Distribution([0.7, 0.28])  # never silently renormalized
+        with pytest.raises(ValueError, match="non-negative"):
+            Distribution([1.1, -0.1])
+        # Summing [inf, -inf] would warn, so no check sums a row before its min.
+        for values in ([float("nan"), 1.0], [float("inf"), 0.0], [float("inf"), float("-inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                Distribution(values)
+        with pytest.raises(ValueError, match="finite"):
+            Distribution([10**400, 0])  # past the float range
+        with pytest.raises(ValueError):
+            Distribution([])
+        with pytest.raises(ValueError):
+            Distribution([[0.5, 0.5]])
 
 
 def test_distribution_is_immutable():
     dist = Distribution([0.5, 0.5])
     with pytest.raises(ValueError):
         dist.probs[0] = 1.0
+
+
+def test_distribution_copies_a_view_and_adopts_an_owned_array():
+    base = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
+    dist = Distribution(base[:4])
+    assert entropy(dist) == pytest.approx(math.log(4))
+    base[1] = -0.2  # the caller's memory stays writable and no longer aliases the row
+    assert dist.probs.tolist() == [0.25] * 4
+    assert entropy(dist) == pytest.approx(math.log(4))
+    owned = np.array([0.5, 0.5])
+    assert Distribution(owned).probs is owned
+    assert not owned.flags.writeable
+
+
+def _parent_checks(values):
+    """The three checks Distribution ran before its two-reduction fast
+    path, in their order."""
+    arr = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("distribution entries must be finite")
+    if np.any(arr < 0):
+        raise ValueError("distribution entries must be non-negative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"distribution entries sum to {total!r}, expected 1 within 1e-9")
+
+
+def _verdict_and_warnings(check, values):
+    """The message check rejects values with (None if it accepts them),
+    and every warning it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check(values)
+            verdict = None
+        except ValueError as exc:
+            verdict = str(exc)
+    return verdict, [(w.category, str(w.message)) for w in caught]
+
+
+_EDGE_ENTRIES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 0.5, 1.0, -0.5, 1e308, -1e308,
+                 1.7976931348623157e308, 5e-324, -5e-324]
+_SLACKS = [0.0, 5e-10, -5e-10, 9.99e-10, -9.99e-10, 1e-9, -1e-9, 1.01e-9, -1.01e-9,
+           2e-9, -2e-9]
+
+
+@st.composite
+def _near_normalized(draw):
+    """A normalized row with one entry nudged by about the tolerance, and
+    maybe one entry swapped for an edge value."""
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+    if not weights.sum() > 0:
+        weights[0] = 1.0
+    row = (weights / weights.sum()).tolist()
+    i = draw(st.integers(0, len(row) - 1))
+    row[i] += draw(st.sampled_from(_SLACKS) | st.floats(-2e-9, 2e-9))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_EDGE_ENTRIES))
+    return row
+
+
+_rows = st.lists(st.sampled_from(_EDGE_ENTRIES) | st.floats(), min_size=1, max_size=6)
+
+
+@given(_rows | _near_normalized())
+def test_distribution_fast_path_matches_the_three_checks(values):
+    assert _verdict_and_warnings(Distribution, values) == _verdict_and_warnings(_parent_checks,
+                                                                                values)
+
+
+def test_model_row_of_opposite_infinities_exits_2_without_a_warning(tmp_path):
+    path = tmp_path / "inf.model"
+    path.write_text(json.dumps({"tokens": ["a.", ""], "eos": 1, "default": [0.5, 0.5],
+                                "rows": [{"prefix": [], "probs": [math.inf, -math.inf]}]}))
+    assert "Infinity, -Infinity" in path.read_text()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cntp.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-m", "cntp.harness.cli", "decode", "--model", str(path),
+         "--strategy", "greedy", "--prompt", "a.", "--out", ""],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "must be finite" in result.stderr
+    assert "Warning" not in result.stderr
+
+
+def test_distribution_total_is_the_sum_arr_sum_takes_on_bundled_rows():
+    rows = [*load_scripted_model(bundled_path("suite.model")).table.values()]
+    for fixture in bundled_fixtures():
+        rows += [*fixture.model.table.values(), fixture.model.default]
+    kgram = resolve_model("bundled:kgram")
+    rows += [kgram.next_distribution(prefix) for prefix in [(), *((t,) for t in range(8))]]
+    assert len(rows) > 100
+    for dist in rows:
+        arr = dist.probs
+        assert float.hex(float(np.add.reduce(arr))) == float.hex(float(arr.sum()))
 
 
 def test_default_config_is_valid():

@@ -7,10 +7,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import socket
 import struct
 import sys
 import threading
+import time
 import zlib
 
 import numpy as np
@@ -45,7 +47,7 @@ from cntp.core import load_config
 from cntp.engine import _grow_trials, stop_mask
 from cntp.harness import bundled_path, load_tasks
 from cntp.harness.cli import main
-from cntp.models import BRANCHES_CAP, LINE_CAP, ROW_CACHE
+from cntp.models import BRANCHES_CAP, CONNECTION_CAP, LINE_CAP, ROW_CACHE
 
 from conftest import make_random_scripted
 
@@ -111,8 +113,18 @@ def test_scripted_validates_row_shapes():
         ScriptedModel(vocab, {}, Distribution([1.0]))
     with pytest.raises(ValueError, match="entries"):
         ScriptedModel(vocab, {(): Distribution([1.0])}, Distribution([0.0, 1.0]))
-    with pytest.raises(ValueError, match="outside the vocabulary"):
-        ScriptedModel(vocab, {(5,): Distribution([0.5, 0.5])}, Distribution([0.0, 1.0]))
+    for prefix in [(5,), (-1,), (2,), (0, 2), (1, -1, 0)]:  # -1 and the vocabulary size
+        message = f"prefix {list(prefix)} holds token ids outside the vocabulary"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ScriptedModel(vocab, {prefix: Distribution([0.5, 0.5])}, Distribution([0.0, 1.0]))
+
+
+def test_scripted_accepts_the_empty_prefix_and_both_edge_ids():
+    vocab = Vocabulary(("a", ""), 1)
+    table = {(): Distribution([0.5, 0.5]), (0, 1): Distribution([1.0, 0.0])}
+    model = ScriptedModel(vocab, table, Distribution([0.0, 1.0]))
+    assert model.next_distribution(()) is table[()]
+    assert model.next_distribution((0, 1)) is table[(0, 1)]
 
 
 def test_scripted_model_file_round_trip(tiny_model, tmp_path):
@@ -314,6 +326,27 @@ def test_remote_decode_matches_local(tiny_model):
             over_wire = greedy_decode(remote, prompt, config)
     assert over_wire.sequence == local.sequence
     assert over_wire.cost == local.cost
+
+
+def test_server_answers_a_connection_past_its_cap_with_an_error(tiny_model):
+    with ModelServer(tiny_model) as server, contextlib.ExitStack() as stack:
+        clients = [stack.enter_context(RemoteModel(server.address))
+                   for _ in range(CONNECTION_CAP)]
+        with pytest.raises(ProtocolError, match=f"server error: .*cap of {CONNECTION_CAP}"):
+            RemoteModel(server.address)
+        # Every client under the cap is still served.
+        assert clients[-1].next_distribution((0,)) is not None
+        clients[0].close()  # hanging up frees a slot once the server sees it
+        for _ in range(200):
+            try:
+                late = stack.enter_context(RemoteModel(server.address))
+                break
+            except ProtocolError:
+                time.sleep(0.01)
+        else:
+            pytest.fail("closing a client never freed a connection slot")
+        assert np.array_equal(late.next_distribution(()).probs,
+                              tiny_model.next_distribution(()).probs)
 
 
 def test_server_close_stops_the_accept_thread(tiny_model):
