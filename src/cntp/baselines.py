@@ -31,8 +31,13 @@ from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as con
 def greedy_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
     """Argmax decoding, ties to the lowest token id: the single-sample policy
     at temperature 0, so the config's temperature, top_p and seed do nothing."""
+    return policy_decode(model, prompt, greedy_policy(config))
+
+
+def greedy_policy(config: DecodeConfig) -> SingleSamplePolicy:
+    """The policy greedy decoding runs: single-sample at temperature 0."""
     # 0.0 is always a valid temperature, so the copy skips validate_config.
-    return policy_decode(model, prompt, SingleSamplePolicy(config._with("temperature", 0.0)))
+    return SingleSamplePolicy(config._with("temperature", 0.0))
 
 
 def stochastic_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:
@@ -158,12 +163,23 @@ def self_consistency(decode_fn: DecodeFn, model: ModelSource, prompt: Sequence,
     """
     if n_paths < 1:
         raise ValueError("n_paths must be ≥ 1")
-    vocab = model.vocabulary
-    prompt_len = len(prompt.tokens)
+    outcomes = [decode_fn(model, prompt, config.with_seed(seed))
+                for seed in path_seeds(config.seed, n_paths)]
+    return vote(outcomes, model.vocabulary, len(prompt.tokens), extractor)
+
+
+def path_seeds(seed: int, n: int) -> list[int]:
+    """The seeds of a multi-path run's n paths: derive_seed(seed, i) for path i."""
+    return [derive_seed(seed, i) for i in range(n)]
+
+
+def vote(outcomes, vocab: Vocabulary, prompt_len: int,
+         extractor: AnswerExtractor) -> tuple[str, CostLedger]:
+    """Self-consistency's reduction of its paths' outcomes: the voted answer
+    and the summed ledger."""
     tally = VoteTally()
     total = CostLedger()
-    for i in range(n_paths):
-        outcome = decode_fn(model, prompt, config.with_seed(derive_seed(config.seed, i)))
+    for outcome in outcomes:
         generated = vocab.sequence(outcome.sequence.tokens[prompt_len:])
         tally.add(extractor.extract(generated, vocab))
         total = total + outcome.cost
@@ -178,11 +194,17 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
     n runs."""
     if n < 1:
         raise ValueError("n must be ≥ 1")
+    return lowest_whole_ppl([stochastic_decode(model, prompt, config.with_seed(seed))
+                             for seed in path_seeds(config.seed, n)])
+
+
+def lowest_whole_ppl(outcomes) -> DecodeOutcome:
+    """Best-of-N's reduction of its runs' outcomes: the run of lowest
+    whole-sequence perplexity, the first on ties, with the summed ledger."""
     best_outcome: DecodeOutcome | None = None
     best_ppl = float("inf")
     total = CostLedger()
-    for i in range(n):
-        outcome = stochastic_decode(model, prompt, config.with_seed(derive_seed(config.seed, i)))
+    for outcome in outcomes:
         total = total + outcome.cost
         probs = [t.chosen_prob for t in outcome.per_step_trace]
         _, ppl = branch_score(probs) if probs else (0.0, float("inf"))

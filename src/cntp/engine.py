@@ -12,13 +12,16 @@ regardless of evaluation order. A step's trials therefore grow in lockstep:
 each round every live trial draws one token, and the trials that grow on
 read their next rows in one model.next_distributions batch, which a remote
 backend sends as one request. The outcome is the one a trial-by-trial loop
-gives.
+gives. lane_decode runs many (prompt, seed) decodes of one policy the same
+way, all in lockstep by step index, with the outcomes policy_decode gives
+each alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -34,7 +37,8 @@ from .core import (
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .models import Cursor, ModelSource
-from .sampling import Rng, greedy_token, prepare_sampling_dist, sample_token
+from .sampling import (Rng, derive_base, derive_seed, greedy_token, keyed_uniforms,
+                       prepare_sampling_dist, sample_token, token_at)
 
 
 def entropy(dist: Distribution) -> float:
@@ -298,6 +302,149 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         total_steps=steps,
     )
     return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
+
+
+class _Lane:
+    """One (prompt, seed) decode of lane_decode: its stream base, cursor and
+    tokens, the token count it stops at, its multi-trial steps, the tokens
+    their losing trials drew, and its trace."""
+
+    __slots__ = ("base", "cursor", "tokens", "prompt_len", "limit", "high_steps", "discarded",
+                 "trace")
+
+    def __init__(self, model: ModelSource, prompt: Sequence, seed: int, global_cap: int):
+        self.base = derive_seed(seed)
+        self.cursor = model.start(prompt.tokens)
+        self.tokens = list(prompt.tokens)
+        self.prompt_len = len(self.tokens)
+        self.limit = self.prompt_len + global_cap
+        self.high_steps = self.discarded = 0
+        self.trace: list[StepTrace] = []
+
+    def outcome(self, vocab) -> DecodeOutcome:
+        # Each answer token and each token a losing trial drew took one pass.
+        passes = len(self.tokens) - self.prompt_len + self.discarded
+        cost = CostLedger(forward_passes=passes, generated_tokens=passes,
+                          high_entropy_steps=self.high_steps, total_steps=len(self.trace))
+        return DecodeOutcome(vocab.sequence(self.tokens), cost, tuple(self.trace))
+
+
+def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
+                policy: Policy) -> list[DecodeOutcome]:
+    """policy_decode of each (prompt, seed) lane under policy, its config at
+    that seed, with every lane in lockstep by step index. Each step reads all
+    live lanes' rows in one model.next_distributions call and draws all their
+    (seed, step, 0) uniforms in one keyed_uniforms call, used by the lanes
+    that take a single token; the multi-trial steps grow their trials
+    together (see _grow_lane_trials). Outcomes, ledgers and traces equal
+    policy_decode's bit for bit."""
+    config = policy.config
+    vocab = model.vocabulary
+    eos = vocab.eos_id
+    stops = stop_mask(vocab, config.punctuation)
+    greedy = config.temperature == 0.0
+    measure = config.confidence_measure
+    states = [_Lane(model, prompt, seed, config.global_cap) for prompt, seed in lanes]
+    live = states
+    step = 0
+    while live:
+        rows = model.next_distributions([lane.cursor for lane in live])
+        draws = (repeat(0.0) if greedy else
+                 keyed_uniforms([lane.base for lane in live], (step, 0), 0))
+        going, multis = [], []
+        for lane, dist, u in zip(live, rows, draws):
+            h = confidence(dist, measure)
+            n = policy.trials(h)
+            if n > 1:
+                multis.append((lane, dist, h, n))
+                continue
+            tok = greedy_token(dist) if greedy else token_at(prepare_sampling_dist(dist, config), u)
+            tokens = lane.tokens
+            tokens.append(tok)
+            lane.cursor = lane.cursor.advance(tok)
+            lane.trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
+            if tok != eos and len(tokens) < lane.limit:
+                going.append(lane)
+        if multis:
+            _grow_lane_trials(model, multis, step, config, stops)
+            going += [lane for lane, *_ in multis
+                      if lane.tokens[-1] != eos and len(lane.tokens) < lane.limit]
+        live = going
+        step += 1
+    return [lane.outcome(vocab) for lane in states]
+
+
+def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
+                      stops: tuple[bool, ...]) -> None:
+    """Run the multi-trial step of each (lane, row, confidence, n) of steps
+    and append its winner to the lane, as policy_decode's step does. Trials
+    grow TRIAL_CHUNK per lane at a time, and all the trials of a chunk, over
+    every lane, in lockstep: each round draws their uniforms in one
+    keyed_uniforms call and reads the rows of those that grow on in one
+    model.next_distributions call. Round r takes draw r of trial i's stream
+    (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
+    scalar sum."""
+    # Per step: the running best as [(ppl, trial index), tokens, cursor
+    # before the last token], and the tokens its trials drew.
+    bests: list = [None] * len(steps)
+    drawn = [0] * len(steps)
+    step_bases = [derive_base(lane.base, step) for lane, *_ in steps]
+    for lo in range(0, max(n for *_, n in steps), TRIAL_CHUNK):
+        chunks = [(k, range(lo, min(n, lo + TRIAL_CHUNK)))
+                  for k, (*_, n) in enumerate(steps) if n > lo]
+        draws = iter(keyed_uniforms([step_bases[k] for k, indices in chunks for _ in indices],
+                                    ([i for _, indices in chunks for i in indices],), 0))
+        # Parallel per-trial lists: (step index, trial index, cap on its
+        # length, tokens, probs) of each trial that grows on, its stream base
+        # and its cursor.
+        trials, bases, cursors = [], [], []
+        # Round 0: a step's trials all draw from its row, at its cursor, and
+        # the ones that stop there score as their first token does.
+        for k, indices in chunks:
+            lane, dist, _, _ = steps[k]
+            prepared = prepare_sampling_dist(dist, config)
+            cap = min(config.branch_cap, lane.limit - len(lane.tokens))
+            ppls: dict[int, float] = {}
+            for i in indices:
+                tok = token_at(prepared, next(draws))
+                if cap > 1 and not stops[tok]:
+                    trials.append((k, i, cap, [tok], [float(dist.probs[tok])]))
+                    bases.append(derive_base(step_bases[k], i))
+                    cursors.append(lane.cursor.advance(tok))
+                    continue
+                drawn[k] += 1
+                ppl = ppls.get(tok)
+                if ppl is None:
+                    ppl = ppls[tok] = branch_score([float(dist.probs[tok])])[1]
+                if bests[k] is None or (ppl, i) < bests[k][0]:
+                    bests[k] = [(ppl, i), [tok], lane.cursor]
+        length = 1
+        while trials:
+            rows = model.next_distributions(cursors)
+            draws = keyed_uniforms(bases, (), length)
+            length += 1
+            live, live_bases, advanced = [], [], []
+            for trial, base, cur, dist, u in zip(trials, bases, cursors, rows, draws):
+                k, i, cap, tokens, probs = trial
+                tok = token_at(prepare_sampling_dist(dist, config), u)
+                tokens.append(tok)
+                probs.append(float(dist.probs[tok]))
+                if not (length >= cap or stops[tok]):
+                    live.append(trial)
+                    live_bases.append(base)
+                    advanced.append(cur.advance(tok))
+                    continue
+                drawn[k] += length
+                ppl = branch_score(probs)[1]
+                if bests[k] is None or (ppl, i) < bests[k][0]:
+                    bests[k] = [(ppl, i), tokens, cur]
+            trials, bases, cursors = live, live_bases, advanced
+    for (lane, _, h, n), ((ppl, _), tokens, end), total in zip(steps, bests, drawn):
+        lane.tokens.extend(tokens)
+        lane.cursor = end.advance(tokens[-1])
+        lane.discarded += total - len(tokens)
+        lane.high_steps += 1
+        lane.trace.append(StepTrace(h, n, ppl, None))
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

@@ -22,14 +22,18 @@ from ..baselines import (
     beam_search_decode,
     best_of_n_whole_ppl,
     greedy_decode,
+    greedy_policy,
+    lowest_whole_ppl,
+    path_seeds,
     self_consistency,
     stochastic_decode,
+    vote,
 )
 from ..core import (CostLedger, DecodeConfig, DecodeOutcome, ModelFileError, check_fields,
                     check_seed, config_from_dict, config_to_dict, read_lines, write_json,
                     write_lines)
 from ..core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
-from ..engine import cntp_decode
+from ..engine import CntpPolicy, SingleSamplePolicy, cntp_decode, lane_decode
 from ..models import ModelSource, ProtocolError, RemoteModel, load_kgram_model, load_scripted_model
 from ..sampling import derive_seed
 from .tasks import Task, bundled_spec, extractor_to_string, parse_extractor
@@ -45,25 +49,41 @@ class Strategy:
     (a --temperature flag or a config file wins), its default width (None
     for strategies that take none), and run(model, prompt, config, width,
     extractor), which returns a DecodeOutcome, or the voted (answer, cost)
-    pair for self-consistency."""
+    pair for self-consistency.
+
+    How run_suite decodes a suite seed's runs in lockstep lanes (see
+    engine.lane_decode): policy(config) is the policy of every lane (None:
+    run each task alone); reduce(outcomes, vocabulary, prompt length,
+    extractor), if set, folds a task's width paths, one lane each, into what
+    run returns; a seedless strategy's result ignores the seed, so a suite
+    decodes it once per task."""
 
     preset_temperature: float
     default_width: int | None
     run: Callable
+    policy: Callable | None
+    reduce: Callable | None = None
+    seedless: bool = False
 
 
-# The entries look the decoders up in this module's globals at call time,
-# so patching a decoder here reaches every strategy that runs it.
+# The run entries look the decoders up in this module's globals at call
+# time, so patching a decoder here reaches every strategy that runs it.
 STRATEGIES = {
-    "greedy": Strategy(0.0, None, lambda m, p, c, w, x: greedy_decode(m, p, c)),
-    "stochastic": Strategy(0.6, None, lambda m, p, c, w, x: stochastic_decode(m, p, c)),
-    "cntp": Strategy(1.2, None, lambda m, p, c, w, x: cntp_decode(m, p, c)),
-    "beam": Strategy(0.0, 4, lambda m, p, c, w, x: beam_search_decode(m, p, c, w)),
+    "greedy": Strategy(0.0, None, lambda m, p, c, w, x: greedy_decode(m, p, c), greedy_policy,
+                       seedless=True),
+    "stochastic": Strategy(0.6, None, lambda m, p, c, w, x: stochastic_decode(m, p, c),
+                           SingleSamplePolicy),
+    "cntp": Strategy(1.2, None, lambda m, p, c, w, x: cntp_decode(m, p, c), CntpPolicy),
+    "beam": Strategy(0.0, 4, lambda m, p, c, w, x: beam_search_decode(m, p, c, w), None,
+                     seedless=True),
     "sc": Strategy(0.6, 5, lambda m, p, c, w, x:
-                   self_consistency(stochastic_decode, m, p, c, w, x)),
+                   self_consistency(stochastic_decode, m, p, c, w, x),
+                   SingleSamplePolicy, vote),
     "cntp_sc": Strategy(1.2, 5, lambda m, p, c, w, x:
-                        self_consistency(cntp_decode, m, p, c, w, x)),
-    "best_of_n": Strategy(0.6, 5, lambda m, p, c, w, x: best_of_n_whole_ppl(m, p, c, w)),
+                        self_consistency(cntp_decode, m, p, c, w, x), CntpPolicy, vote),
+    "best_of_n": Strategy(0.6, 5, lambda m, p, c, w, x: best_of_n_whole_ppl(m, p, c, w),
+                          SingleSamplePolicy,
+                          lambda outcomes, *_: lowest_whole_ppl(outcomes)),
 }
 
 
@@ -148,24 +168,33 @@ _COST_FIELDS = tuple(f.name for f in dataclasses.fields(CostLedger))
 _COST_KINDS = dict.fromkeys(_COST_FIELDS, "int")
 
 
-def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
-            *, model_spec: str = "",
-            record_seed: int | None = None) -> tuple[RunRecord, DecodeOutcome | None]:
-    """Execute one strategy on one task. The record's seed field holds
-    record_seed, or config.seed when it is None; suite runs pass the
-    suite-level seed."""
-    root, width = parse_strategy(strategy)
-    vocab = model.vocabulary
+def _prompt(vocab, task: Task):
     try:
-        prompt = vocab.sequence(vocab.encode(task.prompt))
+        return vocab.sequence(vocab.encode(task.prompt))
     except ValueError as exc:
         raise ModelFileError(f"task {task.id}: prompt not encodable: {exc}") from exc
-    start = time.perf_counter()
-    try:
-        result = STRATEGIES[root].run(model, prompt, config, width, task.extractor)
-    except ProtocolError as exc:
-        raise ProtocolError(f"task {task.id}: {exc}") from exc
-    wall_time = time.perf_counter() - start
+
+
+def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
+            *, model_spec: str = "", record_seed: int | None = None,
+            decoded: tuple | None = None) -> tuple[RunRecord, DecodeOutcome | None]:
+    """Execute one strategy on one task. The record's seed field holds
+    record_seed, or config.seed when it is None; suite runs pass the
+    suite-level seed. decoded, if given, is the (result, wall time) pair of a
+    run already decoded under this config, which the record takes in place
+    of decoding it again."""
+    root, width = parse_strategy(strategy)
+    vocab = model.vocabulary
+    prompt = _prompt(vocab, task)
+    if decoded is None:
+        start = time.perf_counter()
+        try:
+            result = STRATEGIES[root].run(model, prompt, config, width, task.extractor)
+        except ProtocolError as exc:
+            raise ProtocolError(f"task {task.id}: {exc}") from exc
+        wall_time = time.perf_counter() - start
+    else:
+        result, wall_time = decoded
     if isinstance(result, DecodeOutcome):
         outcome = result
         generated = vocab.sequence(outcome.sequence.tokens[len(prompt.tokens):])
@@ -243,13 +272,36 @@ def aggregate_records(strategy: str, records, n_tasks: int, seeds) -> SuiteAggre
     )
 
 
+def _decode_lanes(model: ModelSource, strategy: Strategy, width: int | None, tasks, prompts,
+                  configs) -> list:
+    """What strategy.run returns for each (task, prompt, config), decoded in
+    lockstep lanes; a strategy without a policy runs each task alone."""
+    if strategy.policy is None:
+        return [strategy.run(model, prompt, config, width, task.extractor)
+                for task, prompt, config in zip(tasks, prompts, configs)]
+    policy = strategy.policy(configs[0])
+    if strategy.reduce is None:
+        return lane_decode(model, [(prompt, config.seed)
+                                   for prompt, config in zip(prompts, configs)], policy)
+    outcomes = lane_decode(model, [(prompt, seed) for prompt, config in zip(prompts, configs)
+                                   for seed in path_seeds(config.seed, width)], policy)
+    vocab = model.vocabulary
+    return [strategy.reduce(outcomes[k * width:(k + 1) * width], vocab, len(prompt.tokens),
+                            task.extractor)
+            for k, (task, prompt) in enumerate(zip(tasks, prompts))]
+
+
 def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, seeds,
               *, model_spec: str = "", out_dir: str | None = None,
               workers: int = 1) -> SuiteResult:
     """One run per (task, seed). Per-run seeds are derive_seed(seed, task
     index), so runs are independent across tasks and reproducible
-    individually. Records come back sorted by (seed, task id) and aggregates
-    are order-independent, so parallel and serial execution agree exactly."""
+    individually. The runs of one suite seed decode as lockstep lanes, and a
+    seedless strategy's once per task for every seed; each record is what
+    run_one writes for its run, wall_time aside, which is its even share of
+    the decode that served it. Records come back sorted by (seed, task id)
+    and aggregates are order-independent, so parallel and serial execution
+    agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")
     if not seeds:
@@ -260,19 +312,40 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         raise ValueError("seeds must be unique")
     if workers < 1:
         raise ValueError("workers must be ≥ 1")
-    canonical = canonical_strategy(strategy)
-    jobs = [(seed, idx, task) for seed in seeds for idx, task in enumerate(tasks)]
+    root, width = parse_strategy(strategy)
+    canonical = _strategy_text(root, width)
+    spec = STRATEGIES[root]
+    prompts = [_prompt(model.vocabulary, task) for task in tasks]
 
-    def execute(job):
-        seed, idx, task = job
-        cfg = config.with_seed(derive_seed(seed, idx))
-        return run_one(model, task, canonical, cfg, model_spec=model_spec, record_seed=seed)[0]
+    def configs_at(seed):
+        return [config.with_seed(derive_seed(seed, idx)) for idx in range(len(tasks))]
+
+    def decode(configs, served):
+        """Each task's result under configs, and the even share of the
+        decode's wall time of each of the served records."""
+        start = time.perf_counter()
+        try:
+            results = _decode_lanes(model, spec, width, tasks, prompts, configs)
+        except ProtocolError as exc:
+            raise ProtocolError(f"tasks {tasks[0].id}..{tasks[-1].id}: {exc}") from exc
+        return results, (time.perf_counter() - start) / served
+
+    if spec.seedless:
+        seedless = decode(configs_at(seeds[0]), len(tasks) * len(seeds))
+
+    def execute(seed):
+        configs = configs_at(seed)
+        results, wall_time = seedless if spec.seedless else decode(configs, len(tasks))
+        return [run_one(model, task, canonical, cfg, model_spec=model_spec, record_seed=seed,
+                        decoded=(result, wall_time))[0]
+                for task, cfg, result in zip(tasks, configs, results)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(execute, jobs))
+            batches = list(pool.map(execute, seeds))
     else:
-        records = [execute(job) for job in jobs]
+        batches = [execute(seed) for seed in seeds]
+    records = [record for batch in batches for record in batch]
     records.sort(key=lambda r: (seeds.index(r.seed), r.task_id))
     aggregate = aggregate_records(canonical, records, len(tasks), seeds)
 

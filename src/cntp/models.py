@@ -328,6 +328,7 @@ class RemoteModel(ModelSource):
             self._sock = socket.create_connection((host, int(port)), timeout=timeout)
         except OSError as exc:
             raise ProtocolError(f"cannot connect to {address}: {exc}") from exc
+        _no_delay(self._sock)
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
         self._rows: dict[bytes, Distribution] = {}
@@ -444,6 +445,13 @@ class RemoteModel(ModelSource):
             self._sock.close()
 
 
+def _no_delay(sock: socket.socket) -> None:
+    """Send each flushed line at once. Without it a request or reply past
+    one segment waits for the peer's delayed ACK (Nagle's algorithm): a
+    32-branch wire-3 round trip took 44 ms, against 0.4 ms with it."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _is_error_line(line: bytes) -> bool:
     try:
         record = parse_json(line, ProtocolError, "reply")
@@ -542,6 +550,7 @@ class ModelServer:
         held = None  # the prefix of this connection's last answered request
         try:
             with conn, conn.makefile("rwb") as fh:
+                _no_delay(conn)
                 fh.write(json_line({"tokens": list(vocab.tokens), "eos": vocab.eos_id,
                                     "wire": WIRE_VERSION}).encode())
                 fh.flush()

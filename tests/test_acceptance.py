@@ -26,6 +26,7 @@ from cntp import (
     enumerate_sequences,
     exact_correctness,
     greedy_decode,
+    lane_decode,
     prepare_sampling_dist,
     sample_token,
     stochastic_decode,
@@ -36,19 +37,24 @@ from cntp.theory import bundled_fixtures
 
 PROMPT = Sequence((), "")
 MC_RUNS = 50_000
+MC_BATCH = 1_000  # lanes decoded at once, which bounds the fixture's memory
 
 
 def _mc_correctness(fixture, runs=MC_RUNS):
+    """The share of seeds 0..runs-1 whose cntp decode gives the reference,
+    the seeds decoded MC_BATCH at a time as lanes (lane_decode equals
+    cntp_decode at each seed; see tests/test_lanes.py)."""
     eos = fixture.model.vocabulary.eos_id
     ref = fixture.reference.tokens
+    policy = CntpPolicy(fixture.config)
     hits = 0
-    for i in range(runs):
-        out = cntp_decode(fixture.model, PROMPT,
-                          dataclasses.replace(fixture.config, seed=i))
-        toks = out.sequence.tokens
-        if toks and toks[-1] == eos:
-            toks = toks[:-1]
-        hits += toks == ref
+    for lo in range(0, runs, MC_BATCH):
+        seeds = range(lo, min(runs, lo + MC_BATCH))
+        for out in lane_decode(fixture.model, [(PROMPT, seed) for seed in seeds], policy):
+            toks = out.sequence.tokens
+            if toks and toks[-1] == eos:
+                toks = toks[:-1]
+            hits += toks == ref
     return hits / runs
 
 

@@ -1,0 +1,221 @@
+"""Lockstep lanes: lane_decode against the scalar policy_decode, run_suite's
+per-seed lane decodes against the scalar strategies, and the batched keyed
+draws against Rng streams."""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cntp import (
+    CntpPolicy,
+    DecodeConfig,
+    DecodeOutcome,
+    ModelServer,
+    ProtocolError,
+    RemoteModel,
+    Rng,
+    Sequence,
+    SingleSamplePolicy,
+    UniformMultisamplePolicy,
+    derive_seed,
+    keyed_uniforms,
+    lane_decode,
+)
+from cntp import models, sampling
+from cntp.baselines import path_seeds
+from cntp.core import load_config
+from cntp.engine import TRIAL_CHUNK, policy_decode
+from cntp.harness import bundled_path, load_tasks
+from cntp.harness.runner import STRATEGIES, _decode_lanes, parse_strategy, resolve_model
+
+from conftest import make_random_scripted
+
+
+def _hexed(x):
+    return None if x is None else float.hex(x)
+
+
+def _exact(outcome):
+    """An outcome with every float spelled exactly."""
+    trace = [(_hexed(t.confidence), t.n_trials, _hexed(t.chosen_ppl), _hexed(t.chosen_prob))
+             for t in outcome.per_step_trace]
+    return outcome.sequence.tokens, outcome.cost, trace
+
+
+def _exact_result(result):
+    """A strategy result, a DecodeOutcome or a voted (answer, ledger) pair."""
+    return _exact(result) if isinstance(result, DecodeOutcome) else result
+
+
+def _assert_lanes_match(model, prompts, seeds, policy):
+    """Each lane of one lane_decode equals policy_decode at its seed."""
+    lanes = lane_decode(model, list(zip(prompts, seeds)), policy)
+    assert len(lanes) == len(prompts)
+    for prompt, seed, lane in zip(prompts, seeds, lanes):
+        scalar = policy_decode(model, prompt,
+                               dataclasses.replace(policy, config=policy.config.with_seed(seed)))
+        assert _exact(lane) == _exact(scalar)
+    return lanes
+
+
+def _bundled(name, global_cap=None):
+    model = resolve_model(f"bundled:{name}")
+    tasks = load_tasks(bundled_path(f"{name}.tasks"))
+    config = load_config(bundled_path(f"{name}.config.json"))
+    if global_cap is not None:
+        config = dataclasses.replace(config, global_cap=global_cap)
+    vocab = model.vocabulary
+    return model, tasks, [vocab.sequence(vocab.encode(t.prompt)) for t in tasks], config
+
+
+@pytest.mark.parametrize("strategy", ["stochastic", "cntp", "sc:5", "cntp_sc:5",
+                                      "best_of_n:5", "greedy", "beam:4"])
+def test_suite_lanes_equal_the_scalar_strategies(strategy):
+    """For every strategy on the bundled suite at suite seeds 0-2, what
+    run_suite decodes per seed equals each task's scalar run, and each lane
+    of the seeded ones equals policy_decode at its path seed."""
+    model, tasks, prompts, config = _bundled("suite")
+    root, width = parse_strategy(strategy)
+    spec = STRATEGIES[root]
+    for suite_seed in (0, 1, 2):
+        configs = [config.with_seed(derive_seed(suite_seed, i)) for i in range(len(tasks))]
+        results = _decode_lanes(model, spec, width, tasks, prompts, configs)
+        for task, prompt, cfg, result in zip(tasks, prompts, configs, results):
+            scalar = spec.run(model, prompt, cfg, width, task.extractor)
+            assert _exact_result(result) == _exact_result(scalar)
+        if spec.policy is not None:
+            paths = width if spec.reduce else 1
+            seeds = [seed for cfg in configs
+                     for seed in (path_seeds(cfg.seed, width) if spec.reduce else [cfg.seed])]
+            _assert_lanes_match(model, [p for p in prompts for _ in range(paths)], seeds,
+                                spec.policy(config))
+
+
+@pytest.mark.parametrize("policy", [SingleSamplePolicy, CntpPolicy])
+def test_kgram_lanes_at_cap_128_equal_scalar_decodes(policy):
+    model, _, prompts, config = _bundled("kgram", global_cap=128)
+    lanes = _assert_lanes_match(model, prompts, [derive_seed(5, i) for i in range(len(prompts))],
+                                policy(config))
+    assert all(len(lane.sequence.tokens) > len(prompt.tokens)
+               for lane, prompt in zip(lanes, prompts))
+    if policy is CntpPolicy:
+        assert sum(lane.cost.high_entropy_steps for lane in lanes) > 0
+
+
+def test_lanes_on_random_models_and_at_zero_temperature_equal_scalar_decodes():
+    """Random scripted models under every policy, at T=0 too, where single
+    steps draw nothing and multi-trial steps still draw; the lane count
+    straddles NUMPY_DRAWS, so both draw paths run."""
+    rng = np.random.default_rng(15)
+    multi = 0
+    for m in range(6):
+        model = make_random_scripted(rng, width=3, depth=4, eos_floor=0.02)
+        for temperature in (0.0, 0.9):
+            config = DecodeConfig(h_min=0.3, h_max=1.0, n_max=4, branch_cap=3, global_cap=7,
+                                  top_p=0.95, punctuation=frozenset(), temperature=temperature)
+            for count in (3, sampling.NUMPY_DRAWS + 5):
+                prompts = [Sequence((), "")] * count
+                seeds = [derive_seed(m, i) for i in range(count)]
+                for policy in (SingleSamplePolicy(config), CntpPolicy(config),
+                               UniformMultisamplePolicy(config, 3)):
+                    lanes = _assert_lanes_match(model, prompts, seeds, policy)
+                    multi += sum(lane.cost.high_entropy_steps for lane in lanes)
+    assert multi > 0
+
+
+def test_a_step_past_trial_chunk_matches_the_scalar_decode(suite_bundle):
+    """A step of more trials than TRIAL_CHUNK grows them chunk by chunk, and
+    still keeps the lowest (ppl, trial index) of all of them."""
+    model, tasks, config = suite_bundle
+    vocab = model.vocabulary
+    prompts = [vocab.sequence(vocab.encode(t.prompt)) for t in tasks[:4]]
+    policy = UniformMultisamplePolicy(config, TRIAL_CHUNK * 2 + 3)
+    lanes = _assert_lanes_match(model, prompts, [11, 12, 13, 2**64 - 1], policy)
+    assert all(t.n_trials > TRIAL_CHUNK for lane in lanes for t in lane.per_step_trace)
+
+
+def test_lanes_without_any_lane_return_nothing(suite_bundle):
+    model, _, config = suite_bundle
+    assert lane_decode(model, [], CntpPolicy(config)) == []
+
+
+@pytest.mark.parametrize("wire", [3, 2])
+def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
+    """k-gram lanes through a wire-3 ModelServer, which gets each step's
+    lanes and each round's trials as one batch, and through a stub that
+    speaks only wire 2, equal the local scalar decodes."""
+    if wire == 2:
+        monkeypatch.setattr(models, "WIRE_VERSION", 2)
+        original = models._requested_prefixes
+
+        def wire_2_only(record, held, size):
+            if type(record) is dict and "branches" in record:
+                raise ProtocolError("request: a wire-2 server takes no branches")
+            return original(record, held, size)
+
+        monkeypatch.setattr(models, "_requested_prefixes", wire_2_only)
+    model, _, prompts, config = _bundled("kgram", global_cap=48)
+    prompts = prompts[:8]
+    seeds = [derive_seed(3, i) for i in range(len(prompts))]
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        assert remote._wire == wire
+        for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
+            over_wire = lane_decode(remote, list(zip(prompts, seeds)), policy)
+            for prompt, seed, lane in zip(prompts, seeds, over_wire):
+                scalar = policy_decode(model, prompt, dataclasses.replace(
+                    policy, config=policy.config.with_seed(seed)))
+                assert _exact(lane) == _exact(scalar)
+
+
+_SEEDS = st.one_of(st.integers(2**64 - 4096, 2**64 - 1), st.integers(0, 2**64 - 1))
+_PARTS = st.integers(4096, 2**64 - 1) | st.integers(0, 4095)
+
+
+@st.composite
+def _streams(draw):
+    """Seeds, and a key whose parts are shared or one per stream."""
+    seeds = draw(st.lists(_SEEDS, min_size=1, max_size=2 * sampling.NUMPY_DRAWS))
+    per_stream = st.lists(_PARTS, min_size=len(seeds), max_size=len(seeds))
+    return seeds, tuple(draw(st.lists(_PARTS | per_stream, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_streams(), st.integers(0, 5))
+def test_keyed_uniforms_equal_rng_streams(streams, draws):
+    """Batched draws equal each stream's own sequence, on both sides of
+    NUMPY_DRAWS, for key parts past the premixed table and seeds near 2**64."""
+    seeds, key = streams
+    bases = [derive_seed(seed) for seed in seeds]
+    rngs = [Rng(seed).derive(*(p if type(p) is int else p[j] for p in key))
+            for j, seed in enumerate(seeds)]
+    for draw in range(draws + 1):
+        expected = [rng.uniform() for rng in rngs]
+        assert keyed_uniforms(bases, key, draw) == expected
+
+
+def test_keyed_uniforms_use_numpy_from_the_cut_off(monkeypatch):
+    calls = []
+    original = sampling._mix64_np
+    monkeypatch.setattr(sampling, "_mix64_np", lambda z: calls.append(z.size) or original(z))
+    bases = [derive_seed(seed) for seed in range(sampling.NUMPY_DRAWS)]
+    keyed_uniforms(bases[:-1], (1, 0), 0)
+    assert calls == []
+    keyed_uniforms(bases, (1, 0), 0)
+    assert calls == [sampling.NUMPY_DRAWS] * 3
+
+
+def test_keyed_uniforms_take_a_part_per_stream_and_derived_bases():
+    """A key part may differ per stream, as a trial index does, and a trial
+    stream derived from its step's base draws what its Rng stream draws."""
+    for count in (3, sampling.NUMPY_DRAWS + 3):
+        parts = [4090 + j for j in range(count)]
+        step = sampling.derive_base(derive_seed(9), 7)
+        firsts = [Rng(9).derive(7, p).uniform() for p in parts]
+        assert keyed_uniforms([step] * count, (parts,), 0) == firsts
+        assert keyed_uniforms([derive_seed(9)] * count, (7, parts), 0) == firsts
+        assert keyed_uniforms([sampling.derive_base(step, p) for p in parts], (), 0) == firsts
