@@ -1,5 +1,5 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON (wires 1 to 3).
+models, and a remote client speaking newline-delimited JSON (wires 1 to 4).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
@@ -273,10 +273,14 @@ def load_kgram_model(path: str) -> KGramModel:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
-# The wire protocol's version; README, "Wire protocol", describes all three.
-WIRE_VERSION = 3
-# Most branches one wire-3 request may name; the client splits larger batches.
+# The wire protocol's version; README, "Wire protocol", describes all four.
+WIRE_VERSION = 4
+# Most branches one wire-3 or wire-4 request may name; the client splits
+# larger batches.
 BRANCHES_CAP = 64
+# Slots a wire-4 connection's table holds: a batch that would take it past
+# the cap clears it first, on the server and in the client's mirror alike.
+SLOT_CAP = 1024
 # Most connections a ModelServer serves at once; one past it gets an error
 # line as its hello and is closed.
 CONNECTION_CAP = 64
@@ -314,6 +318,11 @@ class RemoteModel(ModelSource):
     {"prefix": [ids]}. To a wire-3 server next_distributions sends a batch of
     prefixes as one {"keep": n, "branches": [[ids], ...]} request, answered
     with one row line per branch; to an older one, one request per prefix.
+    A wire-4 server keeps a numbered slot per answered row, and the client
+    mirrors that table: every request, batch or single, is one {"slots":
+    [s, ...], "branches": [[ids], ...]} request that names each prefix as
+    the slot of the prefix one token shorter plus that token, or as slot -1
+    and the whole prefix when that one was never answered.
     Equal reply lines give the same Distribution, so a repeated row is
     neither parsed nor validated again and keeps its sampling caches.
     Requests are serialized per connection; every record is type-checked.
@@ -333,6 +342,10 @@ class RemoteModel(ModelSource):
         self._lock = threading.Lock()
         self._rows: dict[bytes, Distribution] = {}
         self._held: tuple[TokenId, ...] | None = None  # the prefix the server holds
+        # Wire 4: each answered prefix's slot in the server's table, and the
+        # number of slots that table holds.
+        self._slots: dict[tuple[TokenId, ...], int] = {}
+        self._slot_count = 0
         try:
             hello = self._record(self._exchange())
             where = f"{address}: hello record"
@@ -391,16 +404,19 @@ class RemoteModel(ModelSource):
 
     def _ask(self, request: dict, count: int) -> list[Distribution]:
         """Send request and read its count reply rows. A server answers a
-        request it cannot serve with one error line; any other failure
-        before the last row leaves reply lines unread, so it closes the
-        connection."""
+        request it cannot serve with one error line, and drops its slots,
+        so the mirror goes too; any other failure before the last row
+        leaves reply lines unread, so it closes the connection."""
         rows: list[Distribution] = []
         line = self._exchange(json_line(request).encode())
         while True:
             try:
                 rows.append(self._row(line))
             except ProtocolError:
-                if len(rows) + 1 < count and (rows or not _is_error_line(line)):
+                if not rows and _is_error_line(line):
+                    self._slots.clear()
+                    self._slot_count = 0
+                elif len(rows) + 1 < count:
                     self.close()
                 raise
             if len(rows) == count:
@@ -412,6 +428,10 @@ class RemoteModel(ModelSource):
         wire version allows. The caller holds the lock."""
         rows: list[Distribution] = []
         while len(rows) < len(keys):
+            if self._wire >= 4:
+                batch = keys[len(rows):len(rows) + BRANCHES_CAP]
+                rows += self._ask(self._slot_request(batch), len(batch))
+                continue
             key = keys[len(rows)]
             held, self._held = self._held, None  # unknown until this request is answered
             if held is None or self._wire < 2:
@@ -427,6 +447,29 @@ class RemoteModel(ModelSource):
             rows += self._ask(request, batch)
             self._held = after
         return rows
+
+    def _slot_request(self, batch: list[tuple[TokenId, ...]]) -> dict:
+        """The wire-4 request for batch, whose slots the mirror then holds
+        as the server will once it answers: a cursor is one token past a
+        cursor already read, so the prefix one token shorter has a slot,
+        and a prefix without one goes whole."""
+        slots = self._slots
+        refs, branches = [], []
+        for key in batch:
+            ref = slots.get(key[:-1])
+            if ref is None:
+                refs.append(-1)
+                branches.append(key)
+            else:
+                refs.append(ref)
+                branches.append(key[-1:])
+        if self._slot_count + len(batch) > SLOT_CAP:
+            slots.clear()
+            self._slot_count = 0
+        for slot, key in enumerate(batch, self._slot_count):
+            slots[key] = slot
+        self._slot_count += len(batch)
+        return {"slots": refs, "branches": branches}
 
     def next_distribution(self, prefix) -> Distribution:
         with self._lock:
@@ -473,23 +516,29 @@ def _check_ids(ids: list, size: int) -> None:
         raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
 
 
+def _check_branches(branches: list, size: int) -> None:
+    """Check a wire-3 or wire-4 request's branches: 1..BRANCHES_CAP lists of
+    token ids."""
+    if not 1 <= len(branches) <= BRANCHES_CAP:
+        raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
+                            f"got {len(branches)}")
+    ids = [*chain.from_iterable(branches)]
+    if not {int}.issuperset(map(type, ids)):
+        raise ProtocolError("request: branches must be lists of integers")
+    _check_ids(ids, size)
+
+
 def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
-    """The prefixes a request names, and the prefix the connection holds
-    once they are answered. held is the prefix of the connection's last
-    answered request (None before one); a request names one prefix whole,
-    one as a delta on held, or a batch of branches off held[:keep], after
-    which the connection holds held[:keep]."""
+    """The prefixes a wire 1-3 request names, and the prefix the connection
+    holds once they are answered. held is the prefix of the connection's
+    last answered request of these forms (None before one); a request names
+    one prefix whole, one as a delta on held, or a batch of branches off
+    held[:keep], after which the connection holds held[:keep]."""
     if type(record) is dict and "branches" in record:
         fields = check_fields(record, {"keep": "int", "branches": "[list]"}, ProtocolError,
                               "request", closed=True)
         base, branches = _kept(held, fields["keep"]), fields["branches"]
-        if not 1 <= len(branches) <= BRANCHES_CAP:
-            raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
-                                f"got {len(branches)}")
-        ids = [*chain.from_iterable(branches)]
-        if not {int}.issuperset(map(type, ids)):
-            raise ProtocolError("request: branches must be lists of integers")
-        _check_ids(ids, size)
+        _check_branches(branches, size)
         return [base + tuple(branch) for branch in branches], base
     if type(record) is dict and "keep" in record:
         fields = check_fields(record, {"keep": "int", "append": "[int]"}, ProtocolError,
@@ -503,18 +552,52 @@ def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
     return [prefix], prefix
 
 
+def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list[Cursor],
+                       model: ModelSource):
+    """The model cursors a request names, and the prefix the connection
+    holds once they are answered. A wire-4 request names each branch as
+    slot s of table plus the ids after it, or as slot -1 plus the whole
+    prefix, and leaves held as it was; the older forms name prefixes (see
+    _requested_prefixes)."""
+    size = len(model.vocabulary)
+    if type(record) is not dict or "slots" not in record:
+        prefixes, after = _requested_prefixes(record, held, size)
+        return [model.start(prefix) for prefix in prefixes], after
+    fields = check_fields(record, {"slots": "[int]", "branches": "[list]"}, ProtocolError,
+                          "request", closed=True)
+    refs, branches = fields["slots"], fields["branches"]
+    _check_branches(branches, size)
+    if len(refs) != len(branches):
+        raise ProtocolError(f"request: slots and branches must be as long, got {len(refs)} "
+                            f"and {len(branches)}")
+    if not -1 <= min(refs) <= max(refs) < len(table):
+        raise ProtocolError(f"request: slots must be in -1..{len(table) - 1}")
+    cursors = []
+    for ref, ids in zip(refs, branches):
+        if ref < 0:
+            cursors.append(model.start(ids))
+            continue
+        cursor = table[ref]
+        for tok in ids:
+            cursor = cursor.advance(tok)
+        cursors.append(cursor)
+    return cursors, held
+
+
 class ModelServer:
     """Stub server exposing any ModelSource over the wire protocol. Meant
     for tests and the serve-stub CLI command, not production serving. It
     serves at most CONNECTION_CAP connections at once; one past the cap gets
-    a single error line and is closed, and a slot frees when a client
-    hangs up."""
+    a single error line and is closed, and a place frees when a client
+    hangs up. Each connection keeps the model's cursor at every row it
+    answered, up to SLOT_CAP of them, as the slots wire-4 requests name;
+    an error line drops them all."""
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
         self._lines: dict[Distribution, bytes] = {}  # each row's reply line
         self._lines_lock = threading.Lock()
-        self._slots = threading.BoundedSemaphore(CONNECTION_CAP)
+        self._connections = threading.BoundedSemaphore(CONNECTION_CAP)
         self._listener = socket.create_server((host, port))
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.address = f"{actual_host}:{actual_port}"
@@ -527,7 +610,7 @@ class ModelServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            if not self._slots.acquire(blocking=False):
+            if not self._connections.acquire(blocking=False):
                 with conn:
                     try:
                         conn.sendall(json_line({"error": f"server holds its cap of "
@@ -546,8 +629,10 @@ class ModelServer:
         return line
 
     def _serve_one(self, conn: socket.socket) -> None:
-        vocab = self._model.vocabulary
-        held = None  # the prefix of this connection's last answered request
+        model = self._model
+        vocab = model.vocabulary
+        held = None  # the prefix of this connection's last answered wire 1-3 request
+        table: list[Cursor] = []  # the model's cursor at each answered row, in answer order
         try:
             with conn, conn.makefile("rwb") as fh:
                 _no_delay(conn)
@@ -561,22 +646,25 @@ class ModelServer:
                         fh.flush()
                         return
                     try:
-                        prefixes, after = _requested_prefixes(
-                            parse_json(line, ProtocolError, "request"), held, len(vocab))
+                        cursors, after = _requested_cursors(
+                            parse_json(line, ProtocolError, "request"), held, table, model)
                         # Every row before the first line goes out: a model that
                         # fails on one branch gets the request one error line.
-                        replies = [self._reply(self._model.next_distribution(prefix))
-                                   for prefix in prefixes]
+                        replies = [*map(self._reply, model.next_distributions(cursors))]
                         held = after
+                        if len(table) + len(cursors) > SLOT_CAP:
+                            table.clear()
+                        table += cursors
                     except Exception as exc:  # a bad request or a failing model: report it
                         held = None
+                        table.clear()
                         replies = [json_line({"error": str(exc)}).encode()]
                     fh.writelines(replies)
                     fh.flush()
         except OSError:
             pass
         finally:
-            self._slots.release()
+            self._connections.release()
 
     def close(self) -> None:
         """Stop accepting: shutting the listener down wakes the accept thread

@@ -238,7 +238,8 @@ def served(workdir):
 
 @settings(max_examples=120, deadline=None)
 @given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]})
-       | documents({"keep": 1, "branches": [[0], [1, 0]]}))
+       | documents({"keep": 1, "branches": [[0], [1, 0]]})
+       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]]}))
 def test_server_request_lines(served, request):
     served.write(_line(request))
     served.flush()

@@ -16,7 +16,6 @@ from cntp import (
     DecodeConfig,
     DecodeOutcome,
     ModelServer,
-    ProtocolError,
     RemoteModel,
     Rng,
     Sequence,
@@ -33,7 +32,7 @@ from cntp.engine import TRIAL_CHUNK, policy_decode
 from cntp.harness import bundled_path, load_tasks
 from cntp.harness.runner import STRATEGIES, _decode_lanes, parse_strategy, resolve_model
 
-from conftest import make_random_scripted
+from conftest import make_random_scripted, serve_wire
 
 
 def _hexed(x):
@@ -144,21 +143,7 @@ def test_lanes_without_any_lane_return_nothing(suite_bundle):
     assert lane_decode(model, [], CntpPolicy(config)) == []
 
 
-@pytest.mark.parametrize("wire", [3, 2])
-def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
-    """k-gram lanes through a wire-3 ModelServer, which gets each step's
-    lanes and each round's trials as one batch, and through a stub that
-    speaks only wire 2, equal the local scalar decodes."""
-    if wire == 2:
-        monkeypatch.setattr(models, "WIRE_VERSION", 2)
-        original = models._requested_prefixes
-
-        def wire_2_only(record, held, size):
-            if type(record) is dict and "branches" in record:
-                raise ProtocolError("request: a wire-2 server takes no branches")
-            return original(record, held, size)
-
-        monkeypatch.setattr(models, "_requested_prefixes", wire_2_only)
+def _assert_lanes_through_a_server_equal_local_decodes(wire):
     model, _, prompts, config = _bundled("kgram", global_cap=48)
     prompts = prompts[:8]
     seeds = [derive_seed(3, i) for i in range(len(prompts))]
@@ -170,6 +155,33 @@ def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
                 scalar = policy_decode(model, prompt, dataclasses.replace(
                     policy, config=policy.config.with_seed(seed)))
                 assert _exact(lane) == _exact(scalar)
+
+
+@pytest.mark.parametrize("wire", [4, 3, 2])
+def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
+    """k-gram lanes through a wire-4 ModelServer, which gets each step's
+    lanes and each round's trials as one batch of slots, and through stubs
+    that speak only wire 3 or wire 2, equal the local scalar decodes."""
+    serve_wire(monkeypatch, wire)
+    _assert_lanes_through_a_server_equal_local_decodes(wire)
+
+
+def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
+    """With a 5-slot table, cleared by most batches of a decode, the lanes
+    still equal the local scalar decodes."""
+    monkeypatch.setattr(models, "SLOT_CAP", 5)
+    sent, counts = [], []
+    original = RemoteModel._slot_request
+
+    def recorded(self, batch):
+        sent.append(original(self, batch))
+        counts.append(self._slot_count)
+        return sent[-1]
+
+    monkeypatch.setattr(RemoteModel, "_slot_request", recorded)
+    _assert_lanes_through_a_server_equal_local_decodes(4)
+    assert any(later < earlier for earlier, later in zip(counts, counts[1:]))  # cleared
+    assert any(ref >= 0 for request in sent for ref in request["slots"])
 
 
 _SEEDS = st.one_of(st.integers(2**64 - 4096, 2**64 - 1), st.integers(0, 2**64 - 1))

@@ -47,9 +47,10 @@ from cntp.core import load_config
 from cntp.engine import _grow_trials, stop_mask
 from cntp.harness import bundled_path, load_tasks
 from cntp.harness.cli import main
+from cntp.harness.runner import run_suite
 from cntp.models import BRANCHES_CAP, CONNECTION_CAP, LINE_CAP, ROW_CACHE
 
-from conftest import make_random_scripted
+from conftest import make_random_scripted, serve_wire
 
 
 @pytest.fixture
@@ -537,7 +538,7 @@ _moves = st.lists(st.one_of(
 def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
     model = _PrefixHashModel()
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == 3
+        assert remote._wire == 4
         prefix = ()
         for move in moves:
             if move[0] == "extend":
@@ -659,7 +660,7 @@ def test_server_serves_wire_1_and_wire_2_requests_on_one_connection():
     with ModelServer(model) as server:
         conn, fh, hello = _raw_connection(server)
         with conn, fh:
-            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 3}
+            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 4}
             assert _ask(fh, {"prefix": [0, 1, 2]}) == row((0, 1, 2))
             assert _ask(fh, {"keep": 3, "append": [2, 2]}) == row((0, 1, 2, 2, 2))
             assert _ask(fh, {"keep": 1, "append": [0]}) == row((0, 0))
@@ -833,7 +834,7 @@ def test_server_answers_branches_off_the_kept_prefix_and_holds_it():
     with ModelServer(model) as server:
         conn, fh, hello = _raw_connection(server)
         with conn, fh:
-            assert hello["wire"] == 3
+            assert hello["wire"] == 4
             assert _ask(fh, {"prefix": [0, 1, 2]}) == _rows_of(model, [(0, 1, 2)])[0]
             request = {"keep": 2, "branches": [[2], [], [0, 1]]}
             assert _ask_batch(fh, request, 3) == _rows_of(model, [(0, 1, 2), (0, 1), (0, 1, 0, 1)])
@@ -990,6 +991,159 @@ def test_client_takes_a_short_batch_reply_as_a_closed_connection():
     assert code == 3 and "connection closed by server" in err.getvalue()
 
 
+# -- wire 4: branches off numbered slots -------------------------------------
+
+
+def test_server_numbers_a_slot_per_answered_row_and_reads_branches_off_them():
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            # Slot 0; the older forms answer rows into the table too (slot 1).
+            assert _ask(fh, {"slots": [-1], "branches": [[0, 1]]}) == _rows_of(model, [(0, 1)])[0]
+            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
+            request = {"slots": [0, 0, 1, -1], "branches": [[2], [], [0, 0], [1]]}
+            prefixes = [(0, 1, 2), (0, 1), (2, 0, 0), (1,)]
+            assert _ask_batch(fh, request, 4) == _rows_of(model, prefixes)  # slots 2-5
+            assert _ask(fh, {"slots": [2], "branches": [[3, 3]]}) == \
+                _rows_of(model, [(0, 1, 2, 3, 3)])[0]
+            assert "slots must be in -1..6" in _ask(fh, {"slots": [7], "branches": [[0]]})["error"]
+
+
+def test_server_clears_its_slot_table_before_a_batch_that_would_pass_the_cap(monkeypatch):
+    monkeypatch.setattr(models, "SLOT_CAP", 3)
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            _ask_batch(fh, {"slots": [-1, -1], "branches": [[0], [1]]}, 2)  # slots 0-1
+            # 2 + 2 > 3: read off the old slots, then (0, 2) and (1, 2) take 0 and 1.
+            request = {"slots": [0, 1], "branches": [[2], [2]]}
+            assert _ask_batch(fh, request, 2) == _rows_of(model, [(0, 2), (1, 2)])
+            assert _ask(fh, {"slots": [1], "branches": [[0]]}) == \
+                _rows_of(model, [(1, 2, 0)])[0]  # slot 2: 3 slots, at the cap
+            assert _ask(fh, {"slots": [2], "branches": [[]]}) == _rows_of(model, [(1, 2, 0)])[0]
+            assert "slots must be in -1..0" in _ask(fh, {"slots": [1], "branches": [[]]})["error"]
+
+
+@pytest.mark.parametrize("request_, message", [
+    ({"slots": [1], "branches": [[0]]}, "slots must be in -1..0"),
+    ({"slots": [-2], "branches": [[0]]}, "slots must be in -1..0"),
+    ({"slots": [True], "branches": [[0]]}, "slots must be a list of integers"),
+    ({"slots": [0.0], "branches": [[0]]}, "slots must be a list of integers"),
+    ({"slots": ["0"], "branches": [[0]]}, "slots must be a list of integers"),
+    ({"slots": 0, "branches": [[0]]}, "slots must be a list of integers"),
+    ({"slots": [0, 0], "branches": [[0]]}, "slots and branches must be as long, got 2 and 1"),
+    ({"slots": [0], "branches": [[0], [1]]}, "slots and branches must be as long, got 1 and 2"),
+    ({"slots": [], "branches": []}, f"branches must hold 1..{BRANCHES_CAP} lists, got 0"),
+    ({"slots": [-1] * (BRANCHES_CAP + 1), "branches": [[0]] * (BRANCHES_CAP + 1)},
+     f"got {BRANCHES_CAP + 1}"),
+    ({"slots": [0]}, "missing required field 'branches'"),
+    ({"slots": [0], "branches": [[4]]}, "prefix ids outside 0..3"),
+    ({"slots": [0], "branches": [[True]]}, "branches must be lists of integers"),
+    ({"slots": [0], "branches": [0]}, "branches must be a list of lists"),
+    ({"slots": [0], "branches": [[0]], "keep": 0}, "unknown field 'keep'"),
+], ids=["slot-past-the-table", "slot-below-minus-one", "bool-slot", "real-slot", "string-slot",
+        "slots-not-a-list", "more-slots", "more-branches", "no-branches", "over-the-cap",
+        "branches-missing", "id-past-the-vocabulary", "bool-id", "branch-not-a-list",
+        "extra-field"])
+def test_server_rejects_bad_slot_requests_with_one_line_and_drops_every_slot(request_, message):
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            assert "probs" in _ask(fh, {"slots": [-1], "branches": [[0, 1]]})
+            reply = _ask(fh, request_)
+            assert list(reply) == ["error"] and message in reply["error"], reply
+            # One error line, every slot gone, and whole prefixes still served.
+            assert "slots must be in -1..-1" in _ask(fh, {"slots": [0], "branches": [[]]})["error"]
+            assert _ask_batch(fh, {"slots": [-1], "branches": [[0, 1, 2]]}, 1) == \
+                _rows_of(model, [(0, 1, 2)])
+
+
+_HELLO_4 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 4}
+
+
+def test_client_names_each_prefix_by_the_slot_one_token_shorter():
+    address, requests = _recording_server([_ROW, _ROW * 3, _ROW, _ROW, _ROW], _HELLO_4)
+    with RemoteModel(address) as remote:
+        assert remote._wire == 4
+        remote.next_distribution((0, 1))  # slot 0
+        remote.next_distributions(_cursors(remote, [(0, 1, 1), (0, 1, 0), (1,)]))  # slots 1-3
+        remote.next_distribution((0, 1, 1, 0))  # slot 4
+        remote.next_distribution(())  # slot 5
+        remote.next_distribution((1,))
+    assert requests == [
+        {"slots": [-1], "branches": [[0, 1]]},
+        {"slots": [0, 0, -1], "branches": [[1], [0], [1]]},
+        {"slots": [1], "branches": [[0]]},
+        {"slots": [-1], "branches": [[]]},
+        {"slots": [5], "branches": [[1]]},
+    ]
+
+
+def test_client_clears_its_mirror_when_the_servers_table_clears(monkeypatch):
+    monkeypatch.setattr(models, "SLOT_CAP", 3)
+    address, requests = _recording_server([_ROW, _ROW * 2, _ROW, _ROW, _ROW], _HELLO_4)
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))  # 3 slots: the cap
+        remote.next_distribution((0, 1, 1))  # past it: the table clears, this takes slot 0
+        remote.next_distribution((0, 0, 0))  # (0, 0) is gone
+        remote.next_distribution((0, 1, 1, 1))
+    assert requests == [
+        {"slots": [-1], "branches": [[0]]},
+        {"slots": [0, 0], "branches": [[1], [0]]},
+        {"slots": [1], "branches": [[1]]},
+        {"slots": [-1], "branches": [[0, 0, 0]]},
+        {"slots": [0], "branches": [[1]]},
+    ]
+
+
+def test_client_drops_its_slots_on_an_error_line_and_keeps_them_past_a_bad_row():
+    address, requests = _recording_server(
+        [_ROW, b'{"error": "no rows"}\n', _ROW, b'{"probs": [0.5, 0.25]}\n', _ROW], _HELLO_4)
+    with RemoteModel(address) as remote:
+        remote.next_distribution((0,))
+        with pytest.raises(ProtocolError, match="server error: no rows"):
+            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
+        remote.next_distribution((0, 1))  # the server dropped (0,): whole again
+        # The server answered this row, so it holds its slot.
+        with pytest.raises(ProtocolError, match="failed validation"):
+            remote.next_distribution((0, 1, 1))
+        remote.next_distribution((0, 1, 1, 0))
+    assert requests == [
+        {"slots": [-1], "branches": [[0]]},
+        {"slots": [0, 0], "branches": [[1], [0]]},
+        {"slots": [-1], "branches": [[0, 1]]},
+        {"slots": [0], "branches": [[1]]},
+        {"slots": [1], "branches": [[0]]},
+    ]
+
+
+def test_a_remote_suite_pass_sends_at_most_wire_2s_request_bytes():
+    """The remote benchmark's set, the 20 bundled k-gram tasks under greedy,
+    stochastic and cntp with global_cap 128 at suite seed 0, decoded through
+    a loopback server: its requests take at most the 609 188 bytes that wire
+    2 sent (wire 3's cross-lane batches sent 4 777 383), in no more than the
+    868 requests that wire 3 made."""
+    model, _, config = _kgram_cases(128)
+    tasks = load_tasks(bundled_path("kgram.tasks"))
+    sent = []
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        exchange = remote._exchange
+
+        def counted(request=b""):
+            if request:
+                sent.append(len(request))
+            return exchange(request)
+
+        remote._exchange = counted
+        for strategy in ("greedy", "stochastic", "cntp"):
+            run_suite(remote, tasks, strategy, config, [0])
+    assert sum(sent) <= 609_188 and len(sent) <= 868, (sum(sent), len(sent))
+
+
 def _kgram_cases(global_cap: int):
     """The bundled k-gram model, and each bundled task's prompt under the
     bundled config capped at global_cap."""
@@ -1006,20 +1160,16 @@ def _beam_4(model, prompt, config):
     return beam_search_decode(model, prompt, config, 4)
 
 
-@pytest.mark.parametrize("wire", [3, 2])
-def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
-    """cntp and beam:4 over a wire-3 ModelServer, whose batches they use, and
-    over a stub that speaks only wire 2, equal the local decodes."""
-    if wire == 2:
-        monkeypatch.setattr(models, "WIRE_VERSION", 2)
-        original = models._requested_prefixes
+def _exact(outcome):
+    """An outcome's tokens, ledger and trace, every float spelled exactly."""
+    def hexed(x):
+        return None if x is None else float.hex(x)
+    trace = [(hexed(t.confidence), t.n_trials, hexed(t.chosen_ppl), hexed(t.chosen_prob))
+             for t in outcome.per_step_trace]
+    return outcome.sequence.tokens, outcome.cost, trace
 
-        def wire_2_only(record, held, size):
-            if type(record) is dict and "branches" in record:
-                raise ProtocolError("request: a wire-2 server takes no branches")
-            return original(record, held, size)
 
-        monkeypatch.setattr(models, "_requested_prefixes", wire_2_only)
+def _assert_cntp_and_beam_decode_through_a_server_as_locally(wire):
     model, prompts, config = _kgram_cases(64)
     multi_trial_steps = 0
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
@@ -1029,11 +1179,24 @@ def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
                 for seed in seeds:
                     seeded = config.with_seed(seed)
                     local, over_wire = (decode(m, prompt, seeded) for m in (model, remote))
-                    assert over_wire.sequence.tokens == local.sequence.tokens
-                    assert over_wire.cost == local.cost
-                    assert over_wire.per_step_trace == local.per_step_trace
+                    assert _exact(over_wire) == _exact(local)
                     multi_trial_steps += local.cost.high_entropy_steps
     assert multi_trial_steps > 0
+
+
+@pytest.mark.parametrize("wire", [4, 3, 2])
+def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
+    """cntp and beam:4 over a wire-4 ModelServer, whose slots they use, and
+    over stubs that speak only wire 3 or wire 2, equal the local decodes."""
+    serve_wire(monkeypatch, wire)
+    _assert_cntp_and_beam_decode_through_a_server_as_locally(wire)
+
+
+def test_cntp_and_beam_decode_as_locally_while_the_slot_table_rolls_over(monkeypatch):
+    """With a 5-slot table, cleared every few requests, both ends still agree
+    on every slot: the decodes equal the local ones."""
+    monkeypatch.setattr(models, "SLOT_CAP", 5)
+    _assert_cntp_and_beam_decode_through_a_server_as_locally(4)
 
 
 def _longest_trials_less_one(model, prompt, config, outcome) -> int:
@@ -1063,17 +1226,18 @@ def _longest_trials_less_one(model, prompt, config, outcome) -> int:
 
 
 def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeypatch):
-    """Over wire 3 a cntp decode makes total_steps + the sum over its
-    multi-trial steps of (longest trial - 1) requests, and a beam:4 decode
-    one per round, both fewer than their forward passes."""
+    """Over wire 4, as over wire 3, a cntp decode makes total_steps + the sum
+    over its multi-trial steps of (longest trial - 1) requests, and a beam:4
+    decode one per round, both fewer than their forward passes."""
     requests = []
-    original = models._requested_prefixes
-    monkeypatch.setattr(models, "_requested_prefixes",
+    original = models._requested_cursors
+    monkeypatch.setattr(models, "_requested_cursors",
                         lambda *args: requests.append(args) or original(*args))
     model, prompts, config = _kgram_cases(128)
     config = config.with_seed(3)
     rounds = 0
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        assert remote._wire == 4
         for prompt in prompts[:6]:
             before = len(requests)
             out = cntp_decode(remote, prompt, config)
