@@ -1,5 +1,5 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON (wires 1 to 4).
+models, and a remote client speaking newline-delimited JSON (wires 1 to 5).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
@@ -273,13 +273,13 @@ def load_kgram_model(path: str) -> KGramModel:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
-# The wire protocol's version; README, "Wire protocol", describes all four.
-WIRE_VERSION = 4
-# Most branches one wire-3 or wire-4 request may name; the client splits
-# larger batches.
+# The wire protocol's version; README, "Wire protocol", describes all five.
+WIRE_VERSION = 5
+# Most branches one wire-3, wire-4 or wire-5 request may name; the client
+# splits larger batches.
 BRANCHES_CAP = 64
 # Slots a wire-4 connection's table holds: a batch that would take it past
-# the cap clears it first, on the server and in the client's mirror alike.
+# the cap clears it first, on the server and in the client's count alike.
 SLOT_CAP = 1024
 # Most connections a ModelServer serves at once; one past it gets an error
 # line as its hello and is closed.
@@ -288,7 +288,9 @@ CONNECTION_CAP = 64
 # 25 bytes a token, so this fits a vocabulary of 670 000 tokens.
 LINE_CAP = 1 << 24
 # Rows the client interns by reply line, and reply lines the server keeps by
-# row; past it the oldest entry goes.
+# row; past it the oldest entry goes. Also the most row ids a wire-5
+# connection numbers before both ends clear them; it must be at least
+# BRANCHES_CAP, so that one request's rows always fit.
 ROW_CACHE = 1024
 
 
@@ -307,24 +309,62 @@ def _shared_length(held: tuple, keys) -> int:
     return n
 
 
+class _RemoteCursor(Cursor):
+    """A RemoteModel position: its parent cursor (None at a start) and the
+    token ids after the parent's prefix, so advance copies no prefix. A
+    cursor read over wire 5 also keeps the slot its row took and the
+    generation of the slot table it took it in."""
+
+    __slots__ = ("_parent", "_slot", "_generation")
+
+    def __init__(self, model: "RemoteModel", parent: "_RemoteCursor | None",
+                 ids: tuple[TokenId, ...]):
+        self._model = model
+        self._key = ids
+        self._parent = parent
+        self._generation = None
+
+    def advance(self, tok: TokenId) -> "_RemoteCursor":
+        return _RemoteCursor(self._model, self, (tok,))
+
+    def dist(self) -> Distribution:
+        return self._model.next_distributions([self])[0]
+
+    def prefix(self) -> tuple[TokenId, ...]:
+        """The whole prefix, gathered up the parents in a loop, so a cursor
+        of any depth builds it without recursion."""
+        parts = []
+        cursor = self
+        while cursor is not None:
+            parts.append(cursor._key)
+            cursor = cursor._parent
+        return tuple(chain.from_iterable(reversed(parts)))
+
+
 class RemoteModel(ModelSource):
     """Client for the line-delimited JSON protocol.
 
     On connect the server sends one hello record with the vocabulary and the
-    wire version it speaks. Each request names a prefix, and the reply is
-    {"probs": [...]}. To a wire-2 server a request names it as a delta on the
-    prefix the server holds, that of the last request answered,
-    {"keep": n, "append": [ids]}; otherwise, and after any error, it sends
-    {"prefix": [ids]}. To a wire-3 server next_distributions sends a batch of
-    prefixes as one {"keep": n, "branches": [[ids], ...]} request, answered
-    with one row line per branch; to an older one, one request per prefix.
-    A wire-4 server keeps a numbered slot per answered row, and the client
-    mirrors that table: every request, batch or single, is one {"slots":
-    [s, ...], "branches": [[ids], ...]} request that names each prefix as
-    the slot of the prefix one token shorter plus that token, or as slot -1
-    and the whole prefix when that one was never answered.
-    Equal reply lines give the same Distribution, so a repeated row is
-    neither parsed nor validated again and keeps its sampling caches.
+    wire version it speaks. To a wire-5 server every request, batch or
+    single, is one {"slots": [s, ...], "branches": [[ids], ...], "rows":
+    true} request. Each cursor keeps the slot its row took in the server's
+    table and that table's generation, which the SLOT_CAP clear and any
+    error line end: a cursor whose parent was read in the current
+    generation goes as the parent's slot plus its token, any other as slot
+    -1 plus its whole prefix. The reply is a {"probs": [...]} line for each
+    row the connection has not sent before, which takes the next row id,
+    then {"rows": [id, ...], "at": n}. The client keeps those rows in a list
+    by id, so a row is parsed and validated once and keeps its sampling
+    caches.
+    To an older server each request names prefixes, and the reply is one
+    {"probs": [...]} line per prefix. To a wire-2 server a request names it
+    as a delta on the prefix the server holds, that of the last request
+    answered, {"keep": n, "append": [ids]}; otherwise, and after any error,
+    it sends {"prefix": [ids]}. To a wire-3 or wire-4 server
+    next_distributions sends a batch of prefixes as one {"keep": n,
+    "branches": [[ids], ...]} request, answered with one row line per
+    branch; to an older one, one request per prefix. Equal reply lines from
+    these servers give the same Distribution.
     Requests are serialized per connection; every record is type-checked.
     """
 
@@ -340,12 +380,13 @@ class RemoteModel(ModelSource):
         _no_delay(self._sock)
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
-        self._rows: dict[bytes, Distribution] = {}
+        self._rows: dict[bytes, Distribution] = {}  # wires 1-4: rows by reply line
         self._held: tuple[TokenId, ...] | None = None  # the prefix the server holds
-        # Wire 4: each answered prefix's slot in the server's table, and the
-        # number of slots that table holds.
-        self._slots: dict[tuple[TokenId, ...], int] = {}
-        self._slot_count = 0
+        # Wire 5: the rows the server sent, by id; the generation of its slot
+        # table, and the number of slots that table holds.
+        self._by_id: list[Distribution] = []
+        self._generation = object()
+        self._table_size = 0
         try:
             hello = self._record(self._exchange())
             where = f"{address}: hello record"
@@ -386,11 +427,9 @@ class RemoteModel(ModelSource):
             raise ProtocolError(f"{self.address}: server error: {record['error']}")
         return record
 
-    def _row(self, line: bytes) -> Distribution:
-        dist = self._rows.get(line)
-        if dist is not None:
-            return dist
-        probs = check_fields(self._record(line), {"probs": "[real]"}, ProtocolError,
+    def _validated(self, record) -> Distribution:
+        """The row a reply record holds, checked against the vocabulary."""
+        probs = check_fields(record, {"probs": "[real]"}, ProtocolError,
                              f"{self.address}: response")["probs"]
         try:
             dist = Distribution(probs)
@@ -399,24 +438,27 @@ class RemoteModel(ModelSource):
         if len(dist) != len(self.vocabulary):
             raise ProtocolError(f"{self.address}: response has {len(dist)} entries, "
                                 f"vocabulary has {len(self.vocabulary)}")
-        _remember(self._rows, line, dist)
+        return dist
+
+    def _row(self, line: bytes) -> Distribution:
+        dist = self._rows.get(line)
+        if dist is None:
+            dist = self._validated(self._record(line))
+            _remember(self._rows, line, dist)
         return dist
 
     def _ask(self, request: dict, count: int) -> list[Distribution]:
-        """Send request and read its count reply rows. A server answers a
-        request it cannot serve with one error line, and drops its slots,
-        so the mirror goes too; any other failure before the last row
-        leaves reply lines unread, so it closes the connection."""
+        """Send a wire 1-3 request and read its count reply rows. A server
+        answers a request it cannot serve with one error line; any other
+        failure before the last row leaves reply lines unread, so it closes
+        the connection."""
         rows: list[Distribution] = []
         line = self._exchange(json_line(request).encode())
         while True:
             try:
                 rows.append(self._row(line))
             except ProtocolError:
-                if not rows and _is_error_line(line):
-                    self._slots.clear()
-                    self._slot_count = 0
-                elif len(rows) + 1 < count:
+                if len(rows) + 1 < count and (rows or not _is_error_line(line)):
                     self.close()
                 raise
             if len(rows) == count:
@@ -424,14 +466,10 @@ class RemoteModel(ModelSource):
             line = self._exchange()
 
     def _fetch(self, keys: list[tuple[TokenId, ...]]) -> list[Distribution]:
-        """The rows of keys, in order, in as few requests as the server's
-        wire version allows. The caller holds the lock."""
+        """The rows of keys, in order, in as few wire 1-3 requests as the
+        server's wire version allows. The caller holds the lock."""
         rows: list[Distribution] = []
         while len(rows) < len(keys):
-            if self._wire >= 4:
-                batch = keys[len(rows):len(rows) + BRANCHES_CAP]
-                rows += self._ask(self._slot_request(batch), len(batch))
-                continue
             key = keys[len(rows)]
             held, self._held = self._held, None  # unknown until this request is answered
             if held is None or self._wire < 2:
@@ -448,36 +486,78 @@ class RemoteModel(ModelSource):
             self._held = after
         return rows
 
-    def _slot_request(self, batch: list[tuple[TokenId, ...]]) -> dict:
-        """The wire-4 request for batch, whose slots the mirror then holds
-        as the server will once it answers: a cursor is one token past a
-        cursor already read, so the prefix one token shorter has a slot,
-        and a prefix without one goes whole."""
-        slots = self._slots
+    def _named(self, batch: list[_RemoteCursor]) -> dict:
+        """The wire-5 request for batch. Each cursor goes as its parent's
+        slot plus its token when the parent was read in the current
+        generation, else as slot -1 plus its whole prefix; it then holds the
+        next slot, after the SLOT_CAP clear if the batch brings one."""
+        generation = self._generation
         refs, branches = [], []
-        for key in batch:
-            ref = slots.get(key[:-1])
-            if ref is None:
-                refs.append(-1)
-                branches.append(key)
+        for cursor in batch:
+            parent = cursor._parent
+            if parent is not None and parent._generation is generation:
+                refs.append(parent._slot)
+                branches.append(cursor._key)
             else:
-                refs.append(ref)
-                branches.append(key[-1:])
-        if self._slot_count + len(batch) > SLOT_CAP:
-            slots.clear()
-            self._slot_count = 0
-        for slot, key in enumerate(batch, self._slot_count):
-            slots[key] = slot
-        self._slot_count += len(batch)
-        return {"slots": refs, "branches": branches}
+                refs.append(-1)
+                branches.append(cursor.prefix())
+        if self._table_size + len(batch) > SLOT_CAP:
+            self._generation = generation = object()
+            self._table_size = 0
+        for slot, cursor in enumerate(batch, self._table_size):
+            cursor._slot = slot
+            cursor._generation = generation
+        self._table_size += len(batch)
+        return {"slots": refs, "branches": branches, "rows": True}
+
+    def _ask_ids(self, batch: list[_RemoteCursor]) -> list[Distribution]:
+        """Send batch's wire-5 request and read its reply: a row line for
+        each row new to the connection, then the ids line. An error line
+        first means the server dropped every slot and row id, so the client
+        does too and keeps the connection. Any other failure leaves the row
+        table out of step, so it closes the connection."""
+        first = self._exchange(json_line(self._named(batch)).encode())
+        table, new = self._by_id, []
+        try:
+            record = self._record(first)
+            while type(record) is dict and "probs" in record and len(new) < len(batch):
+                new.append(self._validated(record))
+                record = self._record(self._exchange())
+            fields = check_fields(record, {"rows": "[int]", "at": "int"}, ProtocolError,
+                                  f"{self.address}: rows line", closed=True)
+            ids, at = fields["rows"], fields["at"]
+            if at not in (0, len(table)) or at + len(new) > ROW_CACHE:
+                raise ProtocolError(f"{self.address}: rows line: at must be 0 or {len(table)}, "
+                                    f"with {len(new)} new rows at most {ROW_CACHE}, got {at}")
+            if len(ids) != len(batch) or not 0 <= min(ids) <= max(ids) < at + len(new):
+                raise ProtocolError(f"{self.address}: rows line: rows must be {len(batch)} ids "
+                                    f"in 0..{at + len(new) - 1}")
+        except ProtocolError:
+            if not new and _is_error_line(first):
+                self._generation = object()
+                self._table_size = 0
+                table.clear()
+            else:
+                self.close()
+            raise
+        del table[at:]
+        table += new
+        return [table[i] for i in ids]
+
+    def start(self, prefix) -> _RemoteCursor:
+        return _RemoteCursor(self, None, _prefix_key(prefix))
 
     def next_distribution(self, prefix) -> Distribution:
-        with self._lock:
-            return self._fetch([_prefix_key(prefix)])[0]
+        return self.next_distributions([self.start(prefix)])[0]
 
-    def next_distributions(self, cursors: list[Cursor]) -> list[Distribution]:
+    def next_distributions(self, cursors: list[_RemoteCursor]) -> list[Distribution]:
         with self._lock:
-            return self._fetch([cursor._key for cursor in cursors])
+            if self._wire < 5:  # a wire-4 server is spoken to as a wire-3 one
+                return self._fetch([cursor.prefix() for cursor in cursors])
+            rows: list[Distribution] = []
+            while len(rows) < len(cursors):
+                rows += self._ask_ids(cursors[len(rows):len(rows) + BRANCHES_CAP])
+            return rows
 
     def close(self) -> None:
         try:
@@ -517,8 +597,8 @@ def _check_ids(ids: list, size: int) -> None:
 
 
 def _check_branches(branches: list, size: int) -> None:
-    """Check a wire-3 or wire-4 request's branches: 1..BRANCHES_CAP lists of
-    token ids."""
+    """Check a wire 3-5 request's branches: 1..BRANCHES_CAP lists of token
+    ids."""
     if not 1 <= len(branches) <= BRANCHES_CAP:
         raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
                             f"got {len(branches)}")
@@ -554,15 +634,21 @@ def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
 
 def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list[Cursor],
                        model: ModelSource):
-    """The model cursors a request names, and the prefix the connection
-    holds once they are answered. A wire-4 request names each branch as
-    slot s of table plus the ids after it, or as slot -1 plus the whole
-    prefix, and leaves held as it was; the older forms name prefixes (see
+    """The model cursors a request names, the prefix the connection holds
+    once they are answered, and whether the reply names rows by id. A wire-4
+    request names each branch as slot s of table plus the ids after it, or
+    as slot -1 plus the whole prefix, and leaves held as it was; "rows":
+    true makes it a wire-5 request. The older forms name prefixes (see
     _requested_prefixes)."""
     size = len(model.vocabulary)
     if type(record) is not dict or "slots" not in record:
+        if type(record) is dict and "rows" in record:
+            raise ProtocolError("request: rows goes only with slots")
         prefixes, after = _requested_prefixes(record, held, size)
-        return [model.start(prefix) for prefix in prefixes], after
+        return [model.start(prefix) for prefix in prefixes], after, False
+    by_id = "rows" in record
+    if by_id and record.pop("rows") is not True:
+        raise ProtocolError("request: rows must be true")
     fields = check_fields(record, {"slots": "[int]", "branches": "[list]"}, ProtocolError,
                           "request", closed=True)
     refs, branches = fields["slots"], fields["branches"]
@@ -581,7 +667,7 @@ def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list[Cur
         for tok in ids:
             cursor = cursor.advance(tok)
         cursors.append(cursor)
-    return cursors, held
+    return cursors, held, by_id
 
 
 class ModelServer:
@@ -590,8 +676,9 @@ class ModelServer:
     serves at most CONNECTION_CAP connections at once; one past the cap gets
     a single error line and is closed, and a place frees when a client
     hangs up. Each connection keeps the model's cursor at every row it
-    answered, up to SLOT_CAP of them, as the slots wire-4 requests name;
-    an error line drops them all."""
+    answered, up to SLOT_CAP of them, as the slots wire-4 requests name,
+    and numbers the rows it sent wire-5 replies, up to ROW_CACHE of them;
+    an error line drops both."""
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
@@ -628,11 +715,28 @@ class ModelServer:
                 _remember(self._lines, dist, line)
         return line
 
+    def _rows_reply(self, rows: list[Distribution],
+                    sent: dict[Distribution, int]) -> list[bytes]:
+        """The wire-5 reply lines for rows: a row line for each row not in
+        sent, the connection's ids, in first-use order, each taking the next
+        id; then the ids line. New rows that would take sent past ROW_CACHE
+        clear it first, so that the ids start again at 0."""
+        fresh = [*dict.fromkeys(row for row in rows if row not in sent)]
+        if len(sent) + len(fresh) > ROW_CACHE:
+            sent.clear()
+            fresh = [*dict.fromkeys(rows)]
+        at = len(sent)
+        for row in fresh:
+            sent[row] = len(sent)
+        ids = json_line({"rows": [*map(sent.__getitem__, rows)], "at": at}).encode()
+        return [*map(self._reply, fresh), ids]
+
     def _serve_one(self, conn: socket.socket) -> None:
         model = self._model
         vocab = model.vocabulary
         held = None  # the prefix of this connection's last answered wire 1-3 request
         table: list[Cursor] = []  # the model's cursor at each answered row, in answer order
+        sent: dict[Distribution, int] = {}  # the id of each row a wire-5 reply sent
         try:
             with conn, conn.makefile("rwb") as fh:
                 _no_delay(conn)
@@ -646,11 +750,13 @@ class ModelServer:
                         fh.flush()
                         return
                     try:
-                        cursors, after = _requested_cursors(
+                        cursors, after, by_id = _requested_cursors(
                             parse_json(line, ProtocolError, "request"), held, table, model)
                         # Every row before the first line goes out: a model that
                         # fails on one branch gets the request one error line.
-                        replies = [*map(self._reply, model.next_distributions(cursors))]
+                        rows = model.next_distributions(cursors)
+                        replies = (self._rows_reply(rows, sent) if by_id
+                                   else [*map(self._reply, rows)])
                         held = after
                         if len(table) + len(cursors) > SLOT_CAP:
                             table.clear()
@@ -658,6 +764,7 @@ class ModelServer:
                     except Exception as exc:  # a bad request or a failing model: report it
                         held = None
                         table.clear()
+                        sent.clear()
                         replies = [json_line({"error": str(exc)}).encode()]
                     fh.writelines(replies)
                     fh.flush()

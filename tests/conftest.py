@@ -123,7 +123,7 @@ def plain_config():
 
 
 # The request field each wire version added to the protocol.
-_WIRE_FIELDS = {2: "keep", 3: "branches", 4: "slots"}
+_WIRE_FIELDS = {2: "keep", 3: "branches", 4: "slots", 5: "rows"}
 
 
 def serve_wire(monkeypatch, wire: int) -> None:

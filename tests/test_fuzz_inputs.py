@@ -2,10 +2,10 @@
 
 Arbitrary JSON values, raw bytes, and valid documents with one field
 replaced or dropped go to each file loader, to read_records, to RemoteModel
-as hello and response lines from a stub socket, and to ModelServer as
-request lines of every wire version. Only ConfigError, ModelFileError and
-ProtocolError may escape, and the CLI reading the same input exits with a
-code in 0..4.
+as hello and response lines from a stub socket, wire-5 row and ids lines
+among them, and to ModelServer as request lines of every wire version.
+Only ConfigError, ModelFileError and ProtocolError may escape, and the CLI
+reading the same input exits with a code in 0..4.
 
 Run with CI=1 to replay the derandomized examples a CI failure reports.
 """
@@ -224,6 +224,28 @@ def test_remote_response_lines(response):
                            *SMALL]) in range(5)
 
 
+_HELLO_5 = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}).encode()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(documents({"probs": [0.5, 0.25, 0.25]}) | documents({"rows": [0, 0], "at": 0}),
+                min_size=1, max_size=3))
+def test_remote_wire_5_reply_lines(lines):
+    """Row lines and ids lines, each valid, mangled or missing, answering a
+    two-branch wire-5 request."""
+    payload = _line(_HELLO_5) + b"".join(map(_line, lines))
+    with _stub_server(payload) as address:
+        with RemoteModel(address) as remote:
+            root = remote.start(())
+            try:
+                remote.next_distributions([root, root.advance(0)])
+            except ProtocolError:
+                pass
+    with _stub_server(payload) as address:
+        assert _exit_code(["decode", "--model", f"remote:{address}", "--prompt", "a.",
+                           *SMALL]) in range(5)
+
+
 @pytest.fixture(scope="module")
 def served(workdir):
     """A connection to a ModelServer for the valid k-gram model, past its hello."""
@@ -236,16 +258,30 @@ def served(workdir):
             yield fh
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]})
        | documents({"keep": 1, "branches": [[0], [1, 0]]})
-       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]]}))
+       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]]})
+       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]], "rows": True}))
 def test_server_request_lines(served, request):
     served.write(_line(request))
     served.flush()
     reply = json.loads(served.readline())
-    assert list(reply) in (["probs"], ["error"])
-    if "probs" in reply:  # the server parsed the line; a batch gets a row per branch
-        record = json.loads(_line(request))
-        for _ in range(len(record.get("branches", [None])) - 1):
-            assert list(json.loads(served.readline())) == ["probs"]
+    if "error" in reply:
+        assert list(reply) == ["error"]
+        return
+    # The server parsed the line: a batch gets a row per branch, or over
+    # wire 5 its new rows and then one id per branch.
+    record = json.loads(_line(request))
+    branches = len(record.get("branches", [None]))
+    if record.get("rows") is True:
+        new = 0
+        while list(reply) == ["probs"]:
+            new += 1
+            reply = json.loads(served.readline())
+        assert sorted(reply) == ["at", "rows"] and len(reply["rows"]) == branches
+        assert new <= branches and max(reply["rows"]) < reply["at"] + new
+        return
+    assert list(reply) == ["probs"]
+    for _ in range(branches - 1):
+        assert list(json.loads(served.readline())) == ["probs"]

@@ -157,11 +157,12 @@ def _assert_lanes_through_a_server_equal_local_decodes(wire):
                 assert _exact(lane) == _exact(scalar)
 
 
-@pytest.mark.parametrize("wire", [4, 3, 2])
+@pytest.mark.parametrize("wire", [5, 4, 3, 2])
 def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
-    """k-gram lanes through a wire-4 ModelServer, which gets each step's
-    lanes and each round's trials as one batch of slots, and through stubs
-    that speak only wire 3 or wire 2, equal the local scalar decodes."""
+    """k-gram lanes through a wire-5 ModelServer, which gets each step's
+    lanes and each round's trials as one batch of slots and names their rows
+    by id, and through stubs that speak only wire 4 (spoken to as wire 3),
+    wire 3 or wire 2, equal the local scalar decodes."""
     serve_wire(monkeypatch, wire)
     _assert_lanes_through_a_server_equal_local_decodes(wire)
 
@@ -170,17 +171,17 @@ def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
     """With a 5-slot table, cleared by most batches of a decode, the lanes
     still equal the local scalar decodes."""
     monkeypatch.setattr(models, "SLOT_CAP", 5)
-    sent, counts = [], []
-    original = RemoteModel._slot_request
+    sent, sizes = [], []
+    named = RemoteModel._named
 
     def recorded(self, batch):
-        sent.append(original(self, batch))
-        counts.append(self._slot_count)
+        sent.append(named(self, batch))
+        sizes.append(self._table_size)
         return sent[-1]
 
-    monkeypatch.setattr(RemoteModel, "_slot_request", recorded)
-    _assert_lanes_through_a_server_equal_local_decodes(4)
-    assert any(later < earlier for earlier, later in zip(counts, counts[1:]))  # cleared
+    monkeypatch.setattr(RemoteModel, "_named", recorded)
+    _assert_lanes_through_a_server_equal_local_decodes(5)
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
     assert any(ref >= 0 for request in sent for ref in request["slots"])
 
 

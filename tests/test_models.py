@@ -538,7 +538,7 @@ _moves = st.lists(st.one_of(
 def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
     model = _PrefixHashModel()
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == 4
+        assert remote._wire == 5
         prefix = ()
         for move in moves:
             if move[0] == "extend":
@@ -660,7 +660,7 @@ def test_server_serves_wire_1_and_wire_2_requests_on_one_connection():
     with ModelServer(model) as server:
         conn, fh, hello = _raw_connection(server)
         with conn, fh:
-            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 4}
+            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 5}
             assert _ask(fh, {"prefix": [0, 1, 2]}) == row((0, 1, 2))
             assert _ask(fh, {"keep": 3, "append": [2, 2]}) == row((0, 1, 2, 2, 2))
             assert _ask(fh, {"keep": 1, "append": [0]}) == row((0, 0))
@@ -789,7 +789,10 @@ def test_threads_sharing_a_server_and_a_client_read_the_local_rows():
     assert errors == []
 
 
-def test_row_caches_drop_their_oldest_rows_past_row_cache():
+def test_row_caches_drop_their_oldest_rows_past_row_cache(monkeypatch):
+    """Past ROW_CACHE distinct rows a wire-5 connection's row ids start again
+    at 0; the server's line cache, and the line interning of a client of an
+    older server, drop their oldest rows."""
     model = _ManyRowsModel()
     # Prefixes with distinct rows, 100 more than either cache holds.
     prefixes, seen = [], set()
@@ -801,6 +804,16 @@ def test_row_caches_drop_their_oldest_rows_past_row_cache():
             prefixes.append(prefix)
         if len(prefixes) == ROW_CACHE + 100:
             break
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        first = remote.next_distribution(prefixes[0])
+        for prefix in prefixes[1:]:
+            remote.next_distribution(prefix)
+        assert len(remote._by_id) == 100 and remote._rows == {}
+        assert first not in remote._by_id and len(server._lines) == ROW_CACHE
+        again = remote.next_distribution(prefixes[0])
+        assert again is not first and again is remote._by_id[100]
+        assert again.probs.tobytes() == model.next_distribution(prefixes[0]).probs.tobytes()
+    serve_wire(monkeypatch, 4)
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
         first = remote.next_distribution(prefixes[0])
         for prefix in prefixes[1:]:
@@ -834,7 +847,7 @@ def test_server_answers_branches_off_the_kept_prefix_and_holds_it():
     with ModelServer(model) as server:
         conn, fh, hello = _raw_connection(server)
         with conn, fh:
-            assert hello["wire"] == 4
+            assert hello["wire"] == 5
             assert _ask(fh, {"prefix": [0, 1, 2]}) == _rows_of(model, [(0, 1, 2)])[0]
             request = {"keep": 2, "branches": [[2], [], [0, 1]]}
             assert _ask_batch(fh, request, 3) == _rows_of(model, [(0, 1, 2), (0, 1), (0, 1, 0, 1)])
@@ -1061,87 +1074,269 @@ def test_server_rejects_bad_slot_requests_with_one_line_and_drops_every_slot(req
                 _rows_of(model, [(0, 1, 2)])
 
 
-_HELLO_4 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 4}
+# -- wire 5: rows sent once per connection, named by id ----------------------
 
 
-def test_client_names_each_prefix_by_the_slot_one_token_shorter():
-    address, requests = _recording_server([_ROW, _ROW * 3, _ROW, _ROW, _ROW], _HELLO_4)
-    with RemoteModel(address) as remote:
-        assert remote._wire == 4
-        remote.next_distribution((0, 1))  # slot 0
-        remote.next_distributions(_cursors(remote, [(0, 1, 1), (0, 1, 0), (1,)]))  # slots 1-3
-        remote.next_distribution((0, 1, 1, 0))  # slot 4
-        remote.next_distribution(())  # slot 5
-        remote.next_distribution((1,))
-    assert requests == [
-        {"slots": [-1], "branches": [[0, 1]]},
-        {"slots": [0, 0, -1], "branches": [[1], [0], [1]]},
-        {"slots": [1], "branches": [[0]]},
-        {"slots": [-1], "branches": [[]]},
-        {"slots": [5], "branches": [[1]]},
-    ]
+def _raw_lines(fh, request) -> list[dict]:
+    """Send a wire-5 request and read its reply: row lines up to the ids
+    line, or one error line."""
+    replies = [_ask(fh, request)]
+    while "probs" in replies[-1]:
+        replies.append(json.loads(fh.readline()))
+    return replies
 
 
-def test_client_clears_its_mirror_when_the_servers_table_clears(monkeypatch):
-    monkeypatch.setattr(models, "SLOT_CAP", 3)
-    address, requests = _recording_server([_ROW, _ROW * 2, _ROW, _ROW, _ROW], _HELLO_4)
-    with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
-        remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))  # 3 slots: the cap
-        remote.next_distribution((0, 1, 1))  # past it: the table clears, this takes slot 0
-        remote.next_distribution((0, 0, 0))  # (0, 0) is gone
-        remote.next_distribution((0, 1, 1, 1))
-    assert requests == [
-        {"slots": [-1], "branches": [[0]]},
-        {"slots": [0, 0], "branches": [[1], [0]]},
-        {"slots": [1], "branches": [[1]]},
-        {"slots": [-1], "branches": [[0, 0, 0]]},
-        {"slots": [0], "branches": [[1]]},
-    ]
+def test_server_sends_each_row_once_per_connection_and_names_rows_by_id():
+    model = _PrefixHashModel()
+    rows = _rows_of(model, [(0,), (1,), (2,)])
+    assert len({json.dumps(row) for row in rows}) == 3
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            request = {"slots": [-1, -1, -1, -1], "branches": [[1], [0], [1], [2]], "rows": True}
+            # New rows in first-use order take ids 0-2, then the ids line.
+            assert _raw_lines(fh, request) == [rows[1], rows[0], rows[2],
+                                               {"rows": [0, 1, 0, 2], "at": 0}]
+            # Sent rows go by id alone; the branches read off slots 0-3.
+            request = {"slots": [3, 1, 0], "branches": [[], [], []], "rows": True}
+            assert _raw_lines(fh, request) == [{"rows": [2, 1, 0], "at": 3}]
+            # The older forms still get whole rows, and number no row.
+            assert _ask(fh, {"slots": [0], "branches": [[]]}) == rows[1]
+            request = {"slots": [-1, -1], "branches": [[0, 0], [0]], "rows": True}
+            new = _rows_of(model, [(0, 0)])[0]
+            assert _raw_lines(fh, request) == [new, {"rows": [3, 1], "at": 3}]
 
 
-def test_client_drops_its_slots_on_an_error_line_and_keeps_them_past_a_bad_row():
+def test_server_clears_its_row_ids_before_new_rows_would_pass_row_cache(monkeypatch):
+    monkeypatch.setattr(models, "ROW_CACHE", 3)
+    model = _PrefixHashModel()
+    rows = _rows_of(model, [(0,), (1,), (2,), (0, 0)])
+    assert len({json.dumps(row) for row in rows}) == 4
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            request = {"slots": [-1, -1], "branches": [[0], [1]], "rows": True}
+            assert _raw_lines(fh, request) == [rows[0], rows[1], {"rows": [0, 1], "at": 0}]
+            request = {"slots": [-1, -1], "branches": [[2], [0]], "rows": True}
+            assert _raw_lines(fh, request) == [rows[2], {"rows": [2, 0], "at": 2}]  # 3: full
+            # One new row past 3: the ids clear, and every row of the request
+            # is sent again from id 0.
+            request = {"slots": [-1, -1, -1], "branches": [[1], [0, 0], [1]], "rows": True}
+            assert _raw_lines(fh, request) == [rows[1], rows[3], {"rows": [0, 1, 0], "at": 0}]
+
+
+@pytest.mark.parametrize("request_, message", [
+    ({"slots": [-1], "branches": [[0]], "rows": False}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": 1}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": "true"}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": None}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": [0]}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": True, "at": 0}, "unknown field 'at'"),
+    ({"slots": [1], "branches": [[0]], "rows": True}, "slots must be in -1..0"),
+    ({"prefix": [0], "rows": True}, "rows goes only with slots"),
+    ({"keep": 0, "append": [0], "rows": True}, "rows goes only with slots"),
+    ({"keep": 0, "branches": [[0]], "rows": True}, "rows goes only with slots"),
+], ids=["false", "one", "string", "null", "list", "extra-field", "slot-past-the-table",
+        "on-prefix", "on-append", "on-branches"])
+def test_server_rejects_bad_wire_5_requests_and_drops_every_slot_and_row_id(request_, message):
+    model = _PrefixHashModel()
+    first, second = _rows_of(model, [(0, 1), (0, 1, 2)])
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            request = {"slots": [-1], "branches": [[0, 1]], "rows": True}
+            assert _raw_lines(fh, request) == [first, {"rows": [0], "at": 0}]
+            reply = _ask(fh, request_)
+            assert list(reply) == ["error"] and message in reply["error"], reply
+            # One error line; every slot and every row id is gone.
+            assert "slots must be in -1..-1" in _ask(fh, {"slots": [0], "branches": [[]],
+                                                          "rows": True})["error"]
+            request = {"slots": [-1, -1], "branches": [[0, 1, 2], [0, 1]], "rows": True}
+            assert _raw_lines(fh, request) == [second, first, {"rows": [0, 1], "at": 0}]
+
+
+_HELLO_5 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 5}
+
+
+def _ids_line(ids, at) -> bytes:
+    return json.dumps({"rows": ids, "at": at}).encode() + b"\n"
+
+
+def test_client_names_each_cursor_by_its_parents_slot():
     address, requests = _recording_server(
-        [_ROW, b'{"error": "no rows"}\n', _ROW, b'{"probs": [0.5, 0.25]}\n', _ROW], _HELLO_4)
+        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (3, 1, 1, 1)], _HELLO_5)
     with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
-        with pytest.raises(ProtocolError, match="server error: no rows"):
-            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
-        remote.next_distribution((0, 1))  # the server dropped (0,): whole again
-        # The server answered this row, so it holds its slot.
-        with pytest.raises(ProtocolError, match="failed validation"):
-            remote.next_distribution((0, 1, 1))
-        remote.next_distribution((0, 1, 1, 0))
+        assert remote._wire == 5
+        root = remote.start((0, 1))
+        row = root.dist()  # slot 0
+        one, zero = root.advance(1), root.advance(0)
+        rows = remote.next_distributions([one, zero, remote.start((1,))])  # slots 1-3
+        assert rows == [row] * 3 and rows[0] is row  # one Distribution per row id
+        one.advance(0).dist()  # slot 4
+        remote.next_distribution((1,))  # a prefix starts a cursor of its own: whole
+        one.advance(0).advance(1).dist()  # its parent was never read: whole
     assert requests == [
-        {"slots": [-1], "branches": [[0]]},
-        {"slots": [0, 0], "branches": [[1], [0]]},
-        {"slots": [-1], "branches": [[0, 1]]},
-        {"slots": [0], "branches": [[1]]},
-        {"slots": [1], "branches": [[0]]},
+        {"slots": [-1], "branches": [[0, 1]], "rows": True},
+        {"slots": [0, 0, -1], "branches": [[1], [0], [1]], "rows": True},
+        {"slots": [1], "branches": [[0]], "rows": True},
+        {"slots": [-1], "branches": [[1]], "rows": True},
+        {"slots": [-1], "branches": [[0, 1, 1, 0, 1]], "rows": True},
     ]
 
 
-def test_a_remote_suite_pass_sends_at_most_wire_2s_request_bytes():
-    """The remote benchmark's set, the 20 bundled k-gram tasks under greedy,
-    stochastic and cntp with global_cap 128 at suite seed 0, decoded through
-    a loopback server: its requests take at most the 609 188 bytes that wire
-    2 sent (wire 3's cross-lane batches sent 4 777 383), in no more than the
-    868 requests that wire 3 made."""
+def test_client_starts_a_slot_generation_when_the_servers_table_clears(monkeypatch):
+    monkeypatch.setattr(models, "SLOT_CAP", 3)
+    address, requests = _recording_server(
+        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (2, 1, 1, 1)], _HELLO_5)
+    with RemoteModel(address) as remote:
+        root = remote.start((0,))
+        root.dist()
+        one, zero = root.advance(1), root.advance(0)
+        remote.next_distributions([one, zero])  # 3 slots: the cap
+        grown = one.advance(1)
+        grown.dist()  # past it: a new generation, in which this takes slot 0
+        zero.advance(0).dist()  # zero's slot is of the old generation
+        grown.advance(1).dist()
+    assert requests == [
+        {"slots": [-1], "branches": [[0]], "rows": True},
+        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
+        {"slots": [1], "branches": [[1]], "rows": True},
+        {"slots": [-1], "branches": [[0, 0, 0]], "rows": True},
+        {"slots": [0], "branches": [[1]], "rows": True},
+    ]
+
+
+def test_client_drops_its_slots_and_row_ids_on_an_error_line_and_closes_on_a_bad_row():
+    address, requests = _recording_server(
+        [_ROW + _ids_line([0], 0), b'{"error": "no rows"}\n', _ROW + _ids_line([0], 0),
+         b'{"probs": [0.5, 0.25]}\n' + _ids_line([1], 1)], _HELLO_5)
+    with RemoteModel(address) as remote:
+        root = remote.start((0,))
+        root.dist()
+        with pytest.raises(ProtocolError, match="server error: no rows"):
+            remote.next_distributions([root.advance(1), root.advance(0)])
+        assert remote._by_id == []  # the server dropped its row ids too
+        one = root.advance(1)
+        one.dist()  # root's slot went with the error: whole again
+        # A new row the client cannot hold leaves the row table out of step.
+        with pytest.raises(ProtocolError, match="failed validation"):
+            one.advance(1).dist()
+        with pytest.raises(ProtocolError, match="connection failed"):
+            one.advance(0).dist()
+    assert requests == [
+        {"slots": [-1], "branches": [[0]], "rows": True},
+        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
+        {"slots": [-1], "branches": [[0, 1]], "rows": True},
+        {"slots": [0], "branches": [[1]], "rows": True},
+    ]
+
+
+_NAN_ROW = b'{"probs": [NaN, 0.5, 0.5]}\n'
+
+
+@pytest.mark.parametrize("reply, error", [
+    (_ROW + _ids_line([1, 0], 0), r"rows must be 2 ids in 0\.\.0"),
+    (_ROW + _ids_line([0, -1], 0), r"rows must be 2 ids in 0\.\.0"),
+    (_ids_line([0, 0], 0), r"rows must be 2 ids in 0\.\.-1"),
+    (_ROW + _ids_line([0], 0), r"rows must be 2 ids"),
+    (_ROW + _ids_line([0, 0, 0], 0), r"rows must be 2 ids"),
+    (_ROW + _ids_line([1, 1], 1), "at must be 0 or 0"),
+    (_ROW + _ids_line([0, True], 0), "rows must be a list of integers"),
+    (_ROW + _ids_line([0, 0], 0.0), "at must be an integer"),
+    (_ROW * 3, "unknown field 'probs'"),
+    (_ROW + b'{"rows": [0, 0]}\n', "missing required field 'at'"),
+    (_ROW + b'{"rows": [0, 0], "at": 0, "ok": 1}\n', "unknown field 'ok'"),
+    (b'{"probs": [0.5, 0.5]}\n' + _ids_line([0, 0], 0), "entries"),
+    (_NAN_ROW + _ids_line([0, 0], 0), "failed validation"),
+    (_ROW + b'{"error": "late"}\n', "server error: late"),
+    (_ROW + b"not json\n", "invalid JSON"),
+], ids=["id-past-the-table", "negative-id", "id-without-a-row", "fewer-ids", "more-ids",
+        "wrong-at", "bool-id", "real-at", "no-ids-line", "no-at", "extra-field", "short-row",
+        "nan-row", "error-after-a-row", "ids-line-not-json"])
+def test_client_closes_the_connection_on_a_bad_wire_5_reply(reply, error):
+    address, _ = _recording_server([reply], _HELLO_5)
+    with RemoteModel(address) as remote:
+        root = remote.start((0,))
+        with pytest.raises(ProtocolError, match=error):
+            remote.next_distributions([root, root.advance(1)])
+        with pytest.raises(ProtocolError, match="connection failed"):
+            root.dist()
+
+
+def test_client_checks_that_new_rows_keep_the_table_within_row_cache(monkeypatch):
+    monkeypatch.setattr(models, "ROW_CACHE", 2)
+    address, _ = _recording_server(
+        [_ROW + _ids_line([0], 0), _ROW + _ids_line([1], 1), _ROW + _ids_line([2], 2)], _HELLO_5)
+    with RemoteModel(address) as remote:
+        for tok in (0, 1):
+            remote.next_distribution((tok,))
+        with pytest.raises(ProtocolError, match="at most 2, got 2"):
+            remote.next_distribution((2,))
+    # The CLI exits 3 on a bad wire-5 reply.
+    address, _ = _recording_server([_ROW + _ids_line([1], 0)], _HELLO_5, hang_up=True)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
+                     "greedy", "--out", ""])
+    assert code == 3 and "rows must be 1 ids in 0..0" in err.getvalue()
+
+
+def test_a_deep_cursor_whose_parent_is_stale_sends_its_whole_prefix(monkeypatch):
+    """A cursor 5 000 tokens deep builds its prefix in a loop: a recursive
+    walk up its parents would pass Python's recursion limit."""
+    monkeypatch.setattr(models, "SLOT_CAP", 1)
+    model = load_kgram_model(bundled_path("kgram.kgram"))
+    tokens = tuple(i % len(model.vocabulary) for i in range(5000))
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        parent = remote.start(())
+        for tok in tokens[:-1]:
+            parent = parent.advance(tok)
+        parent.dist()  # slot 0, the whole table
+        remote.next_distribution(())  # the table clears: parent's slot is stale
+        sent = []
+        exchange = remote._exchange
+        remote._exchange = lambda request=b"": sent.append(request) or exchange(request)
+        row = parent.advance(tokens[-1]).dist()
+    assert row.probs.tobytes() == model.next_distribution(tokens).probs.tobytes()
+    assert json.loads(sent[0]) == {"slots": [-1], "branches": [list(tokens)], "rows": True}
+
+
+def _remote_suite_pass() -> tuple[list[int], list[int]]:
+    """The byte lengths of the requests RemoteModel writes, and of the reply
+    lines it reads, over the remote benchmark's set: the 20 bundled k-gram
+    tasks under greedy, stochastic and cntp with global_cap 128 at suite
+    seed 0, decoded through a loopback server."""
     model, _, config = _kgram_cases(128)
     tasks = load_tasks(bundled_path("kgram.tasks"))
-    sent = []
+    sent, read = [], []
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
         exchange = remote._exchange
 
         def counted(request=b""):
             if request:
                 sent.append(len(request))
-            return exchange(request)
+            read.append(len(line := exchange(request)))
+            return line
 
         remote._exchange = counted
         for strategy in ("greedy", "stochastic", "cntp"):
             run_suite(remote, tasks, strategy, config, [0])
+    return sent, read
+
+
+def test_a_remote_suite_pass_sends_at_most_wire_2s_request_bytes():
+    """The pass's requests take at most the 609 188 bytes that wire 2 sent
+    (wire 3's cross-lane batches sent 4 777 383), in no more than the 868
+    requests that wire 3 made."""
+    sent, _ = _remote_suite_pass()
     assert sum(sent) <= 609_188 and len(sent) <= 868, (sum(sent), len(sent))
+
+
+def test_a_remote_suite_pass_reads_each_row_once_and_ids_after():
+    """Over wire 5 the pass reads at most one ids line per request and one
+    row line per row of the model (868 + 187 lines), and at most 1 MB.
+    Wire 4 sent a row line per branch: 12 163 027 bytes in 20 898 lines."""
+    _, read = _remote_suite_pass()
+    assert len(read) <= 868 + 187 and sum(read) <= 1_000_000, (sum(read), len(read))
 
 
 def _kgram_cases(global_cap: int):
@@ -1184,10 +1379,11 @@ def _assert_cntp_and_beam_decode_through_a_server_as_locally(wire):
     assert multi_trial_steps > 0
 
 
-@pytest.mark.parametrize("wire", [4, 3, 2])
+@pytest.mark.parametrize("wire", [5, 4, 3, 2])
 def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
-    """cntp and beam:4 over a wire-4 ModelServer, whose slots they use, and
-    over stubs that speak only wire 3 or wire 2, equal the local decodes."""
+    """cntp and beam:4 over a wire-5 ModelServer, whose slots and row ids
+    they use, and over stubs that speak only wire 4 (spoken to as wire 3),
+    wire 3 or wire 2, equal the local decodes."""
     serve_wire(monkeypatch, wire)
     _assert_cntp_and_beam_decode_through_a_server_as_locally(wire)
 
@@ -1196,7 +1392,29 @@ def test_cntp_and_beam_decode_as_locally_while_the_slot_table_rolls_over(monkeyp
     """With a 5-slot table, cleared every few requests, both ends still agree
     on every slot: the decodes equal the local ones."""
     monkeypatch.setattr(models, "SLOT_CAP", 5)
-    _assert_cntp_and_beam_decode_through_a_server_as_locally(4)
+    generations = set()
+    named = RemoteModel._named
+    monkeypatch.setattr(RemoteModel, "_named",
+                        lambda self, batch: generations.add(id(self._generation))
+                        or named(self, batch))
+    _assert_cntp_and_beam_decode_through_a_server_as_locally(5)
+    assert len(generations) > 2
+
+
+def test_cntp_and_beam_decode_as_locally_while_slots_and_row_ids_roll_over(monkeypatch):
+    """With 8 row ids, 8 branches a request and 5 slots, both tables clear
+    every few requests, and both ends still agree on every slot and every
+    row id: the decodes equal the local ones."""
+    monkeypatch.setattr(models, "ROW_CACHE", 8)
+    monkeypatch.setattr(models, "BRANCHES_CAP", 8)
+    monkeypatch.setattr(models, "SLOT_CAP", 5)
+    tables = []
+    ask = RemoteModel._ask_ids
+    monkeypatch.setattr(RemoteModel, "_ask_ids",
+                        lambda self, batch: tables.append(len(self._by_id)) or ask(self, batch))
+    _assert_cntp_and_beam_decode_through_a_server_as_locally(5)
+    clears = sum(later < earlier for earlier, later in zip(tables, tables[1:]))
+    assert max(tables) == 8 and clears > 2
 
 
 def _longest_trials_less_one(model, prompt, config, outcome) -> int:
@@ -1237,7 +1455,7 @@ def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeyp
     config = config.with_seed(3)
     rounds = 0
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == 4
+        assert remote._wire == 5
         for prompt in prompts[:6]:
             before = len(requests)
             out = cntp_decode(remote, prompt, config)
@@ -1261,11 +1479,14 @@ def test_both_ends_send_without_delay_and_a_32_branch_batch_is_fast(monkeypatch)
     serve = ModelServer._serve_one
     monkeypatch.setattr(ModelServer, "_serve_one",
                         lambda self, conn: conns.append(conn) or serve(self, conn))
+    # A wire-4 server sends every row line on each request, so each reply
+    # stays long; a wire-5 one would send them once.
+    serve_wire(monkeypatch, 4)
     model = load_kgram_model(bundled_path("kgram.kgram"))
     prompt = model.vocabulary.encode("the ca")
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
         size = len(model.vocabulary)
-        branches = [models.Cursor(remote, prompt + (i % size, i // size)) for i in range(32)]
+        branches = [remote.start(prompt + (i % size, i // size)) for i in range(32)]
         remote.next_distributions(branches)  # answered: the server set its option
         for sock in (remote._sock, conns[0]):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
