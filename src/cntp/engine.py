@@ -14,14 +14,17 @@ read their next rows in one model.next_distributions batch, which a remote
 backend sends as one request. The outcome is the one a trial-by-trial loop
 gives. lane_decode runs many (prompt, seed) decodes of one policy the same
 way, all in lockstep by step index, with the outcomes policy_decode gives
-each alone.
+each alone. Its lanes that hold one cursor form a group, which reads its
+row, confidence, trial count and prepared row once for all of them; a
+group splits where its lanes' draws or winning branches differ. Since a
+lane's draws depend only on its keys, a group draws its lanes' tokens
+together, with numpy when it is large, and gets the same tokens.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -38,7 +41,7 @@ from .core import (
 )
 from .models import Cursor, ModelSource
 from .sampling import (Rng, derive_base, derive_seed, greedy_token, keyed_uniforms,
-                       prepare_sampling_dist, sample_token, token_at)
+                       prepare_sampling_dist, sample_token, token_at, tokens_at)
 
 
 def entropy(dist: Distribution) -> float:
@@ -304,120 +307,260 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
     return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
 
 
+# Groups of at least this many lanes draw a step's tokens, and the first
+# tokens of a multi-trial step's trials, with numpy: one np.searchsorted over
+# the row's cumulative sum, and a row-wise argmin for the winners that stop
+# on their first token. Smaller groups draw each token with bisect, which
+# costs less below that size: the two broke even at 16-24 lanes for a step's
+# tokens and at about 32 lanes of four trials each (2-CPU VM, Python 3.11,
+# numpy 2.4).
+NUMPY_GROUP = 32
+
+
 class _Lane:
-    """One (prompt, seed) decode of lane_decode: its stream base, cursor and
-    tokens, the token count it stops at, its multi-trial steps, the tokens
-    their losing trials drew, and its trace."""
+    """One (prompt, seed) decode of lane_decode: its place among the
+    outcomes, its stream base and the tokens its losing trials drew."""
 
-    __slots__ = ("base", "cursor", "tokens", "prompt_len", "limit", "high_steps", "discarded",
-                 "trace")
+    __slots__ = ("index", "base", "discarded")
 
-    def __init__(self, model: ModelSource, prompt: Sequence, seed: int, global_cap: int):
+    def __init__(self, index: int, seed: int):
+        self.index = index
         self.base = derive_seed(seed)
-        self.cursor = model.start(prompt.tokens)
-        self.tokens = list(prompt.tokens)
-        self.prompt_len = len(self.tokens)
+        self.discarded = 0
+
+
+class _Group:
+    """The live lanes that hold one cursor, and so one history: their
+    tokens, the token count they stop at, their multi-trial steps and their
+    trace."""
+
+    __slots__ = ("lanes", "cursor", "tokens", "prompt_len", "limit", "high_steps", "trace")
+
+    def __init__(self, model: ModelSource, prompt: tuple, global_cap: int):
+        self.lanes: list[_Lane] = []
+        self.cursor = model.start(prompt)
+        self.tokens = list(prompt)
+        self.prompt_len = len(prompt)
         self.limit = self.prompt_len + global_cap
-        self.high_steps = self.discarded = 0
+        self.high_steps = 0
         self.trace: list[StepTrace] = []
 
-    def outcome(self, vocab) -> DecodeOutcome:
-        # Each answer token and each token a losing trial drew took one pass.
-        passes = len(self.tokens) - self.prompt_len + self.discarded
-        cost = CostLedger(forward_passes=passes, generated_tokens=passes,
-                          high_entropy_steps=self.high_steps, total_steps=len(self.trace))
-        return DecodeOutcome(vocab.sequence(self.tokens), cost, tuple(self.trace))
+    def take(self, lanes: list[_Lane], cursor: Cursor, tokens: list, step: StepTrace,
+             high_steps: int) -> "_Group":
+        """The group of lanes, self's own list or a part of it, once they
+        take tokens, arriving at cursor: self, or a new group for a part."""
+        group = self
+        if lanes is self.lanes:
+            self.tokens += tokens
+            self.trace.append(step)
+        else:
+            group = object.__new__(_Group)
+            group.lanes = lanes
+            group.tokens = self.tokens + tokens
+            group.prompt_len = self.prompt_len
+            group.limit = self.limit
+            group.high_steps = self.high_steps
+            group.trace = self.trace + [step]
+        group.cursor = cursor
+        group.high_steps += high_steps
+        return group
+
+    def finish(self, vocab, outcomes: list) -> None:
+        """Put each lane's outcome in its place; lanes that discarded as
+        many tokens share one."""
+        sequence = vocab.sequence(self.tokens)
+        trace = tuple(self.trace)
+        answer_len = len(self.tokens) - self.prompt_len
+        shared: dict[int, DecodeOutcome] = {}
+        for lane in self.lanes:
+            outcome = shared.get(lane.discarded)
+            if outcome is None:
+                # Each answer token and each token a losing trial drew took one pass.
+                passes = answer_len + lane.discarded
+                cost = CostLedger(forward_passes=passes, generated_tokens=passes,
+                                  high_entropy_steps=self.high_steps, total_steps=len(trace))
+                outcome = shared[lane.discarded] = DecodeOutcome(sequence, cost, trace)
+            outcomes[lane.index] = outcome
 
 
 def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
                 policy: Policy) -> list[DecodeOutcome]:
     """policy_decode of each (prompt, seed) lane under policy, its config at
-    that seed, with every lane in lockstep by step index. Each step reads all
-    live lanes' rows in one model.next_distributions call and draws all their
-    (seed, step, 0) uniforms in one keyed_uniforms call, used by the lanes
-    that take a single token; the multi-trial steps grow their trials
-    together (see _grow_lane_trials). Outcomes, ledgers and traces equal
-    policy_decode's bit for bit."""
+    that seed, with every lane in lockstep by step index. Live lanes that
+    hold one cursor form a group, and lanes start grouped by prompt. Each
+    step reads every group's row in one model.next_distributions call, and
+    reads its confidence, trial count and prepared row once per group. It
+    draws every live lane's (seed, step, 0) uniform in one keyed_uniforms
+    call, used by the groups that take a single token; such a group splits
+    by the tokens its lanes draw, and each part advances its cursor once and
+    shares one StepTrace. The multi-trial steps grow their trials together
+    and split their groups by winning branch (see _grow_lane_trials).
+    Outcomes, ledgers and traces equal policy_decode's bit for bit."""
     config = policy.config
     vocab = model.vocabulary
     eos = vocab.eos_id
     stops = stop_mask(vocab, config.punctuation)
     greedy = config.temperature == 0.0
     measure = config.confidence_measure
-    states = [_Lane(model, prompt, seed, config.global_cap) for prompt, seed in lanes]
-    live = states
+    starts: dict[tuple, _Group] = {}
+    for index, (prompt, seed) in enumerate(lanes):
+        group = starts.get(prompt.tokens)
+        if group is None:
+            group = starts[prompt.tokens] = _Group(model, prompt.tokens, config.global_cap)
+        group.lanes.append(_Lane(index, seed))
+    outcomes: list = [None] * len(lanes)
+    live = list(starts.values())
     step = 0
     while live:
-        rows = model.next_distributions([lane.cursor for lane in live])
-        draws = (repeat(0.0) if greedy else
-                 keyed_uniforms([lane.base for lane in live], (step, 0), 0))
-        going, multis = [], []
-        for lane, dist, u in zip(live, rows, draws):
+        rows = model.next_distributions([group.cursor for group in live])
+        draws = None if greedy else keyed_uniforms(
+            [lane.base for group in live for lane in group.lanes], (step, 0), 0)
+        going, parts, multis = [], [], []
+        j = 0
+        for group, dist in zip(live, rows):
+            first = j
+            j += len(group.lanes)
             h = confidence(dist, measure)
             n = policy.trials(h)
             if n > 1:
-                multis.append((lane, dist, h, n))
+                multis.append((group, dist, h, n))
                 continue
-            tok = greedy_token(dist) if greedy else token_at(prepare_sampling_dist(dist, config), u)
-            tokens = lane.tokens
+            if greedy:
+                tok = greedy_token(dist)
+            elif j - first == 1:
+                tok = token_at(prepare_sampling_dist(dist, config), draws[first])
+            else:
+                prepared = prepare_sampling_dist(dist, config)
+                toks = ([token_at(prepared, u) for u in draws[first:j]] if j - first < NUMPY_GROUP
+                        else tokens_at(prepared, draws[first:j]).tolist())
+                tok = toks[0]
+                if toks.count(tok) < len(toks):
+                    parts += _split_by_token(group, toks, dist, h)
+                    continue
+            tokens = group.tokens
             tokens.append(tok)
-            lane.cursor = lane.cursor.advance(tok)
-            lane.trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
-            if tok != eos and len(tokens) < lane.limit:
-                going.append(lane)
+            group.cursor = group.cursor.advance(tok)
+            group.trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
+            if tok != eos and len(tokens) < group.limit:
+                going.append(group)
+            else:
+                group.finish(vocab, outcomes)
         if multis:
-            _grow_lane_trials(model, multis, step, config, stops)
-            going += [lane for lane, *_ in multis
-                      if lane.tokens[-1] != eos and len(lane.tokens) < lane.limit]
+            parts += _grow_lane_trials(model, multis, step, config, stops)
+        for group in parts:
+            tokens = group.tokens
+            if tokens[-1] != eos and len(tokens) < group.limit:
+                going.append(group)
+            else:
+                group.finish(vocab, outcomes)
         live = going
         step += 1
-    return [lane.outcome(vocab) for lane in states]
+    return outcomes
+
+
+def _split_by_token(group: _Group, toks: list, dist: Distribution, h: float) -> list[_Group]:
+    """The groups that group's lanes form once each takes its token of toks."""
+    parts: dict[int, list[_Lane]] = {}
+    for lane, tok in zip(group.lanes, toks):
+        part = parts.get(tok)
+        if part is None:
+            parts[tok] = [lane]
+        else:
+            part.append(lane)
+    return [group.take(part, group.cursor.advance(tok), [tok],
+                       StepTrace(h, 1, None, float(dist.probs[tok])), 0)
+            for tok, part in parts.items()]
 
 
 def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
-                      stops: tuple[bool, ...]) -> None:
-    """Run the multi-trial step of each (lane, row, confidence, n) of steps
-    and append its winner to the lane, as policy_decode's step does. Trials
-    grow TRIAL_CHUNK per lane at a time, and all the trials of a chunk, over
-    every lane, in lockstep: each round draws their uniforms in one
-    keyed_uniforms call and reads the rows of those that grow on in one
+                      stops: tuple[bool, ...]) -> list[_Group]:
+    """Run the multi-trial step of each (group, row, confidence, n) of steps
+    for every lane of the group, as policy_decode's step does, and return
+    the groups the lanes form after it: a group splits by winning branch.
+    Trials grow TRIAL_CHUNK per lane at a time, and all the trials of a
+    chunk, over every lane, in lockstep: each round draws their uniforms in
+    one keyed_uniforms call and reads the rows of those that grow on in one
     model.next_distributions call. Round r takes draw r of trial i's stream
     (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
-    scalar sum."""
-    # Per step: the running best as [(ppl, trial index), tokens, cursor
-    # before the last token], and the tokens its trials drew.
-    bests: list = [None] * len(steps)
-    drawn = [0] * len(steps)
-    step_bases = [derive_base(lane.base, step) for lane, *_ in steps]
+    scalar sum. A trial that stops on its first token is scored once per
+    distinct token, and in a group of NUMPY_GROUP lanes or more its first
+    tokens are drawn, and each lane's best of them found, with numpy."""
+    # Per lane, the lanes of every step's group in turn (step k's from
+    # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
+    # running best as [(ppl, trial index), tokens, cursor before the last
+    # token], and the tokens its trials drew.
+    step_bases: list[int] = []
+    bounds = [0]
+    for group, *_ in steps:
+        step_bases += [derive_base(lane.base, step) for lane in group.lanes]
+        bounds.append(len(step_bases))
+    bests: list = [None] * len(step_bases)
+    drawn = [0] * len(step_bases)
     for lo in range(0, max(n for *_, n in steps), TRIAL_CHUNK):
         chunks = [(k, range(lo, min(n, lo + TRIAL_CHUNK)))
                   for k, (*_, n) in enumerate(steps) if n > lo]
-        draws = iter(keyed_uniforms([step_bases[k] for k, indices in chunks for _ in indices],
-                                    ([i for _, indices in chunks for i in indices],), 0))
-        # Parallel per-trial lists: (step index, trial index, cap on its
+        draws = keyed_uniforms(
+            [base for k, indices in chunks for base in step_bases[bounds[k]:bounds[k + 1]]
+             for _ in indices],
+            ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
+              for i in indices],), 0)
+        # Parallel per-trial lists: (lane position, trial index, cap on its
         # length, tokens, probs) of each trial that grows on, its stream base
         # and its cursor.
         trials, bases, cursors = [], [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
+        j = 0
         for k, indices in chunks:
-            lane, dist, _, _ = steps[k]
+            group, dist, _, _ = steps[k]
+            first, width = bounds[k], len(indices)
+            us = draws[j:j + (bounds[k + 1] - first) * width]
+            j += len(us)
             prepared = prepare_sampling_dist(dist, config)
-            cap = min(config.branch_cap, lane.limit - len(lane.tokens))
+            cap = min(config.branch_cap, group.limit - len(group.tokens))
+            cursor = group.cursor
+            if bounds[k + 1] - first >= NUMPY_GROUP:
+                toks = tokens_at(prepared, us)
+                distinct, inverse = np.unique(toks, return_inverse=True)
+                # inf marks the first tokens that grow on: a branch's ppl is
+                # finite, since math.exp raises rather than overflow.
+                ppl = np.array([branch_score([float(dist.probs[tok])])[1]
+                                if cap <= 1 or stops[tok] else math.inf
+                                for tok in distinct.tolist()])[inverse].reshape(-1, width)
+                toks = toks.tolist()
+                grows = np.isinf(ppl)
+                for q in np.flatnonzero(grows).tolist():
+                    r, c = divmod(q, width)
+                    tok = toks[q]
+                    trials.append((first + r, lo + c, cap, [tok], [float(dist.probs[tok])]))
+                    bases.append(derive_base(step_bases[first + r], lo + c))
+                    cursors.append(cursor.advance(tok))
+                # Each lane's lowest ppl, at its lowest trial index on ties.
+                winners = ppl.argmin(axis=1).tolist()
+                for p, c, low, stopped in zip(range(first, bounds[k + 1]), winners,
+                                              ppl.min(axis=1).tolist(),
+                                              (width - grows.sum(axis=1)).tolist()):
+                    if stopped:
+                        drawn[p] += stopped
+                        if bests[p] is None or (low, lo + c) < bests[p][0]:
+                            bests[p] = [(low, lo + c), [toks[(p - first) * width + c]], cursor]
+                continue
             ppls: dict[int, float] = {}
-            for i in indices:
-                tok = token_at(prepared, next(draws))
-                if cap > 1 and not stops[tok]:
-                    trials.append((k, i, cap, [tok], [float(dist.probs[tok])]))
-                    bases.append(derive_base(step_bases[k], i))
-                    cursors.append(lane.cursor.advance(tok))
-                    continue
-                drawn[k] += 1
-                ppl = ppls.get(tok)
-                if ppl is None:
-                    ppl = ppls[tok] = branch_score([float(dist.probs[tok])])[1]
-                if bests[k] is None or (ppl, i) < bests[k][0]:
-                    bests[k] = [(ppl, i), [tok], lane.cursor]
+            u = iter(us)
+            for p in range(first, bounds[k + 1]):
+                for i in indices:
+                    tok = token_at(prepared, next(u))
+                    if cap > 1 and not stops[tok]:
+                        trials.append((p, i, cap, [tok], [float(dist.probs[tok])]))
+                        bases.append(derive_base(step_bases[p], i))
+                        cursors.append(cursor.advance(tok))
+                        continue
+                    drawn[p] += 1
+                    ppl = ppls.get(tok)
+                    if ppl is None:
+                        ppl = ppls[tok] = branch_score([float(dist.probs[tok])])[1]
+                    if bests[p] is None or (ppl, i) < bests[p][0]:
+                        bests[p] = [(ppl, i), [tok], cursor]
         length = 1
         while trials:
             rows = model.next_distributions(cursors)
@@ -425,7 +568,7 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
             length += 1
             live, live_bases, advanced = [], [], []
             for trial, base, cur, dist, u in zip(trials, bases, cursors, rows, draws):
-                k, i, cap, tokens, probs = trial
+                p, i, cap, tokens, probs = trial
                 tok = token_at(prepare_sampling_dist(dist, config), u)
                 tokens.append(tok)
                 probs.append(float(dist.probs[tok]))
@@ -434,17 +577,27 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                     live_bases.append(base)
                     advanced.append(cur.advance(tok))
                     continue
-                drawn[k] += length
+                drawn[p] += length
                 ppl = branch_score(probs)[1]
-                if bests[k] is None or (ppl, i) < bests[k][0]:
-                    bests[k] = [(ppl, i), tokens, cur]
+                if bests[p] is None or (ppl, i) < bests[p][0]:
+                    bests[p] = [(ppl, i), tokens, cur]
             trials, bases, cursors = live, live_bases, advanced
-    for (lane, _, h, n), ((ppl, _), tokens, end), total in zip(steps, bests, drawn):
-        lane.tokens.extend(tokens)
-        lane.cursor = end.advance(tokens[-1])
-        lane.discarded += total - len(tokens)
-        lane.high_steps += 1
-        lane.trace.append(StepTrace(h, n, ppl, None))
+    out = []
+    for (group, _, h, n), first in zip(steps, bounds):
+        branches: dict[tuple, list] = {}
+        for p, lane in enumerate(group.lanes, first):
+            (ppl, _), tokens, end = bests[p]
+            lane.discarded += drawn[p] - len(tokens)
+            branch = branches.get(key := tuple(tokens))
+            if branch is None:
+                branches[key] = [ppl, tokens, end, [lane]]
+            else:
+                branch[3].append(lane)
+        whole = len(branches) == 1
+        out += [group.take(group.lanes if whole else part, end.advance(tokens[-1]), tokens,
+                           StepTrace(h, n, ppl, None), 1)
+                for ppl, tokens, end, part in branches.values()]
+    return out
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

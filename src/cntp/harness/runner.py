@@ -51,10 +51,10 @@ class Strategy:
     extractor), which returns a DecodeOutcome, or the voted (answer, cost)
     pair for self-consistency.
 
-    How run_suite decodes a suite seed's runs in lockstep lanes (see
+    How run_suite decodes a suite's runs in lockstep lanes (see
     engine.lane_decode): policy(config) is the policy of every lane (None:
     run each task alone); reduce(outcomes, vocabulary, prompt length,
-    extractor), if set, folds a task's width paths, one lane each, into what
+    extractor), if set, folds a run's width paths, one lane each, into what
     run returns; a seedless strategy's result ignores the seed, so a suite
     decodes it once per task."""
 
@@ -296,12 +296,13 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
               workers: int = 1) -> SuiteResult:
     """One run per (task, seed). Per-run seeds are derive_seed(seed, task
     index), so runs are independent across tasks and reproducible
-    individually. The runs of one suite seed decode as lockstep lanes, and a
-    seedless strategy's once per task for every seed; each record is what
-    run_one writes for its run, wall_time aside, which is its even share of
-    the decode that served it. Records come back sorted by (seed, task id)
-    and aggregates are order-independent, so parallel and serial execution
-    agree exactly."""
+    individually. The runs of every suite seed decode as one batch of
+    lockstep lanes, and a seedless strategy's once per task for every seed;
+    with workers > 1 the seeds split into that many contiguous batches, one
+    per thread. Each record is what run_one writes for its run, wall_time
+    aside, which is its even share of the decode that served it. Records
+    come back sorted by (seed, task id) and aggregates are
+    order-independent, so parallel and serial execution agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")
     if not seeds:
@@ -317,35 +318,43 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     spec = STRATEGIES[root]
     prompts = [_prompt(model.vocabulary, task) for task in tasks]
 
-    def configs_at(seed):
-        return [config.with_seed(derive_seed(seed, idx)) for idx in range(len(tasks))]
+    def configs_at(batch):
+        return [config.with_seed(derive_seed(seed, idx)) for seed in batch
+                for idx in range(len(tasks))]
 
-    def decode(configs, served):
-        """Each task's result under configs, and the even share of the
-        decode's wall time of each of the served records."""
+    def decode(batch, configs):
+        """Each task's result at each seed of batch, under configs, seed by
+        seed, and the even share of the decode's wall time of each record
+        it serves."""
         start = time.perf_counter()
         try:
-            results = _decode_lanes(model, spec, width, tasks, prompts, configs)
+            results = _decode_lanes(model, spec, width, tasks * len(batch), prompts * len(batch),
+                                    configs)
         except ProtocolError as exc:
             raise ProtocolError(f"tasks {tasks[0].id}..{tasks[-1].id}: {exc}") from exc
-        return results, (time.perf_counter() - start) / served
+        return results, (time.perf_counter() - start) / len(configs)
 
-    if spec.seedless:
-        seedless = decode(configs_at(seeds[0]), len(tasks) * len(seeds))
+    if spec.seedless:  # decoded at the first seed, for every seed
+        seedless, share = decode(seeds[:1], configs_at(seeds[:1]))
+        share /= len(seeds)
 
-    def execute(seed):
-        configs = configs_at(seed)
-        results, wall_time = seedless if spec.seedless else decode(configs, len(tasks))
+    def execute(batch):
+        configs = configs_at(batch)
+        results, wall_time = ((seedless * len(batch), share) if spec.seedless
+                              else decode(batch, configs))
+        runs = [(seed, task) for seed in batch for task in tasks]
         return [run_one(model, task, canonical, cfg, model_spec=model_spec, record_seed=seed,
                         decoded=(result, wall_time))[0]
-                for task, cfg, result in zip(tasks, configs, results)]
+                for (seed, task), cfg, result in zip(runs, configs, results)]
 
     if workers > 1:
+        batches = [seeds[len(seeds) * w // workers:len(seeds) * (w + 1) // workers]
+                   for w in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(execute, seeds))
+            done = list(pool.map(execute, [batch for batch in batches if batch]))
     else:
-        batches = [execute(seed) for seed in seeds]
-    records = [record for batch in batches for record in batch]
+        done = [execute(seeds)]
+    records = [record for batch in done for record in batch]
     records.sort(key=lambda r: (seeds.index(r.seed), r.task_id))
     aggregate = aggregate_records(canonical, records, len(tasks), seeds)
 

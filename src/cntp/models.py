@@ -184,6 +184,9 @@ class KGramModel(ModelSource):
         self.counts = counts
         # Trained contexts only: every unseen context shares one row.
         self._cache: dict[tuple[TokenId, ...], Distribution] = {}
+        # Built rows by their bytes, so that contexts with equal rows share
+        # one Distribution and its sampling caches.
+        self._rows: dict[bytes, Distribution] = {}
         self._unseen = self._row({})
 
     def _row(self, bucket: dict[TokenId, int]) -> Distribution:
@@ -193,7 +196,12 @@ class KGramModel(ModelSource):
         for token, count in bucket.items():
             row[token] += count
             total += count
-        return Distribution(row / total)
+        row /= total
+        key = row.tobytes()
+        dist = self._rows.get(key)
+        if dist is None:
+            dist = self._rows[key] = Distribution(row)
+        return dist
 
     def next_distribution(self, prefix) -> Distribution:
         return self._context_dist(_prefix_key(prefix)[-self.k:])

@@ -30,7 +30,8 @@ from cntp.baselines import path_seeds
 from cntp.core import load_config
 from cntp.engine import TRIAL_CHUNK, policy_decode
 from cntp.harness import bundled_path, load_tasks
-from cntp.harness.runner import STRATEGIES, _decode_lanes, parse_strategy, resolve_model
+from cntp.harness.runner import (STRATEGIES, _decode_lanes, parse_strategy, resolve_model,
+                                 run_one, run_suite)
 
 from conftest import make_random_scripted, serve_wire
 
@@ -183,6 +184,120 @@ def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
     _assert_lanes_through_a_server_equal_local_decodes(5)
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
     assert any(ref >= 0 for request in sent for ref in request["slots"])
+
+
+def _grouped(prompts, count=200):
+    """count lanes of each prompt, the prompts in turn, so that each
+    prompt's lanes start as one group and its seeds run apart."""
+    return [prompt for _ in range(count) for prompt in prompts], \
+        [derive_seed(17, i) for i in range(count * len(prompts))]
+
+
+class _RowCount(models.ModelSource):
+    """A model that counts the cursors it reads in batches."""
+
+    def __init__(self, inner):
+        self.inner, self.vocabulary, self.rows = inner, inner.vocabulary, 0
+
+    def start(self, prefix):
+        return self.inner.start(prefix)
+
+    def next_distribution(self, prefix):
+        return self.inner.next_distribution(prefix)
+
+    def next_distributions(self, cursors):
+        self.rows += len(cursors)
+        return self.inner.next_distributions(cursors)
+
+
+def _policies(config):
+    cold = config._with("temperature", 0.0)
+    return [policy(c) for c in (config, cold) for policy in (
+        SingleSamplePolicy, CntpPolicy, lambda c: UniformMultisamplePolicy(c, 3))]
+
+
+def test_grouped_lanes_on_the_suite_equal_scalar_decodes():
+    """200 seeds of each of three suite prompts under every policy, at T=0
+    too: each prompt's lanes share their rows, draws and advances while
+    they agree, and every lane equals policy_decode at its seed."""
+    model, _, prompts, config = _bundled("suite")
+    prompts, seeds = _grouped(prompts[:3])
+    counted = _RowCount(model)
+    for policy in _policies(config):
+        counted.rows = 0
+        lanes = _assert_lanes_match(counted, prompts, seeds, policy)
+        steps = sum(lane.cost.total_steps for lane in lanes)
+        # Grouped, a step reads one row per distinct prefix, not per lane.
+        assert counted.rows * 5 < steps, (counted.rows, steps)
+
+
+def test_grouped_lanes_past_trial_chunk_equal_scalar_decodes():
+    """Groups of lanes whose steps run more trials than TRIAL_CHUNK: every
+    step under a uniform policy, the uncertain steps under cntp at an n_max
+    past it."""
+    model, _, prompts, config = _bundled("suite")
+    prompts, seeds = _grouped(prompts[3:5], 40)
+    for temperature in (1.0, 0.0):
+        cfg = dataclasses.replace(config, temperature=temperature, n_max=TRIAL_CHUNK + 6)
+        lanes = _assert_lanes_match(model, prompts, seeds,
+                                    UniformMultisamplePolicy(cfg, cfg.n_max))
+        assert all(t.n_trials > TRIAL_CHUNK for lane in lanes for t in lane.per_step_trace)
+        lanes = _assert_lanes_match(model, prompts, seeds, CntpPolicy(cfg))
+        assert any(t.n_trials > TRIAL_CHUNK for lane in lanes for t in lane.per_step_trace)
+
+
+def test_grouped_lanes_on_kgram_and_random_models_equal_scalar_decodes():
+    kgram, _, kprompts, kconfig = _bundled("kgram", global_cap=12)
+    rng = np.random.default_rng(18)
+    scripted = make_random_scripted(rng, width=3, depth=4, eos_floor=0.02)
+    sconfig = DecodeConfig(h_min=0.3, h_max=1.0, n_max=4, branch_cap=3, global_cap=7,
+                           top_p=0.95, punctuation=frozenset())
+    sprompts = [Sequence(t, "") for t in ((), (0,), (1, 2))]
+    multi = 0
+    for model, prompts, config in ((kgram, kprompts[:3], kconfig),
+                                   (scripted, sprompts, sconfig)):
+        prompts, seeds = _grouped(prompts)
+        for policy in _policies(config):
+            lanes = _assert_lanes_match(model, prompts, seeds, policy)
+            multi += sum(lane.cost.high_entropy_steps for lane in lanes)
+    assert multi > 0
+
+
+def test_grouped_lanes_through_a_server_equal_local_decodes():
+    """200 seeds of each of three k-gram prompts through a wire-5 server:
+    each group's row goes as one branch of a batch."""
+    model, _, prompts, config = _bundled("kgram", global_cap=12)
+    prompts, seeds = _grouped(prompts[:3])
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
+            over_wire = lane_decode(remote, list(zip(prompts, seeds)), policy)
+            for prompt, seed, lane in zip(prompts, seeds, over_wire):
+                scalar = policy_decode(model, prompt, dataclasses.replace(
+                    policy, config=policy.config.with_seed(seed)))
+                assert _exact(lane) == _exact(scalar)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_all_seed_suites_equal_run_one_at_each_run(workers):
+    """run_suite decodes every seed of a strategy in one batch (or one per
+    worker); each record equals run_one's at its (task, seed), wall_time
+    and timestamp aside."""
+    model, tasks, _, config = _bundled("suite")
+    tasks = tasks[:10]
+    seeds = [4, 0, 9]
+    for strategy in ("greedy", "stochastic", "cntp", "beam:2", "sc:3", "cntp_sc:3",
+                     "best_of_n:3"):
+        records = run_suite(model, tasks, strategy, config, seeds, workers=workers).records
+        expected = [run_one(model, task, strategy, config.with_seed(derive_seed(seed, i)),
+                            record_seed=seed)[0]
+                    for seed in seeds for i, task in enumerate(tasks)]
+        assert [_comparable(r) for r in records] == [_comparable(r) for r in expected]
+
+
+def _comparable(record):
+    data = record.to_dict()
+    del data["wall_time"], data["timestamp"]
+    return data
 
 
 _SEEDS = st.one_of(st.integers(2**64 - 4096, 2**64 - 1), st.integers(0, 2**64 - 1))

@@ -259,6 +259,23 @@ def test_kgram_unseen_contexts_share_one_row():
     assert set(model._cache) == {(a, b)}  # only trained contexts are cached
 
 
+def test_kgram_contexts_with_equal_counts_share_one_row():
+    """Rows are interned by their bytes: contexts with equal counts, and a
+    context whose counts are all 0 and the unseen row, return one object."""
+    model = train_kgram("acbcd", k=1, alpha=0.5)
+    a, b, c = (model.vocabulary.encode(ch)[0] for ch in "abc")
+    row = model.next_distribution((a,))
+    assert model.next_distribution((b,)) is row
+    assert model.next_distribution((c,)) is not row
+    assert row.probs.tolist() == model._row({c: 1}).probs.tolist()
+    zero = KGramModel(model.vocabulary, 1, 0.5, {(a,): {b: 0}})
+    assert zero.next_distribution((a,)) is zero.next_distribution((b,))
+    bundled = load_kgram_model(bundled_path("kgram.kgram"))
+    rows = [bundled.next_distribution(context) for context in bundled.counts]
+    assert len(rows) == 186
+    assert len({id(row) for row in rows}) == len({row.probs.tobytes() for row in rows}) == 94
+
+
 def test_kgram_uses_last_k_tokens_only():
     model = train_kgram("abcabcabc", k=2, alpha=0.5)
     ids = model.vocabulary.encode("abcab")
