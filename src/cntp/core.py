@@ -120,7 +120,7 @@ class Distribution:
     sampling vectors); the caches are idempotent so concurrent reads are safe.
     """
 
-    __slots__ = ("probs", "_entropy", "_cumsum", "_cumsum_array", "_prepared")
+    __slots__ = ("probs", "_entropy", "_cumsum", "_prepared")
 
     def __init__(self, probs):
         try:
@@ -147,7 +147,7 @@ class Distribution:
         arr.setflags(write=False)
         self.probs = arr
         self._entropy: float | None = None
-        self._cumsum = self._cumsum_array = None
+        self._cumsum = None
         self._prepared: dict[tuple[float, float], "Distribution"] = {}
 
     def __len__(self) -> int:

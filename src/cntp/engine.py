@@ -17,8 +17,8 @@ way, all in lockstep by step index, with the outcomes policy_decode gives
 each alone. Its lanes that hold one cursor form a group, which reads its
 row, confidence, trial count and prepared row once for all of them; a
 group splits where its lanes' draws or winning branches differ. Since a
-lane's draws depend only on its keys, a group draws its lanes' tokens
-together, with numpy when it is large, and gets the same tokens.
+lane's draws depend only on its keys, a group's lanes draw the tokens they
+would draw alone.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .core import (
 )
 from .models import Cursor, ModelSource
 from .sampling import (Rng, derive_base, derive_seed, greedy_token, keyed_uniforms,
-                       prepare_sampling_dist, sample_token, token_at, tokens_at)
+                       prepare_sampling_dist, sample_token, token_at)
 
 
 def entropy(dist: Distribution) -> float:
@@ -307,16 +307,6 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
     return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
 
 
-# Groups of at least this many lanes draw a step's tokens, and the first
-# tokens of a multi-trial step's trials, with numpy: one np.searchsorted over
-# the row's cumulative sum, and a row-wise argmin for the winners that stop
-# on their first token. Smaller groups draw each token with bisect, which
-# costs less below that size: the two broke even at 16-24 lanes for a step's
-# tokens and at about 32 lanes of four trials each (2-CPU VM, Python 3.11,
-# numpy 2.4).
-NUMPY_GROUP = 32
-
-
 class _Lane:
     """One (prompt, seed) decode of lane_decode: its place among the
     outcomes, its stream base and the tokens its losing trials drew."""
@@ -431,8 +421,7 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
                 tok = token_at(prepare_sampling_dist(dist, config), draws[first])
             else:
                 prepared = prepare_sampling_dist(dist, config)
-                toks = ([token_at(prepared, u) for u in draws[first:j]] if j - first < NUMPY_GROUP
-                        else tokens_at(prepared, draws[first:j]).tolist())
+                toks = [token_at(prepared, u) for u in draws[first:j]]
                 tok = toks[0]
                 if toks.count(tok) < len(toks):
                     parts += _split_by_token(group, toks, dist, h)
@@ -483,8 +472,7 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     model.next_distributions call. Round r takes draw r of trial i's stream
     (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
     scalar sum. A trial that stops on its first token is scored once per
-    distinct token, and in a group of NUMPY_GROUP lanes or more its first
-    tokens are drawn, and each lane's best of them found, with numpy."""
+    distinct token."""
     # Per lane, the lanes of every step's group in turn (step k's from
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
     # running best as [(ppl, trial index), tokens, cursor before the last
@@ -499,57 +487,26 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     for lo in range(0, max(n for *_, n in steps), TRIAL_CHUNK):
         chunks = [(k, range(lo, min(n, lo + TRIAL_CHUNK)))
                   for k, (*_, n) in enumerate(steps) if n > lo]
-        draws = keyed_uniforms(
+        draws = iter(keyed_uniforms(
             [base for k, indices in chunks for base in step_bases[bounds[k]:bounds[k + 1]]
              for _ in indices],
             ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
-              for i in indices],), 0)
+              for i in indices],), 0))
         # Parallel per-trial lists: (lane position, trial index, cap on its
         # length, tokens, probs) of each trial that grows on, its stream base
         # and its cursor.
         trials, bases, cursors = [], [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
-        j = 0
         for k, indices in chunks:
             group, dist, _, _ = steps[k]
-            first, width = bounds[k], len(indices)
-            us = draws[j:j + (bounds[k + 1] - first) * width]
-            j += len(us)
             prepared = prepare_sampling_dist(dist, config)
             cap = min(config.branch_cap, group.limit - len(group.tokens))
             cursor = group.cursor
-            if bounds[k + 1] - first >= NUMPY_GROUP:
-                toks = tokens_at(prepared, us)
-                distinct, inverse = np.unique(toks, return_inverse=True)
-                # inf marks the first tokens that grow on: a branch's ppl is
-                # finite, since math.exp raises rather than overflow.
-                ppl = np.array([branch_score([float(dist.probs[tok])])[1]
-                                if cap <= 1 or stops[tok] else math.inf
-                                for tok in distinct.tolist()])[inverse].reshape(-1, width)
-                toks = toks.tolist()
-                grows = np.isinf(ppl)
-                for q in np.flatnonzero(grows).tolist():
-                    r, c = divmod(q, width)
-                    tok = toks[q]
-                    trials.append((first + r, lo + c, cap, [tok], [float(dist.probs[tok])]))
-                    bases.append(derive_base(step_bases[first + r], lo + c))
-                    cursors.append(cursor.advance(tok))
-                # Each lane's lowest ppl, at its lowest trial index on ties.
-                winners = ppl.argmin(axis=1).tolist()
-                for p, c, low, stopped in zip(range(first, bounds[k + 1]), winners,
-                                              ppl.min(axis=1).tolist(),
-                                              (width - grows.sum(axis=1)).tolist()):
-                    if stopped:
-                        drawn[p] += stopped
-                        if bests[p] is None or (low, lo + c) < bests[p][0]:
-                            bests[p] = [(low, lo + c), [toks[(p - first) * width + c]], cursor]
-                continue
             ppls: dict[int, float] = {}
-            u = iter(us)
-            for p in range(first, bounds[k + 1]):
+            for p in range(bounds[k], bounds[k + 1]):
                 for i in indices:
-                    tok = token_at(prepared, next(u))
+                    tok = token_at(prepared, next(draws))
                     if cap > 1 and not stops[tok]:
                         trials.append((p, i, cap, [tok], [float(dist.probs[tok])]))
                         bases.append(derive_base(step_bases[p], i))

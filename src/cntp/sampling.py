@@ -214,18 +214,6 @@ def token_at(dist: Distribution, u: float) -> TokenId:
     return support[idx if idx < len(support) else -1]
 
 
-def tokens_at(dist: Distribution, us) -> np.ndarray:
-    """token_at of each uniform variate of us, from one np.searchsorted
-    (side="left") over the row's cumulative sum, cached as arrays: the index
-    bisect_left finds in the same doubles, clamped to the last support id."""
-    cached = dist._cumsum_array
-    if cached is None:
-        support, cum = support_cumsum(dist)
-        cached = dist._cumsum_array = (np.array(support), np.array(cum))
-    support, cum = cached
-    return support[np.minimum(np.searchsorted(cum, us, side="left"), support.size - 1)]
-
-
 def greedy_token(dist: Distribution) -> TokenId:
     """Argmax token; ties break toward the lowest id."""
     return int(dist.probs.argmax())

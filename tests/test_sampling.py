@@ -21,7 +21,6 @@ from cntp import (
     prepare_sampling_dist,
     sample_token,
 )
-from cntp.sampling import support_cumsum, token_at, tokens_at
 
 
 class ScriptedUniforms:
@@ -154,25 +153,6 @@ def test_sample_token_bisect_equals_searchsorted(weights, u):
     us += [v for c in cum for v in (c, math.nextafter(c, 0.0), math.nextafter(c, 2.0))]
     for v in us:
         assert sample_token(dist, ScriptedUniforms([v])) == _searchsorted_token(dist, v)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([0.0, 1e-9, 0.1, 0.2, 0.3, 1 / 3, 0.7]), min_size=1, max_size=12)
-       .filter(any), st.sampled_from([1.0, 0.5, 0.9, 0.999]), st.sampled_from([1.0, 0.6, 1.7]),
-       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
-def test_grouped_searchsorted_draw_equals_token_at(weights, top_p, temperature, drawn):
-    """tokens_at, the draw of a lane group, gives token_at's token for every
-    uniform: on rows with zeros and on tempered and top-p truncated rows, for
-    u at each cumulative-sum value, at its neighbours either side, at 0.0
-    and above the last cumulative sum (which can end below or above 1)."""
-    arr = np.asarray(weights)
-    dist = prepare_sampling_dist(Distribution(arr / arr.sum()),
-                                 DecodeConfig(temperature=temperature, top_p=top_p))
-    cum = support_cumsum(dist)[1]
-    us = [0.0, math.nextafter(1.0, 0.0), math.nextafter(cum[-1], 2.0), *drawn]
-    us += [v for c in cum for v in (c, math.nextafter(c, 0.0), math.nextafter(c, 2.0))]
-    assert tokens_at(dist, us).tolist() == [token_at(dist, u) for u in us]
-    assert tokens_at(dist, us[:1]).tolist() == [token_at(dist, us[0])]
 
 
 def test_greedy_token_ties_break_low():
