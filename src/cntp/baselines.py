@@ -23,7 +23,7 @@ from .core import (
 )
 from .engine import SingleSamplePolicy, branch_score, policy_decode
 from .models import Cursor, ModelSource
-from .sampling import derive_seed
+from .sampling import derive_seeds
 from .engine import confidence  # noqa: F401  bench/tracing.py patches it here by name
 from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as confidence)
 
@@ -164,26 +164,46 @@ def self_consistency(decode_fn: DecodeFn, model: ModelSource, prompt: Sequence,
     if n_paths < 1:
         raise ValueError("n_paths must be ≥ 1")
     outcomes = [decode_fn(model, prompt, config.with_seed(seed))
-                for seed in path_seeds(config.seed, n_paths)]
+                for seed in path_seeds([config.seed], n_paths)]
     return vote(outcomes, model.vocabulary, len(prompt.tokens), extractor)
 
 
-def path_seeds(seed: int, n: int) -> list[int]:
-    """The seeds of a multi-path run's n paths: derive_seed(seed, i) for path i."""
-    return [derive_seed(seed, i) for i in range(n)]
+def path_seeds(seeds: list[int], n: int) -> list[int]:
+    """The seeds of n paths for each multi-path run of seeds, run after run:
+    derive_seed(seed, i) for path i of the run at seed."""
+    return derive_seeds([seed for seed in seeds for _ in range(n)],
+                        (list(range(n)) * len(seeds),))
 
 
-def vote(outcomes, vocab: Vocabulary, prompt_len: int,
-         extractor: AnswerExtractor) -> tuple[str, CostLedger]:
+def vote(outcomes, vocab: Vocabulary, prompt_len: int, extractor: AnswerExtractor,
+         answers: dict | None = None) -> tuple[str, CostLedger]:
     """Self-consistency's reduction of its paths' outcomes: the voted answer
-    and the summed ledger."""
+    and the summed ledger. answers, if given, maps id(outcome) to the answer
+    of each outcome voted on before under this extractor and prompt length,
+    so paths that share an outcome extract it once; its caller keeps those
+    outcomes alive while it keeps the map."""
     tally = VoteTally()
-    total = CostLedger()
+    if answers is None:
+        answers = {}
     for outcome in outcomes:
-        generated = vocab.sequence(outcome.sequence.tokens[prompt_len:])
-        tally.add(extractor.extract(generated, vocab))
-        total = total + outcome.cost
-    return tally.winner(), total
+        answer = answers.get(id(outcome))
+        if answer is None:
+            generated = vocab.sequence(outcome.sequence.tokens[prompt_len:])
+            answer = answers[id(outcome)] = extractor.extract(generated, vocab)
+        tally.add(answer)
+    return tally.winner(), _summed_cost(outcomes)
+
+
+def _summed_cost(outcomes) -> CostLedger:
+    """The ledgers of outcomes summed field by field."""
+    passes = generated = high_steps = steps = 0
+    for outcome in outcomes:
+        cost = outcome.cost
+        passes += cost.forward_passes
+        generated += cost.generated_tokens
+        high_steps += cost.high_entropy_steps
+        steps += cost.total_steps
+    return CostLedger(passes, generated, high_steps, steps)
 
 
 def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConfig,
@@ -195,7 +215,7 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
     if n < 1:
         raise ValueError("n must be ≥ 1")
     return lowest_whole_ppl([stochastic_decode(model, prompt, config.with_seed(seed))
-                             for seed in path_seeds(config.seed, n)])
+                             for seed in path_seeds([config.seed], n)])
 
 
 def lowest_whole_ppl(outcomes) -> DecodeOutcome:
@@ -203,13 +223,12 @@ def lowest_whole_ppl(outcomes) -> DecodeOutcome:
     whole-sequence perplexity, the first on ties, with the summed ledger."""
     best_outcome: DecodeOutcome | None = None
     best_ppl = float("inf")
-    total = CostLedger()
     for outcome in outcomes:
-        total = total + outcome.cost
         probs = [t.chosen_prob for t in outcome.per_step_trace]
         _, ppl = branch_score(probs) if probs else (0.0, float("inf"))
         if ppl < best_ppl:
             best_ppl = ppl
             best_outcome = outcome
     assert best_outcome is not None
-    return DecodeOutcome(best_outcome.sequence, total, best_outcome.per_step_trace)
+    return DecodeOutcome(best_outcome.sequence, _summed_cost(outcomes),
+                         best_outcome.per_step_trace)

@@ -90,8 +90,13 @@ class Vocabulary:
         return "".join(self.tokens[t] for t in tokens)
 
     def sequence(self, tokens: Iterable[TokenId]) -> "Sequence":
-        toks = tuple(tokens)
-        return Sequence(tokens=toks, text=self.text(toks))
+        """The tokens as a Sequence whose text is rendered on first read."""
+        seq = object.__new__(Sequence)
+        _set = object.__setattr__
+        _set(seq, "tokens", tuple(tokens))
+        _set(seq, "_text", None)
+        _set(seq, "_vocab", self)
+        return seq
 
     def encode(self, text: str) -> tuple[TokenId, ...]:
         """Greedy longest-match lookup of surfaces; raises if the text
@@ -108,6 +113,10 @@ class Vocabulary:
             else:
                 raise ValueError(f"cannot tokenize text at position {i}: {text[i:i + 12]!r}")
         return tuple(out)
+
+
+_UINT64 = np.dtype(np.uint64)
+_TWO_BITS = np.array(2.0).view(np.uint64)[()]  # 2.0's bits as a uint64
 
 
 class Distribution:
@@ -131,19 +140,26 @@ class Distribution:
             raise ValueError("distribution must be a non-empty 1-d probability vector")
         if arr.base is not None:  # a view: the caller could still write to it
             arr = arr.copy()
-        # Two ufunc reductions accept a valid row: non-negative entries with
-        # a finite sum are all finite. The min goes first, since the sum of
-        # [inf, -inf] would warn. np.add.reduce is the pairwise sum arr.sum()
-        # runs, so the total is bit-identical.
-        lo = np.minimum.reduce(arr)
-        total = float(np.add.reduce(arr)) if lo >= 0 else math.nan
+        # Two ufunc reductions accept a valid row. Read as unsigned ints, the
+        # largest entry is at most 2.0 only if no entry has its sign bit set
+        # or exceeds 2.0, inf and NaN included; the sum of such a row can
+        # neither overflow nor warn. np.add.reduce is the pairwise sum
+        # arr.sum() runs, so the total is bit-identical.
+        if np.maximum.reduce(arr.view(_UINT64)) <= _TWO_BITS:
+            total = float(np.add.reduce(arr))
+        else:
+            total = math.nan
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            # Only a rejected row gets here, to name its first fault.
+            # Any other row, and a rejected one, gets the three checks in
+            # turn, which name its first fault; a row holding -0.0 passes.
             if not np.all(np.isfinite(arr)):
                 raise ValueError("distribution entries must be finite")
-            if lo < 0:
+            if np.any(arr < 0):
                 raise ValueError("distribution entries must be non-negative")
-            raise ValueError(f"distribution entries sum to {total!r}, expected 1 within 1e-9")
+            total = float(np.add.reduce(arr))
+            if not abs(total - 1.0) <= NORMALIZATION_TOL:
+                raise ValueError(
+                    f"distribution entries sum to {total!r}, expected 1 within 1e-9")
         arr.setflags(write=False)
         self.probs = arr
         self._entropy: float | None = None
@@ -157,16 +173,50 @@ class Distribution:
         return f"Distribution({self.probs.tolist()!r})"
 
 
-@dataclass(frozen=True)
 class Sequence:
     """Token ids plus their rendered text. Build through Vocabulary.sequence
-    so the text always equals the concatenated surfaces."""
+    so the text always equals the concatenated surfaces; that text is
+    rendered on first read, since most decoded sequences are never shown.
+    Equality, hash and repr are those of a frozen dataclass of the two
+    fields."""
 
-    tokens: tuple[TokenId, ...]
-    text: str
+    __slots__ = ("tokens", "_text", "_vocab")
+
+    def __init__(self, tokens: tuple[TokenId, ...], text: str):
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "_vocab", None)
+
+    @property
+    def text(self) -> str:
+        text = self._text
+        if text is None:
+            text = self._vocab.text(self.tokens)
+            object.__setattr__(self, "_text", text)
+        return text
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tokens, self.text) == (other.tokens, other.text)
+
+    def __hash__(self) -> int:
+        return hash((self.tokens, self.text))
+
+    def __repr__(self) -> str:
+        return f"Sequence(tokens={self.tokens!r}, text={self.text!r})"
+
+    def __reduce__(self):
+        return Sequence, (self.tokens, self.text)
 
 
 @dataclass(frozen=True)

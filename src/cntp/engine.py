@@ -40,7 +40,7 @@ from .core import (
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .models import Cursor, ModelSource
-from .sampling import (Rng, derive_base, derive_seed, greedy_token, keyed_uniforms,
+from .sampling import (Rng, derive_bases, derive_seeds, greedy_token, keyed_uniforms,
                        prepare_sampling_dist, sample_token, token_at)
 
 
@@ -313,9 +313,9 @@ class _Lane:
 
     __slots__ = ("index", "base", "discarded")
 
-    def __init__(self, index: int, seed: int):
+    def __init__(self, index: int, base: int):
         self.index = index
-        self.base = derive_seed(seed)
+        self.base = base
         self.discarded = 0
 
 
@@ -393,11 +393,12 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     greedy = config.temperature == 0.0
     measure = config.confidence_measure
     starts: dict[tuple, _Group] = {}
-    for index, (prompt, seed) in enumerate(lanes):
+    bases = derive_seeds([seed for _, seed in lanes])
+    for index, ((prompt, _), base) in enumerate(zip(lanes, bases)):
         group = starts.get(prompt.tokens)
         if group is None:
             group = starts[prompt.tokens] = _Group(model, prompt.tokens, config.global_cap)
-        group.lanes.append(_Lane(index, seed))
+        group.lanes.append(_Lane(index, base))
     outcomes: list = [None] * len(lanes)
     live = list(starts.values())
     step = 0
@@ -477,11 +478,10 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
     # running best as [(ppl, trial index), tokens, cursor before the last
     # token], and the tokens its trials drew.
-    step_bases: list[int] = []
     bounds = [0]
     for group, *_ in steps:
-        step_bases += [derive_base(lane.base, step) for lane in group.lanes]
-        bounds.append(len(step_bases))
+        bounds.append(bounds[-1] + len(group.lanes))
+    step_bases = derive_bases([lane.base for group, *_ in steps for lane in group.lanes], (step,))
     bests: list = [None] * len(step_bases)
     drawn = [0] * len(step_bases)
     for lo in range(0, max(n for *_, n in steps), TRIAL_CHUNK):
@@ -493,9 +493,9 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
             ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
               for i in indices],), 0))
         # Parallel per-trial lists: (lane position, trial index, cap on its
-        # length, tokens, probs) of each trial that grows on, its stream base
-        # and its cursor.
-        trials, bases, cursors = [], [], []
+        # length, tokens, probs) of each trial that grows on, its cursor and
+        # its stream base.
+        trials, cursors = [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
         for k, indices in chunks:
@@ -509,7 +509,6 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                     tok = token_at(prepared, next(draws))
                     if cap > 1 and not stops[tok]:
                         trials.append((p, i, cap, [tok], [float(dist.probs[tok])]))
-                        bases.append(derive_base(step_bases[p], i))
                         cursors.append(cursor.advance(tok))
                         continue
                     drawn[p] += 1
@@ -518,6 +517,7 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                         ppl = ppls[tok] = branch_score([float(dist.probs[tok])])[1]
                     if bests[p] is None or (ppl, i) < bests[p][0]:
                         bests[p] = [(ppl, i), [tok], cursor]
+        bases = derive_bases([step_bases[p] for p, *_ in trials], ([i for _, i, *_ in trials],))
         length = 1
         while trials:
             rows = model.next_distributions(cursors)

@@ -35,7 +35,7 @@ from ..core import (CostLedger, DecodeConfig, DecodeOutcome, ModelFileError, che
 from ..core import validate_config  # noqa: F401  bench/tracing.py patches it here by name
 from ..engine import CntpPolicy, SingleSamplePolicy, cntp_decode, lane_decode
 from ..models import ModelSource, ProtocolError, RemoteModel, load_kgram_model, load_scripted_model
-from ..sampling import derive_seed
+from ..sampling import derive_seeds
 from .tasks import Task, bundled_spec, extractor_to_string, parse_extractor
 
 
@@ -54,9 +54,10 @@ class Strategy:
     How run_suite decodes a suite's runs in lockstep lanes (see
     engine.lane_decode): policy(config) is the policy of every lane (None:
     run each task alone); reduce(outcomes, vocabulary, prompt length,
-    extractor), if set, folds a run's width paths, one lane each, into what
-    run returns; a seedless strategy's result ignores the seed, so a suite
-    decodes it once per task."""
+    extractor, answers), if set, folds a run's width paths, one lane each,
+    into what run returns, with answers the map of the task's answers that
+    baselines.vote keeps over a batch; a seedless strategy's result ignores
+    the seed, so a suite decodes it once per task."""
 
     preset_temperature: float
     default_width: int | None
@@ -175,58 +176,95 @@ def _prompt(vocab, task: Task):
         raise ModelFileError(f"task {task.id}: prompt not encodable: {exc}") from exc
 
 
+class _RecordBuilder:
+    """The record builder of one task's runs under one strategy, model spec
+    and config (seed aside). It builds what those records share once: the
+    task's fields, its encoded prompt and the config dict, and the output,
+    answer and correctness of each distinct token sequence a run emits. A
+    record adds only its seeds, cost, wall time and timestamp."""
+
+    __slots__ = ("vocab", "task", "prompt", "strategy", "model_spec", "extractor", "config",
+                 "_judged")
+
+    def __init__(self, vocab, task: Task, strategy: str, model_spec: str, config: dict):
+        self.vocab = vocab
+        self.task = task
+        self.prompt = _prompt(vocab, task)
+        self.strategy = strategy
+        self.model_spec = model_spec
+        self.extractor = extractor_to_string(task.extractor)
+        self.config = config
+        self._judged: dict[tuple, tuple[str, str, bool]] = {}
+
+    def record(self, result, seed: int, record_seed: int,
+               wall_time: float) -> tuple[RunRecord, DecodeOutcome | None]:
+        """The record, and the outcome if there is one, of a run whose
+        config has seed seed and whose strategy returned result; the
+        record's seed field holds record_seed."""
+        task = self.task
+        if isinstance(result, DecodeOutcome):
+            outcome = result
+            cost = outcome.cost
+            tokens = outcome.sequence.tokens
+            judged = self._judged.get(tokens)
+            if judged is None:
+                vocab = self.vocab
+                generated = vocab.sequence(tokens[len(self.prompt.tokens):])
+                answer = task.extractor.extract(generated, vocab)
+                judged = self._judged[tokens] = (
+                    generated.text, answer, match_answer(answer, task.reference_answer))
+            output, answer, correct = judged
+        else:
+            # Self-consistency has no single output sequence; the voted answer
+            # is the output and replay compares answers and ledgers instead.
+            outcome = None
+            answer, cost = result
+            output = answer
+            tokens = ()
+            correct = match_answer(answer, task.reference_answer)
+        record = RunRecord(
+            task_id=task.id,
+            strategy=self.strategy,
+            model_spec=self.model_spec,
+            prompt=task.prompt,
+            reference_answer=task.reference_answer,
+            extractor=self.extractor,
+            config={**self.config, "seed": seed},
+            seed=record_seed,
+            tokens=tokens,
+            output=output,
+            answer=answer,
+            correct=correct,
+            cost={name: getattr(cost, name) for name in _COST_FIELDS},
+            wall_time=wall_time,
+            timestamp=datetime.now(timezone.utc).isoformat(),
+        )
+        return record, outcome
+
+
 def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
             *, model_spec: str = "", record_seed: int | None = None,
             decoded: tuple | None = None) -> tuple[RunRecord, DecodeOutcome | None]:
     """Execute one strategy on one task. The record's seed field holds
     record_seed, or config.seed when it is None; suite runs pass the
-    suite-level seed. decoded, if given, is the (result, wall time) pair of a
-    run already decoded under this config, which the record takes in place
-    of decoding it again."""
-    root, width = parse_strategy(strategy)
-    vocab = model.vocabulary
-    prompt = _prompt(vocab, task)
+    suite-level seed. decoded, if given, is the (result, wall time, record
+    builder) of a run already decoded under this config: the record takes
+    that result in place of decoding it again, and the builder, made for
+    this task, strategy, model spec and config, builds it."""
     if decoded is None:
+        root, width = parse_strategy(strategy)
+        builder = _RecordBuilder(model.vocabulary, task, _strategy_text(root, width), model_spec,
+                               config_to_dict(config))
         start = time.perf_counter()
         try:
-            result = STRATEGIES[root].run(model, prompt, config, width, task.extractor)
+            result = STRATEGIES[root].run(model, builder.prompt, config, width, task.extractor)
         except ProtocolError as exc:
             raise ProtocolError(f"task {task.id}: {exc}") from exc
         wall_time = time.perf_counter() - start
     else:
-        result, wall_time = decoded
-    if isinstance(result, DecodeOutcome):
-        outcome = result
-        generated = vocab.sequence(outcome.sequence.tokens[len(prompt.tokens):])
-        answer = task.extractor.extract(generated, vocab)
-        cost = outcome.cost
-        output = generated.text
-        tokens = outcome.sequence.tokens
-    else:
-        # Self-consistency has no single output sequence; the voted answer
-        # is the output and replay compares answers and ledgers instead.
-        outcome = None
-        answer, cost = result
-        output = answer
-        tokens = ()
-    record = RunRecord(
-        task_id=task.id,
-        strategy=_strategy_text(root, width),
-        model_spec=model_spec,
-        prompt=task.prompt,
-        reference_answer=task.reference_answer,
-        extractor=extractor_to_string(task.extractor),
-        config=config_to_dict(config),
-        seed=config.seed if record_seed is None else record_seed,
-        tokens=tokens,
-        output=output,
-        answer=answer,
-        correct=match_answer(answer, task.reference_answer),
-        cost={name: getattr(cost, name) for name in _COST_FIELDS},
-        wall_time=wall_time,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    return record, outcome
+        result, wall_time, builder = decoded
+    return builder.record(result, config.seed,
+                          config.seed if record_seed is None else record_seed, wall_time)
 
 
 @dataclass(frozen=True)
@@ -251,10 +289,14 @@ def aggregate_records(strategy: str, records, n_tasks: int, seeds) -> SuiteAggre
     """Mean accuracy over seeds (each seed covers every task, so this equals
     the mean of per-record correctness) plus the sample standard deviation
     across seeds; cost means are over all records."""
-    per_seed = []
-    for seed in seeds:
-        batch = [r for r in records if r.seed == seed]
-        per_seed.append(sum(r.correct for r in batch) / len(batch))
+    position = {seed: i for i, seed in enumerate(seeds)}
+    runs, hits = [0] * len(seeds), [0] * len(seeds)
+    for r in records:
+        i = position.get(r.seed)
+        if i is not None:
+            runs[i] += 1
+            hits[i] += r.correct
+    per_seed = [h / n for h, n in zip(hits, runs)]
     mean = sum(per_seed) / len(per_seed)
     if len(per_seed) > 1:
         var = sum((a - mean) ** 2 for a in per_seed) / (len(per_seed) - 1)
@@ -274,21 +316,26 @@ def aggregate_records(strategy: str, records, n_tasks: int, seeds) -> SuiteAggre
 
 def _decode_lanes(model: ModelSource, strategy: Strategy, width: int | None, tasks, prompts,
                   configs) -> list:
-    """What strategy.run returns for each (task, prompt, config), decoded in
-    lockstep lanes; a strategy without a policy runs each task alone."""
+    """What strategy.run returns for each config, run k being that of task
+    k % len(tasks) (configs holds a run of every task per seed, seed by
+    seed), decoded in lockstep lanes; a strategy without a policy runs each
+    task alone. A reduction votes each task's distinct outcomes once."""
+    n = len(tasks)
     if strategy.policy is None:
-        return [strategy.run(model, prompt, config, width, task.extractor)
-                for task, prompt, config in zip(tasks, prompts, configs)]
+        return [strategy.run(model, prompts[k % n], config, width, tasks[k % n].extractor)
+                for k, config in enumerate(configs)]
     policy = strategy.policy(configs[0])
+    seeds = [config.seed for config in configs]
     if strategy.reduce is None:
-        return lane_decode(model, [(prompt, config.seed)
-                                   for prompt, config in zip(prompts, configs)], policy)
-    outcomes = lane_decode(model, [(prompt, seed) for prompt, config in zip(prompts, configs)
-                                   for seed in path_seeds(config.seed, width)], policy)
+        return lane_decode(model, [(prompts[k % n], seed) for k, seed in enumerate(seeds)],
+                           policy)
+    outcomes = lane_decode(model, [(prompts[k // width % n], seed)
+                                   for k, seed in enumerate(path_seeds(seeds, width))], policy)
     vocab = model.vocabulary
-    return [strategy.reduce(outcomes[k * width:(k + 1) * width], vocab, len(prompt.tokens),
-                            task.extractor)
-            for k, (task, prompt) in enumerate(zip(tasks, prompts))]
+    answers = [{} for _ in tasks]  # each task's answer per distinct outcome
+    return [strategy.reduce(outcomes[k * width:(k + 1) * width], vocab,
+                            len(prompts[k % n].tokens), tasks[k % n].extractor, answers[k % n])
+            for k in range(len(configs))]
 
 
 def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, seeds,
@@ -300,27 +347,34 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     lockstep lanes, and a seedless strategy's once per task for every seed;
     with workers > 1 the seeds split into that many contiguous batches, one
     per thread. Each record is what run_one writes for its run, wall_time
-    aside, which is its even share of the decode that served it. Records
-    come back sorted by (seed, task id) and aggregates are
-    order-independent, so parallel and serial execution agree exactly."""
+    aside, which is its even share of the decode that served it; run_one
+    gets it from one record builder per task. Records come back sorted by
+    (seed, task id) and aggregates are order-independent, so parallel and
+    serial execution agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")
     if not seeds:
         raise ValueError("no seeds given")
     for seed in seeds:
         check_seed(seed)
-    if len(set(seeds)) != len(seeds):
+    position = {seed: i for i, seed in enumerate(seeds)}
+    if len(position) != len(seeds):
         raise ValueError("seeds must be unique")
     if workers < 1:
         raise ValueError("workers must be ≥ 1")
     root, width = parse_strategy(strategy)
     canonical = _strategy_text(root, width)
     spec = STRATEGIES[root]
-    prompts = [_prompt(model.vocabulary, task) for task in tasks]
+    config_dict = config_to_dict(config)
+    builders = [_RecordBuilder(model.vocabulary, task, canonical, model_spec, config_dict)
+                for task in tasks]
+    prompts = [builder.prompt for builder in builders]
+    n = len(tasks)
 
     def configs_at(batch):
-        return [config.with_seed(derive_seed(seed, idx)) for seed in batch
-                for idx in range(len(tasks))]
+        run_seeds = derive_seeds([seed for seed in batch for _ in tasks],
+                                 (list(range(n)) * len(batch),))
+        return [config.with_seed(seed) for seed in run_seeds]
 
     def decode(batch, configs):
         """Each task's result at each seed of batch, under configs, seed by
@@ -328,8 +382,7 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         it serves."""
         start = time.perf_counter()
         try:
-            results = _decode_lanes(model, spec, width, tasks * len(batch), prompts * len(batch),
-                                    configs)
+            results = _decode_lanes(model, spec, width, tasks, prompts, configs)
         except ProtocolError as exc:
             raise ProtocolError(f"tasks {tasks[0].id}..{tasks[-1].id}: {exc}") from exc
         return results, (time.perf_counter() - start) / len(configs)
@@ -342,10 +395,10 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         configs = configs_at(batch)
         results, wall_time = ((seedless * len(batch), share) if spec.seedless
                               else decode(batch, configs))
-        runs = [(seed, task) for seed in batch for task in tasks]
-        return [run_one(model, task, canonical, cfg, model_spec=model_spec, record_seed=seed,
-                        decoded=(result, wall_time))[0]
-                for (seed, task), cfg, result in zip(runs, configs, results)]
+        return [run_one(model, tasks[k % n], canonical, cfg, model_spec=model_spec,
+                        record_seed=batch[k // n],
+                        decoded=(result, wall_time, builders[k % n]))[0]
+                for k, (cfg, result) in enumerate(zip(configs, results))]
 
     if workers > 1:
         batches = [seeds[len(seeds) * w // workers:len(seeds) * (w + 1) // workers]
@@ -355,7 +408,7 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     else:
         done = [execute(seeds)]
     records = [record for batch in done for record in batch]
-    records.sort(key=lambda r: (seeds.index(r.seed), r.task_id))
+    records.sort(key=lambda r: (position[r.seed], r.task_id))
     aggregate = aggregate_records(canonical, records, len(tasks), seeds)
 
     run_dir = None

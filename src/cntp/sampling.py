@@ -93,21 +93,18 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _NP_31)
 
 
-def keyed_uniforms(bases: list[int], key: tuple, draw: int) -> list[float]:
-    """Draw number draw (0 for the first) of each stream Rng(seed).derive(*key),
-    given as bases, the derive_seed(seed) of each. A part of key is an int
-    every stream shares or a list with one part per stream. The whole batch
-    in one call: over numpy uint64 lanes for NUMPY_DRAWS or more, else over
-    Python ints."""
-    offset = (draw + 1) * _GOLDEN & _M64
+def _fold_keys(bases, key: tuple):
+    """Each base folded by every part of key, as Rng.derive folds one; a
+    part is an int every base shares or a list with one part per base. A
+    list of Python ints below NUMPY_DRAWS bases, else a numpy uint64 array."""
     if len(bases) < NUMPY_DRAWS:
         out = []
         for j, h in enumerate(bases):
             for part in key:
                 h = _fold(h, (part if type(part) is int else part[j]) & _M64)
-            out.append((_mix64((h + offset) & _M64) >> 11) * 1.1102230246251565e-16)
+            out.append(h)
         return out
-    h = np.array(bases, dtype=np.uint64)
+    h = np.asarray(bases, dtype=np.uint64)
     for part in key:
         if type(part) is int:
             part &= _M64
@@ -116,24 +113,57 @@ def keyed_uniforms(bases: list[int], key: tuple, draw: int) -> list[float]:
         else:
             mixed = _mix64_np(np.array(part, dtype=np.uint64) + _NP_GOLDEN)
         h = _mix64_np(h ^ mixed)
-    h += np.uint64(offset)
-    return ((_mix64_np(h) >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
+    return h
+
+
+def keyed_uniforms(bases: list[int], key: tuple, draw: int) -> list[float]:
+    """Draw number draw (0 for the first) of each stream Rng(seed).derive(*key),
+    given as bases, the derive_seed(seed) of each. A part of key is an int
+    every stream shares or a list with one part per stream. The whole batch
+    in one call: over numpy uint64 lanes for NUMPY_DRAWS or more, else over
+    Python ints."""
+    offset = (draw + 1) * _GOLDEN & _M64
+    if len(bases) < NUMPY_DRAWS:
+        # _fold_keys's loop with the draw taken in it: a decode's per-step
+        # call over few lanes is hot, and a second pass cost it 10-20 %.
+        out = []
+        for j, h in enumerate(bases):
+            for part in key:
+                h = _fold(h, (part if type(part) is int else part[j]) & _M64)
+            out.append((_mix64((h + offset) & _M64) >> 11) * 1.1102230246251565e-16)
+        return out
+    h = _mix64_np(_fold_keys(bases, key) + np.uint64(offset))
+    return ((h >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
+
+
+_SEED_SALT = 0x5851F42D4C957F2D
+
+
+def derive_seeds(seeds: list[int], key: tuple = ()) -> list[int]:
+    """derive_seed(seed, *key) of each seed, in one call; a part of key is an
+    int every seed shares or a list with one part per seed, as in
+    keyed_uniforms, whose fold it runs."""
+    if len(seeds) < NUMPY_DRAWS:
+        bases = [_mix64((seed & _M64) ^ _SEED_SALT) for seed in seeds]
+    else:
+        bases = _mix64_np(np.array([seed & _M64 for seed in seeds], dtype=np.uint64)
+                          ^ np.uint64(_SEED_SALT))
+    return derive_bases(bases, key)
+
+
+def derive_bases(bases, key: tuple) -> list[int]:
+    """The base state of the stream that derive(*key) gives from the stream
+    of each base state of bases, in one call; key as in derive_seeds. So
+    derive_seeds(seeds, key) equals derive_bases(derive_seeds(seeds), key)."""
+    h = _fold_keys(bases, key)
+    return h if type(h) is list else h.tolist()
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """A 64-bit seed deterministically derived from (seed, key); used to give
     self-consistency paths and repeated runs independent streams: the base
     state of the stream Rng(seed, key)."""
-    return derive_base(_mix64((seed & _M64) ^ 0x5851F42D4C957F2D), *key)
-
-
-def derive_base(base: int, *key: int) -> int:
-    """The base state of the stream that derive(*key) gives from the stream
-    whose base state is base: derive_seed(seed, *key) equals
-    derive_base(derive_seed(seed), *key)."""
-    for part in key:
-        base = _fold(base, part & _M64)
-    return base
+    return derive_seeds([seed], key)[0]
 
 
 def apply_temperature(dist: Distribution, temperature: float) -> Distribution:

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import cntp
@@ -44,6 +44,25 @@ def test_vocabulary_basics():
     assert vocab.text((0, 1, 3)) == "ab"
     seq = vocab.sequence((2, 0))
     assert seq.tokens == (2, 0) and seq.text == "aba" and len(seq) == 2
+
+
+def test_sequence_text_renders_on_first_read_and_keeps_the_dataclass_contract():
+    """A Vocabulary.sequence renders its text on first read and then equals,
+    hashes and prints as the Sequence built with that text, as the frozen
+    dataclass it replaced did; it stays frozen, and copies and pickles."""
+    import copy
+    import pickle
+
+    vocab = Vocabulary(("a", "b", "ab", ""), 3)
+    lazy, built = vocab.sequence([2, 0, 3]), cntp.Sequence((2, 0, 3), "aba")
+    assert lazy._text is None
+    assert lazy == built and hash(lazy) == hash(built) == hash(((2, 0, 3), "aba"))
+    assert repr(lazy) == repr(built) == "Sequence(tokens=(2, 0, 3), text='aba')"
+    assert lazy != cntp.Sequence((2, 0, 3), "x") and lazy != ((2, 0, 3), "aba")
+    for seq in (vocab.sequence((1,)), built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.tokens = ()
+        assert copy.deepcopy(seq) == seq == pickle.loads(pickle.dumps(seq))
 
 
 def test_vocabulary_encode_prefers_longest_match():
@@ -170,6 +189,8 @@ _rows = st.lists(st.sampled_from(_EDGE_ENTRIES) | st.floats(), min_size=1, max_s
 
 
 @given(_rows | _near_normalized())
+@example([1e308, 1e308, math.inf])  # finite entries overflow before the inf is met
+@example([-0.0, 1.0])
 def test_distribution_fast_path_matches_the_three_checks(values):
     assert _verdict_and_warnings(Distribution, values) == _verdict_and_warnings(_parent_checks,
                                                                                 values)

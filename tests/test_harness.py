@@ -232,6 +232,57 @@ def test_run_suite_parallel_matches_serial(suite_bundle):
     assert serial.aggregate == parallel.aggregate
 
 
+def test_unsorted_seeds_keep_their_order_and_aggregates(suite_bundle):
+    """Records come back seed by seed in the order the seeds were given,
+    each seed's by task id, and the aggregate equals the per-seed filter
+    it replaced, float for float."""
+    model, tasks, config = suite_bundle
+    tasks = tasks[:6][::-1]
+    seeds = [7, 2, 2**64 - 1, 0]
+    result = run_suite(model, tasks, "stochastic", config, seeds)
+    ids = sorted(task.id for task in tasks)
+    assert [(r.seed, r.task_id) for r in result.records] == [(s, i) for s in seeds for i in ids]
+    per_seed = []
+    for seed in seeds:
+        batch = [r for r in result.records if r.seed == seed]
+        per_seed.append(sum(r.correct for r in batch) / len(batch))
+    mean = sum(per_seed) / len(per_seed)
+    std = (sum((a - mean) ** 2 for a in per_seed) / (len(per_seed) - 1)) ** 0.5
+    agg = result.aggregate
+    assert (agg.n_seeds, agg.n_tasks) == (4, 6)
+    assert (float.hex(agg.accuracy_mean), float.hex(agg.accuracy_std)) == (float.hex(mean),
+                                                                         float.hex(std))
+    assert 0 < mean < 1  # the seeds disagree, so the order of the sum is exercised
+    alone = [run_suite(model, tasks, "stochastic", config, [seed]).records for seed in seeds]
+    assert [_key(r) for r in result.records] == [_key(r) for batch in alone for r in batch]
+
+
+def _key(record):
+    return record.seed, record.task_id, record.tokens, record.cost
+
+
+def test_run_suite_builds_each_record_through_run_one_by_name(suite_bundle, monkeypatch):
+    """run_suite calls runner.run_one once per record and looks it up by its
+    module name at each call, so a wrapper patched in there sees every
+    record the suite returns."""
+    model, tasks, config = suite_bundle
+    seen = []
+    original = runner.run_one
+
+    def counting(*args, **kwargs):
+        result = original(*args, **kwargs)
+        seen.append(result[0])
+        return result
+
+    monkeypatch.setattr(runner, "run_one", counting)
+    for strategy in ("greedy", "stochastic", "cntp", "beam:2", "sc:3", "cntp_sc:2",
+                     "best_of_n:3"):
+        seen.clear()
+        records = run_suite(model, tasks[:5], strategy, config, [3, 1]).records
+        assert len(seen) == len(records) == 10
+        assert sorted(map(id, seen)) == sorted(map(id, records))
+
+
 def test_run_suite_rejects_bad_inputs(suite_bundle):
     model, tasks, config = suite_bundle
     with pytest.raises(ValueError, match="no seeds"):

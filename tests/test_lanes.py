@@ -8,7 +8,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cntp import (
@@ -91,7 +91,7 @@ def test_suite_lanes_equal_the_scalar_strategies(strategy):
         if spec.policy is not None:
             paths = width if spec.reduce else 1
             seeds = [seed for cfg in configs
-                     for seed in (path_seeds(cfg.seed, width) if spec.reduce else [cfg.seed])]
+                     for seed in (path_seeds([cfg.seed], width) if spec.reduce else [cfg.seed])]
             _assert_lanes_match(model, [p for p in prompts for _ in range(paths)], seeds,
                                 spec.policy(config))
 
@@ -326,6 +326,53 @@ def test_keyed_uniforms_equal_rng_streams(streams, draws):
         assert keyed_uniforms(bases, key, draw) == expected
 
 
+def _splitmix(z):
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def _seed_written_out(seed, *key):
+    """derive_seed(seed, *key) spelled out from splitmix64's finaliser: the
+    salted seed mixed, then each key part, offset by the golden gamma and
+    mixed, xored in and mixed again."""
+    h = _splitmix(seed % 2**64 ^ 0x5851F42D4C957F2D)
+    for part in key:
+        h = _splitmix(h ^ _splitmix((part + 0x9E3779B97F4A7C15) % 2**64))
+    return h
+
+
+@settings(max_examples=80, deadline=None)
+@given(_streams())
+@example(([0, 2**64 - 1] * sampling.NUMPY_DRAWS,
+          (4096, [2**64 - 1, 4095] * sampling.NUMPY_DRAWS, 0)))
+@example(([2**64 - 1, 0, 5], ([4096, 2**63, 2**64 - 1], 4095)))
+def test_batched_derivation_equals_derive_seed(streams):
+    """derive_seeds equals derive_seed, written out here, seed by seed, on
+    both sides of NUMPY_DRAWS, at seeds 0 and 2**64 - 1 and for key parts
+    past the premixed table, and each seed is a Python int; derive_bases
+    continues a derivation, and path_seeds is derive_seed(seed, path)."""
+    seeds, key = streams
+    keys = [tuple(p if type(p) is int else p[j] for p in key) for j in range(len(seeds))]
+    expected = [_seed_written_out(seed, *k) for seed, k in zip(seeds, keys)]
+    got = sampling.derive_seeds(seeds, key)
+    assert got == expected and all(type(x) is int for x in got)
+    assert [derive_seed(seed, *k) for seed, k in zip(seeds, keys)] == expected
+    assert sampling.derive_bases(sampling.derive_seeds(seeds), key) == expected
+    assert path_seeds(seeds, 3) == [_seed_written_out(seed, i) for seed in seeds for i in range(3)]
+
+
+def test_batched_derivation_uses_numpy_from_the_cut_off(monkeypatch):
+    calls = []
+    original = sampling._mix64_np
+    monkeypatch.setattr(sampling, "_mix64_np", lambda z: calls.append(z.size) or original(z))
+    seeds = list(range(sampling.NUMPY_DRAWS))
+    sampling.derive_seeds(seeds[:-1], (1,))
+    assert calls == []
+    sampling.derive_seeds(seeds, (1,))
+    assert calls == [sampling.NUMPY_DRAWS] * 2
+
+
 def test_keyed_uniforms_use_numpy_from_the_cut_off(monkeypatch):
     calls = []
     original = sampling._mix64_np
@@ -342,8 +389,8 @@ def test_keyed_uniforms_take_a_part_per_stream_and_derived_bases():
     stream derived from its step's base draws what its Rng stream draws."""
     for count in (3, sampling.NUMPY_DRAWS + 3):
         parts = [4090 + j for j in range(count)]
-        step = sampling.derive_base(derive_seed(9), 7)
+        step, = sampling.derive_bases([derive_seed(9)], (7,))
         firsts = [Rng(9).derive(7, p).uniform() for p in parts]
         assert keyed_uniforms([step] * count, (parts,), 0) == firsts
         assert keyed_uniforms([derive_seed(9)] * count, (7, parts), 0) == firsts
-        assert keyed_uniforms([sampling.derive_base(step, p) for p in parts], (), 0) == firsts
+        assert keyed_uniforms(sampling.derive_bases([step] * count, (parts,)), (), 0) == firsts
