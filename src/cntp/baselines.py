@@ -218,14 +218,22 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
                              for seed in path_seeds([config.seed], n)])
 
 
-def lowest_whole_ppl(outcomes) -> DecodeOutcome:
+def lowest_whole_ppl(outcomes, ppls: dict | None = None) -> DecodeOutcome:
     """Best-of-N's reduction of its runs' outcomes: the run of lowest
-    whole-sequence perplexity, the first on ties, with the summed ledger."""
+    whole-sequence perplexity, the first on ties, with the summed ledger.
+    ppls, if given, maps id(outcome) to the perplexity of each outcome
+    scored before, so runs that share an outcome score it once; as with
+    vote's answers, its caller keeps those outcomes alive while it keeps
+    the map."""
+    if ppls is None:
+        ppls = {}
     best_outcome: DecodeOutcome | None = None
     best_ppl = float("inf")
     for outcome in outcomes:
-        probs = [t.chosen_prob for t in outcome.per_step_trace]
-        _, ppl = branch_score(probs) if probs else (0.0, float("inf"))
+        ppl = ppls.get(id(outcome))
+        if ppl is None:
+            probs = [t.chosen_prob for t in outcome.per_step_trace]
+            ppl = ppls[id(outcome)] = branch_score(probs)[1] if probs else float("inf")
         if ppl < best_ppl:
             best_ppl = ppl
             best_outcome = outcome

@@ -15,15 +15,19 @@ backend sends as one request. The outcome is the one a trial-by-trial loop
 gives. lane_decode runs many (prompt, seed) decodes of one policy the same
 way, all in lockstep by step index, with the outcomes policy_decode gives
 each alone. Its lanes that hold one cursor form a group, which reads its
-row, confidence, trial count and prepared row once for all of them; a
-group splits where its lanes' draws or winning branches differ. Since a
-lane's draws depend only on its keys, a group's lanes draw the tokens they
-would draw alone.
+row once for all of them; a group splits where its lanes' draws or winning
+branches differ. Since a lane's draws depend only on its keys, a group's
+lanes draw the tokens they would draw alone, and lane_decode draws them
+ahead, a block of steps or trial rounds per keyed_uniforms call (see
+DRAW_BLOCK). It reads each distinct row into one plan per decode, so its
+steps and trial rounds pay for a row's confidence, trial count and
+prepared sampling row once, not once per token.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +45,7 @@ from .core import (
 )
 from .models import Cursor, ModelSource
 from .sampling import (Rng, derive_bases, derive_seeds, greedy_token, keyed_uniforms,
-                       prepare_sampling_dist, sample_token, token_at)
+                       prepare_sampling_dist, sample_token, support_cumsum)
 
 
 def entropy(dist: Distribution) -> float:
@@ -307,16 +311,78 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
     return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
 
 
+# Most uniforms one keyed_uniforms call of lane_decode draws. lane_decode
+# draws each lane's single-token uniforms a block of steps ahead, and each
+# trial's a block of rounds ahead, since a stream's draws depend only on its
+# keys. Blocks double (the block drawn at step s covers steps s..2s-1, the
+# one at round L rounds L..2L-1), so a lane or trial that ends early wasted
+# at most as many draws as it used; this bound shortens the blocks of many
+# streams, and splits the call of more streams than it, so that the draws
+# held ahead stay flat in a wide batch.
+DRAW_BLOCK = 4096
+
+
+def _block_uniforms(bases: list[int], key: tuple, draw) -> list[float]:
+    """keyed_uniforms(bases, key, draw), in calls of at most DRAW_BLOCK
+    streams each."""
+    if len(bases) <= DRAW_BLOCK:
+        return keyed_uniforms(bases, key, draw)
+    out = []
+    for lo in range(0, len(bases), DRAW_BLOCK):
+        part = slice(lo, lo + DRAW_BLOCK)
+        out += keyed_uniforms(bases[part], tuple(p if type(p) is int else p[part] for p in key),
+                              draw if type(draw) is int else draw[part])
+    return out
+
+
+def _block_length(start: int, streams: int) -> int:
+    """How many steps or rounds from start a block of streams draws ahead:
+    as many as came before start, at least one, and at most DRAW_BLOCK
+    draws in all where each stream draws at least one."""
+    return max(1, min(start, DRAW_BLOCK // streams))
+
+
+class _Plans(dict):
+    """One decode's plan of each distinct row it meets, keyed by the row
+    object: (confidence, trial count, prepared support, its cumulative
+    mass, the model probability of each support token as a Python float).
+    Support and probabilities end with their last entry twice, so indexing
+    them by bisect_left(mass, u) gives token_at's token for every u, and its
+    probability. At T=0 the prepared row is a one-hot on the argmax,
+    greedy_token's token, so the plan holds that support without building
+    the row. A plan holds what the policy makes of the row, so it lives
+    only as long as its decode."""
+
+    __slots__ = ("policy",)
+
+    def __init__(self, policy: Policy):
+        self.policy = policy
+
+    def __missing__(self, dist: Distribution) -> tuple:
+        config = self.policy.config
+        h = confidence(dist, config.confidence_measure)
+        if config.temperature == 0.0:
+            support, mass = [greedy_token(dist)], [1.0]
+        else:
+            support, mass = support_cumsum(prepare_sampling_dist(dist, config))
+        probs = dist.probs[support].tolist()
+        plan = self[dist] = (h, self.policy.trials(h), support + support[-1:], mass,
+                             probs + probs[-1:])
+        return plan
+
+
 class _Lane:
     """One (prompt, seed) decode of lane_decode: its place among the
-    outcomes, its stream base and the tokens its losing trials drew."""
+    outcomes, its stream base, the tokens its losing trials drew, and where
+    its draws start in the current block of steps."""
 
-    __slots__ = ("index", "base", "discarded")
+    __slots__ = ("index", "base", "discarded", "at")
 
     def __init__(self, index: int, base: int):
         self.index = index
         self.base = base
         self.discarded = 0
+        self.at = 0
 
 
 class _Group:
@@ -373,25 +439,41 @@ class _Group:
             outcomes[lane.index] = outcome
 
 
+def _step_block(live: list[_Group], step: int) -> tuple[list[float], int]:
+    """The single-token uniforms, keyed (seed, s, 0), of every lane of live
+    for the steps s of a block from step, each lane's from its lane.at on;
+    and the step the block ends before. A group's lanes draw no further
+    than their answer cap, since each step takes a token."""
+    length = _block_length(step, sum(len(group.lanes) for group in live))
+    bases, steps = [], []
+    for group in live:
+        span = range(step, step + min(length, group.limit - len(group.tokens)))
+        for lane in group.lanes:
+            lane.at = len(bases)
+            bases += [lane.base] * len(span)
+            steps += span
+    return _block_uniforms(bases, (steps, 0), 0), step + length
+
+
 def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
                 policy: Policy) -> list[DecodeOutcome]:
     """policy_decode of each (prompt, seed) lane under policy, its config at
     that seed, with every lane in lockstep by step index. Live lanes that
     hold one cursor form a group, and lanes start grouped by prompt. Each
     step reads every group's row in one model.next_distributions call, and
-    reads its confidence, trial count and prepared row once per group. It
-    draws every live lane's (seed, step, 0) uniform in one keyed_uniforms
-    call, used by the groups that take a single token; such a group splits
-    by the tokens its lanes draw, and each part advances its cursor once and
-    shares one StepTrace. The multi-trial steps grow their trials together
-    and split their groups by winning branch (see _grow_lane_trials).
-    Outcomes, ledgers and traces equal policy_decode's bit for bit."""
+    each distinct row's plan (confidence, trial count, prepared row, model
+    probabilities) once per decode. Every live lane's (seed, step, 0)
+    uniforms are drawn a block of steps ahead (see DRAW_BLOCK), used by the
+    groups that take a single token; such a group splits by the tokens its
+    lanes draw, and each part advances its cursor once and shares one
+    StepTrace. The multi-trial steps grow their trials together and split
+    their groups by winning branch (see _grow_lane_trials). Outcomes,
+    ledgers and traces equal policy_decode's bit for bit."""
     config = policy.config
     vocab = model.vocabulary
     eos = vocab.eos_id
     stops = stop_mask(vocab, config.punctuation)
     greedy = config.temperature == 0.0
-    measure = config.confidence_measure
     starts: dict[tuple, _Group] = {}
     bases = derive_seeds([seed for _, seed in lanes])
     for index, ((prompt, _), base) in enumerate(zip(lanes, bases)):
@@ -400,43 +482,45 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
             group = starts[prompt.tokens] = _Group(model, prompt.tokens, config.global_cap)
         group.lanes.append(_Lane(index, base))
     outcomes: list = [None] * len(lanes)
+    plans = _Plans(policy)
+    trace_of = tuple.__new__  # StepTrace's own __new__ is a Python call
     live = list(starts.values())
-    step = 0
+    step = block_start = block_end = 0
+    block: list[float] = []
     while live:
         rows = model.next_distributions([group.cursor for group in live])
-        draws = None if greedy else keyed_uniforms(
-            [lane.base for group in live for lane in group.lanes], (step, 0), 0)
+        if not greedy and step == block_end:
+            block_start = step
+            block, block_end = _step_block(live, step)
+        offset = step - block_start
         going, parts, multis = [], [], []
-        j = 0
         for group, dist in zip(live, rows):
-            first = j
-            j += len(group.lanes)
-            h = confidence(dist, measure)
-            n = policy.trials(h)
+            h, n, support, mass, probs = plan = plans[dist]
             if n > 1:
-                multis.append((group, dist, h, n))
+                multis.append((group, plan))
                 continue
+            lanes = group.lanes
             if greedy:
-                tok = greedy_token(dist)
-            elif j - first == 1:
-                tok = token_at(prepare_sampling_dist(dist, config), draws[first])
+                j = 0
+            elif len(lanes) == 1:
+                j = bisect_left(mass, block[lanes[0].at + offset])
             else:
-                prepared = prepare_sampling_dist(dist, config)
-                toks = [token_at(prepared, u) for u in draws[first:j]]
-                tok = toks[0]
-                if toks.count(tok) < len(toks):
-                    parts += _split_by_token(group, toks, dist, h)
+                picks = [bisect_left(mass, block[lane.at + offset]) for lane in lanes]
+                j = picks[0]
+                if picks.count(j) < len(picks):
+                    parts += _split_by_token(group, picks, h, support, probs)
                     continue
+            tok = support[j]
             tokens = group.tokens
             tokens.append(tok)
             group.cursor = group.cursor.advance(tok)
-            group.trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
+            group.trace.append(trace_of(StepTrace, (h, 1, None, probs[j])))
             if tok != eos and len(tokens) < group.limit:
                 going.append(group)
             else:
                 group.finish(vocab, outcomes)
         if multis:
-            parts += _grow_lane_trials(model, multis, step, config, stops)
+            parts += _grow_lane_trials(model, multis, step, config, stops, plans)
         for group in parts:
             tokens = group.tokens
             if tokens[-1] != eos and len(tokens) < group.limit:
@@ -448,99 +532,108 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     return outcomes
 
 
-def _split_by_token(group: _Group, toks: list, dist: Distribution, h: float) -> list[_Group]:
-    """The groups that group's lanes form once each takes its token of toks."""
-    parts: dict[int, list[_Lane]] = {}
-    for lane, tok in zip(group.lanes, toks):
-        part = parts.get(tok)
+def _split_by_token(group: _Group, picks: list, h: float, support: list,
+                    probs: list) -> list[_Group]:
+    """The groups that group's lanes form once each takes its token,
+    support[j] of its pick j of a row's plan, read at confidence h."""
+    parts: dict[int, tuple] = {}
+    for lane, j in zip(group.lanes, picks):
+        part = parts.get(support[j])
         if part is None:
-            parts[tok] = [lane]
+            parts[support[j]] = ([lane], probs[j])
         else:
-            part.append(lane)
+            part[0].append(lane)
     return [group.take(part, group.cursor.advance(tok), [tok],
-                       StepTrace(h, 1, None, float(dist.probs[tok])), 0)
-            for tok, part in parts.items()]
+                       StepTrace(h, 1, None, prob), 0)
+            for tok, (part, prob) in parts.items()]
 
 
 def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
-                      stops: tuple[bool, ...]) -> list[_Group]:
-    """Run the multi-trial step of each (group, row, confidence, n) of steps
+                      stops: tuple[bool, ...], plans: _Plans) -> list[_Group]:
+    """Run the multi-trial step of each (group, plan of its row) of steps
     for every lane of the group, as policy_decode's step does, and return
     the groups the lanes form after it: a group splits by winning branch.
     Trials grow TRIAL_CHUNK per lane at a time, and all the trials of a
-    chunk, over every lane, in lockstep: each round draws their uniforms in
-    one keyed_uniforms call and reads the rows of those that grow on in one
-    model.next_distributions call. Round r takes draw r of trial i's stream
-    (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
-    scalar sum. A trial that stops on its first token is scored once per
-    distinct token."""
+    chunk, over every lane, in lockstep: round 0 draws their first uniforms
+    in one keyed_uniforms call, later rounds draw each live trial's next
+    rounds a block ahead (see DRAW_BLOCK), and each round reads the rows of
+    the trials that grow on in one model.next_distributions call. Round r
+    takes draw r of trial i's stream (seed, step, i), as in _grow_trials,
+    and each trial keeps branch_score's scalar sum. A trial that stops on
+    its first token is scored once per distinct token."""
     # Per lane, the lanes of every step's group in turn (step k's from
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
     # running best as [(ppl, trial index), tokens, cursor before the last
     # token], and the tokens its trials drew.
     bounds = [0]
-    for group, *_ in steps:
+    for group, _ in steps:
         bounds.append(bounds[-1] + len(group.lanes))
-    step_bases = derive_bases([lane.base for group, *_ in steps for lane in group.lanes], (step,))
+    step_bases = derive_bases([lane.base for group, _ in steps for lane in group.lanes], (step,))
     bests: list = [None] * len(step_bases)
     drawn = [0] * len(step_bases)
-    for lo in range(0, max(n for *_, n in steps), TRIAL_CHUNK):
-        chunks = [(k, range(lo, min(n, lo + TRIAL_CHUNK)))
-                  for k, (*_, n) in enumerate(steps) if n > lo]
-        draws = iter(keyed_uniforms(
+    for lo in range(0, max(plan[1] for _, plan in steps), TRIAL_CHUNK):
+        chunks = [(k, range(lo, min(plan[1], lo + TRIAL_CHUNK)))
+                  for k, (_, plan) in enumerate(steps) if plan[1] > lo]
+        draws = iter(_block_uniforms(
             [base for k, indices in chunks for base in step_bases[bounds[k]:bounds[k + 1]]
              for _ in indices],
             ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
               for i in indices],), 0))
-        # Parallel per-trial lists: (lane position, trial index, cap on its
-        # length, tokens, probs) of each trial that grows on, its cursor and
-        # its stream base.
+        # Per trial that grows on: (lane position, trial index, cap on its
+        # length, tokens, model probabilities), then also the base of its
+        # stream (seed, step, i) and where its draws start in the block of
+        # rounds; and its cursor.
         trials, cursors = [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
         for k, indices in chunks:
-            group, dist, _, _ = steps[k]
-            prepared = prepare_sampling_dist(dist, config)
+            group, (_, _, support, mass, probs) = steps[k]
             cap = min(config.branch_cap, group.limit - len(group.tokens))
             cursor = group.cursor
             ppls: dict[int, float] = {}
             for p in range(bounds[k], bounds[k + 1]):
                 for i in indices:
-                    tok = token_at(prepared, next(draws))
+                    j = bisect_left(mass, next(draws))
+                    tok = support[j]
                     if cap > 1 and not stops[tok]:
-                        trials.append((p, i, cap, [tok], [float(dist.probs[tok])]))
+                        trials.append((p, i, cap, [tok], [probs[j]]))
                         cursors.append(cursor.advance(tok))
                         continue
                     drawn[p] += 1
                     ppl = ppls.get(tok)
                     if ppl is None:
-                        ppl = ppls[tok] = branch_score([float(dist.probs[tok])])[1]
+                        ppl = ppls[tok] = branch_score([probs[j]])[1]
                     if bests[p] is None or (ppl, i) < bests[p][0]:
                         bests[p] = [(ppl, i), [tok], cursor]
         bases = derive_bases([step_bases[p] for p, *_ in trials], ([i for _, i, *_ in trials],))
-        length = 1
+        trials = [trial + (base, None) for trial, base in zip(trials, bases)]
+        length = block_end = 1
         while trials:
             rows = model.next_distributions(cursors)
-            draws = keyed_uniforms(bases, (), length)
+            if length == block_end:  # block holds rounds block_start..block_end - 1
+                block_start = length
+                block, trials, block_end = _round_block(trials, length)
+            offset = length - block_start
             length += 1
-            live, live_bases, advanced = [], [], []
-            for trial, base, cur, dist, u in zip(trials, bases, cursors, rows, draws):
-                p, i, cap, tokens, probs = trial
-                tok = token_at(prepare_sampling_dist(dist, config), u)
+            live, advanced = [], []
+            for trial, cur, dist in zip(trials, cursors, rows):
+                p, i, cap, tokens, chosen, _, at = trial
+                _, _, support, mass, probs = plans[dist]
+                j = bisect_left(mass, block[at + offset])
+                tok = support[j]
                 tokens.append(tok)
-                probs.append(float(dist.probs[tok]))
+                chosen.append(probs[j])
                 if not (length >= cap or stops[tok]):
                     live.append(trial)
-                    live_bases.append(base)
                     advanced.append(cur.advance(tok))
                     continue
                 drawn[p] += length
-                ppl = branch_score(probs)[1]
+                ppl = branch_score(chosen)[1]
                 if bests[p] is None or (ppl, i) < bests[p][0]:
                     bests[p] = [(ppl, i), tokens, cur]
-            trials, bases, cursors = live, live_bases, advanced
+            trials, cursors = live, advanced
     out = []
-    for (group, _, h, n), first in zip(steps, bounds):
+    for (group, (h, n, *_)), first in zip(steps, bounds):
         branches: dict[tuple, list] = {}
         for p, lane in enumerate(group.lanes, first):
             (ppl, _), tokens, end = bests[p]
@@ -555,6 +648,21 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                            StepTrace(h, n, ppl, None), 1)
                 for ppl, tokens, end, part in branches.values()]
     return out
+
+
+def _round_block(trials: list, start: int) -> tuple[list[float], list[tuple], int]:
+    """The uniforms of the live trials of _grow_lane_trials for the rounds
+    of a block from round start, each trial's no further than its cap: draw
+    r of its stream is the token that makes it r + 1 long. Also the trials
+    with where their draws start, and the round the block ends before."""
+    length = _block_length(start, len(trials))
+    bases, draws, placed = [], [], []
+    for p, i, cap, tokens, chosen, base, _ in trials:
+        span = range(start, min(start + length, cap))
+        placed.append((p, i, cap, tokens, chosen, base, len(bases)))
+        bases += [base] * len(span)
+        draws += span
+    return _block_uniforms(bases, (), draws), placed, start + length
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

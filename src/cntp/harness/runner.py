@@ -54,10 +54,11 @@ class Strategy:
     How run_suite decodes a suite's runs in lockstep lanes (see
     engine.lane_decode): policy(config) is the policy of every lane (None:
     run each task alone); reduce(outcomes, vocabulary, prompt length,
-    extractor, answers), if set, folds a run's width paths, one lane each,
-    into what run returns, with answers the map of the task's answers that
-    baselines.vote keeps over a batch; a seedless strategy's result ignores
-    the seed, so a suite decodes it once per task."""
+    extractor, memo), if set, folds a run's width paths, one lane each,
+    into what run returns, with memo the task's map by id(outcome) that the
+    reduction keeps over a batch (baselines.vote's answers,
+    baselines.lowest_whole_ppl's perplexities); a seedless strategy's
+    result ignores the seed, so a suite decodes it once per task."""
 
     preset_temperature: float
     default_width: int | None
@@ -84,7 +85,8 @@ STRATEGIES = {
                         self_consistency(cntp_decode, m, p, c, w, x), CntpPolicy, vote),
     "best_of_n": Strategy(0.6, 5, lambda m, p, c, w, x: best_of_n_whole_ppl(m, p, c, w),
                           SingleSamplePolicy,
-                          lambda outcomes, *_: lowest_whole_ppl(outcomes)),
+                          lambda outcomes, vocab, prompt_len, extractor, ppls:
+                          lowest_whole_ppl(outcomes, ppls)),
 }
 
 
@@ -319,7 +321,8 @@ def _decode_lanes(model: ModelSource, strategy: Strategy, width: int | None, tas
     """What strategy.run returns for each config, run k being that of task
     k % len(tasks) (configs holds a run of every task per seed, seed by
     seed), decoded in lockstep lanes; a strategy without a policy runs each
-    task alone. A reduction votes each task's distinct outcomes once."""
+    task alone. A reduction votes on or scores each task's distinct
+    outcomes once."""
     n = len(tasks)
     if strategy.policy is None:
         return [strategy.run(model, prompts[k % n], config, width, tasks[k % n].extractor)
@@ -332,9 +335,9 @@ def _decode_lanes(model: ModelSource, strategy: Strategy, width: int | None, tas
     outcomes = lane_decode(model, [(prompts[k // width % n], seed)
                                    for k, seed in enumerate(path_seeds(seeds, width))], policy)
     vocab = model.vocabulary
-    answers = [{} for _ in tasks]  # each task's answer per distinct outcome
+    memos = [{} for _ in tasks]  # each task's answer or perplexity per distinct outcome
     return [strategy.reduce(outcomes[k * width:(k + 1) * width], vocab,
-                            len(prompts[k % n].tokens), tasks[k % n].extractor, answers[k % n])
+                            len(prompts[k % n].tokens), tasks[k % n].extractor, memos[k % n])
             for k in range(len(configs))]
 
 

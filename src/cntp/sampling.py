@@ -116,23 +116,32 @@ def _fold_keys(bases, key: tuple):
     return h
 
 
-def keyed_uniforms(bases: list[int], key: tuple, draw: int) -> list[float]:
+def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int]) -> list[float]:
     """Draw number draw (0 for the first) of each stream Rng(seed).derive(*key),
-    given as bases, the derive_seed(seed) of each. A part of key is an int
-    every stream shares or a list with one part per stream. The whole batch
-    in one call: over numpy uint64 lanes for NUMPY_DRAWS or more, else over
-    Python ints."""
-    offset = (draw + 1) * _GOLDEN & _M64
+    given as bases, the derive_seed(seed) of each. A part of key, and draw,
+    is an int every stream shares or a list with one entry per stream, so
+    one call can draw a block of steps or rounds ahead: ([s, s+1, ...], 0)
+    keys the single-token draws of steps s, s+1, ... of a repeated base. The
+    whole batch in one call: over numpy uint64 lanes for NUMPY_DRAWS or
+    more, else over Python ints."""
+    shared = type(draw) is int
     if len(bases) < NUMPY_DRAWS:
         # _fold_keys's loop with the draw taken in it: a decode's per-step
         # call over few lanes is hot, and a second pass cost it 10-20 %.
+        offset = (draw + 1) * _GOLDEN & _M64 if shared else 0
         out = []
         for j, h in enumerate(bases):
             for part in key:
                 h = _fold(h, (part if type(part) is int else part[j]) & _M64)
+            if not shared:
+                offset = (draw[j] + 1) * _GOLDEN & _M64
             out.append((_mix64((h + offset) & _M64) >> 11) * 1.1102230246251565e-16)
         return out
-    h = _mix64_np(_fold_keys(bases, key) + np.uint64(offset))
+    if shared:
+        offset = np.uint64((draw + 1) * _GOLDEN & _M64)
+    else:  # uint64 arithmetic wraps, as & _M64 does
+        offset = (np.array(draw, dtype=np.uint64) + np.uint64(1)) * _NP_GOLDEN
+    h = _mix64_np(_fold_keys(bases, key) + offset)
     return ((h >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
 
 

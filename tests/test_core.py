@@ -65,6 +65,34 @@ def test_sequence_text_renders_on_first_read_and_keeps_the_dataclass_contract():
         assert copy.deepcopy(seq) == seq == pickle.loads(pickle.dumps(seq))
 
 
+
+def test_step_trace_keeps_the_dataclass_contract():
+    """A StepTrace, one tuple allocation, keeps the frozen dataclass's
+    fields and their order, keyword construction, equality and hash among
+    traces, repr, immutability and pickle; the engine's tuple.__new__ build
+    equals the keyword one."""
+    import copy
+    import pickle
+
+    trace = cntp.StepTrace(0.5, 1, None, 0.25)
+    assert trace._fields == ("confidence", "n_trials", "chosen_ppl", "chosen_prob")
+    built = tuple.__new__(cntp.StepTrace, (0.5, 1, None, 0.25))
+    keyword = cntp.StepTrace(confidence=0.5, n_trials=1, chosen_ppl=None, chosen_prob=0.25)
+    assert trace == built == keyword and hash(trace) == hash(built) == hash(keyword)
+    assert trace != cntp.StepTrace(0.5, 3, 1.5, None)
+    assert repr(built) == ("StepTrace(confidence=0.5, n_trials=1, chosen_ppl=None, "
+                           "chosen_prob=0.25)")
+    assert (trace.confidence, trace.n_trials, trace.chosen_ppl, trace.chosen_prob) == \
+        (0.5, 1, None, 0.25)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.n_trials = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del trace.confidence
+    with pytest.raises(AttributeError):
+        trace.note = ""
+    again = pickle.loads(pickle.dumps(built))
+    assert type(again) is cntp.StepTrace and again == copy.deepcopy(trace) == trace
+
 def test_vocabulary_encode_prefers_longest_match():
     vocab = Vocabulary(("a", "b", "ab", ""), 3)
     assert vocab.encode("ab") == (2,)

@@ -25,11 +25,11 @@ from cntp import (
     keyed_uniforms,
     lane_decode,
 )
-from cntp import models, sampling
+from cntp import baselines, engine, models, sampling
 from cntp.baselines import path_seeds
 from cntp.core import load_config
 from cntp.engine import TRIAL_CHUNK, policy_decode
-from cntp.harness import bundled_path, load_tasks
+from cntp.harness import bundled_path, load_tasks, runner
 from cntp.harness.runner import (STRATEGIES, _decode_lanes, parse_strategy, resolve_model,
                                  run_one, run_suite)
 
@@ -94,6 +94,25 @@ def test_suite_lanes_equal_the_scalar_strategies(strategy):
                      for seed in (path_seeds([cfg.seed], width) if spec.reduce else [cfg.seed])]
             _assert_lanes_match(model, [p for p in prompts for _ in range(paths)], seeds,
                                 spec.policy(config))
+
+
+def test_a_batch_scores_each_distinct_best_of_n_outcome_once(monkeypatch):
+    """Grouped lanes hand best-of-N one shared outcome for many paths, and
+    lowest_whole_ppl scores each distinct outcome of a batch once: the
+    3 000 paths of the bundled suite at 12 seeds are a few hundred."""
+    model, tasks, prompts, config = _bundled("suite")
+    scored, outcomes = [], []
+    score = baselines.branch_score
+    monkeypatch.setattr(baselines, "branch_score", lambda probs: scored.append(1) or score(probs))
+    decode = runner.lane_decode
+    monkeypatch.setattr(runner, "lane_decode",
+                        lambda *args: outcomes.extend(out := decode(*args)) or out)
+    root, width = parse_strategy("best_of_n:5")
+    configs = [config.with_seed(derive_seed(seed, i))
+               for seed in range(12) for i in range(len(tasks))]
+    _decode_lanes(model, STRATEGIES[root], width, tasks, prompts, configs)
+    assert len(outcomes) == 3000
+    assert len(scored) == len({id(outcome) for outcome in outcomes}) < len(outcomes) / 4
 
 
 @pytest.mark.parametrize("policy", [SingleSamplePolicy, CntpPolicy])
@@ -394,3 +413,151 @@ def test_keyed_uniforms_take_a_part_per_stream_and_derived_bases():
         assert keyed_uniforms([step] * count, (parts,), 0) == firsts
         assert keyed_uniforms([derive_seed(9)] * count, (7, parts), 0) == firsts
         assert keyed_uniforms(sampling.derive_bases([step] * count, (parts,)), (), 0) == firsts
+
+
+def _uniform_written_out(base, draw):
+    """Draw number draw of the stream whose base state is base, spelled out:
+    splitmix64's state after draw + 1 golden-gamma steps, mixed, its top 53
+    bits scaled into [0, 1)."""
+    return (_splitmix((base + (draw + 1) * 0x9E3779B97F4A7C15) % 2**64) >> 11) * 2.0**-53
+
+
+_DRAWS = st.integers(0, 5) | st.integers(2**32 - 2, 2**32 + 2) | st.integers(0, 2**64 - 2)
+
+
+@st.composite
+def _streams_and_draws(draw):
+    """_streams, and a draw index per stream."""
+    seeds, key = draw(_streams())
+    return seeds, key, draw(st.lists(_DRAWS, min_size=len(seeds), max_size=len(seeds)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_streams_and_draws())
+@example(([0, 2**64 - 1] * sampling.NUMPY_DRAWS, ([5, 2**40] * sampling.NUMPY_DRAWS, 0),
+          [2**32 + 1, 0, 2**64 - 2, 5] * (sampling.NUMPY_DRAWS // 2)))
+@example(([2**64 - 1, 0, 7], (3, [0, 4096, 2**64 - 1]), [2**33, 0, 2**64 - 2]))
+def test_keyed_uniforms_with_a_draw_per_stream_equal_splitmix64_written_out(streams):
+    """A draw list with one index per stream, as a block of rounds ahead
+    passes, gives each stream's own draw of splitmix64 written out here: on
+    both sides of NUMPY_DRAWS, at seeds 0 and 2**64 - 1 and at draw
+    indices past 2**32."""
+    seeds, key, draws = streams
+    keys = [tuple(p if type(p) is int else p[j] for p in key) for j in range(len(seeds))]
+    expected = [_uniform_written_out(_seed_written_out(seed, *k), d)
+                for seed, k, d in zip(seeds, keys, draws)]
+    bases = sampling.derive_seeds(seeds)
+    assert keyed_uniforms(bases, key, draws) == expected
+    assert [keyed_uniforms([b], k, d)[0] for b, k, d in zip(bases, keys, draws)] == expected
+
+
+@pytest.mark.parametrize("lanes", [1, 3, sampling.NUMPY_DRAWS + 1])
+@pytest.mark.parametrize("start, length", [(0, 1), (1, 1), (2, 2), (8, 8), (2**33, 5)])
+def test_a_block_of_steps_equals_its_per_step_draws(lanes, start, length):
+    """One call over the steps ([s..s+k-1], 0) of each lane's repeated base,
+    as lane_decode draws a block ahead, equals k per-step calls."""
+    bases = sampling.derive_seeds([derive_seed(31, j) for j in range(lanes)])
+    steps = list(range(start, start + length))
+    block = keyed_uniforms([b for b in bases for _ in steps], (steps * lanes, 0), 0)
+    per_step = [keyed_uniforms(bases, (s, 0), 0) for s in steps]
+    assert block == [per_step[t][j] for j in range(lanes) for t in range(length)]
+    rounds = keyed_uniforms([b for b in bases for _ in steps], (), steps * lanes)
+    assert rounds == [keyed_uniforms(bases, (), s)[j] for j in range(lanes) for s in steps]
+
+
+@pytest.fixture
+def short_blocks(monkeypatch):
+    """Blocks of at most three draws, which roll over every step or two and
+    split every call of more streams than that."""
+    monkeypatch.setattr(engine, "DRAW_BLOCK", 3)
+
+
+def test_short_blocks_on_the_suite_equal_scalar_decodes(short_blocks):
+    """The bundled suite at 200 seeds under every policy, at T=0 too."""
+    model, _, prompts, config = _bundled("suite")
+    seeds = [derive_seed(29, i) for i in range(200 * len(prompts))]
+    for policy in _policies(config):
+        _assert_lanes_match(model, prompts * 200, seeds, policy)
+
+
+@pytest.mark.parametrize("policy", [SingleSamplePolicy, CntpPolicy])
+def test_short_blocks_on_long_kgram_lanes_equal_scalar_decodes(short_blocks, policy):
+    model, _, prompts, config = _bundled("kgram", global_cap=700)
+    lanes = _assert_lanes_match(model, prompts, [derive_seed(7, i) for i in range(len(prompts))],
+                                policy(config))
+    assert max(len(lane.sequence) - len(prompt) for lane, prompt in zip(lanes, prompts)) == 700
+
+
+def test_plans_do_not_outlive_their_decode(short_blocks):
+    """Two cntp configs that differ only in h_max give some row two trial
+    counts; decoded one after the other over one model's rows, each decode
+    still equals its scalar decodes."""
+    model, _, prompts, config = _bundled("kgram", global_cap=96)
+    seeds = [derive_seed(13, i) for i in range(len(prompts))]
+    trials = []
+    for h_max in (1.5, 3.0):
+        lanes = _assert_lanes_match(model, prompts, seeds,
+                                    CntpPolicy(dataclasses.replace(config, h_max=h_max)))
+        trials.append({t.confidence: t.n_trials for lane in lanes for t in lane.per_step_trace})
+    shared = trials[0].keys() & trials[1].keys()
+    assert any(trials[0][h] != trials[1][h] for h in shared)
+
+
+def _recorded_calls(monkeypatch):
+    """The (stream count, key, draw) of each keyed_uniforms call the engine makes."""
+    calls = []
+    original = engine.keyed_uniforms
+
+    def recorded(bases, key, draw):
+        calls.append((len(bases), key, draw))
+        return original(bases, key, draw)
+
+    monkeypatch.setattr(engine, "keyed_uniforms", recorded)
+    return calls
+
+
+def test_block_calls_of_a_thousand_lanes_stay_within_the_bound(monkeypatch):
+    """A 1 000-lane batch whose multi-trial steps grow up to 10 000 trials
+    at once: no call draws more than DRAW_BLOCK uniforms, and the lanes
+    still equal their scalar decodes."""
+    calls = _recorded_calls(monkeypatch)
+    model, _, prompts, config = _bundled("kgram", global_cap=24)
+    count = 1000
+    lanes = [(prompts[i % len(prompts)], derive_seed(41, i)) for i in range(count)]
+    for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
+        calls.clear()
+        outcomes = lane_decode(model, lanes, policy)
+        assert max(size for size, *_ in calls) <= engine.DRAW_BLOCK
+        assert sum(size for size, *_ in calls) > count
+        if type(policy) is CntpPolicy:  # a call of more streams than the bound was split
+            assert any(size == engine.DRAW_BLOCK for size, *_ in calls)
+        for (prompt, seed), outcome in list(zip(lanes, outcomes))[::97]:
+            scalar = policy_decode(model, prompt, dataclasses.replace(
+                policy, config=policy.config.with_seed(seed)))
+            assert _exact(outcome) == _exact(scalar)
+
+
+def test_blocks_double_and_stop_at_the_answer_cap(monkeypatch):
+    """One stochastic k-gram lane draws its steps in blocks 0, 1, 2-3, 4-7,
+    ..., the last one cut at its answer cap; a cntp lane draws its trials'
+    rounds 1, 2-3, 4-7, ..., each cut at the trial's cap."""
+    calls = _recorded_calls(monkeypatch)
+    model, _, prompts, config = _bundled("kgram", global_cap=100)
+    lane_decode(model, [(prompts[0], 5)], SingleSamplePolicy(config))
+    assert [key[0] for _, key, _ in calls] == [
+        [0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)),
+        list(range(32, 64)), list(range(64, 100))]
+    calls.clear()
+    lane_decode(model, [(prompts[0], 5)], CntpPolicy(config))
+    rounds = [draw for _, key, draw in calls if type(draw) is list]  # round 0 draws 0
+    assert {1, 2, 4, 8} <= {draw[0] for draw in rounds} <= {1, 2, 4, 8, 16, 32}
+    for draw in rounds:
+        # One run of rounds per trial, each from the block's start and at
+        # most start long.
+        start, runs = draw[0], []
+        for d in draw:
+            if d == start:
+                runs.append([])
+            runs[-1].append(d)
+        assert all(run == list(range(start, start + len(run))) and len(run) <= start
+                   for run in runs)
