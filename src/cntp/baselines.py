@@ -22,7 +22,7 @@ from .core import (
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .engine import SingleSamplePolicy, branch_score, policy_decode
-from .models import Cursor, ModelSource
+from .models import ModelSource
 from .sampling import derive_seeds
 from .engine import confidence  # noqa: F401  bench/tracing.py patches it here by name
 from .sampling import prepare_sampling_dist, sample_token  # noqa: F401  (as confidence)
@@ -56,7 +56,8 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     All ties break toward the lexicographically smallest token sequence.
     Beams report no per-step trace; the ledger counts one pass and one
     generated token per expanded beam per round. Each round reads its live
-    beams' rows in one model.next_distributions call.
+    beams' rows in one model.next_distributions call, and steps the cursors
+    of the beams that grow on in one model.advance call.
     """
     if beam_width < 1:
         raise ValueError("beam width must be ≥ 1")
@@ -66,7 +67,7 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     # A beam is (logprob, rank, length, path, cursor): rank is its place in
     # token order among the beams, path its tokens as (last token, parent
     # path) links, and a finished beam's cursor is None.
-    beams: list[tuple[float, int, int, tuple | None, Cursor | None]] = [
+    beams: list[tuple[float, int, int, tuple | None, object]] = [
         (0.0, 0, 0, None, model.start(prompt_tokens))]
     passes = generated = rounds = 0
     while live := [cursor for *_, cursor in beams if cursor is not None]:
@@ -90,17 +91,22 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
         ranks = [0] * len(survivors)
         for r, i in enumerate(sorted(range(len(survivors)), key=lambda i: survivors[i][1:3])):
             ranks[i] = r
-        next_beams = []
+        # A new beam holds, in its cursor's place, whether it grows on; the
+        # cursors of those that do step on in one call.
+        next_beams, froms, toks = [], [], []
         for (neg_lp, _, tok, b), rank in zip(survivors, ranks):
             lp, _, length, path, cursor = beams[b]
             if tok < 0:
                 next_beams.append((lp, rank, length, path, None))
                 continue
             length += 1
-            done = tok == eos or length >= config.global_cap
-            next_beams.append((-neg_lp, rank, length, (tok, path),
-                               None if done else cursor.advance(tok)))
-        beams = next_beams
+            grows = tok != eos and length < config.global_cap
+            if grows:
+                froms.append(cursor)
+                toks.append(tok)
+            next_beams.append((-neg_lp, rank, length, (tok, path), grows))
+        stepped = iter(model.advance(froms, toks))
+        beams = [beam[:4] + (next(stepped) if beam[4] else None,) for beam in next_beams]
     best_toks = []
     path = beams[0][3]
     while path is not None:

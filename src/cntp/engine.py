@@ -10,11 +10,11 @@ Determinism: every random draw comes from a stream keyed by
 (seed, step index, trial index), so equal seeds reproduce equal outcomes
 regardless of evaluation order. A step's trials therefore grow in lockstep:
 each round every live trial draws one token, and the trials that grow on
-read their next rows in one model.next_distributions batch, which a remote
-backend sends as one request. The outcome is the one a trial-by-trial loop
-gives. lane_decode runs many (prompt, seed) decodes of one policy the same
-way, all in lockstep by step index, with the outcomes policy_decode gives
-each alone. Its lanes that hold one cursor form a group, which reads its
+step their cursors in one model.advance batch and read their next rows in
+one model.next_distributions batch, which a remote backend sends as one
+request. The outcome is the one a trial-by-trial loop gives. lane_decode
+runs many (prompt, seed) decodes of one policy the same way, all in
+lockstep by step index, with the outcomes policy_decode gives each alone. Its lanes that hold one cursor form a group, which reads its
 row once for all of them; a group splits where its lanes' draws or winning
 branches differ. Since a lane's draws depend only on its keys, a group's
 lanes draw the tokens they would draw alone, and lane_decode draws them
@@ -43,7 +43,7 @@ from .core import (
     Trial,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
-from .models import Cursor, ModelSource
+from .models import ModelSource
 from .sampling import (Rng, derive_bases, derive_seeds, greedy_token, keyed_uniforms,
                        prepare_sampling_dist, sample_token, support_cumsum)
 
@@ -146,16 +146,17 @@ def branch_stop(tok: int, length: int, answer_len: int, eos: int,
 TRIAL_CHUNK = 64
 
 
-def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
+def _grow_trials(model: ModelSource, cursor, first_dist: Distribution,
                  config: DecodeConfig, rngs: list[Rng], answer_len: int, eos: int,
                  stops: tuple[bool, ...]):
     """Sample one branch per stream of rngs from cursor, whose distribution
     first_dist the caller has read, all in lockstep: each round every live
     branch draws one token from its own stream, and the branches that grow
-    on read their next rows in one model.next_distributions call. The last
-    branch left grows on alone, reading its cursor. Returns (the branch with
-    the lowest (ppl, index) as a Trial, the cursor before its last token,
-    rows read); the caller accounts for the first tokens' passes itself."""
+    on step their cursors in one model.advance call and read their next
+    rows in one model.next_distributions call. The last branch left grows
+    on alone. Returns (the branch with the lowest (ppl, index) as a Trial,
+    the cursor before its last token, rows read); the caller accounts for
+    the first tokens' passes itself."""
     # Parallel per-lane lists, rebuilt each round: (index, rng, tokens,
     # probs) of each live branch, its cursor and its next row.
     lanes = [(i, rng, [], []) for i, rng in enumerate(rngs)]
@@ -169,7 +170,7 @@ def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
     while True:
         length += 1
         capped = length >= cap  # a round's branches share their length
-        live, advanced = [], []
+        live, froms, toks = [], [], []
         for lane, cur, dist in zip(lanes, cursors, rows):
             i, rng, tokens, probs = lane
             tok = sample_token(prepare_sampling_dist(dist, config), rng)
@@ -177,7 +178,8 @@ def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
             probs.append(float(dist.probs[tok]))
             if not (capped or stops[tok]):
                 live.append(lane)
-                advanced.append(cur.advance(tok))
+                froms.append(cur)
+                toks.append(tok)
                 continue
             reason = branch_stop(tok, length, answer_len, eos, stops, config)
             nll, ppl = branch_score(probs)
@@ -186,14 +188,14 @@ def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
                 best_key, best_end = (ppl, i), cur
         if len(live) < 2:
             break
-        lanes, cursors = live, advanced
+        lanes, cursors = live, model.advance(froms, toks)
         rows = model.next_distributions(cursors)
         reads += len(cursors)
     if live:  # the last branch left: a batch of one needs no per-round lists
         (i, rng, tokens, probs), = live
-        cur = advanced[0]
+        cur, = model.advance(froms, toks)
         while True:
-            dist = cur.dist()
+            dist, = model.next_distributions([cur])
             reads += 1
             length += 1
             tok = sample_token(prepare_sampling_dist(dist, config), rng)
@@ -201,7 +203,7 @@ def _grow_trials(model: ModelSource, cursor: Cursor, first_dist: Distribution,
             probs.append(float(dist.probs[tok]))
             if stops[tok] or length >= cap:
                 break
-            cur = cur.advance(tok)
+            cur, = model.advance([cur], [tok])
         reason = branch_stop(tok, length, answer_len, eos, stops, config)
         nll, ppl = branch_score(probs)
         if best is None or (ppl, i) < best_key:
@@ -263,7 +265,7 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
         answer_len = len(tokens) - prompt_len
         if answer_len >= global_cap or (answer_len and tokens[-1] == eos):
             break
-        dist = cursor.dist()
+        dist, = model.next_distributions([cursor])
         passes += 1
         h = confidence(dist, config.confidence_measure)
         n = policy.trials(h)
@@ -273,7 +275,7 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
             tok = (greedy_token(dist) if greedy else
                    sample_token(prepare_sampling_dist(dist, config), base.derive(step, 0)))
             tokens.append(tok)
-            cursor = cursor.advance(tok)
+            cursor, = model.advance([cursor], [tok])
             generated += 1
             trace.append(StepTrace(h, 1, None, float(dist.probs[tok])))
             continue
@@ -299,7 +301,7 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
             if best is None or trial.ppl < best.ppl:
                 best, best_end = trial, end
         tokens.extend(best.tokens)
-        cursor = best_end.advance(best.tokens[-1])
+        cursor, = model.advance([best_end], [best.tokens[-1]])
         trace.append(StepTrace(h, n, best.ppl, None))
 
     cost = CostLedger(
@@ -388,23 +390,22 @@ class _Lane:
 class _Group:
     """The live lanes that hold one cursor, and so one history: their
     tokens, the token count they stop at, their multi-trial steps and their
-    trace."""
+    trace. lane_decode keeps the groups' cursors in a list beside them."""
 
-    __slots__ = ("lanes", "cursor", "tokens", "prompt_len", "limit", "high_steps", "trace")
+    __slots__ = ("lanes", "tokens", "prompt_len", "limit", "high_steps", "trace")
 
-    def __init__(self, model: ModelSource, prompt: tuple, global_cap: int):
+    def __init__(self, prompt: tuple, global_cap: int):
         self.lanes: list[_Lane] = []
-        self.cursor = model.start(prompt)
         self.tokens = list(prompt)
         self.prompt_len = len(prompt)
         self.limit = self.prompt_len + global_cap
         self.high_steps = 0
         self.trace: list[StepTrace] = []
 
-    def take(self, lanes: list[_Lane], cursor: Cursor, tokens: list, step: StepTrace,
+    def take(self, lanes: list[_Lane], tokens: list, step: StepTrace,
              high_steps: int) -> "_Group":
         """The group of lanes, self's own list or a part of it, once they
-        take tokens, arriving at cursor: self, or a new group for a part."""
+        take tokens: self, or a new group for a part."""
         group = self
         if lanes is self.lanes:
             self.tokens += tokens
@@ -417,7 +418,6 @@ class _Group:
             group.limit = self.limit
             group.high_steps = self.high_steps
             group.trace = self.trace + [step]
-        group.cursor = cursor
         group.high_steps += high_steps
         return group
 
@@ -465,10 +465,11 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     probabilities) once per decode. Every live lane's (seed, step, 0)
     uniforms are drawn a block of steps ahead (see DRAW_BLOCK), used by the
     groups that take a single token; such a group splits by the tokens its
-    lanes draw, and each part advances its cursor once and shares one
-    StepTrace. The multi-trial steps grow their trials together and split
-    their groups by winning branch (see _grow_lane_trials). Outcomes,
-    ledgers and traces equal policy_decode's bit for bit."""
+    lanes draw, and its parts share one StepTrace. The multi-trial steps
+    grow their trials together and split their groups by winning branch
+    (see _grow_lane_trials). Each step ends by stepping the cursor of every
+    group that goes on in one model.advance call. Outcomes, ledgers and
+    traces equal policy_decode's bit for bit."""
     config = policy.config
     vocab = model.vocabulary
     eos = vocab.eos_id
@@ -479,25 +480,28 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     for index, ((prompt, _), base) in enumerate(zip(lanes, bases)):
         group = starts.get(prompt.tokens)
         if group is None:
-            group = starts[prompt.tokens] = _Group(model, prompt.tokens, config.global_cap)
+            group = starts[prompt.tokens] = _Group(prompt.tokens, config.global_cap)
         group.lanes.append(_Lane(index, base))
     outcomes: list = [None] * len(lanes)
     plans = _Plans(policy)
     trace_of = tuple.__new__  # StepTrace's own __new__ is a Python call
     live = list(starts.values())
+    cursors = [model.start(prompt) for prompt in starts]
     step = block_start = block_end = 0
     block: list[float] = []
     while live:
-        rows = model.next_distributions([group.cursor for group in live])
+        rows = model.next_distributions(cursors)
         if not greedy and step == block_end:
             block_start = step
             block, block_end = _step_block(live, step)
         offset = step - block_start
-        going, parts, multis = [], [], []
-        for group, dist in zip(live, rows):
+        # The groups that go on, with the cursor each took its last token at;
+        # and the parts of the groups that split, each with that cursor.
+        going, froms, parts, multis = [], [], [], []
+        for group, cursor, dist in zip(live, cursors, rows):
             h, n, support, mass, probs = plan = plans[dist]
             if n > 1:
-                multis.append((group, plan))
+                multis.append((group, plan, cursor))
                 continue
             lanes = group.lanes
             if greedy:
@@ -508,26 +512,28 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
                 picks = [bisect_left(mass, block[lane.at + offset]) for lane in lanes]
                 j = picks[0]
                 if picks.count(j) < len(picks):
-                    parts += _split_by_token(group, picks, h, support, probs)
+                    parts += [(part, cursor)
+                              for part in _split_by_token(group, picks, h, support, probs)]
                     continue
             tok = support[j]
             tokens = group.tokens
             tokens.append(tok)
-            group.cursor = group.cursor.advance(tok)
             group.trace.append(trace_of(StepTrace, (h, 1, None, probs[j])))
             if tok != eos and len(tokens) < group.limit:
                 going.append(group)
+                froms.append(cursor)
             else:
                 group.finish(vocab, outcomes)
         if multis:
             parts += _grow_lane_trials(model, multis, step, config, stops, plans)
-        for group in parts:
+        for group, cursor in parts:
             tokens = group.tokens
             if tokens[-1] != eos and len(tokens) < group.limit:
                 going.append(group)
+                froms.append(cursor)
             else:
                 group.finish(vocab, outcomes)
-        live = going
+        live, cursors = going, model.advance(froms, [group.tokens[-1] for group in going])
         step += 1
     return outcomes
 
@@ -543,37 +549,38 @@ def _split_by_token(group: _Group, picks: list, h: float, support: list,
             parts[support[j]] = ([lane], probs[j])
         else:
             part[0].append(lane)
-    return [group.take(part, group.cursor.advance(tok), [tok],
-                       StepTrace(h, 1, None, prob), 0)
+    return [group.take(part, [tok], StepTrace(h, 1, None, prob), 0)
             for tok, (part, prob) in parts.items()]
 
 
 def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
-                      stops: tuple[bool, ...], plans: _Plans) -> list[_Group]:
-    """Run the multi-trial step of each (group, plan of its row) of steps
-    for every lane of the group, as policy_decode's step does, and return
-    the groups the lanes form after it: a group splits by winning branch.
+                      stops: tuple[bool, ...], plans: _Plans) -> list[tuple]:
+    """Run the multi-trial step of each (group, plan of its row, its
+    cursor) of steps for every lane of the group, as policy_decode's step
+    does, and return the groups the lanes form after it, each with the
+    cursor it took its last token at: a group splits by winning branch.
     Trials grow TRIAL_CHUNK per lane at a time, and all the trials of a
     chunk, over every lane, in lockstep: round 0 draws their first uniforms
     in one keyed_uniforms call, later rounds draw each live trial's next
-    rounds a block ahead (see DRAW_BLOCK), and each round reads the rows of
-    the trials that grow on in one model.next_distributions call. Round r
-    takes draw r of trial i's stream (seed, step, i), as in _grow_trials,
-    and each trial keeps branch_score's scalar sum. A trial that stops on
-    its first token is scored once per distinct token."""
+    rounds a block ahead (see DRAW_BLOCK), and each round steps the trials
+    that grow on in one model.advance call and reads their rows in one
+    model.next_distributions call. Round r takes draw r of trial i's stream
+    (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
+    scalar sum. A trial that stops on its first token is scored once per
+    distinct token."""
     # Per lane, the lanes of every step's group in turn (step k's from
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
     # running best as [(ppl, trial index), tokens, cursor before the last
     # token], and the tokens its trials drew.
     bounds = [0]
-    for group, _ in steps:
+    for group, *_ in steps:
         bounds.append(bounds[-1] + len(group.lanes))
-    step_bases = derive_bases([lane.base for group, _ in steps for lane in group.lanes], (step,))
+    step_bases = derive_bases([lane.base for group, *_ in steps for lane in group.lanes], (step,))
     bests: list = [None] * len(step_bases)
     drawn = [0] * len(step_bases)
-    for lo in range(0, max(plan[1] for _, plan in steps), TRIAL_CHUNK):
+    for lo in range(0, max(plan[1] for _, plan, _ in steps), TRIAL_CHUNK):
         chunks = [(k, range(lo, min(plan[1], lo + TRIAL_CHUNK)))
-                  for k, (_, plan) in enumerate(steps) if plan[1] > lo]
+                  for k, (_, plan, _) in enumerate(steps) if plan[1] > lo]
         draws = iter(_block_uniforms(
             [base for k, indices in chunks for base in step_bases[bounds[k]:bounds[k + 1]]
              for _ in indices],
@@ -582,14 +589,13 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
         # Per trial that grows on: (lane position, trial index, cap on its
         # length, tokens, model probabilities), then also the base of its
         # stream (seed, step, i) and where its draws start in the block of
-        # rounds; and its cursor.
-        trials, cursors = [], []
+        # rounds; and the cursor it took its last token at, and that token.
+        trials, froms, toks = [], [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
         for k, indices in chunks:
-            group, (_, _, support, mass, probs) = steps[k]
+            group, (_, _, support, mass, probs), cursor = steps[k]
             cap = min(config.branch_cap, group.limit - len(group.tokens))
-            cursor = group.cursor
             ppls: dict[int, float] = {}
             for p in range(bounds[k], bounds[k + 1]):
                 for i in indices:
@@ -597,7 +603,8 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                     tok = support[j]
                     if cap > 1 and not stops[tok]:
                         trials.append((p, i, cap, [tok], [probs[j]]))
-                        cursors.append(cursor.advance(tok))
+                        froms.append(cursor)
+                        toks.append(tok)
                         continue
                     drawn[p] += 1
                     ppl = ppls.get(tok)
@@ -607,6 +614,7 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                         bests[p] = [(ppl, i), [tok], cursor]
         bases = derive_bases([step_bases[p] for p, *_ in trials], ([i for _, i, *_ in trials],))
         trials = [trial + (base, None) for trial, base in zip(trials, bases)]
+        cursors = model.advance(froms, toks)
         length = block_end = 1
         while trials:
             rows = model.next_distributions(cursors)
@@ -615,7 +623,7 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                 block, trials, block_end = _round_block(trials, length)
             offset = length - block_start
             length += 1
-            live, advanced = [], []
+            live, froms, toks = [], [], []
             for trial, cur, dist in zip(trials, cursors, rows):
                 p, i, cap, tokens, chosen, _, at = trial
                 _, _, support, mass, probs = plans[dist]
@@ -625,15 +633,16 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                 chosen.append(probs[j])
                 if not (length >= cap or stops[tok]):
                     live.append(trial)
-                    advanced.append(cur.advance(tok))
+                    froms.append(cur)
+                    toks.append(tok)
                     continue
                 drawn[p] += length
                 ppl = branch_score(chosen)[1]
                 if bests[p] is None or (ppl, i) < bests[p][0]:
                     bests[p] = [(ppl, i), tokens, cur]
-            trials, cursors = live, advanced
+            trials, cursors = live, model.advance(froms, toks)
     out = []
-    for (group, (h, n, *_)), first in zip(steps, bounds):
+    for (group, (h, n, *_), _), first in zip(steps, bounds):
         branches: dict[tuple, list] = {}
         for p, lane in enumerate(group.lanes, first):
             (ppl, _), tokens, end = bests[p]
@@ -644,8 +653,8 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
             else:
                 branch[3].append(lane)
         whole = len(branches) == 1
-        out += [group.take(group.lanes if whole else part, end.advance(tokens[-1]), tokens,
-                           StepTrace(h, n, ppl, None), 1)
+        out += [(group.take(group.lanes if whole else part, tokens, StepTrace(h, n, ppl, None), 1),
+                 end)
                 for ppl, tokens, end, part in branches.values()]
     return out
 

@@ -20,6 +20,7 @@ from ..theory import EnumerationBudgetError, bundled_fixtures, check_theorem1, l
 from .ablation import AXES, AblationSpec, parse_values, render_table, run_ablation
 from .runner import (
     STRATEGIES,
+    WIDTH_CAP,
     ReplayMismatchError,
     parse_strategy,
     read_records,
@@ -94,8 +95,8 @@ def _add_strategy_flag(parser):
     defaults = [f"{root}:{s.default_width}" for root, s in STRATEGIES.items()
                 if s.default_width is not None]
     parser.add_argument("--strategy", default="cntp",
-                        help=" | ".join(forms) + "; n is the beam width or path count "
-                             "(default " + ", ".join(defaults) + ")")
+                        help=" | ".join(forms) + "; n is the beam width or path count, "
+                             f"1..{WIDTH_CAP} (default " + ", ".join(defaults) + ")")
 
 
 def build_parser() -> _Parser:

@@ -90,9 +90,14 @@ STRATEGIES = {
 }
 
 
+# Largest width a strategy string may name: a suite decodes a lane per path
+# and beam search scores width x |V| candidates a round.
+WIDTH_CAP = 1024
+
+
 def parse_strategy(text: str) -> tuple[str, int | None]:
-    """Strategy strings: a STRATEGIES root, with :<width> for the roots that
-    take one (beam:B, sc:n, cntp_sc:n, best_of_n:n)."""
+    """Strategy strings: a STRATEGIES root, with :<width> in 1..WIDTH_CAP
+    for the roots that take one (beam:B, sc:n, cntp_sc:n, best_of_n:n)."""
     root, sep, arg = text.partition(":")
     strategy = STRATEGIES.get(root)
     if strategy is None:
@@ -104,6 +109,8 @@ def parse_strategy(text: str) -> tuple[str, int | None]:
             raise ValueError(f"strategy parameter must be an integer: {text!r}") from exc
         if width < 1:
             raise ValueError(f"strategy parameter must be ≥ 1: {text!r}")
+        if width > WIDTH_CAP:
+            raise ValueError(f"strategy parameter must be at most {WIDTH_CAP}: {text!r}")
         return root, width
     if sep:
         raise ValueError(f"strategy {root} takes no parameter")

@@ -3,10 +3,10 @@ models, and a remote client speaking newline-delimited JSON (wires 1 to 5).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
-immutable position whose advance(tok) steps one token on and whose dist()
-reads the distribution there. next_distributions(cursors) reads several
-cursors at once. Backends emit probabilities directly; nothing here applies
-temperature or truncation.
+immutable value that only that model reads, and which it steps and reads
+in batches: advance(cursors, tokens) and next_distributions(cursors).
+Backends emit probabilities directly; nothing here applies temperature or
+truncation.
 """
 
 from __future__ import annotations
@@ -36,33 +36,14 @@ def _prefix_key(prefix) -> tuple[TokenId, ...]:
     return tuple(prefix)
 
 
-class Cursor:
-    """An immutable position in a model's token tree. advance(tok) returns
-    the position one token on; dist() reads the distribution there, which is
-    model.next_distribution of the same prefix. This generic cursor keeps
-    the whole prefix and reads through next_distribution; a backend whose
-    distribution depends on less of the prefix overrides start() with a
-    cursor that keeps only that."""
-
-    __slots__ = ("_model", "_key")
-
-    def __init__(self, model: "ModelSource", key):
-        self._model = model
-        self._key = key
-
-    def advance(self, tok: TokenId) -> "Cursor":
-        return Cursor(self._model, self._key + (tok,))
-
-    def dist(self) -> Distribution:
-        return self._model.next_distribution(self._key)
-
-
 class ModelSource(ABC):
     """Deterministic next-token distribution source.
 
     next_distribution must return an identical distribution for identical
     prefixes, and must stay consistent under concurrent calls. Decoders walk
-    the model through start(prefix) cursors.
+    the model through cursors, which start, advance and next_distributions
+    make, step and read. The generic cursor is the prefix tuple; a backend
+    whose rows depend on less of the prefix overrides all three methods.
     """
 
     vocabulary: Vocabulary
@@ -71,15 +52,20 @@ class ModelSource(ABC):
     def next_distribution(self, prefix) -> Distribution:
         """Full-vocabulary distribution after the given token prefix."""
 
-    def start(self, prefix) -> Cursor:
+    def start(self, prefix):
         """A cursor at the end of prefix (a Sequence or token ids)."""
-        return Cursor(self, _prefix_key(prefix))
+        return _prefix_key(prefix)
 
-    def next_distributions(self, cursors: list[Cursor]) -> list[Distribution]:
-        """The distribution at each of this model's cursors, in order: one
-        batch, which a backend that serves several prefixes at once answers
-        in one call."""
-        return [cursor.dist() for cursor in cursors]
+    def advance(self, cursors: list, tokens: list) -> list:
+        """Each of this model's cursors one token on, by its token in
+        tokens, in order; the cursors given stay usable."""
+        return [cursor + (tok,) for cursor, tok in zip(cursors, tokens)]
+
+    def next_distributions(self, cursors: list) -> list[Distribution]:
+        """The distribution at each of this model's cursors, in order, which
+        is next_distribution of its prefix: one batch, which a backend that
+        serves several prefixes at once answers in one call."""
+        return [*map(self.next_distribution, cursors)]
 
     def close(self) -> None:
         """Release what the backend holds open; local backends hold nothing."""
@@ -115,6 +101,10 @@ class ScriptedModel(ModelSource):
 
     def next_distribution(self, prefix) -> Distribution:
         return self.table.get(_prefix_key(prefix), self.default)
+
+    def next_distributions(self, cursors: list) -> list[Distribution]:
+        get, default = self.table.get, self.default
+        return [get(cursor, default) for cursor in cursors]
 
 
 def load_scripted_model(path: str) -> ScriptedModel:
@@ -162,6 +152,10 @@ class KGramModel(ModelSource):
     tokens of the prefix. Unseen contexts fall back to the uniform smoothed
     distribution. eos never occurs in a corpus, so its probability is always
     the smoothing floor; every context can terminate.
+
+    A cursor is the code of the last k tokens: their digits tok + 1 in base
+    |V| + 1, the last token lowest. Digit 0 is no token, so a prefix
+    shorter than k codes no context of k tokens, not even one of token 0.
     """
 
     def __init__(self, vocabulary: Vocabulary, k: int, alpha: float,
@@ -188,6 +182,10 @@ class KGramModel(ModelSource):
         # one Distribution and its sampling caches.
         self._rows: dict[bytes, Distribution] = {}
         self._unseen = self._row({})
+        self._base = len(vocabulary) + 1
+        self._span = self._base ** k  # one past the largest code
+        # The trained contexts' rows by code; any other code reads _unseen.
+        self._code_rows: dict[int, Distribution] | None = None
 
     def _row(self, bucket: dict[TokenId, int]) -> Distribution:
         size = len(self.vocabulary)
@@ -215,21 +213,25 @@ class KGramModel(ModelSource):
             dist = self._cache[context] = self._row(bucket)
         return dist
 
-    def start(self, prefix) -> Cursor:
-        return _ContextCursor(self, _prefix_key(prefix)[-self.k:])
+    def _code(self, context: tuple[TokenId, ...]) -> int:
+        return sum((tok + 1) * self._base ** i for i, tok in enumerate(reversed(context)))
 
+    def start(self, prefix) -> int:
+        key = _prefix_key(prefix)
+        size = len(self.vocabulary)
+        if key and not 0 <= min(key) <= max(key) < size:
+            raise ValueError(f"prefix {list(key)} holds token ids outside 0..{size - 1}")
+        return self._code(key[-self.k:])
 
-class _ContextCursor(Cursor):
-    """Keeps only the last k tokens, all a k-gram row depends on."""
+    def advance(self, cursors: list, tokens: list) -> list:
+        base, span = self._base, self._span
+        return [(code * base + tok + 1) % span for code, tok in zip(cursors, tokens)]
 
-    __slots__ = ()
-
-    def advance(self, tok: TokenId) -> Cursor:
-        model = self._model
-        return _ContextCursor(model, (self._key + (tok,))[-model.k:])
-
-    def dist(self) -> Distribution:
-        return self._model._context_dist(self._key)
+    def next_distributions(self, cursors: list) -> list[Distribution]:
+        if self._code_rows is None:  # built at the first read, not at load
+            self._code_rows = {self._code(c): self._context_dist(c) for c in self.counts}
+        get, unseen = self._code_rows.get, self._unseen
+        return [get(code, unseen) for code in cursors]
 
 
 def train_kgram(corpus: str, k: int, alpha: float) -> KGramModel:
@@ -317,36 +319,28 @@ def _shared_length(held: tuple, keys) -> int:
     return n
 
 
-class _RemoteCursor(Cursor):
+class _RemoteCursor:
     """A RemoteModel position: its parent cursor (None at a start) and the
     token ids after the parent's prefix, so advance copies no prefix. A
     cursor read over wire 5 also keeps the slot its row took and the
     generation of the slot table it took it in."""
 
-    __slots__ = ("_parent", "_slot", "_generation")
+    __slots__ = ("parent", "ids", "slot", "generation")
 
-    def __init__(self, model: "RemoteModel", parent: "_RemoteCursor | None",
-                 ids: tuple[TokenId, ...]):
-        self._model = model
-        self._key = ids
-        self._parent = parent
-        self._generation = None
+    def __init__(self, parent: "_RemoteCursor | None", ids: tuple[TokenId, ...]):
+        self.parent = parent
+        self.ids = ids
+        self.generation = None
 
-    def advance(self, tok: TokenId) -> "_RemoteCursor":
-        return _RemoteCursor(self._model, self, (tok,))
 
-    def dist(self) -> Distribution:
-        return self._model.next_distributions([self])[0]
-
-    def prefix(self) -> tuple[TokenId, ...]:
-        """The whole prefix, gathered up the parents in a loop, so a cursor
-        of any depth builds it without recursion."""
-        parts = []
-        cursor = self
-        while cursor is not None:
-            parts.append(cursor._key)
-            cursor = cursor._parent
-        return tuple(chain.from_iterable(reversed(parts)))
+def _remote_prefix(cursor: _RemoteCursor) -> tuple[TokenId, ...]:
+    """A remote cursor's whole prefix, gathered up its parents in a loop, so
+    a cursor of any depth builds it without recursion."""
+    parts = []
+    while cursor is not None:
+        parts.append(cursor.ids)
+        cursor = cursor.parent
+    return tuple(chain.from_iterable(reversed(parts)))
 
 
 class RemoteModel(ModelSource):
@@ -502,19 +496,19 @@ class RemoteModel(ModelSource):
         generation = self._generation
         refs, branches = [], []
         for cursor in batch:
-            parent = cursor._parent
-            if parent is not None and parent._generation is generation:
-                refs.append(parent._slot)
-                branches.append(cursor._key)
+            parent = cursor.parent
+            if parent is not None and parent.generation is generation:
+                refs.append(parent.slot)
+                branches.append(cursor.ids)
             else:
                 refs.append(-1)
-                branches.append(cursor.prefix())
+                branches.append(_remote_prefix(cursor))
         if self._table_size + len(batch) > SLOT_CAP:
             self._generation = generation = object()
             self._table_size = 0
         for slot, cursor in enumerate(batch, self._table_size):
-            cursor._slot = slot
-            cursor._generation = generation
+            cursor.slot = slot
+            cursor.generation = generation
         self._table_size += len(batch)
         return {"slots": refs, "branches": branches, "rows": True}
 
@@ -553,7 +547,10 @@ class RemoteModel(ModelSource):
         return [table[i] for i in ids]
 
     def start(self, prefix) -> _RemoteCursor:
-        return _RemoteCursor(self, None, _prefix_key(prefix))
+        return _RemoteCursor(None, _prefix_key(prefix))
+
+    def advance(self, cursors: list[_RemoteCursor], tokens: list) -> list[_RemoteCursor]:
+        return [_RemoteCursor(cursor, (tok,)) for cursor, tok in zip(cursors, tokens)]
 
     def next_distribution(self, prefix) -> Distribution:
         return self.next_distributions([self.start(prefix)])[0]
@@ -561,7 +558,7 @@ class RemoteModel(ModelSource):
     def next_distributions(self, cursors: list[_RemoteCursor]) -> list[Distribution]:
         with self._lock:
             if self._wire < 5:  # a wire-4 server is spoken to as a wire-3 one
-                return self._fetch([cursor.prefix() for cursor in cursors])
+                return self._fetch([*map(_remote_prefix, cursors)])
             rows: list[Distribution] = []
             while len(rows) < len(cursors):
                 rows += self._ask_ids(cursors[len(rows):len(rows) + BRANCHES_CAP])
@@ -640,7 +637,7 @@ def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
     return [prefix], prefix
 
 
-def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list[Cursor],
+def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list,
                        model: ModelSource):
     """The model cursors a request names, the prefix the connection holds
     once they are answered, and whether the reply names rows by id. A wire-4
@@ -666,15 +663,14 @@ def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list[Cur
                             f"and {len(branches)}")
     if not -1 <= min(refs) <= max(refs) < len(table):
         raise ProtocolError(f"request: slots must be in -1..{len(table) - 1}")
-    cursors = []
-    for ref, ids in zip(refs, branches):
-        if ref < 0:
-            cursors.append(model.start(ids))
-            continue
-        cursor = table[ref]
-        for tok in ids:
-            cursor = cursor.advance(tok)
-        cursors.append(cursor)
+    cursors = [table[ref] if ref >= 0 else model.start(ids) for ref, ids in zip(refs, branches)]
+    # The branches off slots step on together, a token of each per call.
+    grow = [n for n, ref in enumerate(refs) if ref >= 0]
+    for depth in range(max((len(branches[n]) for n in grow), default=0)):
+        grow = [n for n in grow if len(branches[n]) > depth]
+        stepped = model.advance([cursors[n] for n in grow], [branches[n][depth] for n in grow])
+        for n, cursor in zip(grow, stepped):
+            cursors[n] = cursor
     return cursors, held, by_id
 
 
@@ -743,7 +739,7 @@ class ModelServer:
         model = self._model
         vocab = model.vocabulary
         held = None  # the prefix of this connection's last answered wire 1-3 request
-        table: list[Cursor] = []  # the model's cursor at each answered row, in answer order
+        table: list = []  # the model's cursor at each answered row, in answer order
         sent: dict[Distribution, int] = {}  # the id of each row a wire-5 reply sent
         try:
             with conn, conn.makefile("rwb") as fh:

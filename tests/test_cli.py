@@ -15,7 +15,9 @@ import cntp
 from cntp import DecodeConfig, ModelServer, config_to_dict
 from cntp.harness import (AblationSpec, build_fixture_suite, bundled_path, load_tasks,
                            resolve_model, run_ablation, run_one, run_suite)
+from cntp.harness import runner
 from cntp.harness.cli import main
+from cntp.harness.runner import WIDTH_CAP, parse_strategy
 
 
 def _only_record(out_dir) -> dict:
@@ -255,6 +257,30 @@ def test_replay_line_selection_errors(tmp_path, capsys):
 def test_error_exit_codes(argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decode", "suite"])
+@pytest.mark.parametrize("strategy", ["beam:1025", "sc:1025", "cntp_sc:2048", "best_of_n:1025"])
+def test_a_width_past_the_cap_exits_1_before_decoding(command, strategy, capsys, monkeypatch):
+    """Every root that takes a width rejects one past WIDTH_CAP, in decode
+    and suite alike, with the cap in the message and nothing decoded. The
+    widths stay near the cap: a width without a bound builds one seed and
+    one lane per path, so a huge one exhausts memory."""
+    assert WIDTH_CAP == 1024
+    for decoder in ("lane_decode", "beam_search_decode", "stochastic_decode", "cntp_decode",
+                    "best_of_n_whole_ppl"):
+        monkeypatch.setattr(runner, decoder, _no_decode)
+    inputs = (["--prompt", "the"] if command == "decode"
+              else ["--tasks", "bundled:kgram", "--seeds", "0"])
+    assert main([command, "--model", "bundled:kgram", "--config", "bundled:kgram", *inputs,
+                 "--strategy", strategy, "--out", ""]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"strategy parameter must be at most {WIDTH_CAP}" in err
+    assert parse_strategy(strategy.split(":")[0] + f":{WIDTH_CAP}")[1] == WIDTH_CAP
+
+
+def _no_decode(*args):
+    raise AssertionError("decoded a run past the width cap")
 
 
 @pytest.mark.parametrize("config", [

@@ -232,7 +232,8 @@ def _sample_branch(model, prefix, config):
     """One branch after prefix, grown the way cntp_decode grows its trials."""
     vocab = model.vocabulary
     cursor = model.start(prefix)
-    trial, _, _ = _grow_trials(model, cursor, cursor.dist(), config, [Rng(0)], 0,
+    row, = model.next_distributions([cursor])
+    trial, _, _ = _grow_trials(model, cursor, row, config, [Rng(0)], 0,
                                vocab.eos_id, stop_mask(vocab, config.punctuation))
     return trial
 

@@ -238,7 +238,7 @@ def test_remote_wire_5_reply_lines(lines):
         with RemoteModel(address) as remote:
             root = remote.start(())
             try:
-                remote.next_distributions([root, root.advance(0)])
+                remote.next_distributions([root, *remote.advance([root], [0])])
             except ProtocolError:
                 pass
     with _stub_server(payload) as address:

@@ -131,7 +131,7 @@ def test_strategy_strings():
     assert parse_strategy("beam") == ("beam", 4)
     assert parse_strategy("sc") == ("sc", 5)
     assert parse_strategy("cntp") == ("cntp", None)
-    for bad in ("greedy:2", "beam:x", "beam:0", "mystery"):
+    for bad in ("greedy:2", "beam:x", "beam:0", "mystery", "beam:1025", "sc:99999999999"):
         with pytest.raises(ValueError):
             parse_strategy(bad)
     assert canonical_strategy("sc") == "sc:5"

@@ -40,6 +40,7 @@ from cntp import (
     load_scripted_model,
     save_kgram_model,
     save_scripted_model,
+    stochastic_decode,
     train_kgram,
 )
 from cntp import models
@@ -73,6 +74,18 @@ def test_scripted_accepts_prefix_in_any_shape(tiny_model):
     assert tiny_model.next_distribution(Sequence((0,), "a")) is as_tuple
 
 
+def _read(model, cursor):
+    """The distribution at one of model's cursors."""
+    return model.next_distributions([cursor])[0]
+
+
+def _stepped(model, cursor, *tokens):
+    """One of model's cursors stepped on by tokens, one advance call each."""
+    for tok in tokens:
+        cursor, = model.advance([cursor], [tok])
+    return cursor
+
+
 # Cursors are checked against next_distribution on: a random scripted model
 # whose rows run three tokens deep, the bundled k-gram model (k=3) and a
 # k=2 model trained here, whose unseen contexts share one row.
@@ -90,15 +103,17 @@ def test_cursor_reads_what_next_distribution_reads(which, data):
     ids = st.integers(0, len(model.vocabulary) - 1)
     prefix = tuple(data.draw(st.lists(ids, max_size=8), label="prefix"))
     walk = data.draw(st.lists(ids, min_size=1, max_size=8), label="walk")
-    assert model.start(prefix).dist() is model.next_distribution(prefix)
+    assert _read(model, model.start(prefix)) is model.next_distribution(prefix)
     # start accepts a prefix in any shape, as next_distribution does
-    assert model.start(list(prefix)).dist() is model.next_distribution(prefix)
+    assert _read(model, model.start(list(prefix))) is model.next_distribution(prefix)
     cursor = model.start(prefix)
     for tok in walk:
-        advanced = cursor.advance(tok)
+        advanced, forked = model.advance([cursor, cursor], [tok, tok])
         prefix += (tok,)
-        assert advanced.dist() is model.next_distribution(prefix)
-        assert cursor.advance(tok).dist() is advanced.dist()  # immutable: forks agree
+        assert _read(model, advanced) is model.next_distribution(prefix)
+        # immutable: forks agree, read alone or in one batch
+        assert model.next_distributions([forked, advanced]) == [_read(model, advanced)] * 2
+        assert _read(model, forked) is _read(model, advanced)
         cursor = advanced
 
 
@@ -257,6 +272,54 @@ def test_kgram_unseen_contexts_share_one_row():
     assert unseen.probs.tolist() == pytest.approx([1 / 3] * 3, abs=1e-12)
     model.next_distribution((a, b))
     assert set(model._cache) == {(a, b)}  # only trained contexts are cached
+    # A 3072-token stochastic decode of a longgen prompt, read through
+    # cursors, meets unseen contexts and keeps nothing for them: the model
+    # holds a row and a code for each trained context, and nothing per
+    # unseen one.
+    model = load_kgram_model(bundled_path("kgram.kgram"))
+    vocab, k = model.vocabulary, model.k
+    prompt = vocab.sequence(vocab.encode(load_tasks(bundled_path("kgram.tasks"))[0].prompt))
+    config = dataclasses.replace(load_config(bundled_path("kgram.config.json")), global_cap=3072)
+    tokens = stochastic_decode(model, prompt, config).sequence.tokens
+    assert len(tokens) == len(prompt.tokens) + 3072
+    met = {tokens[i - k:i] for i in range(k, len(tokens))}
+    assert len(met - set(model.counts)) > 100
+    assert set(model._cache) == set(model.counts)
+    assert set(model._code_rows) == {model._code(context) for context in model.counts}
+    assert len(model._rows) <= len(model.counts) + 1  # with the unseen row
+
+
+_CODE_CORPUS = "abcab. bca? cab. ab ba  a.b"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_kgram_cursor_codes_read_the_context_they_stand_for(k, data):
+    """A k-gram cursor codes its last k tokens, digit tok + 1 each: one
+    stepped on by a token reads next_distribution of the prefix plus that
+    token, for a prefix that is empty, shorter than k, starts with id 0 or
+    is longer than k. Id 0 starts trained contexts here, so a code without
+    the + 1 would read one of them for a prefix shorter than k."""
+    model = train_kgram(_CODE_CORPUS, k, 0.5)
+    ids = st.integers(0, len(model.vocabulary) - 1)
+    corpus = model.vocabulary.encode(_CODE_CORPUS)
+    window = st.builds(lambda at, n: tuple(corpus[at:at + n]),
+                       st.integers(0, len(corpus) - 1), st.integers(0, 2 * k))
+    prefix = data.draw(st.one_of(st.lists(ids, max_size=2 * k).map(tuple), window,
+                                 window.map(lambda p: (0,) + p)), label="prefix")
+    tok = data.draw(ids, label="tok")
+    cursor = model.start(prefix)
+    assert model.next_distributions([cursor])[0] is model.next_distribution(prefix)
+    stepped = model.advance([cursor], [tok])
+    assert model.next_distributions(stepped)[0] is model.next_distribution(prefix + (tok,))
+
+
+def test_kgram_start_rejects_ids_outside_the_vocabulary():
+    model = train_kgram(_CODE_CORPUS, 2, 0.5)
+    size = len(model.vocabulary)
+    for prefix in ((size,), (0, -1), (size, 0, 1)):
+        with pytest.raises(ValueError, match=rf"outside 0\.\.{size - 1}"):
+            model.start(prefix)
 
 
 def test_kgram_contexts_with_equal_counts_share_one_row():
@@ -1185,13 +1248,13 @@ def test_client_names_each_cursor_by_its_parents_slot():
     with RemoteModel(address) as remote:
         assert remote._wire == 5
         root = remote.start((0, 1))
-        row = root.dist()  # slot 0
-        one, zero = root.advance(1), root.advance(0)
+        row = _read(remote, root)  # slot 0
+        one, zero = remote.advance([root, root], [1, 0])
         rows = remote.next_distributions([one, zero, remote.start((1,))])  # slots 1-3
         assert rows == [row] * 3 and rows[0] is row  # one Distribution per row id
-        one.advance(0).dist()  # slot 4
+        _read(remote, _stepped(remote, one, 0))  # slot 4
         remote.next_distribution((1,))  # a prefix starts a cursor of its own: whole
-        one.advance(0).advance(1).dist()  # its parent was never read: whole
+        _read(remote, _stepped(remote, one, 0, 1))  # its parent was never read: whole
     assert requests == [
         {"slots": [-1], "branches": [[0, 1]], "rows": True},
         {"slots": [0, 0, -1], "branches": [[1], [0], [1]], "rows": True},
@@ -1207,13 +1270,13 @@ def test_client_starts_a_slot_generation_when_the_servers_table_clears(monkeypat
         [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (2, 1, 1, 1)], _HELLO_5)
     with RemoteModel(address) as remote:
         root = remote.start((0,))
-        root.dist()
-        one, zero = root.advance(1), root.advance(0)
+        _read(remote, root)
+        one, zero = remote.advance([root, root], [1, 0])
         remote.next_distributions([one, zero])  # 3 slots: the cap
-        grown = one.advance(1)
-        grown.dist()  # past it: a new generation, in which this takes slot 0
-        zero.advance(0).dist()  # zero's slot is of the old generation
-        grown.advance(1).dist()
+        grown = _stepped(remote, one, 1)
+        _read(remote, grown)  # past it: a new generation, in which this takes slot 0
+        _read(remote, _stepped(remote, zero, 0))  # zero's slot is of the old generation
+        _read(remote, _stepped(remote, grown, 1))
     assert requests == [
         {"slots": [-1], "branches": [[0]], "rows": True},
         {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
@@ -1229,17 +1292,17 @@ def test_client_drops_its_slots_and_row_ids_on_an_error_line_and_closes_on_a_bad
          b'{"probs": [0.5, 0.25]}\n' + _ids_line([1], 1)], _HELLO_5)
     with RemoteModel(address) as remote:
         root = remote.start((0,))
-        root.dist()
+        _read(remote, root)
         with pytest.raises(ProtocolError, match="server error: no rows"):
-            remote.next_distributions([root.advance(1), root.advance(0)])
+            remote.next_distributions(remote.advance([root, root], [1, 0]))
         assert remote._by_id == []  # the server dropped its row ids too
-        one = root.advance(1)
-        one.dist()  # root's slot went with the error: whole again
+        one = _stepped(remote, root, 1)
+        _read(remote, one)  # root's slot went with the error: whole again
         # A new row the client cannot hold leaves the row table out of step.
         with pytest.raises(ProtocolError, match="failed validation"):
-            one.advance(1).dist()
+            _read(remote, _stepped(remote, one, 1))
         with pytest.raises(ProtocolError, match="connection failed"):
-            one.advance(0).dist()
+            _read(remote, _stepped(remote, one, 0))
     assert requests == [
         {"slots": [-1], "branches": [[0]], "rows": True},
         {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
@@ -1275,9 +1338,9 @@ def test_client_closes_the_connection_on_a_bad_wire_5_reply(reply, error):
     with RemoteModel(address) as remote:
         root = remote.start((0,))
         with pytest.raises(ProtocolError, match=error):
-            remote.next_distributions([root, root.advance(1)])
+            remote.next_distributions([root, _stepped(remote, root, 1)])
         with pytest.raises(ProtocolError, match="connection failed"):
-            root.dist()
+            _read(remote, root)
 
 
 def test_client_checks_that_new_rows_keep_the_table_within_row_cache(monkeypatch):
@@ -1304,15 +1367,13 @@ def test_a_deep_cursor_whose_parent_is_stale_sends_its_whole_prefix(monkeypatch)
     model = load_kgram_model(bundled_path("kgram.kgram"))
     tokens = tuple(i % len(model.vocabulary) for i in range(5000))
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        parent = remote.start(())
-        for tok in tokens[:-1]:
-            parent = parent.advance(tok)
-        parent.dist()  # slot 0, the whole table
+        parent = _stepped(remote, remote.start(()), *tokens[:-1])
+        _read(remote, parent)  # slot 0, the whole table
         remote.next_distribution(())  # the table clears: parent's slot is stale
         sent = []
         exchange = remote._exchange
         remote._exchange = lambda request=b"": sent.append(request) or exchange(request)
-        row = parent.advance(tokens[-1]).dist()
+        row = _read(remote, _stepped(remote, parent, tokens[-1]))
     assert row.probs.tobytes() == model.next_distribution(tokens).probs.tobytes()
     assert json.loads(sent[0]) == {"slots": [-1], "branches": [list(tokens)], "rows": True}
 
@@ -1448,7 +1509,8 @@ def _longest_trials_less_one(model, prompt, config, outcome) -> int:
             at += 1
             continue
         cursor = model.start(tokens[:at])
-        trials = [_grow_trials(model, cursor, cursor.dist(), config, [base.derive(step, i)],
+        row = _read(model, cursor)
+        trials = [_grow_trials(model, cursor, row, config, [base.derive(step, i)],
                                at - start, vocab.eos_id, stops)[::2]
                   for i in range(trace.n_trials)]
         total += max(reads for _, reads in trials)
