@@ -1,5 +1,5 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON (wires 1 to 5).
+models, and a remote client speaking newline-delimited JSON (wire 5).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
@@ -79,7 +79,9 @@ class ModelSource(ABC):
 
 class ScriptedModel(ModelSource):
     """Finite lookup-table model: rows keyed by exact token prefix, with a
-    required default row for anything unlisted."""
+    required default row for anything unlisted. The default row answers
+    every unlisted prefix, one holding ids outside the vocabulary included:
+    a read checks no id, so the oracle's tree walk pays no check per node."""
 
     def __init__(self, vocabulary: Vocabulary, table: dict, default: Distribution):
         size = len(vocabulary)
@@ -176,8 +178,6 @@ class KGramModel(ModelSource):
         self.k = k
         self.alpha = alpha
         self.counts = counts
-        # Trained contexts only: every unseen context shares one row.
-        self._cache: dict[tuple[TokenId, ...], Distribution] = {}
         # Built rows by their bytes, so that contexts with equal rows share
         # one Distribution and its sampling caches.
         self._rows: dict[bytes, Distribution] = {}
@@ -202,16 +202,7 @@ class KGramModel(ModelSource):
         return dist
 
     def next_distribution(self, prefix) -> Distribution:
-        return self._context_dist(_prefix_key(prefix)[-self.k:])
-
-    def _context_dist(self, context: tuple[TokenId, ...]) -> Distribution:
-        dist = self._cache.get(context)
-        if dist is None:
-            bucket = self.counts.get(context)
-            if bucket is None:
-                return self._unseen
-            dist = self._cache[context] = self._row(bucket)
-        return dist
+        return self.next_distributions([self.start(prefix)])[0]
 
     def _code(self, context: tuple[TokenId, ...]) -> int:
         return sum((tok + 1) * self._base ** i for i, tok in enumerate(reversed(context)))
@@ -229,7 +220,7 @@ class KGramModel(ModelSource):
 
     def next_distributions(self, cursors: list) -> list[Distribution]:
         if self._code_rows is None:  # built at the first read, not at load
-            self._code_rows = {self._code(c): self._context_dist(c) for c in self.counts}
+            self._code_rows = {self._code(c): self._row(b) for c, b in self.counts.items()}
         get, unseen = self._code_rows.get, self._unseen
         return [get(code, unseen) for code in cursors]
 
@@ -283,13 +274,13 @@ def load_kgram_model(path: str) -> KGramModel:
         raise ModelFileError(f"{path}: bad k-gram file: {exc}") from exc
 
 
-# The wire protocol's version; README, "Wire protocol", describes all five.
+# The wire protocol's version; README, "Wire protocol", describes it.
 WIRE_VERSION = 5
-# Most branches one wire-3, wire-4 or wire-5 request may name; the client
-# splits larger batches.
+# Most branches one wire-5 request may name; the client splits larger
+# batches.
 BRANCHES_CAP = 64
-# Slots a wire-4 connection's table holds: a batch that would take it past
-# the cap clears it first, on the server and in the client's count alike.
+# Slots a connection's table holds: a batch that would take it past the cap
+# clears it first, on the server and in the client's count alike.
 SLOT_CAP = 1024
 # Most connections a ModelServer serves at once; one past it gets an error
 # line as its hello and is closed.
@@ -297,10 +288,9 @@ CONNECTION_CAP = 64
 # Longest request or reply line, newline included. A reply row takes at most
 # 25 bytes a token, so this fits a vocabulary of 670 000 tokens.
 LINE_CAP = 1 << 24
-# Rows the client interns by reply line, and reply lines the server keeps by
-# row; past it the oldest entry goes. Also the most row ids a wire-5
-# connection numbers before both ends clear them; it must be at least
-# BRANCHES_CAP, so that one request's rows always fit.
+# Reply lines the server keeps by row; past it the oldest entry goes. Also
+# the most row ids a connection numbers before both ends clear them; it must
+# be at least BRANCHES_CAP, so that one request's rows always fit.
 ROW_CACHE = 1024
 
 
@@ -310,20 +300,11 @@ def _remember(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-def _shared_length(held: tuple, keys) -> int:
-    """How many leading tokens held shares with every one of keys."""
-    n = len(held)
-    for key in keys:
-        if key[:n] != held[:n]:  # most keys extend or repeat held
-            n = next((i for i, (x, y) in enumerate(zip(held, key)) if x != y), len(key))
-    return n
-
-
 class _RemoteCursor:
     """A RemoteModel position: its parent cursor (None at a start) and the
     token ids after the parent's prefix, so advance copies no prefix. A
-    cursor read over wire 5 also keeps the slot its row took and the
-    generation of the slot table it took it in."""
+    cursor that was read also keeps the slot its row took and the generation
+    of the slot table it took it in."""
 
     __slots__ = ("parent", "ids", "slot", "generation")
 
@@ -347,8 +328,8 @@ class RemoteModel(ModelSource):
     """Client for the line-delimited JSON protocol.
 
     On connect the server sends one hello record with the vocabulary and the
-    wire version it speaks. To a wire-5 server every request, batch or
-    single, is one {"slots": [s, ...], "branches": [[ids], ...], "rows":
+    wire version it speaks, which must be 5 or later. Every request, batch
+    or single, is one {"slots": [s, ...], "branches": [[ids], ...], "rows":
     true} request. Each cursor keeps the slot its row took in the server's
     table and that table's generation, which the SLOT_CAP clear and any
     error line end: a cursor whose parent was read in the current
@@ -358,15 +339,6 @@ class RemoteModel(ModelSource):
     then {"rows": [id, ...], "at": n}. The client keeps those rows in a list
     by id, so a row is parsed and validated once and keeps its sampling
     caches.
-    To an older server each request names prefixes, and the reply is one
-    {"probs": [...]} line per prefix. To a wire-2 server a request names it
-    as a delta on the prefix the server holds, that of the last request
-    answered, {"keep": n, "append": [ids]}; otherwise, and after any error,
-    it sends {"prefix": [ids]}. To a wire-3 or wire-4 server
-    next_distributions sends a batch of prefixes as one {"keep": n,
-    "branches": [[ids], ...]} request, answered with one row line per
-    branch; to an older one, one request per prefix. Equal reply lines from
-    these servers give the same Distribution.
     Requests are serialized per connection; every record is type-checked.
     """
 
@@ -382,10 +354,8 @@ class RemoteModel(ModelSource):
         _no_delay(self._sock)
         self._file = self._sock.makefile("rwb")
         self._lock = threading.Lock()
-        self._rows: dict[bytes, Distribution] = {}  # wires 1-4: rows by reply line
-        self._held: tuple[TokenId, ...] | None = None  # the prefix the server holds
-        # Wire 5: the rows the server sent, by id; the generation of its slot
-        # table, and the number of slots that table holds.
+        # The rows the server sent, by id; the generation of its slot table,
+        # and the number of slots that table holds.
         self._by_id: list[Distribution] = []
         self._generation = object()
         self._table_size = 0
@@ -393,8 +363,12 @@ class RemoteModel(ModelSource):
             hello = self._record(self._exchange())
             where = f"{address}: hello record"
             fields = check_fields(hello, {"tokens": "[str]", "eos": "int"}, ProtocolError, where)
-            wire = check_fields(hello, {"wire": "int"}, ProtocolError, where, optional=True)
-            self._wire = wire.get("wire", 1)
+            # A hello without a version is a wire-1 server's.
+            wire = check_fields(hello, {"wire": "int"}, ProtocolError, where,
+                                optional=True).get("wire", 1)
+            if wire < WIRE_VERSION:
+                raise ProtocolError(f"{where}: the server speaks wire {wire}; this client "
+                                    f"speaks wire {WIRE_VERSION}")
             try:
                 self.vocabulary = Vocabulary(fields["tokens"], fields["eos"])
             except ValueError as exc:
@@ -442,52 +416,6 @@ class RemoteModel(ModelSource):
                                 f"vocabulary has {len(self.vocabulary)}")
         return dist
 
-    def _row(self, line: bytes) -> Distribution:
-        dist = self._rows.get(line)
-        if dist is None:
-            dist = self._validated(self._record(line))
-            _remember(self._rows, line, dist)
-        return dist
-
-    def _ask(self, request: dict, count: int) -> list[Distribution]:
-        """Send a wire 1-3 request and read its count reply rows. A server
-        answers a request it cannot serve with one error line; any other
-        failure before the last row leaves reply lines unread, so it closes
-        the connection."""
-        rows: list[Distribution] = []
-        line = self._exchange(json_line(request).encode())
-        while True:
-            try:
-                rows.append(self._row(line))
-            except ProtocolError:
-                if len(rows) + 1 < count and (rows or not _is_error_line(line)):
-                    self.close()
-                raise
-            if len(rows) == count:
-                return rows
-            line = self._exchange()
-
-    def _fetch(self, keys: list[tuple[TokenId, ...]]) -> list[Distribution]:
-        """The rows of keys, in order, in as few wire 1-3 requests as the
-        server's wire version allows. The caller holds the lock."""
-        rows: list[Distribution] = []
-        while len(rows) < len(keys):
-            key = keys[len(rows)]
-            held, self._held = self._held, None  # unknown until this request is answered
-            if held is None or self._wire < 2:
-                request, batch, after = {"prefix": key}, 1, key
-            elif self._wire < 3 or len(rows) + 1 == len(keys):
-                keep = _shared_length(held, (key,))
-                request, batch, after = {"keep": keep, "append": key[keep:]}, 1, key
-            else:
-                branches = keys[len(rows):len(rows) + BRANCHES_CAP]
-                keep = _shared_length(held, branches)
-                request = {"keep": keep, "branches": [k[keep:] for k in branches]}
-                batch, after = len(branches), held[:keep]
-            rows += self._ask(request, batch)
-            self._held = after
-        return rows
-
     def _named(self, batch: list[_RemoteCursor]) -> dict:
         """The wire-5 request for batch. Each cursor goes as its parent's
         slot plus its token when the parent was read in the current
@@ -513,7 +441,7 @@ class RemoteModel(ModelSource):
         return {"slots": refs, "branches": branches, "rows": True}
 
     def _ask_ids(self, batch: list[_RemoteCursor]) -> list[Distribution]:
-        """Send batch's wire-5 request and read its reply: a row line for
+        """Send batch's request and read its reply: a row line for
         each row new to the connection, then the ids line. An error line
         first means the server dropped every slot and row id, so the client
         does too and keeps the connection. Any other failure leaves the row
@@ -557,8 +485,6 @@ class RemoteModel(ModelSource):
 
     def next_distributions(self, cursors: list[_RemoteCursor]) -> list[Distribution]:
         with self._lock:
-            if self._wire < 5:  # a wire-4 server is spoken to as a wire-3 one
-                return self._fetch([*map(_remote_prefix, cursors)])
             rows: list[Distribution] = []
             while len(rows) < len(cursors):
                 rows += self._ask_ids(cursors[len(rows):len(rows) + BRANCHES_CAP])
@@ -576,7 +502,7 @@ class RemoteModel(ModelSource):
 def _no_delay(sock: socket.socket) -> None:
     """Send each flushed line at once. Without it a request or reply past
     one segment waits for the peer's delayed ACK (Nagle's algorithm): a
-    32-branch wire-3 round trip took 44 ms, against 0.4 ms with it."""
+    round trip of 32 row lines took 44 ms, against 0.4 ms with it."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
@@ -588,21 +514,13 @@ def _is_error_line(line: bytes) -> bool:
     return type(record) is dict and "error" in record
 
 
-def _kept(held: tuple[TokenId, ...] | None, keep: int) -> tuple[TokenId, ...]:
-    if held is None:
-        raise ProtocolError("request: keep needs an answered request before it")
-    if not 0 <= keep <= len(held):
-        raise ProtocolError(f"request: keep must be in 0..{len(held)}, got {keep}")
-    return held[:keep]
-
-
 def _check_ids(ids: list, size: int) -> None:
     if ids and not 0 <= min(ids) <= max(ids) < size:
         raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
 
 
 def _check_branches(branches: list, size: int) -> None:
-    """Check a wire 3-5 request's branches: 1..BRANCHES_CAP lists of token
+    """Check a wire-5 request's branches: 1..BRANCHES_CAP lists of token
     ids."""
     if not 1 <= len(branches) <= BRANCHES_CAP:
         raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
@@ -613,47 +531,21 @@ def _check_branches(branches: list, size: int) -> None:
     _check_ids(ids, size)
 
 
-def _requested_prefixes(record, held: tuple[TokenId, ...] | None, size: int):
-    """The prefixes a wire 1-3 request names, and the prefix the connection
-    holds once they are answered. held is the prefix of the connection's
-    last answered request of these forms (None before one); a request names
-    one prefix whole, one as a delta on held, or a batch of branches off
-    held[:keep], after which the connection holds held[:keep]."""
-    if type(record) is dict and "branches" in record:
-        fields = check_fields(record, {"keep": "int", "branches": "[list]"}, ProtocolError,
-                              "request", closed=True)
-        base, branches = _kept(held, fields["keep"]), fields["branches"]
-        _check_branches(branches, size)
-        return [base + tuple(branch) for branch in branches], base
-    if type(record) is dict and "keep" in record:
-        fields = check_fields(record, {"keep": "int", "append": "[int]"}, ProtocolError,
-                              "request", closed=True)
-        base, ids = _kept(held, fields["keep"]), fields["append"]
-    else:
-        ids = check_fields(record, {"prefix": "[int]"}, ProtocolError, "request")["prefix"]
-        base = ()
-    _check_ids(ids, size)
-    prefix = base + tuple(ids)
-    return [prefix], prefix
-
-
-def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list,
-                       model: ModelSource):
-    """The model cursors a request names, the prefix the connection holds
-    once they are answered, and whether the reply names rows by id. A wire-4
-    request names each branch as slot s of table plus the ids after it, or
-    as slot -1 plus the whole prefix, and leaves held as it was; "rows":
-    true makes it a wire-5 request. The older forms name prefixes (see
-    _requested_prefixes)."""
+def _requested_cursors(record, table: list, model: ModelSource):
+    """The model cursors a request names, and whether the reply names rows
+    by id. {"prefix": [ids]}, with no other field, names one prefix whole,
+    answered with its row line. A wire-5 request names each branch as slot s
+    of table plus the ids after it, or as slot -1 plus the whole prefix, and
+    carries "rows": true."""
     size = len(model.vocabulary)
-    if type(record) is not dict or "slots" not in record:
-        if type(record) is dict and "rows" in record:
-            raise ProtocolError("request: rows goes only with slots")
-        prefixes, after = _requested_prefixes(record, held, size)
-        return [model.start(prefix) for prefix in prefixes], after, False
-    by_id = "rows" in record
-    if by_id and record.pop("rows") is not True:
-        raise ProtocolError("request: rows must be true")
+    if type(record) is dict and "prefix" in record:
+        ids = check_fields(record, {"prefix": "[int]"}, ProtocolError, "request",
+                           closed=True)["prefix"]
+        _check_ids(ids, size)
+        return [model.start(ids)], False
+    if type(record) is dict and record.pop("rows", None) is not True:
+        raise ProtocolError('request: expected {"prefix": [ids]} alone, or "slots", '
+                            '"branches" and "rows": true')
     fields = check_fields(record, {"slots": "[int]", "branches": "[list]"}, ProtocolError,
                           "request", closed=True)
     refs, branches = fields["slots"], fields["branches"]
@@ -671,7 +563,7 @@ def _requested_cursors(record, held: tuple[TokenId, ...] | None, table: list,
         stepped = model.advance([cursors[n] for n in grow], [branches[n][depth] for n in grow])
         for n, cursor in zip(grow, stepped):
             cursors[n] = cursor
-    return cursors, held, by_id
+    return cursors, True
 
 
 class ModelServer:
@@ -680,9 +572,10 @@ class ModelServer:
     serves at most CONNECTION_CAP connections at once; one past the cap gets
     a single error line and is closed, and a place frees when a client
     hangs up. Each connection keeps the model's cursor at every row it
-    answered, up to SLOT_CAP of them, as the slots wire-4 requests name,
-    and numbers the rows it sent wire-5 replies, up to ROW_CACHE of them;
-    an error line drops both."""
+    answered, up to SLOT_CAP of them, as the slots wire-5 requests name,
+    and numbers the rows it sent them, up to ROW_CACHE of them; an error
+    line drops both. A {"prefix": [ids]} line, which a person can type, is
+    answered with its row line."""
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
@@ -738,7 +631,6 @@ class ModelServer:
     def _serve_one(self, conn: socket.socket) -> None:
         model = self._model
         vocab = model.vocabulary
-        held = None  # the prefix of this connection's last answered wire 1-3 request
         table: list = []  # the model's cursor at each answered row, in answer order
         sent: dict[Distribution, int] = {}  # the id of each row a wire-5 reply sent
         try:
@@ -754,19 +646,17 @@ class ModelServer:
                         fh.flush()
                         return
                     try:
-                        cursors, after, by_id = _requested_cursors(
-                            parse_json(line, ProtocolError, "request"), held, table, model)
+                        cursors, by_id = _requested_cursors(
+                            parse_json(line, ProtocolError, "request"), table, model)
                         # Every row before the first line goes out: a model that
                         # fails on one branch gets the request one error line.
                         rows = model.next_distributions(cursors)
                         replies = (self._rows_reply(rows, sent) if by_id
                                    else [*map(self._reply, rows)])
-                        held = after
                         if len(table) + len(cursors) > SLOT_CAP:
                             table.clear()
                         table += cursors
                     except Exception as exc:  # a bad request or a failing model: report it
-                        held = None
                         table.clear()
                         sent.clear()
                         replies = [json_line({"error": str(exc)}).encode()]

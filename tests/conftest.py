@@ -1,6 +1,5 @@
 """Shared test fixtures: the bundled verification fixtures, the synthetic
-task suites, a seeded random scripted-model factory, and a ModelServer
-held to an older wire.
+task suites and a seeded random scripted-model factory.
 
 Acceptance tests register one summary line per criterion; the terminal
 summary hook prints them after the run so the pass/fail lines survive
@@ -18,8 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cntp import DecodeConfig, Distribution, ProtocolError, ScriptedModel, Vocabulary
-from cntp import models
+from cntp import DecodeConfig, Distribution, ScriptedModel, Vocabulary
 from cntp.harness import build_fixture_suite, build_kgram_suite
 from cntp.theory import bundled_fixtures, check_theorem1
 
@@ -121,21 +119,3 @@ def plain_config():
     model's rows exactly."""
     return DecodeConfig(temperature=1.0, top_p=1.0)
 
-
-# The request field each wire version added to the protocol.
-_WIRE_FIELDS = {2: "keep", 3: "branches", 4: "slots", 5: "rows"}
-
-
-def serve_wire(monkeypatch, wire: int) -> None:
-    """Make every ModelServer say wire in its hello and answer a request in
-    a form a later wire added with an error line, as an older server would."""
-    monkeypatch.setattr(models, "WIRE_VERSION", wire)
-    newer = [field for version, field in _WIRE_FIELDS.items() if version > wire]
-    original = models._requested_cursors
-
-    def older_only(record, *args):
-        if type(record) is dict and any(field in record for field in newer):
-            raise ProtocolError(f"request: a wire-{wire} server takes no {newer}")
-        return original(record, *args)
-
-    monkeypatch.setattr(models, "_requested_cursors", older_only)

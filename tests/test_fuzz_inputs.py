@@ -3,7 +3,8 @@
 Arbitrary JSON values, raw bytes, and valid documents with one field
 replaced or dropped go to each file loader, to read_records, to RemoteModel
 as hello and response lines from a stub socket, wire-5 row and ids lines
-among them, and to ModelServer as request lines of every wire version.
+among them, and to ModelServer as request lines: wire-5 and prefix lines,
+and the forms of the older wires, which it no longer serves.
 Only ConfigError, ModelFileError and ProtocolError may escape, and the CLI
 reading the same input exits with a code in 0..4.
 
@@ -197,11 +198,11 @@ def _line(content: bytes) -> bytes:
     return content.replace(b"\n", b" ") + b"\n"
 
 
-_HELLO = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2}).encode()
+_HELLO = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}).encode()
 
 
 @settings(max_examples=40, deadline=None)
-@given(documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 2}))
+@given(documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}))
 def test_remote_hello_lines(hello):
     with _stub_server(_line(hello)) as address:
         try:
@@ -224,16 +225,13 @@ def test_remote_response_lines(response):
                            *SMALL]) in range(5)
 
 
-_HELLO_5 = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}).encode()
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(documents({"probs": [0.5, 0.25, 0.25]}) | documents({"rows": [0, 0], "at": 0}),
                 min_size=1, max_size=3))
 def test_remote_wire_5_reply_lines(lines):
     """Row lines and ids lines, each valid, mangled or missing, answering a
     two-branch wire-5 request."""
-    payload = _line(_HELLO_5) + b"".join(map(_line, lines))
+    payload = _line(_HELLO) + b"".join(map(_line, lines))
     with _stub_server(payload) as address:
         with RemoteModel(address) as remote:
             root = remote.start(())
@@ -270,18 +268,16 @@ def test_server_request_lines(served, request):
     if "error" in reply:
         assert list(reply) == ["error"]
         return
-    # The server parsed the line: a batch gets a row per branch, or over
-    # wire 5 its new rows and then one id per branch.
+    # The server parsed the line: a prefix line gets its row, and a wire-5
+    # request its new rows and then one id per branch.
     record = json.loads(_line(request))
-    branches = len(record.get("branches", [None]))
-    if record.get("rows") is True:
-        new = 0
-        while list(reply) == ["probs"]:
-            new += 1
-            reply = json.loads(served.readline())
-        assert sorted(reply) == ["at", "rows"] and len(reply["rows"]) == branches
-        assert new <= branches and max(reply["rows"]) < reply["at"] + new
+    if "prefix" in record:
+        assert list(reply) == ["probs"]
         return
-    assert list(reply) == ["probs"]
-    for _ in range(branches - 1):
-        assert list(json.loads(served.readline())) == ["probs"]
+    branches = len(record["branches"])
+    new = 0
+    while list(reply) == ["probs"]:
+        new += 1
+        reply = json.loads(served.readline())
+    assert sorted(reply) == ["at", "rows"] and len(reply["rows"]) == branches
+    assert new <= branches and max(reply["rows"]) < reply["at"] + new

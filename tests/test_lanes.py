@@ -33,7 +33,7 @@ from cntp.harness import bundled_path, load_tasks, runner
 from cntp.harness.runner import (STRATEGIES, _decode_lanes, parse_strategy, resolve_model,
                                  run_one, run_suite)
 
-from conftest import make_random_scripted, serve_wire
+from conftest import make_random_scripted
 
 
 def _hexed(x):
@@ -163,12 +163,11 @@ def test_lanes_without_any_lane_return_nothing(suite_bundle):
     assert lane_decode(model, [], CntpPolicy(config)) == []
 
 
-def _assert_lanes_through_a_server_equal_local_decodes(wire):
+def _assert_lanes_through_a_server_equal_local_decodes():
     model, _, prompts, config = _bundled("kgram", global_cap=48)
     prompts = prompts[:8]
     seeds = [derive_seed(3, i) for i in range(len(prompts))]
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == wire
         for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
             over_wire = lane_decode(remote, list(zip(prompts, seeds)), policy)
             for prompt, seed, lane in zip(prompts, seeds, over_wire):
@@ -177,14 +176,11 @@ def _assert_lanes_through_a_server_equal_local_decodes(wire):
                 assert _exact(lane) == _exact(scalar)
 
 
-@pytest.mark.parametrize("wire", [5, 4, 3, 2])
-def test_lanes_through_a_server_equal_local_decodes(monkeypatch, wire):
-    """k-gram lanes through a wire-5 ModelServer, which gets each step's
-    lanes and each round's trials as one batch of slots and names their rows
-    by id, and through stubs that speak only wire 4 (spoken to as wire 3),
-    wire 3 or wire 2, equal the local scalar decodes."""
-    serve_wire(monkeypatch, wire)
-    _assert_lanes_through_a_server_equal_local_decodes(wire)
+def test_lanes_through_a_server_equal_local_decodes():
+    """k-gram lanes through a ModelServer, which gets each step's lanes and
+    each round's trials as one batch of slots and names their rows by id,
+    equal the local scalar decodes."""
+    _assert_lanes_through_a_server_equal_local_decodes()
 
 
 def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
@@ -200,7 +196,7 @@ def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
         return sent[-1]
 
     monkeypatch.setattr(RemoteModel, "_named", recorded)
-    _assert_lanes_through_a_server_equal_local_decodes(5)
+    _assert_lanes_through_a_server_equal_local_decodes()
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
     assert any(ref >= 0 for request in sent for ref in request["slots"])
 

@@ -51,7 +51,7 @@ from cntp.harness.cli import main
 from cntp.harness.runner import run_suite
 from cntp.models import BRANCHES_CAP, CONNECTION_CAP, LINE_CAP, ROW_CACHE
 
-from conftest import make_random_scripted, serve_wire
+from conftest import make_random_scripted
 
 
 @pytest.fixture
@@ -271,7 +271,8 @@ def test_kgram_unseen_contexts_share_one_row():
     assert model.next_distribution(()) is unseen
     assert unseen.probs.tolist() == pytest.approx([1 / 3] * 3, abs=1e-12)
     model.next_distribution((a, b))
-    assert set(model._cache) == {(a, b)}  # only trained contexts are cached
+    # Only trained contexts have a row of their own.
+    assert set(model._code_rows) == {model._code(context) for context in model.counts}
     # A 3072-token stochastic decode of a longgen prompt, read through
     # cursors, meets unseen contexts and keeps nothing for them: the model
     # holds a row and a code for each trained context, and nothing per
@@ -284,7 +285,6 @@ def test_kgram_unseen_contexts_share_one_row():
     assert len(tokens) == len(prompt.tokens) + 3072
     met = {tokens[i - k:i] for i in range(k, len(tokens))}
     assert len(met - set(model.counts)) > 100
-    assert set(model._cache) == set(model.counts)
     assert set(model._code_rows) == {model._code(context) for context in model.counts}
     assert len(model._rows) <= len(model.counts) + 1  # with the unseen row
 
@@ -317,9 +317,10 @@ def test_kgram_cursor_codes_read_the_context_they_stand_for(k, data):
 def test_kgram_start_rejects_ids_outside_the_vocabulary():
     model = train_kgram(_CODE_CORPUS, 2, 0.5)
     size = len(model.vocabulary)
-    for prefix in ((size,), (0, -1), (size, 0, 1)):
-        with pytest.raises(ValueError, match=rf"outside 0\.\.{size - 1}"):
-            model.start(prefix)
+    for prefix in ((size,), (0, -1), (size, 0, 1), (99,), (-1, 2, 3)):
+        for read in (model.start, model.next_distribution):
+            with pytest.raises(ValueError, match=rf"outside 0\.\.{size - 1}"):
+                read(prefix)
 
 
 def test_kgram_contexts_with_equal_counts_share_one_row():
@@ -456,6 +457,14 @@ def test_remote_rejects_bad_addresses():
         RemoteModel(f"127.0.0.1:{port}", timeout=2.0)
 
 
+_HELLO_5 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 5}
+
+
+def _hello(tokens) -> bytes:
+    """A wire-5 hello line for a vocabulary whose last token is eos."""
+    return json.dumps({"tokens": tokens, "eos": len(tokens) - 1, "wire": 5}).encode() + b"\n"
+
+
 def _raw_server(lines):
     """One-shot server that sends the given lines and echoes nothing else."""
     listener = socket.create_server(("127.0.0.1", 0))
@@ -480,7 +489,7 @@ def test_remote_validates_hello_and_responses():
     with pytest.raises(ProtocolError, match="hello record"):
         RemoteModel(_raw_server([b'{"greeting": "hi"}\n']))
 
-    hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
+    hello = _hello(["a", ""])
     with RemoteModel(_raw_server([hello, b'{"probs": [0.9, 0.2]}\n'])) as remote:
         with pytest.raises(ProtocolError, match="failed validation"):
             remote.next_distribution(())
@@ -523,8 +532,7 @@ def test_server_reports_bad_requests_and_keeps_serving(tiny_model):
     (b'{"probs": [0.5, \xff]}\n', "invalid JSON"),
 ], ids=["object", "bools", "bare-list", "not-utf8"])
 def test_remote_rejects_mistyped_responses(response, message):
-    hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
-    with RemoteModel(_raw_server([hello, response])) as remote:
+    with RemoteModel(_raw_server([_hello(["a", ""]), response])) as remote:
         with pytest.raises(ProtocolError, match=message):
             remote.next_distribution(())
 
@@ -535,7 +543,7 @@ def test_remote_reports_a_reset_connection_as_a_backend_error():
 
     def serve():
         conn, _ = listener.accept()
-        conn.sendall(json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n")
+        conn.sendall(_hello(["a", ""]))
         conn.recv(4096)
         # Zero linger: close() sends a reset instead of a clean shutdown.
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
@@ -551,8 +559,7 @@ def test_remote_reports_a_reset_connection_as_a_backend_error():
 
 
 def test_remote_closes_its_connection_when_the_server_hangs_up():
-    hello = json.dumps({"tokens": ["a", ""], "eos": 1}).encode() + b"\n"
-    with RemoteModel(_raw_server([hello])) as remote:
+    with RemoteModel(_raw_server([_hello(["a", ""])])) as remote:
         with pytest.raises(ProtocolError, match="connection closed by server"):
             remote.next_distribution(())
         assert remote._sock.fileno() == -1
@@ -618,7 +625,6 @@ _moves = st.lists(st.one_of(
 def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
     model = _PrefixHashModel()
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == 5
         prefix = ()
         for move in moves:
             if move[0] == "extend":
@@ -632,14 +638,14 @@ def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
 
 
 def _recording_server(replies, hello=None, hang_up=False):
-    """A one-connection server that sends hello (a wire-2 one by default),
+    """A one-connection server that sends hello (a wire-5 one by default),
     answers each request line with the next of replies and appends the
     requests it read, parsed, to the list it returns with its address.
     Past the replies it waits for the client to hang up, or with hang_up
     closes the connection itself."""
     listener = socket.create_server(("127.0.0.1", 0))
     requests = []
-    hello = hello or {"tokens": ["a", "b", ""], "eos": 2, "wire": 2}
+    hello = hello or _HELLO_5
 
     def serve():
         with listener:
@@ -664,56 +670,29 @@ def _recording_server(replies, hello=None, hang_up=False):
 _ROW = b'{"probs": [0.5, 0.25, 0.25]}\n'
 
 
-def test_client_sends_deltas_on_the_prefix_last_answered():
-    address, requests = _recording_server([_ROW] * 6)
-    with RemoteModel(address) as remote:
-        for prefix in ((0, 1), (0, 1, 1, 0), (0, 1, 0), (0, 1, 0), (), (1,)):
-            remote.next_distribution(prefix)
-    assert requests == [
-        {"prefix": [0, 1]},
-        {"keep": 2, "append": [1, 0]},  # extend
-        {"keep": 2, "append": [0]},  # fork one token back
-        {"keep": 3, "append": []},  # repeat
-        {"keep": 0, "append": []},  # the empty prefix
-        {"keep": 0, "append": [1]},
-    ]
+def _ids_line(ids, at) -> bytes:
+    return json.dumps({"rows": ids, "at": at}).encode() + b"\n"
 
 
-def test_client_speaks_wire_1_to_a_hello_without_a_version():
-    address, requests = _recording_server([_ROW] * 3, {"tokens": ["a", "b", ""], "eos": 2})
-    with RemoteModel(address) as remote:
-        assert remote._wire == 1
-        for prefix in ((0,), (0, 1), (0, 1)):
-            remote.next_distribution(prefix)
-    assert requests == [{"prefix": [0]}, {"prefix": [0, 1]}, {"prefix": [0, 1]}]
-
-
-@pytest.mark.parametrize("bad_reply, error", [
-    (b'{"error": "no row"}\n', "server error"),
-    (b'{"probs": [0.5, 0.5]}\n', "entries"),
-    (b'{"probs": [0.5, 0.25]}\n', "failed validation"),
-    (b"not json\n", "invalid JSON"),
-], ids=["error-record", "short-row", "bad-row", "not-json"])
-def test_client_resends_the_whole_prefix_after_an_error(bad_reply, error):
-    address, requests = _recording_server([_ROW, bad_reply, _ROW, _ROW])
-    with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
-        with pytest.raises(ProtocolError, match=error):
-            remote.next_distribution((0, 1))
-        remote.next_distribution((0, 1, 1))
-        remote.next_distribution((0, 1, 1, 0))
-    assert requests == [{"prefix": [0]}, {"keep": 1, "append": [1]}, {"prefix": [0, 1, 1]},
-                        {"keep": 3, "append": [0]}]
+@pytest.mark.parametrize("hello", [{"tokens": ["a", "b", ""], "eos": 2}, {**_HELLO_5, "wire": 4}],
+                         ids=["no-wire", "wire-4"])
+def test_a_server_older_than_wire_5_is_refused_and_the_cli_exits_3(hello, capsys):
+    # A row to answer with, so that any request the client sent is recorded.
+    address, requests = _recording_server([_ROW], hello)
+    with pytest.raises(ProtocolError, match="speaks wire 5"):
+        RemoteModel(address)
+    address, more = _recording_server([_ROW], hello)
+    code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
+                 "greedy", "--out", ""])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and "wire 5" in err
+    assert requests == more == []
 
 
 def test_equal_reply_lines_give_the_same_distribution(tiny_model):
-    address, _ = _recording_server([_ROW, _ROW, b'{"probs": [0.5, 0.25, 0.25] }\n'])
-    with RemoteModel(address) as remote:
-        first, again, spaced = (remote.next_distribution(p) for p in ((0,), (1,), (0,)))
-    assert again is first
-    assert spaced is not first and spaced.probs.tobytes() == first.probs.tobytes()
     with ModelServer(tiny_model) as server, RemoteModel(server.address) as remote:
-        # Two prefixes that share the default row, which is prepared once.
+        # Two prefixes that share the default row, which has one id and so
+        # one Distribution, prepared once.
         assert remote.next_distribution((1, 1)) is remote.next_distribution((0, 0))
         assert remote.next_distribution(()) is not remote.next_distribution((1,))
 
@@ -731,47 +710,26 @@ def _ask(fh, request) -> dict:
     return json.loads(fh.readline())
 
 
-def test_server_serves_wire_1_and_wire_2_requests_on_one_connection():
-    model = _PrefixHashModel()
-
-    def row(prefix):
-        return {"probs": model.next_distribution(prefix).probs.tolist()}
-
-    with ModelServer(model) as server:
-        conn, fh, hello = _raw_connection(server)
-        with conn, fh:
-            assert hello == {"tokens": ["a", "b", "c", ""], "eos": 3, "wire": 5}
-            assert _ask(fh, {"prefix": [0, 1, 2]}) == row((0, 1, 2))
-            assert _ask(fh, {"keep": 3, "append": [2, 2]}) == row((0, 1, 2, 2, 2))
-            assert _ask(fh, {"keep": 1, "append": [0]}) == row((0, 0))
-            assert _ask(fh, {"prefix": [1]}) == row((1,))  # replaces the held prefix
-            assert _ask(fh, {"keep": 1, "append": []}) == row((1,))
-            assert _ask(fh, {"keep": 0, "append": []}) == row(())
+def _raw_lines(fh, request) -> list[dict]:
+    """Send a wire-5 request and read its reply: row lines up to the ids
+    line, or one error line."""
+    replies = [_ask(fh, request)]
+    while "probs" in replies[-1]:
+        replies.append(json.loads(fh.readline()))
+    return replies
 
 
-@pytest.mark.parametrize("request_, message", [
-    ({"keep": -1, "append": [0]}, "keep must be in 0..2"),
-    ({"keep": True, "append": [0]}, "keep must be an integer"),
-    ({"keep": 3, "append": [0]}, "keep must be in 0..2"),
-    ({"keep": 1.0, "append": [0]}, "keep must be an integer"),
-    ({"keep": 1}, "missing required field 'append'"),
-    ({"keep": 1, "append": [4]}, "prefix ids outside 0..3"),
-    ({"keep": 1, "append": [True]}, "append must be a list of integers"),
-    ({"keep": 1, "append": [0], "prefix": [0]}, "unknown field 'prefix'"),
-], ids=["negative", "bool", "past-the-held-prefix", "real", "no-append", "id-out-of-range",
-        "bool-id", "with-prefix"])
-def test_server_rejects_bad_deltas_and_keeps_serving(request_, message):
-    model = _PrefixHashModel()
-    with ModelServer(model) as server:
-        conn, fh, _ = _raw_connection(server)
-        with conn, fh:
-            assert "error" in _ask(fh, {"keep": 0, "append": [0]})  # no prefix answered yet
-            assert "probs" in _ask(fh, {"prefix": [0, 1]})
-            reply = _ask(fh, request_)
-            assert list(reply) == ["error"] and message in reply["error"], reply
-            # An error drops the held prefix, so only a whole prefix is served next.
-            assert "answered request" in _ask(fh, {"keep": 0, "append": []})["error"]
-            assert _ask(fh, {"prefix": [2]})["probs"] == model.next_distribution((2,)).probs.tolist()
+def _read_slots(fh, sent, slots, branches) -> list[dict]:
+    """The row line of each branch of a wire-5 request, read by the ids its
+    reply names; sent holds the row lines the connection sent, by id."""
+    *new, ids = _raw_lines(fh, {"slots": slots, "branches": branches, "rows": True})
+    del sent[ids["at"]:]
+    sent += new
+    return [sent[i] for i in ids["rows"]]
+
+
+def _rows_of(model, prefixes):
+    return [{"probs": model.next_distribution(p).probs.tolist()} for p in prefixes]
 
 
 class _FailingModel(_PrefixHashModel):
@@ -790,6 +748,17 @@ def test_client_recovers_from_a_model_error_with_the_whole_prefix():
         for prefix in ((1, 2), (1, 2, 0), (1,)):
             assert remote.next_distribution(prefix).probs.tobytes() == \
                 model.next_distribution(prefix).probs.tobytes()
+
+
+def test_server_answers_a_batch_whose_model_fails_on_a_branch_with_one_error_line():
+    model = _FailingModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            assert _read_slots(fh, [], [-1], [[1]]) == _rows_of(model, [(1,)])
+            reply = _ask(fh, {"slots": [0, 0, 0], "branches": [[0], [1], [2]], "rows": True})
+            assert list(reply) == ["error"] and "no row for 1 1" in reply["error"]
+            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
 
 
 def test_server_closes_a_connection_whose_request_line_is_over_the_cap(tiny_model):
@@ -814,7 +783,7 @@ def test_client_rejects_a_reply_line_over_the_cap():
     # without a newline: the client reads exactly LINE_CAP + 1 bytes of it.
     head, tail = b'{"probs": [1.', b"]}"
     reply = head + b"0" * (LINE_CAP + 1 - len(head) - len(tail)) + tail
-    hello = json.dumps({"tokens": [""], "eos": 0, "wire": 2}).encode() + b"\n"
+    hello = _hello([""])
     with RemoteModel(_raw_server([hello, reply])) as remote:
         with pytest.raises(ProtocolError, match=f"longer than {LINE_CAP} bytes"):
             remote.next_distribution(())
@@ -869,10 +838,9 @@ def test_threads_sharing_a_server_and_a_client_read_the_local_rows():
     assert errors == []
 
 
-def test_row_caches_drop_their_oldest_rows_past_row_cache(monkeypatch):
-    """Past ROW_CACHE distinct rows a wire-5 connection's row ids start again
-    at 0; the server's line cache, and the line interning of a client of an
-    older server, drop their oldest rows."""
+def test_row_caches_drop_their_oldest_rows_past_row_cache():
+    """Past ROW_CACHE distinct rows a connection's row ids start again at 0,
+    and the server's line cache drops its oldest rows."""
     model = _ManyRowsModel()
     # Prefixes with distinct rows, 100 more than either cache holds.
     prefixes, seen = [], set()
@@ -884,199 +852,76 @@ def test_row_caches_drop_their_oldest_rows_past_row_cache(monkeypatch):
             prefixes.append(prefix)
         if len(prefixes) == ROW_CACHE + 100:
             break
+    first_row = model.next_distribution(prefixes[0])
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
         first = remote.next_distribution(prefixes[0])
         for prefix in prefixes[1:]:
             remote.next_distribution(prefix)
-        assert len(remote._by_id) == 100 and remote._rows == {}
-        assert first not in remote._by_id and len(server._lines) == ROW_CACHE
+        assert len(remote._by_id) == 100 and first not in remote._by_id
+        assert len(server._lines) == ROW_CACHE and first_row not in server._lines
         again = remote.next_distribution(prefixes[0])
         assert again is not first and again is remote._by_id[100]
-        assert again.probs.tobytes() == model.next_distribution(prefixes[0]).probs.tobytes()
-    serve_wire(monkeypatch, 4)
-    with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        first = remote.next_distribution(prefixes[0])
-        for prefix in prefixes[1:]:
-            remote.next_distribution(prefix)
-        assert len(remote._rows) == len(server._lines) == ROW_CACHE
-        assert first not in remote._rows.values()
-        assert model.next_distribution(prefixes[0]) not in server._lines
-        again = remote.next_distribution(prefixes[0])
-        assert again is not first
-        assert again.probs.tobytes() == model.next_distribution(prefixes[0]).probs.tobytes()
-        assert len(remote._rows) == len(server._lines) == ROW_CACHE
-
-
-# -- wire 3: a batch of branches per request ---------------------------------
-
-
-def _rows_of(model, prefixes):
-    return [{"probs": model.next_distribution(p).probs.tolist()} for p in prefixes]
-
-
-def _ask_batch(fh, request, count) -> list[dict]:
-    """Send request and read count reply lines, or one if the first is an error."""
-    replies = [_ask(fh, request)]
-    while "error" not in replies[0] and len(replies) < count:
-        replies.append(json.loads(fh.readline()))
-    return replies
-
-
-def test_server_answers_branches_off_the_kept_prefix_and_holds_it():
-    model = _PrefixHashModel()
-    with ModelServer(model) as server:
-        conn, fh, hello = _raw_connection(server)
-        with conn, fh:
-            assert hello["wire"] == 5
-            assert _ask(fh, {"prefix": [0, 1, 2]}) == _rows_of(model, [(0, 1, 2)])[0]
-            request = {"keep": 2, "branches": [[2], [], [0, 1]]}
-            assert _ask_batch(fh, request, 3) == _rows_of(model, [(0, 1, 2), (0, 1), (0, 1, 0, 1)])
-            # The connection now holds (0, 1): keep 2 is its whole length.
-            assert "keep must be in 0..2" in _ask(fh, {"keep": 3, "append": []})["error"]
-            assert _ask(fh, {"prefix": [0, 1]}) == _rows_of(model, [(0, 1)])[0]
-            request = {"keep": 2, "branches": [[3]] * BRANCHES_CAP}
-            rows = _rows_of(model, [(0, 1, 3)]) * BRANCHES_CAP
-            assert _ask_batch(fh, request, BRANCHES_CAP) == rows
-            assert _ask(fh, {"keep": 2, "append": [3, 3]}) == _rows_of(model, [(0, 1, 3, 3)])[0]
-
-
-@pytest.mark.parametrize("request_, message", [
-    ({"keep": -1, "branches": [[0]]}, "keep must be in 0..2"),
-    ({"keep": 3, "branches": [[0]]}, "keep must be in 0..2"),
-    ({"keep": True, "branches": [[0]]}, "keep must be an integer"),
-    ({"keep": 1.0, "branches": [[0]]}, "keep must be an integer"),
-    ({"branches": [[0]]}, "missing required field 'keep'"),
-    ({"keep": 1, "branches": [[0], [True]]}, "branches must be lists of integers"),
-    ({"keep": 1, "branches": [[0.0]]}, "branches must be lists of integers"),
-    ({"keep": 1, "branches": [["0"]]}, "branches must be lists of integers"),
-    ({"keep": 1, "branches": [[4]]}, "prefix ids outside 0..3"),
-    ({"keep": 1, "branches": [[0], [-1]]}, "prefix ids outside 0..3"),
-    ({"keep": 1, "branches": [0]}, "branches must be a list of lists"),
-    ({"keep": 1, "branches": "0"}, "branches must be a list of lists"),
-    ({"keep": 1, "branches": []}, f"branches must hold 1..{BRANCHES_CAP} lists, got 0"),
-    ({"keep": 1, "branches": [[0]] * (BRANCHES_CAP + 1)}, f"got {BRANCHES_CAP + 1}"),
-    ({"keep": 1, "branches": [[0]], "append": [0]}, "unknown field 'append'"),
-    ({"keep": 1, "branches": [[0]], "prefix": [0]}, "unknown field 'prefix'"),
-], ids=["negative-keep", "keep-past-the-held-prefix", "bool-keep", "real-keep", "no-keep",
-        "bool-id", "real-id", "string-id", "id-past-the-vocabulary", "negative-id",
-        "branch-not-a-list", "branches-not-a-list", "no-branches", "over-the-cap",
-        "with-append", "with-prefix"])
-def test_server_rejects_bad_branches_with_one_line_and_keeps_serving(request_, message):
-    model = _PrefixHashModel()
-    with ModelServer(model) as server:
-        conn, fh, _ = _raw_connection(server)
-        with conn, fh:
-            # Before any answered request there is no prefix to keep.
-            assert "answered request" in _ask(fh, {"keep": 0, "branches": [[0]]})["error"]
-            assert "probs" in _ask(fh, {"prefix": [0, 1]})
-            reply = _ask(fh, request_)
-            assert list(reply) == ["error"] and message in reply["error"], reply
-            # One error line, and the held prefix is gone.
-            assert "answered request" in _ask(fh, {"keep": 0, "branches": [[0]]})["error"]
-            assert _ask_batch(fh, {"prefix": [2]}, 1) == _rows_of(model, [(2,)])
-
-
-def test_server_answers_a_batch_whose_model_fails_on_a_branch_with_one_error_line():
-    model = _FailingModel()
-    with ModelServer(model) as server:
-        conn, fh, _ = _raw_connection(server)
-        with conn, fh:
-            assert "probs" in _ask(fh, {"prefix": [1]})
-            reply = _ask(fh, {"keep": 1, "branches": [[0], [1], [2]]})
-            assert list(reply) == ["error"] and "no row for 1 1" in reply["error"]
-            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
-
-
-_HELLO_3 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 3}
-
-
-def _cursors(model, keys):
-    return [model.start(key) for key in keys]
-
-
-def test_client_sends_one_branches_request_per_batch_to_a_wire_3_server():
-    address, requests = _recording_server([_ROW, _ROW * 2, _ROW, _ROW * 3, _ROW], _HELLO_3)
-    with RemoteModel(address) as remote:
-        assert remote._wire == 3
-        # Nothing held yet: the first prefix goes whole, the rest as branches.
-        rows = remote.next_distributions(_cursors(remote, [(0, 1), (0, 1, 1), (0, 0)]))
-        assert len(rows) == 3 and rows[0] is rows[1] is rows[2]
-        remote.next_distribution((0, 1, 1))  # held is (0,) after the batch
-        remote.next_distributions(_cursors(remote, [(0, 1, 1, 0), (0, 1, 1, 1), (0, 1)]))
-        remote.next_distributions(_cursors(remote, [(0, 1, 0)]))  # one cursor: a delta
-    assert requests == [
-        {"prefix": [0, 1]},
-        {"keep": 1, "branches": [[1, 1], [0]]},
-        {"keep": 1, "append": [1, 1]},
-        {"keep": 2, "branches": [[1, 0], [1, 1], []]},
-        {"keep": 2, "append": [0]},
-    ]
+        assert again.probs.tobytes() == first_row.probs.tobytes()
+        assert len(server._lines) == ROW_CACHE and first_row in server._lines
 
 
 def test_client_splits_batches_past_the_branch_cap():
     count = 2 * BRANCHES_CAP + 5
-    address, requests = _recording_server(
-        [_ROW, _ROW * BRANCHES_CAP, _ROW * BRANCHES_CAP, _ROW * 4], _HELLO_3)
+    address, requests = _recording_server([_ROW + _ids_line([0] * BRANCHES_CAP, 0),
+                                           _ids_line([0] * BRANCHES_CAP, 1), _ids_line([0] * 5, 1)])
     with RemoteModel(address) as remote:
         keys = [(0,) + (1,) * i for i in range(count)]
-        assert len(remote.next_distributions(_cursors(remote, keys))) == count
-    assert requests[0] == {"prefix": [0]}
-    assert [len(r["branches"]) for r in requests[1:]] == [BRANCHES_CAP, BRANCHES_CAP, 4]
-    assert [r["keep"] for r in requests[1:]] == [1, 1, 1]
-    assert [b for r in requests[1:] for b in r["branches"]] == [[1] * i for i in range(1, count)]
-
-
-@pytest.mark.parametrize("wire", [1, 2])
-def test_client_sends_one_request_per_cursor_to_an_older_server(wire):
-    hello = {"tokens": ["a", "b", ""], "eos": 2, **({"wire": 2} if wire == 2 else {})}
-    address, requests = _recording_server([_ROW] * 3, hello)
-    with RemoteModel(address) as remote:
-        remote.next_distributions(_cursors(remote, [(0,), (0, 1), (1,)]))
-    if wire == 1:
-        assert requests == [{"prefix": [0]}, {"prefix": [0, 1]}, {"prefix": [1]}]
-    else:
-        assert requests == [{"prefix": [0]}, {"keep": 1, "append": [1]},
-                            {"keep": 0, "append": [1]}]
+        assert len(remote.next_distributions([remote.start(key) for key in keys])) == count
+    assert [len(r["branches"]) for r in requests] == [BRANCHES_CAP, BRANCHES_CAP, 5]
+    assert [b for r in requests for b in r["branches"]] == [list(key) for key in keys]
+    assert {s for r in requests for s in r["slots"]} == {-1}
 
 
 def test_client_keeps_the_connection_after_an_error_line_to_a_batch():
     address, requests = _recording_server(
-        [_ROW, b'{"error": "no rows"}\n', _ROW, _ROW * 2], _HELLO_3)
+        [_ROW + _ids_line([0], 0), b'{"error": "no rows"}\n', _ROW + _ids_line([0, 0, 0], 0)])
     with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
+        root = remote.start((0,))
+        _read(remote, root)
         with pytest.raises(ProtocolError, match="server error: no rows"):
-            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
-        remote.next_distributions(_cursors(remote, [(1,), (1, 0), (1, 1)]))
-    assert requests == [{"prefix": [0]}, {"keep": 1, "branches": [[1], [0]]},
-                        {"prefix": [1]}, {"keep": 1, "branches": [[0], [1]]}]
+            remote.next_distributions(remote.advance([root, root], [1, 0]))
+        remote.next_distributions([remote.start((1,)), *remote.advance([root, root], [0, 1])])
+    assert requests == [
+        {"slots": [-1], "branches": [[0]], "rows": True},
+        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
+        {"slots": [-1, -1, -1], "branches": [[1], [0, 0], [0, 1]], "rows": True},
+    ]
 
 
 @pytest.mark.parametrize("reply, error", [
-    (_ROW + b'{"error": "late"}\n' + _ROW, "server error: late"),
-    (b'{"probs": [0.5, 0.5]}\n' + _ROW * 2, "entries"),
-    (b"not json\n" + _ROW * 2, "invalid JSON"),
+    (_ROW + b'{"error": "late"}\n' + _ids_line([0, 0, 0], 0), "server error: late"),
+    (b'{"probs": [0.5, 0.5]}\n' + _ROW + _ids_line([0, 1, 1], 0), "entries"),
+    (b"not json\n" + _ROW + _ids_line([0, 0, 0], 0), "invalid JSON"),
 ], ids=["error-after-a-row", "short-first-row", "first-line-not-json"])
 def test_client_closes_the_connection_when_batch_reply_lines_would_be_left(reply, error):
-    address, _ = _recording_server([_ROW, reply, _ROW], _HELLO_3)
+    address, _ = _recording_server([_ROW + _ids_line([0], 0), reply, _ROW])
     with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
+        root = remote.start((0,))
+        _read(remote, root)
         with pytest.raises(ProtocolError, match=error):
-            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0), (1,)]))
+            remote.next_distributions([*remote.advance([root, root], [1, 0]), remote.start((1,))])
         with pytest.raises(ProtocolError, match="connection failed"):
-            remote.next_distribution((0,))
+            _read(remote, root)
 
 
 def test_client_takes_a_short_batch_reply_as_a_closed_connection():
-    address, _ = _recording_server([_ROW, _ROW], _HELLO_3, hang_up=True)
+    # A reply whose row lines stop before its ids line.
+    address, _ = _recording_server([_ROW + _ids_line([0], 0), _ROW], hang_up=True)
     with RemoteModel(address) as remote:
-        remote.next_distribution((0,))
+        root = remote.start((0,))
+        _read(remote, root)
         with pytest.raises(ProtocolError, match="connection closed by server"):
-            remote.next_distributions(_cursors(remote, [(0, 1), (0, 0)]))
+            remote.next_distributions(remote.advance([root, root], [1, 0]))
     # The CLI exits 3. Every step of this decode is at high entropy, so its
     # first step reads the empty prefix, then its trials' second tokens in
-    # one batch, which gets one row of three.
+    # one batch, whose reply stops after one row.
     row = b'{"probs": [0.5, 0.5, 0.0]}\n'
-    address, _ = _recording_server([row, row], _HELLO_3, hang_up=True)
+    address, _ = _recording_server([row + _ids_line([0], 0), row], hang_up=True)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
                      "cntp", "--h-min", "0.01", "--h-max", "0.1", "--n-max", "3",
@@ -1084,39 +929,41 @@ def test_client_takes_a_short_batch_reply_as_a_closed_connection():
     assert code == 3 and "connection closed by server" in err.getvalue()
 
 
-# -- wire 4: branches off numbered slots -------------------------------------
+# -- slots: branches off numbered slots --------------------------------------
 
 
 def test_server_numbers_a_slot_per_answered_row_and_reads_branches_off_them():
     model = _PrefixHashModel()
+    sent = []
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            # Slot 0; the older forms answer rows into the table too (slot 1).
-            assert _ask(fh, {"slots": [-1], "branches": [[0, 1]]}) == _rows_of(model, [(0, 1)])[0]
+            # Slot 0; a prefix line answers its row into the table too (slot 1).
+            assert _read_slots(fh, sent, [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
             assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
-            request = {"slots": [0, 0, 1, -1], "branches": [[2], [], [0, 0], [1]]}
             prefixes = [(0, 1, 2), (0, 1), (2, 0, 0), (1,)]
-            assert _ask_batch(fh, request, 4) == _rows_of(model, prefixes)  # slots 2-5
-            assert _ask(fh, {"slots": [2], "branches": [[3, 3]]}) == \
-                _rows_of(model, [(0, 1, 2, 3, 3)])[0]
-            assert "slots must be in -1..6" in _ask(fh, {"slots": [7], "branches": [[0]]})["error"]
+            assert _read_slots(fh, sent, [0, 0, 1, -1], [[2], [], [0, 0], [1]]) == \
+                _rows_of(model, prefixes)  # slots 2-5
+            assert _read_slots(fh, sent, [2], [[3, 3]]) == _rows_of(model, [(0, 1, 2, 3, 3)])
+            reply = _ask(fh, {"slots": [7], "branches": [[0]], "rows": True})
+            assert "slots must be in -1..6" in reply["error"]
 
 
 def test_server_clears_its_slot_table_before_a_batch_that_would_pass_the_cap(monkeypatch):
     monkeypatch.setattr(models, "SLOT_CAP", 3)
     model = _PrefixHashModel()
+    sent = []
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            _ask_batch(fh, {"slots": [-1, -1], "branches": [[0], [1]]}, 2)  # slots 0-1
+            _read_slots(fh, sent, [-1, -1], [[0], [1]])  # slots 0-1
             # 2 + 2 > 3: read off the old slots, then (0, 2) and (1, 2) take 0 and 1.
-            request = {"slots": [0, 1], "branches": [[2], [2]]}
-            assert _ask_batch(fh, request, 2) == _rows_of(model, [(0, 2), (1, 2)])
-            assert _ask(fh, {"slots": [1], "branches": [[0]]}) == \
-                _rows_of(model, [(1, 2, 0)])[0]  # slot 2: 3 slots, at the cap
-            assert _ask(fh, {"slots": [2], "branches": [[]]}) == _rows_of(model, [(1, 2, 0)])[0]
-            assert "slots must be in -1..0" in _ask(fh, {"slots": [1], "branches": [[]]})["error"]
+            assert _read_slots(fh, sent, [0, 1], [[2], [2]]) == _rows_of(model, [(0, 2), (1, 2)])
+            assert _read_slots(fh, sent, [1], [[0]]) == \
+                _rows_of(model, [(1, 2, 0)])  # slot 2: 3 slots, at the cap
+            assert _read_slots(fh, sent, [2], [[]]) == _rows_of(model, [(1, 2, 0)])
+            reply = _ask(fh, {"slots": [1], "branches": [[]], "rows": True})
+            assert "slots must be in -1..0" in reply["error"]
 
 
 @pytest.mark.parametrize("request_, message", [
@@ -1141,29 +988,38 @@ def test_server_clears_its_slot_table_before_a_batch_that_would_pass_the_cap(mon
         "branches-missing", "id-past-the-vocabulary", "bool-id", "branch-not-a-list",
         "extra-field"])
 def test_server_rejects_bad_slot_requests_with_one_line_and_drops_every_slot(request_, message):
+    """Each request here also carries "rows": true."""
     model = _PrefixHashModel()
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            assert "probs" in _ask(fh, {"slots": [-1], "branches": [[0, 1]]})
-            reply = _ask(fh, request_)
+            assert _read_slots(fh, [], [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
+            reply = _ask(fh, {**request_, "rows": True})
             assert list(reply) == ["error"] and message in reply["error"], reply
             # One error line, every slot gone, and whole prefixes still served.
-            assert "slots must be in -1..-1" in _ask(fh, {"slots": [0], "branches": [[]]})["error"]
-            assert _ask_batch(fh, {"slots": [-1], "branches": [[0, 1, 2]]}, 1) == \
-                _rows_of(model, [(0, 1, 2)])
+            reply = _ask(fh, {"slots": [0], "branches": [[]], "rows": True})
+            assert "slots must be in -1..-1" in reply["error"]
+            assert _read_slots(fh, [], [-1], [[0, 1, 2]]) == _rows_of(model, [(0, 1, 2)])
 
 
-# -- wire 5: rows sent once per connection, named by id ----------------------
+@pytest.mark.parametrize("branches, message", [
+    ([[0.0]], "branches must be lists of integers"),
+    ([["0"]], "branches must be lists of integers"),
+    ([[0], [-1]], "prefix ids outside 0..3"),
+    ("0", "branches must be a list of lists"),
+], ids=["real-id", "string-id", "negative-id", "branches-not-a-list"])
+def test_server_rejects_bad_branches_with_one_line_and_keeps_serving(branches, message):
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            reply = _ask(fh, {"slots": [-1] * len(branches), "branches": branches, "rows": True})
+            assert list(reply) == ["error"] and message in reply["error"], reply
+            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
+            assert _read_slots(fh, [], [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
 
 
-def _raw_lines(fh, request) -> list[dict]:
-    """Send a wire-5 request and read its reply: row lines up to the ids
-    line, or one error line."""
-    replies = [_ask(fh, request)]
-    while "probs" in replies[-1]:
-        replies.append(json.loads(fh.readline()))
-    return replies
+# -- rows: sent once per connection, named by id -----------------------------
 
 
 def test_server_sends_each_row_once_per_connection_and_names_rows_by_id():
@@ -1180,8 +1036,8 @@ def test_server_sends_each_row_once_per_connection_and_names_rows_by_id():
             # Sent rows go by id alone; the branches read off slots 0-3.
             request = {"slots": [3, 1, 0], "branches": [[], [], []], "rows": True}
             assert _raw_lines(fh, request) == [{"rows": [2, 1, 0], "at": 3}]
-            # The older forms still get whole rows, and number no row.
-            assert _ask(fh, {"slots": [0], "branches": [[]]}) == rows[1]
+            # A prefix line still gets its whole row, and numbers no row.
+            assert _ask(fh, {"prefix": [1]}) == rows[1]
             request = {"slots": [-1, -1], "branches": [[0, 0], [0]], "rows": True}
             new = _rows_of(model, [(0, 0)])[0]
             assert _raw_lines(fh, request) == [new, {"rows": [3, 1], "at": 3}]
@@ -1206,16 +1062,16 @@ def test_server_clears_its_row_ids_before_new_rows_would_pass_row_cache(monkeypa
 
 
 @pytest.mark.parametrize("request_, message", [
-    ({"slots": [-1], "branches": [[0]], "rows": False}, "rows must be true"),
-    ({"slots": [-1], "branches": [[0]], "rows": 1}, "rows must be true"),
-    ({"slots": [-1], "branches": [[0]], "rows": "true"}, "rows must be true"),
-    ({"slots": [-1], "branches": [[0]], "rows": None}, "rows must be true"),
-    ({"slots": [-1], "branches": [[0]], "rows": [0]}, "rows must be true"),
+    ({"slots": [-1], "branches": [[0]], "rows": False}, '"rows": true'),
+    ({"slots": [-1], "branches": [[0]], "rows": 1}, '"rows": true'),
+    ({"slots": [-1], "branches": [[0]], "rows": "true"}, '"rows": true'),
+    ({"slots": [-1], "branches": [[0]], "rows": None}, '"rows": true'),
+    ({"slots": [-1], "branches": [[0]], "rows": [0]}, '"rows": true'),
     ({"slots": [-1], "branches": [[0]], "rows": True, "at": 0}, "unknown field 'at'"),
     ({"slots": [1], "branches": [[0]], "rows": True}, "slots must be in -1..0"),
-    ({"prefix": [0], "rows": True}, "rows goes only with slots"),
-    ({"keep": 0, "append": [0], "rows": True}, "rows goes only with slots"),
-    ({"keep": 0, "branches": [[0]], "rows": True}, "rows goes only with slots"),
+    ({"prefix": [0], "rows": True}, "unknown field 'rows'"),
+    ({"keep": 0, "append": [0], "rows": True}, "unknown field 'append'"),
+    ({"keep": 0, "branches": [[0]], "rows": True}, "unknown field 'keep'"),
 ], ids=["false", "one", "string", "null", "list", "extra-field", "slot-past-the-table",
         "on-prefix", "on-append", "on-branches"])
 def test_server_rejects_bad_wire_5_requests_and_drops_every_slot_and_row_id(request_, message):
@@ -1235,18 +1091,35 @@ def test_server_rejects_bad_wire_5_requests_and_drops_every_slot_and_row_id(requ
             assert _raw_lines(fh, request) == [second, first, {"rows": [0, 1], "at": 0}]
 
 
-_HELLO_5 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 5}
-
-
-def _ids_line(ids, at) -> bytes:
-    return json.dumps({"rows": ids, "at": at}).encode() + b"\n"
+@pytest.mark.parametrize("request_", [
+    {"keep": 0, "append": []},
+    {"keep": 1, "append": [0]},
+    {"keep": 0, "branches": [[0], [1]]},
+    {"slots": [-1], "branches": [[0]]},
+    {"prefix": [0], "keep": 0, "append": []},
+    {"prefix": [0], "slots": [-1]},
+    {"prefix": [0], "ok": 1},
+], ids=["wire-2-repeat", "wire-2-append", "wire-3-branches", "wire-4-slots", "prefix-with-keep",
+        "prefix-with-slots", "prefix-with-another-field"])
+def test_server_rejects_a_removed_request_form_with_one_line(request_):
+    """The request forms of wires 2 to 4, and a prefix line with another
+    field, are no request: the connection, which has answered a row to
+    keep or branch off, gets one error line and is then served as before."""
+    model = _PrefixHashModel()
+    with ModelServer(model) as server:
+        conn, fh, _ = _raw_connection(server)
+        with conn, fh:
+            assert _ask(fh, {"prefix": [0, 1]}) == _rows_of(model, [(0, 1)])[0]  # slot 0
+            assert list(_ask(fh, request_)) == ["error"]
+            assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]  # slot 0 again
+            assert _read_slots(fh, [], [-1, 0], [[0, 1], [0]]) == \
+                _rows_of(model, [(0, 1), (2, 0)])
 
 
 def test_client_names_each_cursor_by_its_parents_slot():
     address, requests = _recording_server(
-        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (3, 1, 1, 1)], _HELLO_5)
+        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (3, 1, 1, 1)])
     with RemoteModel(address) as remote:
-        assert remote._wire == 5
         root = remote.start((0, 1))
         row = _read(remote, root)  # slot 0
         one, zero = remote.advance([root, root], [1, 0])
@@ -1267,7 +1140,7 @@ def test_client_names_each_cursor_by_its_parents_slot():
 def test_client_starts_a_slot_generation_when_the_servers_table_clears(monkeypatch):
     monkeypatch.setattr(models, "SLOT_CAP", 3)
     address, requests = _recording_server(
-        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (2, 1, 1, 1)], _HELLO_5)
+        [_ROW + _ids_line([0], 0)] + [_ids_line([0] * n, 1) for n in (2, 1, 1, 1)])
     with RemoteModel(address) as remote:
         root = remote.start((0,))
         _read(remote, root)
@@ -1289,7 +1162,7 @@ def test_client_starts_a_slot_generation_when_the_servers_table_clears(monkeypat
 def test_client_drops_its_slots_and_row_ids_on_an_error_line_and_closes_on_a_bad_row():
     address, requests = _recording_server(
         [_ROW + _ids_line([0], 0), b'{"error": "no rows"}\n', _ROW + _ids_line([0], 0),
-         b'{"probs": [0.5, 0.25]}\n' + _ids_line([1], 1)], _HELLO_5)
+         b'{"probs": [0.5, 0.25]}\n' + _ids_line([1], 1)])
     with RemoteModel(address) as remote:
         root = remote.start((0,))
         _read(remote, root)
@@ -1334,7 +1207,7 @@ _NAN_ROW = b'{"probs": [NaN, 0.5, 0.5]}\n'
         "wrong-at", "bool-id", "real-at", "no-ids-line", "no-at", "extra-field", "short-row",
         "nan-row", "error-after-a-row", "ids-line-not-json"])
 def test_client_closes_the_connection_on_a_bad_wire_5_reply(reply, error):
-    address, _ = _recording_server([reply], _HELLO_5)
+    address, _ = _recording_server([reply])
     with RemoteModel(address) as remote:
         root = remote.start((0,))
         with pytest.raises(ProtocolError, match=error):
@@ -1346,14 +1219,14 @@ def test_client_closes_the_connection_on_a_bad_wire_5_reply(reply, error):
 def test_client_checks_that_new_rows_keep_the_table_within_row_cache(monkeypatch):
     monkeypatch.setattr(models, "ROW_CACHE", 2)
     address, _ = _recording_server(
-        [_ROW + _ids_line([0], 0), _ROW + _ids_line([1], 1), _ROW + _ids_line([2], 2)], _HELLO_5)
+        [_ROW + _ids_line([0], 0), _ROW + _ids_line([1], 1), _ROW + _ids_line([2], 2)])
     with RemoteModel(address) as remote:
         for tok in (0, 1):
             remote.next_distribution((tok,))
         with pytest.raises(ProtocolError, match="at most 2, got 2"):
             remote.next_distribution((2,))
     # The CLI exits 3 on a bad wire-5 reply.
-    address, _ = _recording_server([_ROW + _ids_line([1], 0)], _HELLO_5, hang_up=True)
+    address, _ = _recording_server([_ROW + _ids_line([1], 0)], hang_up=True)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
                      "greedy", "--out", ""])
@@ -1442,11 +1315,10 @@ def _exact(outcome):
     return outcome.sequence.tokens, outcome.cost, trace
 
 
-def _assert_cntp_and_beam_decode_through_a_server_as_locally(wire):
+def _assert_cntp_and_beam_decode_through_a_server_as_locally():
     model, prompts, config = _kgram_cases(64)
     multi_trial_steps = 0
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == wire
         for prompt in prompts:
             for decode, seeds in ((cntp_decode, (0, 1)), (_beam_4, (0,))):
                 for seed in seeds:
@@ -1457,13 +1329,10 @@ def _assert_cntp_and_beam_decode_through_a_server_as_locally(wire):
     assert multi_trial_steps > 0
 
 
-@pytest.mark.parametrize("wire", [5, 4, 3, 2])
-def test_cntp_and_beam_decode_through_a_server_as_locally(monkeypatch, wire):
-    """cntp and beam:4 over a wire-5 ModelServer, whose slots and row ids
-    they use, and over stubs that speak only wire 4 (spoken to as wire 3),
-    wire 3 or wire 2, equal the local decodes."""
-    serve_wire(monkeypatch, wire)
-    _assert_cntp_and_beam_decode_through_a_server_as_locally(wire)
+def test_cntp_and_beam_decode_through_a_server_as_locally():
+    """cntp and beam:4 over a ModelServer, whose slots and row ids they use,
+    equal the local decodes."""
+    _assert_cntp_and_beam_decode_through_a_server_as_locally()
 
 
 def test_cntp_and_beam_decode_as_locally_while_the_slot_table_rolls_over(monkeypatch):
@@ -1475,7 +1344,7 @@ def test_cntp_and_beam_decode_as_locally_while_the_slot_table_rolls_over(monkeyp
     monkeypatch.setattr(RemoteModel, "_named",
                         lambda self, batch: generations.add(id(self._generation))
                         or named(self, batch))
-    _assert_cntp_and_beam_decode_through_a_server_as_locally(5)
+    _assert_cntp_and_beam_decode_through_a_server_as_locally()
     assert len(generations) > 2
 
 
@@ -1490,7 +1359,7 @@ def test_cntp_and_beam_decode_as_locally_while_slots_and_row_ids_roll_over(monke
     ask = RemoteModel._ask_ids
     monkeypatch.setattr(RemoteModel, "_ask_ids",
                         lambda self, batch: tables.append(len(self._by_id)) or ask(self, batch))
-    _assert_cntp_and_beam_decode_through_a_server_as_locally(5)
+    _assert_cntp_and_beam_decode_through_a_server_as_locally()
     clears = sum(later < earlier for earlier, later in zip(tables, tables[1:]))
     assert max(tables) == 8 and clears > 2
 
@@ -1523,8 +1392,7 @@ def _longest_trials_less_one(model, prompt, config, outcome) -> int:
 
 
 def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeypatch):
-    """Over wire 4, as over wire 3, a cntp decode makes total_steps + the sum
-    over its multi-trial steps of (longest trial - 1) requests, and a beam:4
+    """A cntp decode makes total_steps + the sum over its multi-trial steps of (longest trial - 1) requests, and a beam:4
     decode one per round, both fewer than their forward passes."""
     requests = []
     original = models._requested_cursors
@@ -1534,7 +1402,6 @@ def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeyp
     config = config.with_seed(3)
     rounds = 0
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        assert remote._wire == 5
         for prompt in prompts[:6]:
             before = len(requests)
             out = cntp_decode(remote, prompt, config)
@@ -1552,28 +1419,36 @@ def test_a_cntp_decode_makes_one_request_per_step_and_per_lockstep_round(monkeyp
 
 def test_both_ends_send_without_delay_and_a_32_branch_batch_is_fast(monkeypatch):
     """RemoteModel and every ModelServer connection set TCP_NODELAY. Without
-    it a wire-3 reply past one segment waits on the client's delayed ACK,
-    and a 32-branch round trip took about 44 ms."""
+    it a reply past one segment waits on the client's delayed ACK, and a
+    32-branch round trip took about 44 ms."""
     conns = []
     serve = ModelServer._serve_one
     monkeypatch.setattr(ModelServer, "_serve_one",
                         lambda self, conn: conns.append(conn) or serve(self, conn))
-    # A wire-4 server sends every row line on each request, so each reply
-    # stays long; a wire-5 one would send them once.
-    serve_wire(monkeypatch, 4)
+    # With 32 row ids, two batches of 32 distinct rows each clear the ids in
+    # turn, so each reply sends its 32 row lines again and stays long.
+    monkeypatch.setattr(models, "ROW_CACHE", 32)
+    monkeypatch.setattr(models, "BRANCHES_CAP", 32)
     model = load_kgram_model(bundled_path("kgram.kgram"))
-    prompt = model.vocabulary.encode("the ca")
+    contexts = {}
+    for context in sorted(model.counts):
+        contexts.setdefault(model.next_distribution(context), context)
+    contexts = [*contexts.values()][:64]
+    assert len(contexts) == 64
     with ModelServer(model) as server, RemoteModel(server.address) as remote:
-        size = len(model.vocabulary)
-        branches = [remote.start(prompt + (i % size, i // size)) for i in range(32)]
-        remote.next_distributions(branches)  # answered: the server set its option
+        batches = [[remote.start(c) for c in contexts[:32]], [remote.start(c) for c in contexts[32:]]]
+        remote.next_distributions(batches[1])  # answered: the server set its option
         for sock in (remote._sock, conns[0]):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        times = []
-        for _ in range(15):
+        read, times = [], []
+        exchange = remote._exchange
+        remote._exchange = lambda request=b"": read.append(line := exchange(request)) or line
+        for n in range(15):
             start = time.perf_counter()
-            rows = remote.next_distributions(branches)
+            remote.next_distributions(batches[n % 2])
             times.append(time.perf_counter() - start)
-    # The reply lines fill more than the server's 8 KiB write buffer.
-    assert sum(len(json.dumps({"probs": row.probs.tolist()})) + 1 for row in rows) > 8192
+    # Each reply is 32 row lines and an ids line, more than the server's
+    # 8 KiB write buffer.
+    assert len(read) == 15 * 33 and min(sum(map(len, read[i:i + 33]))
+                                        for i in range(0, len(read), 33)) > 8192
     assert sorted(times)[len(times) // 2] < 0.020
