@@ -14,14 +14,17 @@ step their cursors in one model.advance batch and read their next rows in
 one model.next_distributions batch, which a remote backend sends as one
 request. The outcome is the one a trial-by-trial loop gives. lane_decode
 runs many (prompt, seed) decodes of one policy the same way, all in
-lockstep by step index, with the outcomes policy_decode gives each alone. Its lanes that hold one cursor form a group, which reads its
-row once for all of them; a group splits where its lanes' draws or winning
-branches differ. Since a lane's draws depend only on its keys, a group's
-lanes draw the tokens they would draw alone, and lane_decode draws them
-ahead, a block of steps or trial rounds per keyed_uniforms call (see
-DRAW_BLOCK). It reads each distinct row into one plan per decode, so its
-steps and trial rounds pay for a row's confidence, trial count and
-prepared sampling row once, not once per token.
+lockstep by step index, with the outcomes policy_decode gives each alone.
+Its lanes that hold one cursor form a group, which reads its row once for
+all of them; a group splits where its lanes' draws or winning branches
+differ. Since a lane's draws depend only on its keys, a group's lanes draw
+the tokens they would draw alone, and lane_decode draws them ahead: a
+block of steps per keyed_uniforms call, and a multi-trial step's rounds
+past the first up to the trials' cap in one call (see DRAW_BLOCK). It
+reads each distinct row into one plan per decode, so its steps and trial
+rounds pay for a row's confidence, trial count and prepared sampling row
+once, not once per token, and its single-token steps that take one token
+of one row share one StepTrace.
 """
 
 from __future__ import annotations
@@ -313,14 +316,17 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
     return DecodeOutcome(vocab.sequence(tokens), cost, tuple(trace))
 
 
-# Most uniforms one keyed_uniforms call of lane_decode draws. lane_decode
-# draws each lane's single-token uniforms a block of steps ahead, and each
-# trial's a block of rounds ahead, since a stream's draws depend only on its
-# keys. Blocks double (the block drawn at step s covers steps s..2s-1, the
-# one at round L rounds L..2L-1), so a lane or trial that ends early wasted
-# at most as many draws as it used; this bound shortens the blocks of many
-# streams, and splits the call of more streams than it, so that the draws
-# held ahead stay flat in a wide batch.
+# Most uniforms one keyed_uniforms call of lane_decode draws. A stream's
+# draws depend only on its keys, so lane_decode draws them ahead. Each
+# lane's single-token uniforms come a block of steps ahead, in blocks that
+# double: the block drawn at step s covers steps s..2s-1, so a lane that
+# ends early wasted at most as many draws as it used. A multi-trial step
+# draws its trials' first tokens in one call, then every later round of the
+# trials that grow on, up to their cap, in one more: most trials stop within
+# a few tokens, but a draw costs tens of ns and a call tens of us. This
+# bound shortens a block of many streams, and a trial refills only where it
+# cut the block short; it also splits the call of more streams than it, so
+# the draws held ahead stay flat in a wide batch.
 DRAW_BLOCK = 4096
 
 
@@ -333,27 +339,23 @@ def _block_uniforms(bases: list[int], key: tuple, draw) -> list[float]:
     for lo in range(0, len(bases), DRAW_BLOCK):
         part = slice(lo, lo + DRAW_BLOCK)
         out += keyed_uniforms(bases[part], tuple(p if type(p) is int else p[part] for p in key),
-                              draw if type(draw) is int else draw[part])
+                              draw[part] if type(draw) is list else draw)
     return out
-
-
-def _block_length(start: int, streams: int) -> int:
-    """How many steps or rounds from start a block of streams draws ahead:
-    as many as came before start, at least one, and at most DRAW_BLOCK
-    draws in all where each stream draws at least one."""
-    return max(1, min(start, DRAW_BLOCK // streams))
 
 
 class _Plans(dict):
     """One decode's plan of each distinct row it meets, keyed by the row
     object: (confidence, trial count, prepared support, its cumulative
-    mass, the model probability of each support token as a Python float).
-    Support and probabilities end with their last entry twice, so indexing
-    them by bisect_left(mass, u) gives token_at's token for every u, and its
-    probability. At T=0 the prepared row is a one-hot on the argmax,
-    greedy_token's token, so the plan holds that support without building
-    the row. A plan holds what the policy makes of the row, so it lives
-    only as long as its decode."""
+    mass, the model probability of each support token as a Python float,
+    a slot per support index for the StepTrace of a single-token step that
+    takes it). Support and probabilities end with their last entry twice,
+    so indexing them by bisect_left(mass, u) gives token_at's token for
+    every u, and its probability. At T=0 the prepared row is a one-hot on
+    the argmax, greedy_token's token, so the plan holds that support
+    without building the row. The trace slots fill the first time a step
+    takes their index (see trace), so every later step that takes it
+    appends the same tuple. A plan holds what the policy makes of the row,
+    so it lives only as long as its decode."""
 
     __slots__ = ("policy",)
 
@@ -369,8 +371,19 @@ class _Plans(dict):
             support, mass = support_cumsum(prepare_sampling_dist(dist, config))
         probs = dist.probs[support].tolist()
         plan = self[dist] = (h, self.policy.trials(h), support + support[-1:], mass,
-                             probs + probs[-1:])
+                             probs + probs[-1:], [None] * (len(support) + 1))
         return plan
+
+    @staticmethod
+    def trace(plan: tuple, j: int) -> StepTrace:
+        """The StepTrace of a single-token step that takes support index j
+        of plan, made once: the last index shares its slot with the one
+        before, since both hold one token."""
+        h, _, _, _, probs, traces = plan
+        trace = traces[j] = tuple.__new__(StepTrace, (h, 1, None, probs[j]))
+        if j >= len(traces) - 2:
+            traces[-2:] = trace, trace
+        return trace
 
 
 class _Lane:
@@ -442,9 +455,11 @@ class _Group:
 def _step_block(live: list[_Group], step: int) -> tuple[list[float], int]:
     """The single-token uniforms, keyed (seed, s, 0), of every lane of live
     for the steps s of a block from step, each lane's from its lane.at on;
-    and the step the block ends before. A group's lanes draw no further
-    than their answer cap, since each step takes a token."""
-    length = _block_length(step, sum(len(group.lanes) for group in live))
+    and the step the block ends before: as many steps as came before step,
+    at least one, and at most DRAW_BLOCK draws in all where each lane draws
+    at least one. A group's lanes draw no further than their answer cap,
+    since each step takes a token."""
+    length = max(1, min(step, DRAW_BLOCK // sum(len(group.lanes) for group in live)))
     bases, steps = [], []
     for group in live:
         span = range(step, step + min(length, group.limit - len(group.tokens)))
@@ -484,7 +499,6 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
         group.lanes.append(_Lane(index, base))
     outcomes: list = [None] * len(lanes)
     plans = _Plans(policy)
-    trace_of = tuple.__new__  # StepTrace's own __new__ is a Python call
     live = list(starts.values())
     cursors = [model.start(prompt) for prompt in starts]
     step = block_start = block_end = 0
@@ -499,7 +513,7 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
         # and the parts of the groups that split, each with that cursor.
         going, froms, parts, multis = [], [], [], []
         for group, cursor, dist in zip(live, cursors, rows):
-            h, n, support, mass, probs = plan = plans[dist]
+            h, n, support, mass, probs, traces = plan = plans[dist]
             if n > 1:
                 multis.append((group, plan, cursor))
                 continue
@@ -513,12 +527,12 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
                 j = picks[0]
                 if picks.count(j) < len(picks):
                     parts += [(part, cursor)
-                              for part in _split_by_token(group, picks, h, support, probs)]
+                              for part in _split_by_token(group, picks, plan)]
                     continue
             tok = support[j]
             tokens = group.tokens
             tokens.append(tok)
-            group.trace.append(trace_of(StepTrace, (h, 1, None, probs[j])))
+            group.trace.append(traces[j] or _Plans.trace(plan, j))
             if tok != eos and len(tokens) < group.limit:
                 going.append(group)
                 froms.append(cursor)
@@ -538,19 +552,19 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     return outcomes
 
 
-def _split_by_token(group: _Group, picks: list, h: float, support: list,
-                    probs: list) -> list[_Group]:
+def _split_by_token(group: _Group, picks: list, plan: tuple) -> list[_Group]:
     """The groups that group's lanes form once each takes its token,
-    support[j] of its pick j of a row's plan, read at confidence h."""
+    support[j] of its pick j of plan, the plan of the row they read."""
+    support, traces = plan[2], plan[5]
     parts: dict[int, tuple] = {}
     for lane, j in zip(group.lanes, picks):
         part = parts.get(support[j])
         if part is None:
-            parts[support[j]] = ([lane], probs[j])
+            parts[support[j]] = ([lane], j)
         else:
             part[0].append(lane)
-    return [group.take(part, [tok], StepTrace(h, 1, None, prob), 0)
-            for tok, (part, prob) in parts.items()]
+    return [group.take(part, [tok], traces[j] or _Plans.trace(plan, j), 0)
+            for tok, (part, j) in parts.items()]
 
 
 def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
@@ -561,12 +575,12 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     cursor it took its last token at: a group splits by winning branch.
     Trials grow TRIAL_CHUNK per lane at a time, and all the trials of a
     chunk, over every lane, in lockstep: round 0 draws their first uniforms
-    in one keyed_uniforms call, later rounds draw each live trial's next
-    rounds a block ahead (see DRAW_BLOCK), and each round steps the trials
-    that grow on in one model.advance call and reads their rows in one
-    model.next_distributions call. Round r takes draw r of trial i's stream
-    (seed, step, i), as in _grow_trials, and each trial keeps branch_score's
-    scalar sum. A trial that stops on its first token is scored once per
+    in one keyed_uniforms call, round 1 draws the rest of every trial that
+    grows on, up to its cap, in one more (see _round_block), and each round
+    steps the trials that grow on in one model.advance call and reads their
+    rows in one model.next_distributions call. Round r takes draw r of
+    trial i's stream (seed, step, i), as in _grow_trials, and each trial
+    keeps branch_score's scalar sum. A trial that stops on its first token is scored once per
     distinct token."""
     # Per lane, the lanes of every step's group in turn (step k's from
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
@@ -587,14 +601,14 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
             ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
               for i in indices],), 0))
         # Per trial that grows on: (lane position, trial index, cap on its
-        # length, tokens, model probabilities), then also the base of its
-        # stream (seed, step, i) and where its draws start in the block of
-        # rounds; and the cursor it took its last token at, and that token.
+        # length, tokens, model probabilities), to which _round_block adds
+        # where its draws start in the block of rounds; and the cursor it
+        # took its last token at, and that token.
         trials, froms, toks = [], [], []
         # Round 0: a step's trials all draw from its row, at its cursor, and
         # the ones that stop there score as their first token does.
         for k, indices in chunks:
-            group, (_, _, support, mass, probs), cursor = steps[k]
+            group, (_, _, support, mass, probs, _), cursor = steps[k]
             cap = min(config.branch_cap, group.limit - len(group.tokens))
             ppls: dict[int, float] = {}
             for p in range(bounds[k], bounds[k + 1]):
@@ -612,21 +626,19 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
                         ppl = ppls[tok] = branch_score([probs[j]])[1]
                     if bests[p] is None or (ppl, i) < bests[p][0]:
                         bests[p] = [(ppl, i), [tok], cursor]
-        bases = derive_bases([step_bases[p] for p, *_ in trials], ([i for _, i, *_ in trials],))
-        trials = [trial + (base, None) for trial, base in zip(trials, bases)]
         cursors = model.advance(froms, toks)
         length = block_end = 1
         while trials:
             rows = model.next_distributions(cursors)
             if length == block_end:  # block holds rounds block_start..block_end - 1
                 block_start = length
-                block, trials, block_end = _round_block(trials, length)
+                block, trials, block_end = _round_block(trials, length, step_bases)
             offset = length - block_start
             length += 1
             live, froms, toks = [], [], []
             for trial, cur, dist in zip(trials, cursors, rows):
-                p, i, cap, tokens, chosen, _, at = trial
-                _, _, support, mass, probs = plans[dist]
+                p, i, cap, tokens, chosen, at = trial
+                _, _, support, mass, probs, _ = plans[dist]
                 j = bisect_left(mass, block[at + offset])
                 tok = support[j]
                 tokens.append(tok)
@@ -659,19 +671,22 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     return out
 
 
-def _round_block(trials: list, start: int) -> tuple[list[float], list[tuple], int]:
+def _round_block(trials: list, start: int,
+                 step_bases: list[int]) -> tuple[list[float], list[tuple], int]:
     """The uniforms of the live trials of _grow_lane_trials for the rounds
-    of a block from round start, each trial's no further than its cap: draw
-    r of its stream is the token that makes it r + 1 long. Also the trials
-    with where their draws start, and the round the block ends before."""
-    length = _block_length(start, len(trials))
-    bases, draws, placed = [], [], []
-    for p, i, cap, tokens, chosen, base, _ in trials:
-        span = range(start, min(start + length, cap))
-        placed.append((p, i, cap, tokens, chosen, base, len(bases)))
-        bases += [base] * len(span)
-        draws += span
-    return _block_uniforms(bases, (), draws), placed, start + length
+    from round start up to the largest cap among them, stream by stream, in
+    calls of at most DRAW_BLOCK uniforms: draw r of trial i's stream
+    (seed, step, i), folded from its lane's (seed, step) base in step_bases,
+    is the token that makes it r + 1 long. Where DRAW_BLOCK cuts the rounds
+    short, the trials that outgrow the block refill, and only they. Also the
+    trials with where their draws start, and the round the block ends
+    before."""
+    rounds = min(max(trial[2] for trial in trials) - start,
+                 max(1, DRAW_BLOCK // len(trials)))
+    block = _block_uniforms([step_bases[trial[0]] for trial in trials],
+                            ([trial[1] for trial in trials],), range(start, start + rounds))
+    placed = [trial[:5] + (t * rounds,) for t, trial in enumerate(trials)]
+    return block, placed, start + rounds
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

@@ -9,7 +9,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from ..core import DecodeConfig, write_lines
-from .runner import parse_strategy, run_suite
+from .runner import parse_int, parse_real, parse_strategy, run_suite
 
 # The flipped-probability measures live on a [0, 1] uncertainty scale, so
 # entropy-range thresholds would never trigger multi-trial steps; these
@@ -31,7 +31,7 @@ def _parse_pair(text: str) -> tuple[float, float]:
     t, sep, p = text.partition("x")
     if not sep:
         raise ValueError(f"grid value {text!r} must look like TxP")
-    return float(t), float(p)
+    return parse_real(t), parse_real(p)
 
 
 # Axis name -> (parse one CLI value, apply a value to a config). apply
@@ -39,9 +39,9 @@ def _parse_pair(text: str) -> tuple[float, float]:
 AXES = {
     "confidence_measure": (str, _measure),
     "trial_scaling": (str, lambda c, v: (replace(c, trial_scaling=v), "cntp")),
-    "n_max_sweep": (int, lambda c, v: (replace(c, n_max=v), "cntp")),
+    "n_max_sweep": (parse_int, lambda c, v: (replace(c, n_max=v), "cntp")),
     "temperature_top_p_grid": (_parse_pair, _grid),
-    "best_of_n": (int, lambda c, v: (c, f"best_of_n:{v}")),
+    "best_of_n": (parse_int, lambda c, v: (c, f"best_of_n:{v}")),
 }
 
 
@@ -72,12 +72,14 @@ class AblationSpec:
 
 
 def parse_values(axis: str, text: str) -> tuple:
-    """CLI value lists: comma-separated; grid entries as TxP, e.g.
-    "0.6x0.9,1.2x0.95"."""
+    """CLI value lists: comma-separated, spaces around an item ignored; grid
+    entries as TxP, e.g. "0.6x0.9,1.2x0.95". An empty item is an error."""
     parse, _ = _axis(axis)
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if not any(parts):
         raise ValueError("empty value list")
+    if not all(parts):
+        raise ValueError(f"empty item in value list {text!r}")
     return tuple(parse(part) for part in parts)
 
 

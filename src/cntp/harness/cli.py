@@ -22,6 +22,8 @@ from .runner import (
     STRATEGIES,
     WIDTH_CAP,
     ReplayMismatchError,
+    parse_int,
+    parse_real,
     parse_strategy,
     read_records,
     replay,
@@ -43,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _checked(kind, ok, what: str):
-    """An argparse type: kind(text), rejected as a usage error unless ok
-    holds for it."""
+    """An argparse type: kind(text), parse_int or parse_real, rejected as a
+    usage error unless ok holds for it."""
     def parse(text: str):
         try:
             value = kind(text)
@@ -56,10 +58,12 @@ def _checked(kind, ok, what: str):
     return parse
 
 
-_AT_LEAST_ONE = _checked(int, lambda n: n >= 1, "an integer ≥ 1")
-_PORT = _checked(int, lambda n: 0 <= n <= 65535, "an integer in 0..65535")
+_INT = _checked(parse_int, lambda n: True, "an integer")
+_REAL = _checked(parse_real, lambda x: True, "a real number")
+_AT_LEAST_ONE = _checked(parse_int, lambda n: n >= 1, "an integer ≥ 1")
+_PORT = _checked(parse_int, lambda n: 0 <= n <= 65535, "an integer in 0..65535")
 # NaN fails the comparison too.
-_DURATION = _checked(float, lambda s: 0 <= s < math.inf, "a finite number of seconds ≥ 0")
+_DURATION = _checked(parse_real, lambda s: 0 <= s < math.inf, "a finite number of seconds ≥ 0")
 
 
 def _bundled_names(kind: str) -> str:
@@ -76,18 +80,18 @@ def _add_config_flags(parser):
     parser.add_argument("--config",
                         help="JSON decode-config file, or " + _bundled_names("config")
                              + " for the config paired with that bundled model")
-    parser.add_argument("--seed", type=int, help="base RNG seed")
-    parser.add_argument("--n-max", type=int, dest="n_max")
-    parser.add_argument("--h-min", type=float, dest="h_min")
-    parser.add_argument("--h-max", type=float, dest="h_max")
-    parser.add_argument("--temperature", type=float,
+    parser.add_argument("--seed", type=_INT, help="base RNG seed")
+    parser.add_argument("--n-max", type=_INT, dest="n_max")
+    parser.add_argument("--h-min", type=_REAL, dest="h_min")
+    parser.add_argument("--h-max", type=_REAL, dest="h_max")
+    parser.add_argument("--temperature", type=_REAL,
                         help="sampling temperature; defaults to the strategy preset")
-    parser.add_argument("--top-p", type=float, dest="top_p")
+    parser.add_argument("--top-p", type=_REAL, dest="top_p")
     parser.add_argument("--confidence-measure", dest="confidence_measure",
                         choices=CONFIDENCE_MEASURES)
     parser.add_argument("--trial-scaling", dest="trial_scaling", choices=TRIAL_SCALINGS)
-    parser.add_argument("--branch-cap", type=int, dest="branch_cap")
-    parser.add_argument("--global-cap", type=int, dest="global_cap")
+    parser.add_argument("--branch-cap", type=_INT, dest="branch_cap")
+    parser.add_argument("--global-cap", type=_INT, dest="global_cap")
 
 
 def _add_strategy_flag(parser):
@@ -145,8 +149,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-kgram",
                        help="train a character model from a text corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--k", type=_INT, default=3)
+    p.add_argument("--alpha", type=_REAL, default=0.1)
     p.add_argument("--out", required=True, help="output .kgram path")
     p.set_defaults(func=cmd_train_kgram)
 
@@ -161,7 +165,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("replay", help="re-run a stored record")
     p.add_argument("--record", required=True, help="records.jsonl path")
-    p.add_argument("--line", type=int, default=1, help="1-based record number")
+    p.add_argument("--line", type=_INT, default=1, help="1-based record number")
     p.add_argument("--model", help="override the record's model spec")
     p.set_defaults(func=cmd_replay)
     return parser
@@ -184,13 +188,16 @@ def _build_config(args, root: str) -> DecodeConfig:
 
 
 def _parse_seeds(text: str) -> list[int]:
+    """--seeds: comma-separated integers, spaces around an item ignored."""
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        raise _UsageError("empty seed list in --seeds")
     try:
-        seeds = [check_seed(int(part)) for part in text.split(",") if part.strip()]
+        if not all(parts):
+            raise ValueError("empty item")
+        return [check_seed(parse_int(part)) for part in parts]
     except ValueError as exc:  # ConfigError included
-        raise _UsageError(f"bad seed list {text!r}: {exc}") from exc
-    if not seeds:
-        raise _UsageError("empty seed list")
-    return seeds
+        raise _UsageError(f"bad seed list {text!r} in --seeds: {exc}") from exc
 
 
 def _ledger_line(cost: dict) -> str:
@@ -231,11 +238,15 @@ def cmd_suite(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    try:
+        values = parse_values(args.axis, args.values)
+    except ValueError as exc:
+        raise _UsageError(f"--values: {exc}") from exc
     with resolve_model(args.model) as model:
         config = _build_config(args, "cntp")
         tasks = load_tasks(bundled_spec(args.tasks, "tasks"))
         seeds = _parse_seeds(args.seeds)
-        spec = AblationSpec(args.axis, parse_values(args.axis, args.values))
+        spec = AblationSpec(args.axis, values)
         rows = run_ablation(spec, config, model, tasks, seeds,
                             workers=args.workers, out_path=args.out)
     print(f"axis: {spec.axis}")

@@ -95,6 +95,30 @@ STRATEGIES = {
 WIDTH_CAP = 1024
 
 
+def parse_int(text: str) -> int:
+    """The integer text spells in ASCII decimal digits, with an optional
+    leading minus. int() also reads underscores, other scripts' digits and
+    surrounding spaces; those raise ValueError here."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def parse_real(text: str) -> float:
+    """The real number text spells in ASCII float syntax: an optional sign,
+    then digits with an optional point and exponent, or inf, infinity or
+    nan. float() also reads underscores, other scripts' digits and
+    surrounding spaces; those raise ValueError here, and float() itself
+    refuses the rest."""
+    if not text.isascii() or "_" in text or text != text.strip():
+        raise ValueError(f"not a real number: {text!r}")
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a real number: {text!r}") from None
+
+
 def parse_strategy(text: str) -> tuple[str, int | None]:
     """Strategy strings: a STRATEGIES root, with :<width> in 1..WIDTH_CAP
     for the roots that take one (beam:B, sc:n, cntp_sc:n, best_of_n:n)."""
@@ -104,7 +128,7 @@ def parse_strategy(text: str) -> tuple[str, int | None]:
         raise ValueError(f"unknown strategy {text!r}")
     if strategy.default_width is not None:
         try:
-            width = int(arg) if sep else strategy.default_width
+            width = parse_int(arg) if sep else strategy.default_width
         except ValueError as exc:
             raise ValueError(f"strategy parameter must be an integer: {text!r}") from exc
         if width < 1:

@@ -344,7 +344,10 @@ class RemoteModel(ModelSource):
 
     def __init__(self, address: str, timeout: float = 10.0):
         host, sep, port = address.rpartition(":")
-        if not sep or not port.isdigit():
+        # ASCII digits only: int() also reads other scripts' digits, and
+        # the socket layer wraps a port past 65535.
+        if not (sep and port.isascii() and port.isdigit() and len(port) <= 5
+                and 1 <= int(port) <= 65535):
             raise ProtocolError(f"remote address must be host:port, got {address!r}")
         self.address = address
         try:

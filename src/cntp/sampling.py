@@ -116,14 +116,19 @@ def _fold_keys(bases, key: tuple):
     return h
 
 
-def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int]) -> list[float]:
+def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int] | range) -> list[float]:
     """Draw number draw (0 for the first) of each stream Rng(seed).derive(*key),
     given as bases, the derive_seed(seed) of each. A part of key, and draw,
     is an int every stream shares or a list with one entry per stream, so
-    one call can draw a block of steps or rounds ahead: ([s, s+1, ...], 0)
-    keys the single-token draws of steps s, s+1, ... of a repeated base. The
-    whole batch in one call: over numpy uint64 lanes for NUMPY_DRAWS or
-    more, else over Python ints."""
+    one call can draw a block of steps ahead: ([s, s+1, ...], 0) keys the
+    single-token draws of steps s, s+1, ... of a repeated base. A range of
+    draws gives those draws of every stream, grouped stream by stream, so
+    one call can draw a block of rounds ahead; each stream's key is folded
+    once, and each draw costs only its mix. The whole batch in one call:
+    over numpy uint64 lanes for NUMPY_DRAWS draws or more, else over Python
+    ints."""
+    if type(draw) is range:
+        return _stream_uniforms(bases, key, draw)
     shared = type(draw) is int
     if len(bases) < NUMPY_DRAWS:
         # _fold_keys's loop with the draw taken in it: a decode's per-step
@@ -142,6 +147,24 @@ def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int]) -> list[
     else:  # uint64 arithmetic wraps, as & _M64 does
         offset = (np.array(draw, dtype=np.uint64) + np.uint64(1)) * _NP_GOLDEN
     h = _mix64_np(_fold_keys(bases, key) + offset)
+    return ((h >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
+
+
+def _stream_uniforms(bases: list[int], key: tuple, draws: range) -> list[float]:
+    """keyed_uniforms over a range of draws: each stream's draws in turn."""
+    if not draws:
+        return []
+    if len(bases) * len(draws) < NUMPY_DRAWS:
+        offsets = [(d + 1) * _GOLDEN & _M64 for d in draws]
+        return [(_mix64((h + o) & _M64) >> 11) * 1.1102230246251565e-16
+                for h in _fold_keys(bases, key) for o in offsets]
+    # A (streams, draws) grid. Draw d adds (d + 1) * _GOLDEN to its stream's
+    # state, so along the range the offsets step by draws.step * _GOLDEN;
+    # uint64 array arithmetic wraps, as & _M64 does.
+    offsets = (np.arange(len(draws), dtype=np.uint64) * np.uint64(draws.step * _GOLDEN & _M64)
+               + np.uint64((draws.start + 1) * _GOLDEN & _M64))
+    h = np.asarray(_fold_keys(bases, key), dtype=np.uint64).reshape(-1, 1)
+    h = _mix64_np(h + offsets).ravel()
     return ((h >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
 
 

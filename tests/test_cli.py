@@ -5,6 +5,7 @@ from __future__ import annotations
 import glob
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -340,6 +341,81 @@ def test_out_of_range_flags_exit_1_before_anything_starts(tmp_path, monkeypatch,
     out, err = capsys.readouterr()
     assert out == "" and list(tmp_path.iterdir()) == []
     assert f"usage error: argument {message}" in err
+
+
+_DECODE = ["decode", "--model", "bundled:suite", "--prompt", "Q00", "--out", ""]
+_ABLATE = ["ablate", *_SUITE[:-2], "--seeds", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["suite", *_SUITE[:-2], "--seeds", "1,,2"], "bad seed list '1,,2' in --seeds: empty item"),
+    (["suite", *_SUITE[:-2], "--seeds", "1,"], "bad seed list '1,' in --seeds: empty item"),
+    (["suite", *_SUITE[:-2], "--seeds", "1_000"], "in --seeds: not an integer: '1_000'"),
+    (["suite", *_SUITE[:-2], "--seeds", "٣"], "in --seeds: not an integer: '٣'"),
+    (["suite", *_SUITE[:-2], "--seeds", " , "], "empty seed list in --seeds"),
+    ([*_ABLATE, "--axis", "n_max_sweep", "--values", "1,,5"],
+     "--values: empty item in value list '1,,5'"),
+    ([*_ABLATE, "--axis", "n_max_sweep", "--values", "1_0"], "--values: not an integer: '1_0'"),
+    ([*_ABLATE, "--axis", "best_of_n", "--values", "٣"], "--values: not an integer: '٣'"),
+    ([*_ABLATE, "--axis", "temperature_top_p_grid", "--values", "1_0x0.9"],
+     "--values: not a real number: '1_0'"),
+    ([*_DECODE, "--seed", "1_0"], "argument --seed: must be an integer, got '1_0'"),
+    ([*_DECODE, "--n-max", "３"], "argument --n-max: must be an integer, got '３'"),
+    ([*_DECODE, "--branch-cap", " 5"], "argument --branch-cap: must be an integer, got ' 5'"),
+    ([*_DECODE, "--global-cap", "+5"], "argument --global-cap: must be an integer, got '+5'"),
+    ([*_DECODE, "--temperature", "1_0"],
+     "argument --temperature: must be a real number, got '1_0'"),
+    ([*_DECODE, "--top-p", "０.５"], "argument --top-p: must be a real number, got '０.５'"),
+    ([*_DECODE, "--h-min", "٠.1"], "argument --h-min: must be a real number, got '٠.1'"),
+    ([*_DECODE, "--h-max", "1.5 "], "argument --h-max: must be a real number, got '1.5 '"),
+    (["suite", *_SUITE, "--workers", "２"], "argument --workers: must be an integer ≥ 1, got '２'"),
+    (["theorem", "--node-budget", "1_000"],
+     "argument --node-budget: must be an integer ≥ 1, got '1_000'"),
+    (["serve-stub", "--model", "bundled:suite", "--port", "٣"],
+     "argument --port: must be an integer in 0..65535, got '٣'"),
+    (["serve-stub", "--model", "bundled:suite", "--duration", "1_0"],
+     "argument --duration: must be a finite number of seconds ≥ 0, got '1_0'"),
+    (["replay", "--record", "records.jsonl", "--line", "1_0"],
+     "argument --line: must be an integer, got '1_0'"),
+    (["train-kgram", "--corpus", "c.txt", "--out", "m.kgram", "--k", "٣"],
+     "argument --k: must be an integer, got '٣'"),
+    (["train-kgram", "--corpus", "c.txt", "--out", "m.kgram", "--alpha", "0_1"],
+     "argument --alpha: must be a real number, got '0_1'"),
+    ([*_DECODE, "--strategy", "beam:1_0"], "strategy parameter must be an integer: 'beam:1_0'"),
+])
+def test_numeric_text_outside_ascii_decimal_syntax_exits_1(tmp_path, monkeypatch, argv,
+                                                          message, capsys):
+    """Every numeric flag and list item is read as ASCII decimal text:
+    underscores, other scripts' digits, surrounding spaces and empty list
+    items are rejected, not converted, and nothing starts."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and list(tmp_path.iterdir()) == []
+    assert message in err
+
+
+def test_spaces_around_list_items_are_accepted(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert main(["suite", *_SUITE[:-2], "--strategy", "greedy", "--seeds", " 0 , 1 ",
+                 "--out", out]) == 0
+    assert "seeds=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("port", ["99999", "65536", "0", "٣", "²", "-1", "+80", " 80", "", "8O",
+                                  "0" * 6 + "80"])
+def test_remote_ports_outside_ascii_1_to_65535_exit_3_without_connecting(port, monkeypatch,
+                                                                          capsys):
+    """A port past 65535 is not wrapped into range, and other scripts'
+    digits are not read as ASCII ones: no connection is tried."""
+    monkeypatch.setattr(socket, "create_connection", _no_connection)
+    assert main([*_DECODE[:2], f"remote:127.0.0.1:{port}", *_DECODE[3:]]) == 3
+    err = capsys.readouterr().err
+    assert f"backend error: remote address must be host:port, got '127.0.0.1:{port}'" in err
+
+
+def _no_connection(*args, **kwargs):
+    raise AssertionError("connected to a rejected address")
 
 
 @pytest.mark.parametrize("command", [

@@ -453,8 +453,51 @@ def test_keyed_uniforms_with_a_draw_per_stream_equal_splitmix64_written_out(stre
     assert [keyed_uniforms([b], k, d)[0] for b, k, d in zip(bases, keys, draws)] == expected
 
 
+@st.composite
+def _streams_and_a_range(draw):
+    """_streams, and a range of draws that every stream makes."""
+    seeds, key = draw(_streams())
+    length = draw(st.integers(0, 2 * sampling.NUMPY_DRAWS))
+    start = draw(_DRAWS.filter(lambda d: d + length < 2**64))
+    return seeds, key, range(start, start + length)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_streams_and_a_range())
+@example(([0, 2**64 - 1], (), range(0)))
+@example(([0, 2**64 - 1] * sampling.NUMPY_DRAWS, (7,), range(5, 5)))
+@example(([0, 2**64 - 1, 3], (4096, [2**64 - 1, 0, 9]), range(2**32 - 1, 2**32 + 3)))
+@example(([2**64 - 1, 0] * 3, ([5, 2**40] * 3,), range(2**64 - 4, 2**64 - 1)))
+@example(([0, 2**64 - 1] * sampling.NUMPY_DRAWS, (3,), range(2**33, 2**33 + 1)))
+def test_keyed_uniforms_over_a_range_equal_the_per_draw_calls(streams):
+    """A range of draws, as a block of trial rounds passes, gives every
+    stream's draws in turn, bit for bit those of one call per stream and
+    draw and of splitmix64 written out: on both sides of NUMPY_DRAWS
+    (counted as streams × draws), at seeds 0 and 2**64 - 1, at draw
+    indices past 2**32 and for an empty range."""
+    seeds, key, draws = streams
+    keys = [tuple(p if type(p) is int else p[j] for p in key) for j in range(len(seeds))]
+    bases = sampling.derive_seeds(seeds)
+    got = keyed_uniforms(bases, key, draws)
+    assert got == [keyed_uniforms([b], k, d)[0] for b, k in zip(bases, keys) for d in draws]
+    assert got == [_uniform_written_out(_seed_written_out(seed, *k), d)
+                   for seed, k in zip(seeds, keys) for d in draws]
+
+
+def test_keyed_uniforms_over_a_range_use_numpy_from_the_cut_off(monkeypatch):
+    """The cut-off counts a range's draws over all streams, not streams."""
+    calls = []
+    original = sampling._mix64_np
+    monkeypatch.setattr(sampling, "_mix64_np", lambda z: calls.append(z.size) or original(z))
+    bases = [derive_seed(seed) for seed in range(3)]
+    keyed_uniforms(bases, (), range(1, (sampling.NUMPY_DRAWS - 1) // 3 + 1))
+    assert calls == []
+    keyed_uniforms(bases, (), range(1, -(-sampling.NUMPY_DRAWS // 3) + 1))
+    assert calls == [3 * -(-sampling.NUMPY_DRAWS // 3)]
+
+
 @pytest.mark.parametrize("lanes", [1, 3, sampling.NUMPY_DRAWS + 1])
-@pytest.mark.parametrize("start, length", [(0, 1), (1, 1), (2, 2), (8, 8), (2**33, 5)])
+@pytest.mark.parametrize("start, length",[(0, 1), (1, 1), (2, 2), (8, 8), (2**33, 5)])
 def test_a_block_of_steps_equals_its_per_step_draws(lanes, start, length):
     """One call over the steps ([s..s+k-1], 0) of each lane's repeated base,
     as lane_decode draws a block ahead, equals k per-step calls."""
@@ -541,25 +584,115 @@ def test_block_calls_of_a_thousand_lanes_stay_within_the_bound(monkeypatch):
 
 def test_blocks_double_and_stop_at_the_answer_cap(monkeypatch):
     """One stochastic k-gram lane draws its steps in blocks 0, 1, 2-3, 4-7,
-    ..., the last one cut at its answer cap; a cntp lane draws its trials'
-    rounds 1, 2-3, 4-7, ..., each cut at the trial's cap."""
+    ..., the last one cut at its answer cap."""
     calls = _recorded_calls(monkeypatch)
     model, _, prompts, config = _bundled("kgram", global_cap=100)
     lane_decode(model, [(prompts[0], 5)], SingleSamplePolicy(config))
     assert [key[0] for _, key, _ in calls] == [
         [0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)),
         list(range(32, 64)), list(range(64, 100))]
-    calls.clear()
-    lane_decode(model, [(prompts[0], 5)], CntpPolicy(config))
-    rounds = [draw for _, key, draw in calls if type(draw) is list]  # round 0 draws 0
-    assert {1, 2, 4, 8} <= {draw[0] for draw in rounds} <= {1, 2, 4, 8, 16, 32}
-    for draw in rounds:
-        # One run of rounds per trial, each from the block's start and at
-        # most start long.
-        start, runs = draw[0], []
-        for d in draw:
-            if d == start:
-                runs.append([])
-            runs[-1].append(d)
-        assert all(run == list(range(start, start + len(run))) and len(run) <= start
-                   for run in runs)
+
+
+def test_trials_draw_their_rounds_to_the_cap_in_one_call(monkeypatch):
+    """One cntp k-gram lane at answer cap 100: each multi-trial step draws
+    its trials' first tokens in one call keyed by trial index, then the
+    rounds 1 up to the cap of the trials that grow on in one more call.
+    Ten trials of at most 64 tokens stay within DRAW_BLOCK, so no trial
+    refills."""
+    calls = _recorded_calls(monkeypatch)
+    model, _, prompts, config = _bundled("kgram", global_cap=100)
+    outcome, = lane_decode(model, [(prompts[0], 5)], CntpPolicy(config))
+    # Step blocks are keyed (steps, 0); round 0 by trial index alone.
+    trial_calls = [(size, key[0], draw) for size, key, draw in calls if len(key) == 1]
+    firsts = [key for _, key, draw in trial_calls if draw == 0]
+    assert [t.n_trials for t in outcome.per_step_trace if t.n_trials > 1] == [
+        len(key) for key in firsts]
+    assert firsts == [list(range(len(key))) for key in firsts]
+    rounds = [(size, key, draw) for size, key, draw in trial_calls if type(draw) is range]
+    assert rounds and len(rounds) + len(firsts) == len(trial_calls)
+    for t, (size, key, draw) in enumerate(trial_calls):
+        if type(draw) is range:
+            # Right after its step's round-0 call: the trials that grew on.
+            assert trial_calls[t - 1][2] == 0
+            assert size == len(key) and set(key) <= set(trial_calls[t - 1][1])
+            assert key == sorted(key)
+            assert draw.start == 1 and 1 < draw.stop <= config.branch_cap
+    # Rounds run to the branch cap, except where the answer cap cuts them.
+    assert [draw.stop for _, _, draw in rounds[:-1]] == [config.branch_cap] * (len(rounds) - 1)
+
+
+def _recorded_sizes(monkeypatch):
+    """How many uniforms each keyed_uniforms call the engine makes returns,
+    and the draw it was given."""
+    sizes = []
+    original = engine.keyed_uniforms
+
+    def recorded(bases, key, draw):
+        out = original(bases, key, draw)
+        sizes.append((len(out), draw))
+        return out
+
+    monkeypatch.setattr(engine, "keyed_uniforms", recorded)
+    return sizes
+
+
+def test_block_calls_of_a_thousand_lanes_return_at_most_the_bound(monkeypatch):
+    """The 1 000-lane batch above, counted by the uniforms each call
+    returns: a call over a range of rounds returns rounds × streams, and
+    none returns more than DRAW_BLOCK. Its cntp decode refills trials that
+    the bound cut short."""
+    sizes = _recorded_sizes(monkeypatch)
+    model, _, prompts, config = _bundled("kgram", global_cap=24)
+    lanes = [(prompts[i % len(prompts)], derive_seed(41, i)) for i in range(1000)]
+    for policy in (SingleSamplePolicy(config), CntpPolicy(config)):
+        sizes.clear()
+        lane_decode(model, lanes, policy)
+        assert max(size for size, _ in sizes) <= engine.DRAW_BLOCK
+    assert any(size == engine.DRAW_BLOCK for size, _ in sizes)
+    assert any(type(draw) is range and draw.start > 1 for _, draw in sizes)
+
+
+def test_long_kgram_suite_lanes_run_both_round_paths(monkeypatch):
+    """The suite that CI's long-decode replay step runs, cntp on the 20
+    k-gram tasks at answer cap 1100 and seed 0: some multi-trial steps draw
+    their trials' rounds to the cap in one call, and some grow so many
+    trials at once that DRAW_BLOCK cuts their block and they refill."""
+    blocks = []
+    original = engine._round_block
+
+    def recorded(trials, start, step_bases):
+        block, placed, end = original(trials, start, step_bases)
+        blocks.append((start, end, max(cap for _, _, cap, *_ in trials)))
+        return block, placed, end
+
+    monkeypatch.setattr(engine, "_round_block", recorded)
+    sizes = _recorded_sizes(monkeypatch)
+    model, tasks, _, config = _bundled("kgram", global_cap=1100)
+    run_suite(model, tasks, "cntp", config, [0])
+    assert any(start == 1 and end == cap for start, end, cap in blocks)
+    assert any(start == 1 and end < cap for start, end, cap in blocks)
+    assert any(start > 1 for start, _, _ in blocks)
+    assert max(size for size, _ in sizes) <= engine.DRAW_BLOCK
+
+
+def test_single_token_steps_on_one_row_and_token_share_their_trace():
+    """Single-token steps that take the same token of the same row append
+    one StepTrace object, in a group and in the parts it splits into, at
+    T=1 and at T=0; the lanes still equal their scalar decodes."""
+    model, _, prompts, config = _bundled("kgram", global_cap=64)
+    for temperature in (1.0, 0.0):
+        policy = SingleSamplePolicy(dataclasses.replace(config, temperature=temperature))
+        prompts_in = prompts[:2] * 6
+        lanes = _assert_lanes_match(model, prompts_in, [derive_seed(17, i) for i in range(12)],
+                                    policy)
+        traces: dict = {}
+        for prompt, lane in zip(prompts_in, lanes):
+            cursor = model.start(prompt.tokens)
+            answer = lane.sequence.tokens[len(prompt.tokens):]
+            for tok, step in zip(answer, lane.per_step_trace):
+                row, = model.next_distributions([cursor])
+                traces.setdefault((id(row), tok), set()).add(id(step))
+                cursor, = model.advance([cursor], [tok])
+        assert all(len(ids) == 1 for ids in traces.values())
+        # Some row and token recur within one lane's decode.
+        assert any(len(set(lane.per_step_trace)) < len(lane.per_step_trace) for lane in lanes)
