@@ -62,6 +62,8 @@ _INT = _checked(parse_int, lambda n: True, "an integer")
 _REAL = _checked(parse_real, lambda x: True, "a real number")
 _AT_LEAST_ONE = _checked(parse_int, lambda n: n >= 1, "an integer ≥ 1")
 _PORT = _checked(parse_int, lambda n: 0 <= n <= 65535, "an integer in 0..65535")
+# An empty host would listen on every interface; 0.0.0.0 says so.
+_HOST = _checked(str, bool, "a host name or address")
 # NaN fails the comparison too.
 _DURATION = _checked(parse_real, lambda s: 0 <= s < math.inf, "a finite number of seconds ≥ 0")
 
@@ -157,7 +159,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve-stub",
                        help="serve a model over the line-delimited TCP protocol")
     _add_model_flag(p)
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", type=_HOST, default="127.0.0.1",
+                   help="address to listen on (0.0.0.0: every interface)")
     p.add_argument("--port", type=_PORT, default=0)
     p.add_argument("--duration", type=_DURATION,
                    help="serve for this many seconds, then exit (default: forever)")

@@ -1,5 +1,5 @@
 """Model backends: scripted lookup tables, add-alpha k-gram character
-models, and a remote client speaking newline-delimited JSON (wire 5).
+models, and a remote client speaking newline-delimited JSON (wire 6).
 
 Every backend exposes a vocabulary and a deterministic
 next_distribution(prefix), and hands out cursors through start(prefix): an
@@ -11,6 +11,7 @@ truncation.
 
 from __future__ import annotations
 
+import json
 import math
 import socket
 import threading
@@ -275,12 +276,10 @@ def load_kgram_model(path: str) -> KGramModel:
 
 
 # The wire protocol's version; README, "Wire protocol", describes it.
-WIRE_VERSION = 5
-# Most branches one wire-5 request may name; the client splits larger
-# batches.
-BRANCHES_CAP = 64
-# Slots a connection's table holds: a batch that would take it past the cap
-# clears it first, on the server and in the client's count alike.
+WIRE_VERSION = 6
+# Slots a connection's table holds, and the most branches one request may
+# name: a request that would take the table past the cap clears it first,
+# on the server and in the client's count alike.
 SLOT_CAP = 1024
 # Most connections a ModelServer serves at once; one past it gets an error
 # line as its hello and is closed.
@@ -290,7 +289,7 @@ CONNECTION_CAP = 64
 LINE_CAP = 1 << 24
 # Reply lines the server keeps by row; past it the oldest entry goes. Also
 # the most row ids a connection numbers before both ends clear them; it must
-# be at least BRANCHES_CAP, so that one request's rows always fit.
+# be at least SLOT_CAP, so that one request's rows always fit.
 ROW_CACHE = 1024
 
 
@@ -302,9 +301,10 @@ def _remember(cache: dict, key, value) -> None:
 
 class _RemoteCursor:
     """A RemoteModel position: its parent cursor (None at a start) and the
-    token ids after the parent's prefix, so advance copies no prefix. A
-    cursor that was read also keeps the slot its row took and the generation
-    of the slot table it took it in."""
+    token ids after the parent's prefix, the whole prefix at a start and one
+    token below a parent, so advance copies no prefix. A cursor that was
+    read also keeps the slot its row took and the generation of the slot
+    table it took it in."""
 
     __slots__ = ("parent", "ids", "slot", "generation")
 
@@ -328,17 +328,19 @@ class RemoteModel(ModelSource):
     """Client for the line-delimited JSON protocol.
 
     On connect the server sends one hello record with the vocabulary and the
-    wire version it speaks, which must be 5 or later. Every request, batch
-    or single, is one {"slots": [s, ...], "branches": [[ids], ...], "rows":
-    true} request. Each cursor keeps the slot its row took in the server's
-    table and that table's generation, which the SLOT_CAP clear and any
-    error line end: a cursor whose parent was read in the current
-    generation goes as the parent's slot plus its token, any other as slot
-    -1 plus its whole prefix. The reply is a {"probs": [...]} line for each
-    row the connection has not sent before, which takes the next row id,
-    then {"rows": [id, ...], "at": n}. The client keeps those rows in a list
-    by id, so a row is parsed and validated once and keeps its sampling
-    caches.
+    wire version it speaks, which must be 6 or later. A batch, or a single
+    read, is one {"slots": [s, ...], "tokens": [t, ...], "prefixes": [[ids],
+    ...]} request, unless it holds more than SLOT_CAP cursors or its line
+    would pass LINE_CAP: then it is split, and the split is known before
+    anything is sent. Each cursor keeps the slot its row took in the
+    server's table and that table's generation, which the SLOT_CAP clear and
+    any error line end: a cursor whose parent was read in the current
+    generation goes as the parent's slot, with its token in tokens, any
+    other as slot -1, with its whole prefix in prefixes. The reply is a
+    {"probs": [...]} line for each row the connection has not sent before,
+    which takes the next row id, then {"rows": [id, ...], "at": n}. The
+    client keeps those rows in a list by id, so a row is parsed and
+    validated once and keeps its sampling caches.
     Requests are serialized per connection; every record is type-checked.
     """
 
@@ -419,37 +421,83 @@ class RemoteModel(ModelSource):
                                 f"vocabulary has {len(self.vocabulary)}")
         return dist
 
-    def _named(self, batch: list[_RemoteCursor]) -> dict:
-        """The wire-5 request for batch. Each cursor goes as its parent's
-        slot plus its token when the parent was read in the current
-        generation, else as slot -1 plus its whole prefix; it then holds the
-        next slot, after the SLOT_CAP clear if the batch brings one."""
+    def _requests(self, batch: list[_RemoteCursor]) -> list[tuple[list[_RemoteCursor], bytes]]:
+        """The wire-6 requests for batch, each with its cursors: one request
+        built in one pass, unless the batch must be split. Nothing is sent,
+        and no slot taken, here."""
         generation = self._generation
-        refs, branches = [], []
+        refs, tokens, prefixes = [], [], []
         for cursor in batch:
             parent = cursor.parent
             if parent is not None and parent.generation is generation:
                 refs.append(parent.slot)
-                branches.append(cursor.ids)
+                tokens.append(cursor.ids[0])
             else:
                 refs.append(-1)
-                branches.append(_remote_prefix(cursor))
+                prefixes.append(_remote_prefix(cursor))
+        if len(batch) <= SLOT_CAP:
+            line = json_line({"slots": refs, "tokens": tokens, "prefixes": prefixes}).encode()
+            if len(line) <= LINE_CAP:
+                return [(batch, line)]
+        return self._split(batch, refs)
+
+    def _split(self, batch: list[_RemoteCursor],
+               refs: list[int]) -> list[tuple[list[_RemoteCursor], bytes]]:
+        """batch as requests of at most SLOT_CAP cursors whose lines stay
+        within LINE_CAP, given refs, its slots in the current generation.
+        Once a request brings the SLOT_CAP clear, every later cursor goes
+        whole, since its parent's slot is gone. A cursor whose line alone
+        would pass LINE_CAP is a ProtocolError."""
+        def branch(cursor, ref):
+            # The cursor's token or prefix, and the bytes that it, its slot
+            # and their two separators take.
+            item = cursor.ids[0] if ref >= 0 else list(_remote_prefix(cursor))
+            return item, len(str(ref)) + len(json.dumps(item)) + 4
+
+        empty = len(json_line({"slots": [], "tokens": [], "prefixes": []}))
+        chunks: list[list] = [[]]
+        size, cleared, used = self._table_size, False, empty
+        for cursor, ref in zip(batch, refs):
+            ref = -1 if cleared else ref
+            item, cost = branch(cursor, ref)
+            chunk = chunks[-1]
+            if chunk and (len(chunk) == SLOT_CAP or used + cost > LINE_CAP):
+                if size + len(chunk) > SLOT_CAP:  # that request clears the table
+                    size, cleared = 0, True
+                    if ref >= 0:
+                        ref = -1
+                        item, cost = branch(cursor, ref)
+                size += len(chunk)
+                chunk, used = [], empty
+                chunks.append(chunk)
+            if not chunk and used + cost - 4 > LINE_CAP:  # one branch, no separators
+                raise ProtocolError(f"{self.address}: a request for one cursor would take "
+                                    f"{used + cost - 4} bytes, past LINE_CAP ({LINE_CAP})")
+            chunk.append((cursor, ref, item))
+            used += cost
+        return [([cursor for cursor, _, _ in chunk], json_line({
+            "slots": [ref for _, ref, _ in chunk],
+            "tokens": [item for _, ref, item in chunk if ref >= 0],
+            "prefixes": [item for _, ref, item in chunk if ref < 0]}).encode())
+            for chunk in chunks]
+
+    def _ask_ids(self, batch: list[_RemoteCursor], line: bytes) -> list[Distribution]:
+        """Send batch's request line and read its reply: a row line for
+        each row new to the connection, then the ids line. Batch's cursors
+        take the next slots first, after the SLOT_CAP clear if the request
+        brings one. An error line first means the server dropped every slot
+        and row id, so the client does too and keeps the connection. Any
+        other failure leaves the row table out of step, so it closes the
+        connection."""
         if self._table_size + len(batch) > SLOT_CAP:
-            self._generation = generation = object()
+            self._generation = object()
             self._table_size = 0
+        generation = self._generation
         for slot, cursor in enumerate(batch, self._table_size):
             cursor.slot = slot
             cursor.generation = generation
         self._table_size += len(batch)
-        return {"slots": refs, "branches": branches, "rows": True}
-
-    def _ask_ids(self, batch: list[_RemoteCursor]) -> list[Distribution]:
-        """Send batch's request and read its reply: a row line for
-        each row new to the connection, then the ids line. An error line
-        first means the server dropped every slot and row id, so the client
-        does too and keeps the connection. Any other failure leaves the row
-        table out of step, so it closes the connection."""
-        first = self._exchange(json_line(self._named(batch)).encode())
+        first = self._exchange(line)
         table, new = self._by_id, []
         try:
             record = self._record(first)
@@ -487,10 +535,12 @@ class RemoteModel(ModelSource):
         return self.next_distributions([self.start(prefix)])[0]
 
     def next_distributions(self, cursors: list[_RemoteCursor]) -> list[Distribution]:
+        if not cursors:
+            return []
         with self._lock:
             rows: list[Distribution] = []
-            while len(rows) < len(cursors):
-                rows += self._ask_ids(cursors[len(rows):len(rows) + BRANCHES_CAP])
+            for batch, line in self._requests(cursors):
+                rows += self._ask_ids(batch, line)
             return rows
 
     def close(self) -> None:
@@ -519,54 +569,40 @@ def _is_error_line(line: bytes) -> bool:
 
 def _check_ids(ids: list, size: int) -> None:
     if ids and not 0 <= min(ids) <= max(ids) < size:
-        raise ProtocolError(f"request: prefix ids outside 0..{size - 1}")
-
-
-def _check_branches(branches: list, size: int) -> None:
-    """Check a wire-5 request's branches: 1..BRANCHES_CAP lists of token
-    ids."""
-    if not 1 <= len(branches) <= BRANCHES_CAP:
-        raise ProtocolError(f"request: branches must hold 1..{BRANCHES_CAP} lists, "
-                            f"got {len(branches)}")
-    ids = [*chain.from_iterable(branches)]
-    if not {int}.issuperset(map(type, ids)):
-        raise ProtocolError("request: branches must be lists of integers")
-    _check_ids(ids, size)
+        raise ProtocolError(f"request: token ids outside 0..{size - 1}")
 
 
 def _requested_cursors(record, table: list, model: ModelSource):
     """The model cursors a request names, and whether the reply names rows
     by id. {"prefix": [ids]}, with no other field, names one prefix whole,
-    answered with its row line. A wire-5 request names each branch as slot s
-    of table plus the ids after it, or as slot -1 plus the whole prefix, and
-    carries "rows": true."""
+    answered with its row line. A wire-6 request names 1..SLOT_CAP branches
+    by slots: slot s of table stepped on by the next id of tokens, or slot
+    -1 and the next whole prefix of prefixes."""
     size = len(model.vocabulary)
     if type(record) is dict and "prefix" in record:
         ids = check_fields(record, {"prefix": "[int]"}, ProtocolError, "request",
                            closed=True)["prefix"]
         _check_ids(ids, size)
         return [model.start(ids)], False
-    if type(record) is dict and record.pop("rows", None) is not True:
-        raise ProtocolError('request: expected {"prefix": [ids]} alone, or "slots", '
-                            '"branches" and "rows": true')
-    fields = check_fields(record, {"slots": "[int]", "branches": "[list]"}, ProtocolError,
-                          "request", closed=True)
-    refs, branches = fields["slots"], fields["branches"]
-    _check_branches(branches, size)
-    if len(refs) != len(branches):
-        raise ProtocolError(f"request: slots and branches must be as long, got {len(refs)} "
-                            f"and {len(branches)}")
+    fields = check_fields(record, {"slots": "[int]", "tokens": "[int]", "prefixes": "[list]"},
+                          ProtocolError, "request", closed=True)
+    refs, tokens, prefixes = fields["slots"], fields["tokens"], fields["prefixes"]
+    if not 1 <= len(refs) <= SLOT_CAP:
+        raise ProtocolError(f"request: slots must name 1..{SLOT_CAP} branches, got {len(refs)}")
     if not -1 <= min(refs) <= max(refs) < len(table):
         raise ProtocolError(f"request: slots must be in -1..{len(table) - 1}")
-    cursors = [table[ref] if ref >= 0 else model.start(ids) for ref, ids in zip(refs, branches)]
-    # The branches off slots step on together, a token of each per call.
-    grow = [n for n, ref in enumerate(refs) if ref >= 0]
-    for depth in range(max((len(branches[n]) for n in grow), default=0)):
-        grow = [n for n in grow if len(branches[n]) > depth]
-        stepped = model.advance([cursors[n] for n in grow], [branches[n][depth] for n in grow])
-        for n, cursor in zip(grow, stepped):
-            cursors[n] = cursor
-    return cursors, True
+    stepped = [table[ref] for ref in refs if ref >= 0]
+    if len(tokens) != len(stepped) or len(prefixes) != len(refs) - len(stepped):
+        raise ProtocolError(f"request: {len(stepped)} slots of the table and "
+                            f"{len(refs) - len(stepped)} of -1 need as many tokens and "
+                            f"prefixes, got {len(tokens)} and {len(prefixes)}")
+    ids = [*tokens, *chain.from_iterable(prefixes)]
+    if not {int}.issuperset(map(type, ids)):
+        raise ProtocolError("request: prefixes must be lists of integers")
+    _check_ids(ids, size)
+    # Every branch off a slot steps on in one call.
+    advanced, whole = iter(model.advance(stepped, tokens)), iter(prefixes)
+    return [next(advanced) if ref >= 0 else model.start(next(whole)) for ref in refs], True
 
 
 class ModelServer:
@@ -575,17 +611,23 @@ class ModelServer:
     serves at most CONNECTION_CAP connections at once; one past the cap gets
     a single error line and is closed, and a place frees when a client
     hangs up. Each connection keeps the model's cursor at every row it
-    answered, up to SLOT_CAP of them, as the slots wire-5 requests name,
+    answered, up to SLOT_CAP of them, as the slots wire-6 requests name,
     and numbers the rows it sent them, up to ROW_CACHE of them; an error
-    line drops both. A {"prefix": [ids]} line, which a person can type, is
-    answered with its row line."""
+    line drops both. A request's branches off slots step on in one
+    model.advance call, and all its rows are read in one
+    model.next_distributions call. A {"prefix": [ids]} line, which a person
+    can type, is answered with its row line. An address it cannot listen on
+    is a ProtocolError."""
 
     def __init__(self, model: ModelSource, host: str = "127.0.0.1", port: int = 0):
         self._model = model
         self._lines: dict[Distribution, bytes] = {}  # each row's reply line
         self._lines_lock = threading.Lock()
         self._connections = threading.BoundedSemaphore(CONNECTION_CAP)
-        self._listener = socket.create_server((host, port))
+        try:
+            self._listener = socket.create_server((host, port))
+        except OSError as exc:  # in use, not this host's, or no such name
+            raise ProtocolError(f"cannot listen on {host}:{port}: {exc}") from exc
         actual_host, actual_port = self._listener.getsockname()[:2]
         self.address = f"{actual_host}:{actual_port}"
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
@@ -617,7 +659,7 @@ class ModelServer:
 
     def _rows_reply(self, rows: list[Distribution],
                     sent: dict[Distribution, int]) -> list[bytes]:
-        """The wire-5 reply lines for rows: a row line for each row not in
+        """The wire-6 reply lines for rows: a row line for each row not in
         sent, the connection's ids, in first-use order, each taking the next
         id; then the ids line. New rows that would take sent past ROW_CACHE
         clear it first, so that the ids start again at 0."""
@@ -635,7 +677,7 @@ class ModelServer:
         model = self._model
         vocab = model.vocabulary
         table: list = []  # the model's cursor at each answered row, in answer order
-        sent: dict[Distribution, int] = {}  # the id of each row a wire-5 reply sent
+        sent: dict[Distribution, int] = {}  # the id of each row a wire-6 reply sent
         try:
             with conn, conn.makefile("rwb") as fh:
                 _no_delay(conn)

@@ -144,6 +144,25 @@ def test_serve_stub_runs_for_duration(capsys):
     assert "serving" in out
 
 
+@pytest.mark.parametrize("host", ["127.0.0.1", "999.1.1.1", "::1"],
+                         ids=["port-in-use", "no-such-address", "ipv6-address"])
+def test_serve_stub_reports_an_address_it_cannot_listen_on_as_a_backend_error(host, capsys):
+    """A port in use, or a host the server cannot listen on, is no file
+    error: serve-stub exits 3 and names the address."""
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1] if host == "127.0.0.1" else 0
+        rc = main(["serve-stub", "--model", "bundled:suite", "--host", host, "--port", str(port),
+                   "--duration", "0"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith(f"backend error: cannot listen on {host}:{port}: "), err
+
+
+def test_serve_stub_listens_on_every_interface_at_0_0_0_0(capsys):
+    rc = main(["serve-stub", "--model", "bundled:suite", "--host", "0.0.0.0", "--duration", "0"])
+    assert rc == 0 and "at 0.0.0.0:" in capsys.readouterr().out
+
+
 def test_serve_stub_sleeps_a_long_duration_in_bounded_steps(monkeypatch, capsys):
     """A single sleep of 1e12 s overflows the platform's time_t."""
     naps = []
@@ -319,6 +338,8 @@ _SUITE = ["--model", "bundled:suite", "--tasks", "bundled:suite", "--config", "b
      "--port: must be an integer in 0..65535, got '70000'"),
     (["serve-stub", "--model", "bundled:suite", "--port", "-1"],
      "--port: must be an integer in 0..65535, got '-1'"),
+    (["serve-stub", "--model", "bundled:suite", "--host", ""],
+     "--host: must be a host name or address, got ''"),
     (["serve-stub", "--model", "bundled:suite", "--duration", "inf"],
      "--duration: must be a finite number of seconds ≥ 0, got 'inf'"),
     (["serve-stub", "--model", "bundled:suite", "--duration", "-1"],
@@ -331,7 +352,7 @@ _SUITE = ["--model", "bundled:suite", "--tasks", "bundled:suite", "--config", "b
      "--workers: must be an integer ≥ 1, got '-2'"),
     (["theorem", "--node-budget", "0"], "--node-budget: must be an integer ≥ 1, got '0'"),
     (["theorem", "--node-budget", "-1"], "--node-budget: must be an integer ≥ 1, got '-1'"),
-], ids=["port-past-65535", "negative-port", "infinite-duration", "negative-duration",
+], ids=["port-past-65535", "negative-port", "empty-host", "infinite-duration", "negative-duration",
         "nan-duration", "negative-workers", "zero-workers", "ablate-negative-workers",
         "zero-node-budget", "negative-node-budget"])
 def test_out_of_range_flags_exit_1_before_anything_starts(tmp_path, monkeypatch, argv,

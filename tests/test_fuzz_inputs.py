@@ -2,8 +2,8 @@
 
 Arbitrary JSON values, raw bytes, and valid documents with one field
 replaced or dropped go to each file loader, to read_records, to RemoteModel
-as hello and response lines from a stub socket, wire-5 row and ids lines
-among them, and to ModelServer as request lines: wire-5 and prefix lines,
+as hello and response lines from a stub socket, wire-6 row and ids lines
+among them, and to ModelServer as request lines: wire-6 and prefix lines,
 and the forms of the older wires, which it no longer serves.
 Only ConfigError, ModelFileError and ProtocolError may escape, and the CLI
 reading the same input exits with a code in 0..4.
@@ -198,11 +198,12 @@ def _line(content: bytes) -> bytes:
     return content.replace(b"\n", b" ") + b"\n"
 
 
-_HELLO = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}).encode()
+_HELLO = json.dumps({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 6}).encode()
 
 
 @settings(max_examples=40, deadline=None)
-@given(documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}))
+@given(documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 6})
+       | documents({"tokens": ["a.", "b.", ""], "eos": 2, "wire": 5}))
 def test_remote_hello_lines(hello):
     with _stub_server(_line(hello)) as address:
         try:
@@ -230,13 +231,16 @@ def test_remote_response_lines(response):
                 min_size=1, max_size=3))
 def test_remote_wire_5_reply_lines(lines):
     """Row lines and ids lines, each valid, mangled or missing, answering a
-    two-branch wire-5 request."""
-    payload = _line(_HELLO) + b"".join(map(_line, lines))
+    two-branch wire-6 request: one branch off the slot of a row read before,
+    and one whole prefix. Wire 6 kept wire 5's reply lines."""
+    read = b'{"probs": [0.5, 0.25, 0.25]}\n{"rows": [0], "at": 0}\n'
+    payload = _line(_HELLO) + read + b"".join(map(_line, lines))
     with _stub_server(payload) as address:
         with RemoteModel(address) as remote:
             root = remote.start(())
+            remote.next_distributions([root])
             try:
-                remote.next_distributions([root, *remote.advance([root], [0])])
+                remote.next_distributions([*remote.advance([root], [0]), remote.start((1,))])
             except ProtocolError:
                 pass
     with _stub_server(payload) as address:
@@ -260,7 +264,8 @@ def served(workdir):
 @given(documents({"prefix": [0, 1]}) | documents({"keep": 1, "append": [0]})
        | documents({"keep": 1, "branches": [[0], [1, 0]]})
        | documents({"slots": [-1, 0], "branches": [[0], [1, 0]]})
-       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]], "rows": True}))
+       | documents({"slots": [-1, 0], "branches": [[0], [1, 0]], "rows": True})
+       | documents({"slots": [-1, 0, -1], "tokens": [1], "prefixes": [[0], [1, 0]]}))
 def test_server_request_lines(served, request):
     served.write(_line(request))
     served.flush()
@@ -268,13 +273,13 @@ def test_server_request_lines(served, request):
     if "error" in reply:
         assert list(reply) == ["error"]
         return
-    # The server parsed the line: a prefix line gets its row, and a wire-5
+    # The server parsed the line: a prefix line gets its row, and a wire-6
     # request its new rows and then one id per branch.
     record = json.loads(_line(request))
     if "prefix" in record:
         assert list(reply) == ["probs"]
         return
-    branches = len(record["branches"])
+    branches = len(record["slots"])
     new = 0
     while list(reply) == ["probs"]:
         new += 1

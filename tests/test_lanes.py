@@ -5,6 +5,7 @@ draws against Rng streams."""
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -188,14 +189,15 @@ def test_lanes_through_a_server_whose_slot_table_rolls_over(monkeypatch):
     still equal the local scalar decodes."""
     monkeypatch.setattr(models, "SLOT_CAP", 5)
     sent, sizes = [], []
-    named = RemoteModel._named
+    ask = RemoteModel._ask_ids
 
-    def recorded(self, batch):
-        sent.append(named(self, batch))
+    def recorded(self, batch, line):
+        sent.append(json.loads(line))
+        rows = ask(self, batch, line)
         sizes.append(self._table_size)
-        return sent[-1]
+        return rows
 
-    monkeypatch.setattr(RemoteModel, "_named", recorded)
+    monkeypatch.setattr(RemoteModel, "_ask_ids", recorded)
     _assert_lanes_through_a_server_equal_local_decodes()
     assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # cleared
     assert any(ref >= 0 for request in sent for ref in request["slots"])

@@ -49,7 +49,7 @@ from cntp.engine import _grow_trials, stop_mask
 from cntp.harness import bundled_path, load_tasks
 from cntp.harness.cli import main
 from cntp.harness.runner import run_suite
-from cntp.models import BRANCHES_CAP, CONNECTION_CAP, LINE_CAP, ROW_CACHE
+from cntp.models import CONNECTION_CAP, LINE_CAP, ROW_CACHE, SLOT_CAP
 
 from conftest import make_random_scripted
 
@@ -457,12 +457,12 @@ def test_remote_rejects_bad_addresses():
         RemoteModel(f"127.0.0.1:{port}", timeout=2.0)
 
 
-_HELLO_5 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 5}
+_HELLO_6 = {"tokens": ["a", "b", ""], "eos": 2, "wire": 6}
 
 
 def _hello(tokens) -> bytes:
-    """A wire-5 hello line for a vocabulary whose last token is eos."""
-    return json.dumps({"tokens": tokens, "eos": len(tokens) - 1, "wire": 5}).encode() + b"\n"
+    """A wire-6 hello line for a vocabulary whose last token is eos."""
+    return json.dumps({"tokens": tokens, "eos": len(tokens) - 1, "wire": 6}).encode() + b"\n"
 
 
 def _raw_server(lines):
@@ -638,14 +638,14 @@ def test_one_v2_connection_answers_every_walk_as_the_local_model(moves):
 
 
 def _recording_server(replies, hello=None, hang_up=False):
-    """A one-connection server that sends hello (a wire-5 one by default),
+    """A one-connection server that sends hello (a wire-6 one by default),
     answers each request line with the next of replies and appends the
     requests it read, parsed, to the list it returns with its address.
     Past the replies it waits for the client to hang up, or with hang_up
     closes the connection itself."""
     listener = socket.create_server(("127.0.0.1", 0))
     requests = []
-    hello = hello or _HELLO_5
+    hello = hello or _HELLO_6
 
     def serve():
         with listener:
@@ -674,18 +674,21 @@ def _ids_line(ids, at) -> bytes:
     return json.dumps({"rows": ids, "at": at}).encode() + b"\n"
 
 
-@pytest.mark.parametrize("hello", [{"tokens": ["a", "b", ""], "eos": 2}, {**_HELLO_5, "wire": 4}],
-                         ids=["no-wire", "wire-4"])
-def test_a_server_older_than_wire_5_is_refused_and_the_cli_exits_3(hello, capsys):
+@pytest.mark.parametrize("hello", [{"tokens": ["a", "b", ""], "eos": 2}, {**_HELLO_6, "wire": 4},
+                                   {**_HELLO_6, "wire": 5}], ids=["no-wire", "wire-4", "wire-5"])
+def test_a_server_older_than_wire_6_is_refused_and_the_cli_exits_3(hello, capsys):
+    """A wire-5 server numbers the same slots, but reads a request of this
+    client's as no request: the client refuses its hello, and sends
+    nothing."""
     # A row to answer with, so that any request the client sent is recorded.
     address, requests = _recording_server([_ROW], hello)
-    with pytest.raises(ProtocolError, match="speaks wire 5"):
+    with pytest.raises(ProtocolError, match="speaks wire 6"):
         RemoteModel(address)
     address, more = _recording_server([_ROW], hello)
     code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
                  "greedy", "--out", ""])
     out, err = capsys.readouterr()
-    assert code == 3 and out == "" and "wire 5" in err
+    assert code == 3 and out == "" and "wire 6" in err
     assert requests == more == []
 
 
@@ -711,7 +714,7 @@ def _ask(fh, request) -> dict:
 
 
 def _raw_lines(fh, request) -> list[dict]:
-    """Send a wire-5 request and read its reply: row lines up to the ids
+    """Send a wire-6 request and read its reply: row lines up to the ids
     line, or one error line."""
     replies = [_ask(fh, request)]
     while "probs" in replies[-1]:
@@ -719,10 +722,18 @@ def _raw_lines(fh, request) -> list[dict]:
     return replies
 
 
-def _read_slots(fh, sent, slots, branches) -> list[dict]:
-    """The row line of each branch of a wire-5 request, read by the ids its
+def _request(slots, items) -> dict:
+    """The wire-6 request that names branch n as slot slots[n] stepped on
+    by token items[n], or, where slots[n] is -1, as the whole prefix
+    items[n]."""
+    return {"slots": slots, "tokens": [t for s, t in zip(slots, items) if s >= 0],
+            "prefixes": [p for s, p in zip(slots, items) if s < 0]}
+
+
+def _read_slots(fh, sent, slots, items) -> list[dict]:
+    """The row line of each branch of a wire-6 request, read by the ids its
     reply names; sent holds the row lines the connection sent, by id."""
-    *new, ids = _raw_lines(fh, {"slots": slots, "branches": branches, "rows": True})
+    *new, ids = _raw_lines(fh, _request(slots, items))
     del sent[ids["at"]:]
     sent += new
     return [sent[i] for i in ids["rows"]]
@@ -756,7 +767,7 @@ def test_server_answers_a_batch_whose_model_fails_on_a_branch_with_one_error_lin
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
             assert _read_slots(fh, [], [-1], [[1]]) == _rows_of(model, [(1,)])
-            reply = _ask(fh, {"slots": [0, 0, 0], "branches": [[0], [1], [2]], "rows": True})
+            reply = _ask(fh, _request([0, 0, 0], [0, 1, 2]))
             assert list(reply) == ["error"] and "no row for 1 1" in reply["error"]
             assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
 
@@ -865,16 +876,89 @@ def test_row_caches_drop_their_oldest_rows_past_row_cache():
         assert len(server._lines) == ROW_CACHE and first_row in server._lines
 
 
-def test_client_splits_batches_past_the_branch_cap():
-    count = 2 * BRANCHES_CAP + 5
-    address, requests = _recording_server([_ROW + _ids_line([0] * BRANCHES_CAP, 0),
-                                           _ids_line([0] * BRANCHES_CAP, 1), _ids_line([0] * 5, 1)])
+def test_client_splits_batches_past_the_branch_cap(monkeypatch):
+    """A request names at most SLOT_CAP branches; a larger batch goes as
+    several, in order."""
+    monkeypatch.setattr(models, "SLOT_CAP", 4)
+    address, requests = _recording_server([_ROW + _ids_line([0] * 4, 0), _ids_line([0] * 4, 1),
+                                           _ids_line([0], 1)])
     with RemoteModel(address) as remote:
-        keys = [(0,) + (1,) * i for i in range(count)]
-        assert len(remote.next_distributions([remote.start(key) for key in keys])) == count
-    assert [len(r["branches"]) for r in requests] == [BRANCHES_CAP, BRANCHES_CAP, 5]
-    assert [b for r in requests for b in r["branches"]] == [list(key) for key in keys]
+        keys = [(0,) + (1,) * i for i in range(9)]
+        assert len(remote.next_distributions([remote.start(key) for key in keys])) == 9
+    assert [len(r["slots"]) for r in requests] == [4, 4, 1]
+    assert [p for r in requests for p in r["prefixes"]] == [list(key) for key in keys]
     assert {s for r in requests for s in r["slots"]} == {-1}
+    assert all(r["tokens"] == [] for r in requests)
+
+
+def _sent_lines(monkeypatch, remote) -> list[bytes]:
+    """The request lines remote writes from here on."""
+    sent = []
+    exchange = remote._exchange
+    monkeypatch.setattr(remote, "_exchange",
+                        lambda request=b"": (request and sent.append(request)) or exchange(request))
+    return sent
+
+
+def _hexed(rows) -> list[list[str]]:
+    return [[float.hex(p) for p in row.probs.tolist()] for row in rows]
+
+
+def test_client_splits_a_batch_whose_line_would_pass_line_cap(monkeypatch):
+    """Batches that would take one request line past LINE_CAP go as several
+    requests, each within it. Where one of them brings the SLOT_CAP clear,
+    the later branches whose parent's slot it cleared go whole. Every row
+    equals the local model's."""
+    monkeypatch.setattr(models, "LINE_CAP", 160)
+    monkeypatch.setattr(models, "SLOT_CAP", 12)
+    model = _PrefixHashModel()
+    rng = np.random.default_rng(4)
+
+    def fresh(n):
+        return [tuple(rng.integers(0, 4, 10).tolist()) for _ in range(n)]
+
+    keys, starts = fresh(4), 0
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        sent = _sent_lines(monkeypatch, remote)
+        cursors = [remote.start(key) for key in keys]
+        for step in range(6):
+            starts += sum(cursor.parent is None for cursor in cursors)
+            assert _hexed(remote.next_distributions(cursors)) == \
+                _hexed(map(model.next_distribution, keys))
+            tokens = [(step + n) % 4 for n in range(len(keys))]
+            new = fresh(2)
+            cursors = [*map(remote.start, new), *remote.advance(cursors, tokens)]
+            keys = new + [key + (tok,) for key, tok in zip(keys, tokens)]
+    requests = [json.loads(line) for line in sent]
+    assert max(map(len, sent)) <= 160 and len(requests) > 6
+    assert all(len(r["slots"]) <= 12 for r in requests)
+    assert sum(len(r["prefixes"]) for r in requests) > starts  # a branch off a slot went whole
+
+
+def test_a_cursor_whose_line_alone_would_pass_line_cap_is_refused_before_anything_is_sent(
+        monkeypatch):
+    monkeypatch.setattr(models, "LINE_CAP", 160)
+    model = _PrefixHashModel()
+    with ModelServer(model) as server, RemoteModel(server.address) as remote:
+        root = remote.start((0, 1))
+        remote.next_distributions([root])
+        generation = remote._generation
+        sent = _sent_lines(monkeypatch, remote)
+        long = remote.start((1, 2) * 30)
+        batch = [*remote.advance([root] * 3, [0, 1, 2]), long, remote.start((2,))]
+        with pytest.raises(ProtocolError, match=r"past LINE_CAP \(160\)"):
+            remote.next_distributions(batch)
+        # Nothing sent, no slot taken, and the connection still serves.
+        assert sent == [] and remote._table_size == 1 and remote._generation is generation
+        assert all(cursor.generation is None for cursor in batch)
+        rows = remote.next_distributions(batch[:3] + batch[4:])
+        assert _hexed(rows) == _hexed(model.next_distribution(key)
+                                      for key in ((0, 1, 0), (0, 1, 1), (0, 1, 2), (2,)))
+        assert json.loads(sent[0]) == _request([0, 0, 0, -1], [0, 1, 2, [2]])
+    with contextlib.redirect_stderr(io.StringIO()) as err, ModelServer(model) as server:
+        code = main(["decode", "--model", f"remote:{server.address}", "--prompt",
+                     "a" * 60, "--strategy", "greedy", "--out", ""])
+    assert code == 3 and "past LINE_CAP (160)" in err.getvalue()
 
 
 def test_client_keeps_the_connection_after_an_error_line_to_a_batch():
@@ -887,9 +971,9 @@ def test_client_keeps_the_connection_after_an_error_line_to_a_batch():
             remote.next_distributions(remote.advance([root, root], [1, 0]))
         remote.next_distributions([remote.start((1,)), *remote.advance([root, root], [0, 1])])
     assert requests == [
-        {"slots": [-1], "branches": [[0]], "rows": True},
-        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
-        {"slots": [-1, -1, -1], "branches": [[1], [0, 0], [0, 1]], "rows": True},
+        _request([-1], [[0]]),
+        _request([0, 0], [1, 0]),
+        _request([-1, -1, -1], [[1], [0, 0], [0, 1]]),
     ]
 
 
@@ -941,12 +1025,13 @@ def test_server_numbers_a_slot_per_answered_row_and_reads_branches_off_them():
             # Slot 0; a prefix line answers its row into the table too (slot 1).
             assert _read_slots(fh, sent, [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
             assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
-            prefixes = [(0, 1, 2), (0, 1), (2, 0, 0), (1,)]
-            assert _read_slots(fh, sent, [0, 0, 1, -1], [[2], [], [0, 0], [1]]) == \
+            prefixes = [(0, 1, 2), (0, 1, 0), (2, 0), (1,)]
+            assert _read_slots(fh, sent, [0, 0, 1, -1], [2, 0, 0, [1]]) == \
                 _rows_of(model, prefixes)  # slots 2-5
-            assert _read_slots(fh, sent, [2], [[3, 3]]) == _rows_of(model, [(0, 1, 2, 3, 3)])
-            reply = _ask(fh, {"slots": [7], "branches": [[0]], "rows": True})
-            assert "slots must be in -1..6" in reply["error"]
+            assert _read_slots(fh, sent, [2, 5], [3, 3]) == \
+                _rows_of(model, [(0, 1, 2, 3), (1, 3)])  # slots 6-7
+            reply = _ask(fh, _request([8], [0]))
+            assert "slots must be in -1..7" in reply["error"]
 
 
 def test_server_clears_its_slot_table_before_a_batch_that_would_pass_the_cap(monkeypatch):
@@ -958,62 +1043,88 @@ def test_server_clears_its_slot_table_before_a_batch_that_would_pass_the_cap(mon
         with conn, fh:
             _read_slots(fh, sent, [-1, -1], [[0], [1]])  # slots 0-1
             # 2 + 2 > 3: read off the old slots, then (0, 2) and (1, 2) take 0 and 1.
-            assert _read_slots(fh, sent, [0, 1], [[2], [2]]) == _rows_of(model, [(0, 2), (1, 2)])
-            assert _read_slots(fh, sent, [1], [[0]]) == \
+            assert _read_slots(fh, sent, [0, 1], [2, 2]) == _rows_of(model, [(0, 2), (1, 2)])
+            assert _read_slots(fh, sent, [1], [0]) == \
                 _rows_of(model, [(1, 2, 0)])  # slot 2: 3 slots, at the cap
-            assert _read_slots(fh, sent, [2], [[]]) == _rows_of(model, [(1, 2, 0)])
-            reply = _ask(fh, {"slots": [1], "branches": [[]], "rows": True})
+            # Past it: read off slot 2, then (1, 2, 0, 1) takes slot 0.
+            assert _read_slots(fh, sent, [2], [1]) == _rows_of(model, [(1, 2, 0, 1)])
+            reply = _ask(fh, _request([1], [0]))
             assert "slots must be in -1..0" in reply["error"]
 
 
+_VALID_6 = {"slots": [0, -1], "tokens": [2], "prefixes": [[1, 2]]}
+
+
+def _mismatch(stepped, whole, tokens, prefixes) -> str:
+    return (f"{stepped} slots of the table and {whole} of -1 need as many tokens and prefixes, "
+            f"got {tokens} and {prefixes}")
+
+
 @pytest.mark.parametrize("request_, message", [
-    ({"slots": [1], "branches": [[0]]}, "slots must be in -1..0"),
-    ({"slots": [-2], "branches": [[0]]}, "slots must be in -1..0"),
-    ({"slots": [True], "branches": [[0]]}, "slots must be a list of integers"),
-    ({"slots": [0.0], "branches": [[0]]}, "slots must be a list of integers"),
-    ({"slots": ["0"], "branches": [[0]]}, "slots must be a list of integers"),
-    ({"slots": 0, "branches": [[0]]}, "slots must be a list of integers"),
-    ({"slots": [0, 0], "branches": [[0]]}, "slots and branches must be as long, got 2 and 1"),
-    ({"slots": [0], "branches": [[0], [1]]}, "slots and branches must be as long, got 1 and 2"),
-    ({"slots": [], "branches": []}, f"branches must hold 1..{BRANCHES_CAP} lists, got 0"),
-    ({"slots": [-1] * (BRANCHES_CAP + 1), "branches": [[0]] * (BRANCHES_CAP + 1)},
-     f"got {BRANCHES_CAP + 1}"),
-    ({"slots": [0]}, "missing required field 'branches'"),
-    ({"slots": [0], "branches": [[4]]}, "prefix ids outside 0..3"),
-    ({"slots": [0], "branches": [[True]]}, "branches must be lists of integers"),
-    ({"slots": [0], "branches": [0]}, "branches must be a list of lists"),
-    ({"slots": [0], "branches": [[0]], "keep": 0}, "unknown field 'keep'"),
+    ({"slots": [1], "tokens": [0], "prefixes": []}, "slots must be in -1..0"),
+    ({"slots": [-2], "tokens": [], "prefixes": [[0]]}, "slots must be in -1..0"),
+    ({**_VALID_6, "slots": [True, -1]}, "slots must be a list of integers"),
+    ({**_VALID_6, "slots": [0.0, -1]}, "slots must be a list of integers"),
+    ({**_VALID_6, "slots": ["0", -1]}, "slots must be a list of integers"),
+    ({**_VALID_6, "slots": 0}, "slots must be a list of integers"),
+    ({**_VALID_6, "slots": [0, 0, -1]}, _mismatch(2, 1, 1, 1)),
+    ({**_VALID_6, "tokens": [2, 0]}, _mismatch(1, 1, 2, 1)),
+    ({"slots": [], "tokens": [], "prefixes": []}, f"slots must name 1..{SLOT_CAP} branches, got 0"),
+    ({"slots": [-1] * (SLOT_CAP + 1), "tokens": [], "prefixes": [[0]] * (SLOT_CAP + 1)},
+     f"slots must name 1..{SLOT_CAP} branches, got {SLOT_CAP + 1}"),
+    ({"slots": [0], "tokens": [0]}, "missing required field 'prefixes'"),
+    ({**_VALID_6, "tokens": [4]}, "token ids outside 0..3"),
+    ({**_VALID_6, "tokens": [True]}, "tokens must be a list of integers"),
+    ({**_VALID_6, "prefixes": [0]}, "prefixes must be a list of lists"),
+    ({**_VALID_6, "keep": 0}, "unknown field 'keep'"),
+    ({**_VALID_6, "prefixes": [[1, 2], [0]]}, _mismatch(1, 1, 1, 2)),
+    ({**_VALID_6, "prefixes": []}, _mismatch(1, 1, 1, 0)),
+    ({**_VALID_6, "tokens": []}, _mismatch(1, 1, 0, 1)),
+    ({"slots": [-1], "tokens": [0], "prefixes": [[0]]}, _mismatch(0, 1, 1, 1)),
+    ({**_VALID_6, "tokens": [2.0]}, "tokens must be a list of integers"),
+    ({**_VALID_6, "tokens": [-1]}, "token ids outside 0..3"),
+    ({**_VALID_6, "prefixes": [[1, True]]}, "prefixes must be lists of integers"),
+    ({**_VALID_6, "prefixes": [[1.0, 2]]}, "prefixes must be lists of integers"),
+    ({**_VALID_6, "prefixes": [[1, 4]]}, "token ids outside 0..3"),
+    ({"slots": [0]}, "missing required field 'tokens'"),
+    ({**_VALID_6, "rows": True}, "unknown field 'rows'"),
+    ({"slots": [-1], "branches": [[0]], "rows": True}, "unknown field 'branches'"),
 ], ids=["slot-past-the-table", "slot-below-minus-one", "bool-slot", "real-slot", "string-slot",
         "slots-not-a-list", "more-slots", "more-branches", "no-branches", "over-the-cap",
         "branches-missing", "id-past-the-vocabulary", "bool-id", "branch-not-a-list",
-        "extra-field"])
+        "extra-field", "more-prefixes", "fewer-prefixes", "fewer-tokens", "token-off-no-slot",
+        "real-id", "negative-id", "bool-prefix-id", "real-prefix-id",
+        "prefix-id-past-the-vocabulary", "tokens-missing", "wire-5-rows-field", "wire-5-line"])
 def test_server_rejects_bad_slot_requests_with_one_line_and_drops_every_slot(request_, message):
-    """Each request here also carries "rows": true."""
+    """A wire-6 request with one fault: the tokens or prefixes counts do not
+    match the slots, an id is a bool, a float or out of range, a slot is
+    past the table, there are more than SLOT_CAP branches, a field is extra
+    or missing, or the line is wire 5's. The connection holds one slot."""
     model = _PrefixHashModel()
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
             assert _read_slots(fh, [], [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
-            reply = _ask(fh, {**request_, "rows": True})
+            reply = _ask(fh, request_)
             assert list(reply) == ["error"] and message in reply["error"], reply
             # One error line, every slot gone, and whole prefixes still served.
-            reply = _ask(fh, {"slots": [0], "branches": [[]], "rows": True})
+            reply = _ask(fh, _request([0], [0]))
             assert "slots must be in -1..-1" in reply["error"]
             assert _read_slots(fh, [], [-1], [[0, 1, 2]]) == _rows_of(model, [(0, 1, 2)])
 
 
-@pytest.mark.parametrize("branches, message", [
-    ([[0.0]], "branches must be lists of integers"),
-    ([["0"]], "branches must be lists of integers"),
-    ([[0], [-1]], "prefix ids outside 0..3"),
-    ("0", "branches must be a list of lists"),
+@pytest.mark.parametrize("prefixes, message", [
+    ([[0.0]], "prefixes must be lists of integers"),
+    ([["0"]], "prefixes must be lists of integers"),
+    ([[0], [-1]], "token ids outside 0..3"),
+    ("0", "prefixes must be a list of lists"),
 ], ids=["real-id", "string-id", "negative-id", "branches-not-a-list"])
-def test_server_rejects_bad_branches_with_one_line_and_keeps_serving(branches, message):
+def test_server_rejects_bad_branches_with_one_line_and_keeps_serving(prefixes, message):
     model = _PrefixHashModel()
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            reply = _ask(fh, {"slots": [-1] * len(branches), "branches": branches, "rows": True})
+            reply = _ask(fh, {"slots": [-1] * len(prefixes), "tokens": [], "prefixes": prefixes})
             assert list(reply) == ["error"] and message in reply["error"], reply
             assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]
             assert _read_slots(fh, [], [-1], [[0, 1]]) == _rows_of(model, [(0, 1)])
@@ -1029,16 +1140,16 @@ def test_server_sends_each_row_once_per_connection_and_names_rows_by_id():
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            request = {"slots": [-1, -1, -1, -1], "branches": [[1], [0], [1], [2]], "rows": True}
+            request = _request([-1, -1, -1, -1], [[1], [0], [1], [2]])
             # New rows in first-use order take ids 0-2, then the ids line.
             assert _raw_lines(fh, request) == [rows[1], rows[0], rows[2],
                                                {"rows": [0, 1, 0, 2], "at": 0}]
-            # Sent rows go by id alone; the branches read off slots 0-3.
-            request = {"slots": [3, 1, 0], "branches": [[], [], []], "rows": True}
+            # Sent rows go by id alone.
+            request = _request([-1, -1, -1], [[2], [0], [1]])
             assert _raw_lines(fh, request) == [{"rows": [2, 1, 0], "at": 3}]
             # A prefix line still gets its whole row, and numbers no row.
             assert _ask(fh, {"prefix": [1]}) == rows[1]
-            request = {"slots": [-1, -1], "branches": [[0, 0], [0]], "rows": True}
+            request = _request([-1, -1], [[0, 0], [0]])
             new = _rows_of(model, [(0, 0)])[0]
             assert _raw_lines(fh, request) == [new, {"rows": [3, 1], "at": 3}]
 
@@ -1051,43 +1162,45 @@ def test_server_clears_its_row_ids_before_new_rows_would_pass_row_cache(monkeypa
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            request = {"slots": [-1, -1], "branches": [[0], [1]], "rows": True}
+            request = _request([-1, -1], [[0], [1]])
             assert _raw_lines(fh, request) == [rows[0], rows[1], {"rows": [0, 1], "at": 0}]
-            request = {"slots": [-1, -1], "branches": [[2], [0]], "rows": True}
+            request = _request([-1, -1], [[2], [0]])
             assert _raw_lines(fh, request) == [rows[2], {"rows": [2, 0], "at": 2}]  # 3: full
             # One new row past 3: the ids clear, and every row of the request
             # is sent again from id 0.
-            request = {"slots": [-1, -1, -1], "branches": [[1], [0, 0], [1]], "rows": True}
+            request = _request([-1, -1, -1], [[1], [0, 0], [1]])
             assert _raw_lines(fh, request) == [rows[1], rows[3], {"rows": [0, 1, 0], "at": 0}]
 
 
 @pytest.mark.parametrize("request_, message", [
-    ({"slots": [-1], "branches": [[0]], "rows": False}, '"rows": true'),
-    ({"slots": [-1], "branches": [[0]], "rows": 1}, '"rows": true'),
-    ({"slots": [-1], "branches": [[0]], "rows": "true"}, '"rows": true'),
-    ({"slots": [-1], "branches": [[0]], "rows": None}, '"rows": true'),
-    ({"slots": [-1], "branches": [[0]], "rows": [0]}, '"rows": true'),
+    ({"slots": [-1], "branches": [[0]], "rows": False}, "unknown field 'branches'"),
+    ({"slots": [-1], "branches": [[0]], "rows": 1}, "unknown field 'branches'"),
+    ({"slots": [-1], "branches": [[0]], "rows": "true"}, "unknown field 'branches'"),
+    ({"slots": [-1], "branches": [[0]], "rows": None}, "unknown field 'branches'"),
+    ({"slots": [-1], "branches": [[0]], "rows": [0]}, "unknown field 'branches'"),
     ({"slots": [-1], "branches": [[0]], "rows": True, "at": 0}, "unknown field 'at'"),
-    ({"slots": [1], "branches": [[0]], "rows": True}, "slots must be in -1..0"),
+    ({"slots": [0], "branches": [[1]], "rows": True}, "unknown field 'branches'"),
     ({"prefix": [0], "rows": True}, "unknown field 'rows'"),
     ({"keep": 0, "append": [0], "rows": True}, "unknown field 'append'"),
-    ({"keep": 0, "branches": [[0]], "rows": True}, "unknown field 'keep'"),
+    ({"keep": 0, "branches": [[0]], "rows": True}, "unknown field 'branches'"),
 ], ids=["false", "one", "string", "null", "list", "extra-field", "slot-past-the-table",
         "on-prefix", "on-append", "on-branches"])
 def test_server_rejects_bad_wire_5_requests_and_drops_every_slot_and_row_id(request_, message):
+    """Wire-5 request lines, whatever their rows field holds, and the
+    older forms with a rows field, are no wire-6 request: each gets one
+    error line, and the connection drops every slot and row id."""
     model = _PrefixHashModel()
     first, second = _rows_of(model, [(0, 1), (0, 1, 2)])
     with ModelServer(model) as server:
         conn, fh, _ = _raw_connection(server)
         with conn, fh:
-            request = {"slots": [-1], "branches": [[0, 1]], "rows": True}
+            request = _request([-1], [[0, 1]])
             assert _raw_lines(fh, request) == [first, {"rows": [0], "at": 0}]
             reply = _ask(fh, request_)
             assert list(reply) == ["error"] and message in reply["error"], reply
             # One error line; every slot and every row id is gone.
-            assert "slots must be in -1..-1" in _ask(fh, {"slots": [0], "branches": [[]],
-                                                          "rows": True})["error"]
-            request = {"slots": [-1, -1], "branches": [[0, 1, 2], [0, 1]], "rows": True}
+            assert "slots must be in -1..-1" in _ask(fh, _request([0], [2]))["error"]
+            request = _request([-1, -1], [[0, 1, 2], [0, 1]])
             assert _raw_lines(fh, request) == [second, first, {"rows": [0, 1], "at": 0}]
 
 
@@ -1096,13 +1209,14 @@ def test_server_rejects_bad_wire_5_requests_and_drops_every_slot_and_row_id(requ
     {"keep": 1, "append": [0]},
     {"keep": 0, "branches": [[0], [1]]},
     {"slots": [-1], "branches": [[0]]},
+    {"slots": [-1], "branches": [[0]], "rows": True},
     {"prefix": [0], "keep": 0, "append": []},
     {"prefix": [0], "slots": [-1]},
     {"prefix": [0], "ok": 1},
-], ids=["wire-2-repeat", "wire-2-append", "wire-3-branches", "wire-4-slots", "prefix-with-keep",
-        "prefix-with-slots", "prefix-with-another-field"])
+], ids=["wire-2-repeat", "wire-2-append", "wire-3-branches", "wire-4-slots", "wire-5-slots",
+        "prefix-with-keep", "prefix-with-slots", "prefix-with-another-field"])
 def test_server_rejects_a_removed_request_form_with_one_line(request_):
-    """The request forms of wires 2 to 4, and a prefix line with another
+    """The request forms of wires 2 to 5, and a prefix line with another
     field, are no request: the connection, which has answered a row to
     keep or branch off, gets one error line and is then served as before."""
     model = _PrefixHashModel()
@@ -1112,7 +1226,7 @@ def test_server_rejects_a_removed_request_form_with_one_line(request_):
             assert _ask(fh, {"prefix": [0, 1]}) == _rows_of(model, [(0, 1)])[0]  # slot 0
             assert list(_ask(fh, request_)) == ["error"]
             assert _ask(fh, {"prefix": [2]}) == _rows_of(model, [(2,)])[0]  # slot 0 again
-            assert _read_slots(fh, [], [-1, 0], [[0, 1], [0]]) == \
+            assert _read_slots(fh, [], [-1, 0], [[0, 1], 0]) == \
                 _rows_of(model, [(0, 1), (2, 0)])
 
 
@@ -1129,11 +1243,11 @@ def test_client_names_each_cursor_by_its_parents_slot():
         remote.next_distribution((1,))  # a prefix starts a cursor of its own: whole
         _read(remote, _stepped(remote, one, 0, 1))  # its parent was never read: whole
     assert requests == [
-        {"slots": [-1], "branches": [[0, 1]], "rows": True},
-        {"slots": [0, 0, -1], "branches": [[1], [0], [1]], "rows": True},
-        {"slots": [1], "branches": [[0]], "rows": True},
-        {"slots": [-1], "branches": [[1]], "rows": True},
-        {"slots": [-1], "branches": [[0, 1, 1, 0, 1]], "rows": True},
+        _request([-1], [[0, 1]]),
+        _request([0, 0, -1], [1, 0, [1]]),
+        _request([1], [0]),
+        _request([-1], [[1]]),
+        _request([-1], [[0, 1, 1, 0, 1]]),
     ]
 
 
@@ -1151,11 +1265,11 @@ def test_client_starts_a_slot_generation_when_the_servers_table_clears(monkeypat
         _read(remote, _stepped(remote, zero, 0))  # zero's slot is of the old generation
         _read(remote, _stepped(remote, grown, 1))
     assert requests == [
-        {"slots": [-1], "branches": [[0]], "rows": True},
-        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
-        {"slots": [1], "branches": [[1]], "rows": True},
-        {"slots": [-1], "branches": [[0, 0, 0]], "rows": True},
-        {"slots": [0], "branches": [[1]], "rows": True},
+        _request([-1], [[0]]),
+        _request([0, 0], [1, 0]),
+        _request([1], [1]),
+        _request([-1], [[0, 0, 0]]),
+        _request([0], [1]),
     ]
 
 
@@ -1177,10 +1291,10 @@ def test_client_drops_its_slots_and_row_ids_on_an_error_line_and_closes_on_a_bad
         with pytest.raises(ProtocolError, match="connection failed"):
             _read(remote, _stepped(remote, one, 0))
     assert requests == [
-        {"slots": [-1], "branches": [[0]], "rows": True},
-        {"slots": [0, 0], "branches": [[1], [0]], "rows": True},
-        {"slots": [-1], "branches": [[0, 1]], "rows": True},
-        {"slots": [0], "branches": [[1]], "rows": True},
+        _request([-1], [[0]]),
+        _request([0, 0], [1, 0]),
+        _request([-1], [[0, 1]]),
+        _request([0], [1]),
     ]
 
 
@@ -1207,6 +1321,7 @@ _NAN_ROW = b'{"probs": [NaN, 0.5, 0.5]}\n'
         "wrong-at", "bool-id", "real-at", "no-ids-line", "no-at", "extra-field", "short-row",
         "nan-row", "error-after-a-row", "ids-line-not-json"])
 def test_client_closes_the_connection_on_a_bad_wire_5_reply(reply, error):
+    """Wire 6 kept wire 5's reply lines, and these break them."""
     address, _ = _recording_server([reply])
     with RemoteModel(address) as remote:
         root = remote.start((0,))
@@ -1225,7 +1340,7 @@ def test_client_checks_that_new_rows_keep_the_table_within_row_cache(monkeypatch
             remote.next_distribution((tok,))
         with pytest.raises(ProtocolError, match="at most 2, got 2"):
             remote.next_distribution((2,))
-    # The CLI exits 3 on a bad wire-5 reply.
+    # The CLI exits 3 on a bad wire-6 reply.
     address, _ = _recording_server([_ROW + _ids_line([1], 0)], hang_up=True)
     with contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["decode", "--model", f"remote:{address}", "--prompt", "", "--strategy",
@@ -1248,7 +1363,7 @@ def test_a_deep_cursor_whose_parent_is_stale_sends_its_whole_prefix(monkeypatch)
         remote._exchange = lambda request=b"": sent.append(request) or exchange(request)
         row = _read(remote, _stepped(remote, parent, tokens[-1]))
     assert row.probs.tobytes() == model.next_distribution(tokens).probs.tobytes()
-    assert json.loads(sent[0]) == {"slots": [-1], "branches": [list(tokens)], "rows": True}
+    assert json.loads(sent[0]) == _request([-1], [list(tokens)])
 
 
 def _remote_suite_pass() -> tuple[list[int], list[int]]:
@@ -1283,11 +1398,20 @@ def test_a_remote_suite_pass_sends_at_most_wire_2s_request_bytes():
 
 
 def test_a_remote_suite_pass_reads_each_row_once_and_ids_after():
-    """Over wire 5 the pass reads at most one ids line per request and one
+    """Since wire 5 the pass reads at most one ids line per request and one
     row line per row of the model (868 + 187 lines), and at most 1 MB.
     Wire 4 sent a row line per branch: 12 163 027 bytes in 20 898 lines."""
     _, read = _remote_suite_pass()
     assert len(read) <= 868 + 187 and sum(read) <= 1_000_000, (sum(read), len(read))
+
+
+def test_a_remote_suite_pass_makes_one_request_per_batch_and_sends_fewer_bytes_than_wire_5():
+    """Wire 6 sends a lockstep step or round as one request, where wire 5
+    split batches past 64 branches, and names a branch off a slot by one
+    token: at most 753 requests, and fewer than the 331 219 request bytes
+    that wire 5 sent in 867."""
+    sent, _ = _remote_suite_pass()
+    assert len(sent) <= 753 and sum(sent) < 331_219, (sum(sent), len(sent))
 
 
 def _kgram_cases(global_cap: int):
@@ -1340,25 +1464,25 @@ def test_cntp_and_beam_decode_as_locally_while_the_slot_table_rolls_over(monkeyp
     on every slot: the decodes equal the local ones."""
     monkeypatch.setattr(models, "SLOT_CAP", 5)
     generations = set()
-    named = RemoteModel._named
-    monkeypatch.setattr(RemoteModel, "_named",
-                        lambda self, batch: generations.add(id(self._generation))
-                        or named(self, batch))
+    ask = RemoteModel._ask_ids
+    monkeypatch.setattr(RemoteModel, "_ask_ids",
+                        lambda self, batch, line: generations.add(id(self._generation))
+                        or ask(self, batch, line))
     _assert_cntp_and_beam_decode_through_a_server_as_locally()
     assert len(generations) > 2
 
 
 def test_cntp_and_beam_decode_as_locally_while_slots_and_row_ids_roll_over(monkeypatch):
-    """With 8 row ids, 8 branches a request and 5 slots, both tables clear
-    every few requests, and both ends still agree on every slot and every
-    row id: the decodes equal the local ones."""
+    """With 8 row ids and 5 slots, so 5 branches a request, both tables
+    clear every few requests, and both ends still agree on every slot and
+    every row id: the decodes equal the local ones."""
     monkeypatch.setattr(models, "ROW_CACHE", 8)
-    monkeypatch.setattr(models, "BRANCHES_CAP", 8)
     monkeypatch.setattr(models, "SLOT_CAP", 5)
     tables = []
     ask = RemoteModel._ask_ids
     monkeypatch.setattr(RemoteModel, "_ask_ids",
-                        lambda self, batch: tables.append(len(self._by_id)) or ask(self, batch))
+                        lambda self, batch, line: tables.append(len(self._by_id))
+                        or ask(self, batch, line))
     _assert_cntp_and_beam_decode_through_a_server_as_locally()
     clears = sum(later < earlier for earlier, later in zip(tables, tables[1:]))
     assert max(tables) == 8 and clears > 2
@@ -1428,7 +1552,6 @@ def test_both_ends_send_without_delay_and_a_32_branch_batch_is_fast(monkeypatch)
     # With 32 row ids, two batches of 32 distinct rows each clear the ids in
     # turn, so each reply sends its 32 row lines again and stays long.
     monkeypatch.setattr(models, "ROW_CACHE", 32)
-    monkeypatch.setattr(models, "BRANCHES_CAP", 32)
     model = load_kgram_model(bundled_path("kgram.kgram"))
     contexts = {}
     for context in sorted(model.counts):
