@@ -267,13 +267,31 @@ class DecodeConfig:
         return self._with("seed", check_seed(seed))
 
     def _with(self, key: str, value) -> "DecodeConfig":
-        """This config with one field set to a value the caller has checked."""
+        """This config with one field set to a value the caller has checked:
+        the one copy of a config that skips __init__ and validate_config,
+        for with_seed and greedy_policy's temperature 0."""
         config = object.__new__(type(self))
-        # Field by field, as __init__ sets them. Copying __dict__ instead
-        # builds the instance dicts that CPython otherwise keeps inline, and
-        # every later attribute read (the engine's are per token) slows.
-        for name in _CONFIG_FIELDS:
-            object.__setattr__(config, name, value if name == key else getattr(self, name))
+        # One object.__setattr__ per field, written out in __init__'s order,
+        # then the new value over its field: a loop over the field names
+        # read each by getattr and cost 3x this (a suite run copies its
+        # config once per record). Assigning __dict__ instead would give
+        # every config a dict of its own, where CPython keeps the values
+        # inline, so each later attribute read, per token in the engine,
+        # slows. tests/test_core.py checks the copy against
+        # dataclasses.replace field by field.
+        put = object.__setattr__
+        put(config, "h_min", self.h_min)
+        put(config, "h_max", self.h_max)
+        put(config, "n_max", self.n_max)
+        put(config, "temperature", self.temperature)
+        put(config, "top_p", self.top_p)
+        put(config, "punctuation", self.punctuation)
+        put(config, "branch_cap", self.branch_cap)
+        put(config, "global_cap", self.global_cap)
+        put(config, "seed", self.seed)
+        put(config, "confidence_measure", self.confidence_measure)
+        put(config, "trial_scaling", self.trial_scaling)
+        put(config, key, value)
         return config
 
 

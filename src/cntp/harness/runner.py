@@ -229,8 +229,8 @@ class _RecordBuilder:
         self.config = config
         self._judged: dict[tuple, tuple[str, str, bool]] = {}
 
-    def record(self, result, seed: int, record_seed: int,
-               wall_time: float) -> tuple[RunRecord, DecodeOutcome | None]:
+    def record(self, result, seed: int, record_seed: int, wall_time: float,
+               timestamp: str) -> tuple[RunRecord, DecodeOutcome | None]:
         """The record, and the outcome if there is one, of a run whose
         config has seed seed and whose strategy returned result; the
         record's seed field holds record_seed."""
@@ -255,23 +255,30 @@ class _RecordBuilder:
             output = answer
             tokens = ()
             correct = match_answer(answer, task.reference_answer)
-        record = RunRecord(
-            task_id=task.id,
-            strategy=self.strategy,
-            model_spec=self.model_spec,
-            prompt=task.prompt,
-            reference_answer=task.reference_answer,
-            extractor=self.extractor,
-            config={**self.config, "seed": seed},
-            seed=record_seed,
-            tokens=tokens,
-            output=output,
-            answer=answer,
-            correct=correct,
-            cost={name: getattr(cost, name) for name in _COST_FIELDS},
-            wall_time=wall_time,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
+        # Built as __init__ would, one object.__setattr__ per field in field
+        # order, without its keyword parsing: a suite builds 4 200 records a
+        # bench pass, and the keyword call cost twice these calls. The cost
+        # dict is one dict display.
+        record = object.__new__(RunRecord)
+        put = object.__setattr__
+        put(record, "task_id", task.id)
+        put(record, "strategy", self.strategy)
+        put(record, "model_spec", self.model_spec)
+        put(record, "prompt", task.prompt)
+        put(record, "reference_answer", task.reference_answer)
+        put(record, "extractor", self.extractor)
+        put(record, "config", {**self.config, "seed": seed})
+        put(record, "seed", record_seed)
+        put(record, "tokens", tokens)
+        put(record, "output", output)
+        put(record, "answer", answer)
+        put(record, "correct", correct)
+        put(record, "cost", {"forward_passes": cost.forward_passes,
+                             "generated_tokens": cost.generated_tokens,
+                             "high_entropy_steps": cost.high_entropy_steps,
+                             "total_steps": cost.total_steps})
+        put(record, "wall_time", wall_time)
+        put(record, "timestamp", timestamp)
         return record, outcome
 
 
@@ -281,9 +288,11 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
     """Execute one strategy on one task. The record's seed field holds
     record_seed, or config.seed when it is None; suite runs pass the
     suite-level seed. decoded, if given, is the (result, wall time, record
-    builder) of a run already decoded under this config: the record takes
-    that result in place of decoding it again, and the builder, made for
-    this task, strategy, model spec and config, builds it."""
+    builder, timestamp) of a run already decoded under this config: the
+    record takes that result in place of decoding it again, and the
+    builder, made for this task, strategy, model spec and config, builds
+    it with that timestamp, which the runs of one lockstep batch share. A
+    run decoded here is stamped, in UTC, when its decode ends."""
     if decoded is None:
         root, width = parse_strategy(strategy)
         builder = _RecordBuilder(model.vocabulary, task, _strategy_text(root, width), model_spec,
@@ -294,10 +303,12 @@ def run_one(model: ModelSource, task: Task, strategy: str, config: DecodeConfig,
         except ProtocolError as exc:
             raise ProtocolError(f"task {task.id}: {exc}") from exc
         wall_time = time.perf_counter() - start
+        timestamp = datetime.now(timezone.utc).isoformat()
     else:
-        result, wall_time, builder = decoded
+        result, wall_time, builder, timestamp = decoded
     return builder.record(result, config.seed,
-                          config.seed if record_seed is None else record_seed, wall_time)
+                          config.seed if record_seed is None else record_seed, wall_time,
+                          timestamp)
 
 
 @dataclass(frozen=True)
@@ -330,10 +341,17 @@ def aggregate_records(strategy: str, records, n_tasks: int, seeds) -> SuiteAggre
             runs[i] += 1
             hits[i] += r.correct
     per_seed = [h / n for h, n in zip(hits, runs)]
-    mean = sum(per_seed) / len(per_seed)
+    # Float sums run left to right: from Python 3.12 on, sum() of floats is
+    # compensated and can differ in the last bit.
+    total = 0.0
+    for a in per_seed:
+        total += a
+    mean = total / len(per_seed)
     if len(per_seed) > 1:
-        var = sum((a - mean) ** 2 for a in per_seed) / (len(per_seed) - 1)
-        std = var ** 0.5
+        var = 0.0
+        for a in per_seed:
+            var += (a - mean) ** 2
+        std = (var / (len(per_seed) - 1)) ** 0.5
     else:
         std = 0.0
     return SuiteAggregate(
@@ -381,9 +399,10 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     lockstep lanes, and a seedless strategy's once per task for every seed;
     with workers > 1 the seeds split into that many contiguous batches, one
     per thread. Each record is what run_one writes for its run, wall_time
-    aside, which is its even share of the decode that served it; run_one
-    gets it from one record builder per task. Records come back sorted by
-    (seed, task id) and aggregates are order-independent, so parallel and
+    and timestamp aside: wall_time is its even share of the decode that
+    served it, and the records of one batch share the timestamp of the end
+    of its decode. run_one gets each record from one record builder per
+    task. Records come back sorted by (seed, task id), so parallel and
     serial execution agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")
@@ -391,8 +410,7 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         raise ValueError("no seeds given")
     for seed in seeds:
         check_seed(seed)
-    position = {seed: i for i, seed in enumerate(seeds)}
-    if len(position) != len(seeds):
+    if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be unique")
     if workers < 1:
         raise ValueError("workers must be ≥ 1")
@@ -404,6 +422,9 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
                 for task in tasks]
     prompts = [builder.prompt for builder in builders]
     n = len(tasks)
+    # Each batch's records come out seed by seed, and within a seed by task
+    # id, ties in task order, so the batches in seed order need no sort.
+    by_id = sorted(range(n), key=lambda i: tasks[i].id)
 
     def configs_at(batch):
         run_seeds = derive_seeds([seed for seed in batch for _ in tasks],
@@ -429,10 +450,11 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
         configs = configs_at(batch)
         results, wall_time = ((seedless * len(batch), share) if spec.seedless
                               else decode(batch, configs))
-        return [run_one(model, tasks[k % n], canonical, cfg, model_spec=model_spec,
-                        record_seed=batch[k // n],
-                        decoded=(result, wall_time, builders[k % n]))[0]
-                for k, (cfg, result) in enumerate(zip(configs, results))]
+        timestamp = datetime.now(timezone.utc).isoformat()
+        return [run_one(model, tasks[i], canonical, configs[k + i], model_spec=model_spec,
+                        record_seed=seed,
+                        decoded=(results[k + i], wall_time, builders[i], timestamp))[0]
+                for k, seed in zip(range(0, len(configs), n), batch) for i in by_id]
 
     if workers > 1:
         batches = [seeds[len(seeds) * w // workers:len(seeds) * (w + 1) // workers]
@@ -442,7 +464,6 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     else:
         done = [execute(seeds)]
     records = [record for batch in done for record in batch]
-    records.sort(key=lambda r: (position[r.seed], r.task_id))
     aggregate = aggregate_records(canonical, records, len(tasks), seeds)
 
     run_dir = None

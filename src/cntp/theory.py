@@ -56,27 +56,29 @@ def _enumerate_branch_set(model, config, prefix, dist, answer_len, stops, eos, c
     """All branches a trial could sample from this prefix, whose
     distribution dist the caller has read: (tokens, sampled probability,
     perplexity, length), with probabilities under the tempered sampling
-    distribution and perplexities under the model's own."""
+    distribution and perplexities under the model's own. Branches come out
+    depth first, each node's children in support order; _winner_probabilities
+    sums in that order. The walk keeps its own stack, so a branch may be as
+    long as branch_cap allows: a recursion per token ran out of Python's
+    stack near 1 000 tokens."""
     out = []
-
-    def grow(local, toks, qprob, model_probs, first_dist):
+    # (branch tokens, sampled probability, model probability of each token),
+    # the children of a node pushed last to first so that they pop in order.
+    stack = [((), 1.0, ())]
+    while stack:
+        toks, qprob, model_probs = stack.pop()
+        if toks:
+            if branch_stop(toks[-1], len(toks), answer_len, eos, stops, config) is not None:
+                out.append((toks, qprob, branch_score(model_probs)[1], len(toks)))
+                continue
+            dist = model.next_distribution(prefix + toks)
         counter[0] += 1
         if counter[0] > budget:
             raise EnumerationBudgetError(f"enumeration exceeded {budget} nodes")
-        dist = first_dist if first_dist is not None else model.next_distribution(local)
         q = prepare_sampling_dist(dist, config)
         qp, model_p = q.probs, dist.probs
-        for tok in support_cumsum(q)[0]:
-            toks2 = toks + (tok,)
-            probs2 = model_probs + (float(model_p[tok]),)
-            qp2 = qprob * float(qp[tok])
-            if branch_stop(tok, len(toks2), answer_len, eos, stops, config) is not None:
-                nll, ppl = branch_score(probs2)
-                out.append((toks2, qp2, ppl, len(toks2)))
-            else:
-                grow(local + (tok,), toks2, qp2, probs2, None)
-
-    grow(prefix, (), 1.0, (), dist)
+        stack += [(toks + (tok,), qprob * float(qp[tok]), model_probs + (float(model_p[tok]),))
+                  for tok in reversed(support_cumsum(q)[0])]
     return out
 
 
@@ -138,7 +140,11 @@ def _enumerate(model: ModelSource, policy: Policy, prompt: Sequence | None,
             branches = _enumerate_branch_set(
                 model, config, tokens, dist, answer_len, stops, eos, counter, node_budget,
             )
-            mean_len = sum(q * ln for _, q, _, ln in branches)
+            # Left to right, as every float sum here: from Python 3.12 on,
+            # sum() of floats is compensated and can differ in the last bit.
+            mean_len = 0.0
+            for _, q, _, ln in branches:
+                mean_len += q * ln
             expected_cost += prob * n * mean_len
             for (toks, _, _, ln), win in zip(branches, _winner_probabilities(branches, n)):
                 if win > 0.0:
@@ -163,7 +169,11 @@ def _p_correct(result: _EnumResult, prompt_len: int, eos: TokenId, reference_tok
         toks = toks[prompt_len:]
         return toks[:-1] if toks and toks[-1] == eos else toks
 
-    return sum(p for toks, p in result.outcomes if answer(toks) == reference_tokens)
+    total = 0.0  # left to right, as in _enumerate
+    for toks, p in result.outcomes:
+        if answer(toks) == reference_tokens:
+            total += p
+    return total
 
 
 def exact_correctness(model: ModelSource, policy: Policy, reference: ReferenceSequence,

@@ -354,6 +354,32 @@ def test_with_seed_equals_replace(config, seed):
     assert list(config_to_dict(swapped)) == list(config_to_dict(replaced))
 
 
+BUNDLED_CONFIGS = [load_config(bundled_path(name)) for name in (
+    "suite.config.json", "kgram.config.json", "theorem1_case.config.json")]
+
+
+@given(st.sampled_from(BUNDLED_CONFIGS) | valid_configs(), st.integers(0, 2**64 - 1))
+def test_config_copies_equal_replace_field_by_field(config, seed):
+    """with_seed and greedy_policy's _with("temperature", 0.0), the one
+    copy that skips __init__, give what dataclasses.replace gives: every
+    field the same value of the same type, set in the same order, and a
+    config as frozen as one built by __init__."""
+    for copy, replaced in ((config.with_seed(seed), dataclasses.replace(config, seed=seed)),
+                           (config._with("temperature", 0.0),
+                            dataclasses.replace(config, temperature=0.0))):
+        assert type(copy) is DecodeConfig
+        for field in dataclasses.fields(DecodeConfig):
+            value, expected = getattr(copy, field.name), getattr(replaced, field.name)
+            assert type(value) is type(expected) and value == expected, field.name
+        assert list(vars(copy)) == list(vars(replaced))
+        assert copy == replaced and hash(copy) == hash(replaced)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copy.seed = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del copy.h_min
+    assert config == dataclasses.replace(config)  # the source is untouched
+
+
 @given(valid_configs())
 def test_config_dict_matches_the_asdict_form(config):
     old = dataclasses.asdict(config)

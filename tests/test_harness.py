@@ -7,13 +7,16 @@ import dataclasses
 import filecmp
 import hashlib
 import json
+import math
 import os
 import statistics
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
 from cntp import (
     AnswerExtractor,
+    CostLedger,
     DecodeConfig,
     Distribution,
     KGramModel,
@@ -246,8 +249,8 @@ def test_unsorted_seeds_keep_their_order_and_aggregates(suite_bundle):
     for seed in seeds:
         batch = [r for r in result.records if r.seed == seed]
         per_seed.append(sum(r.correct for r in batch) / len(batch))
-    mean = sum(per_seed) / len(per_seed)
-    std = (sum((a - mean) ** 2 for a in per_seed) / (len(per_seed) - 1)) ** 0.5
+    mean = _left_to_right(per_seed) / len(per_seed)
+    std = (_left_to_right([(a - mean) ** 2 for a in per_seed]) / (len(per_seed) - 1)) ** 0.5
     agg = result.aggregate
     assert (agg.n_seeds, agg.n_tasks) == (4, 6)
     assert (float.hex(agg.accuracy_mean), float.hex(agg.accuracy_std)) == (float.hex(mean),
@@ -259,6 +262,30 @@ def test_unsorted_seeds_keep_their_order_and_aggregates(suite_bundle):
 
 def _key(record):
     return record.seed, record.task_id, record.tokens, record.cost
+
+
+def _left_to_right(values) -> float:
+    """The float sum of values in order, one rounding per addition, as
+    sum() gives it before Python 3.12 (from 3.12 on, sum() compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_aggregate_sums_do_not_depend_on_the_python_version():
+    """Ten seeds that each get one of ten tasks right: their accuracies of
+    0.1 sum, left to right, to 0x1.fffffffffffffp-1, where the compensated
+    sum of Python 3.12 and math.fsum read 1.0; the mean is the former's."""
+    seeds = list(range(10))
+    records = [_record(f"t{i}", seed, i == 0) for seed in seeds for i in range(10)]
+    agg = aggregate_records("greedy", records, 10, seeds)
+    assert _left_to_right([0.1] * 10).hex() == "0x1.fffffffffffffp-1"
+    assert math.fsum([0.1] * 10) == 1.0
+    assert agg.accuracy_mean.hex() == (_left_to_right([0.1] * 10) / 10).hex()
+    assert agg.accuracy_mean != 1.0 / 10
+    deviations = [(0.1 - agg.accuracy_mean) ** 2] * 10
+    assert agg.accuracy_std.hex() == ((_left_to_right(deviations) / 9) ** 0.5).hex()
 
 
 def test_run_suite_builds_each_record_through_run_one_by_name(suite_bundle, monkeypatch):
@@ -281,6 +308,90 @@ def test_run_suite_builds_each_record_through_run_one_by_name(suite_bundle, monk
         records = run_suite(model, tasks[:5], strategy, config, [3, 1]).records
         assert len(seen) == len(records) == 10
         assert sorted(map(id, seen)) == sorted(map(id, records))
+
+
+SEVEN_STRATEGIES = ("greedy", "stochastic", "cntp", "beam:2", "sc:3", "cntp_sc:2", "best_of_n:3")
+
+
+class _Clock:
+    """A stand-in for runner.datetime: each now() call is logged and reads
+    one second later than the one before."""
+
+    def __init__(self):
+        self.calls = []
+
+    def now(self, tz=None):
+        self.calls.append(tz)
+        return datetime(2026, 1, 1, tzinfo=tz) + timedelta(seconds=len(self.calls))
+
+
+def test_run_suite_stamps_each_batch_once_and_builds_no_config_by_init(suite_bundle,
+                                                                         monkeypatch):
+    """A suite reads the clock once per lockstep batch, after its decode,
+    and each record of the batch carries that stamp; the per-run configs
+    are copies, never built through DecodeConfig.__init__."""
+    model, tasks, config = suite_bundle
+    clock = _Clock()
+    monkeypatch.setattr(runner, "datetime", clock)
+    inits = []
+    init = DecodeConfig.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DecodeConfig, "__init__", counting_init)
+    for strategy in SEVEN_STRATEGIES:
+        for workers in (1, 3):
+            clock.calls.clear()
+            records = run_suite(model, tasks[:4], strategy, config, [5, 6, 7],
+                                workers=workers).records
+            assert clock.calls == [timezone.utc] * workers, (strategy, workers)
+            assert inits == [], strategy
+            batches = [[5, 6, 7]] if workers == 1 else [[5], [6], [7]]
+            for batch in batches:
+                stamps = {r.timestamp for r in records if r.seed in batch}
+                assert len(stamps) == 1, (strategy, batch)
+
+
+def test_run_one_alone_stamps_its_own_record(suite_bundle, monkeypatch):
+    model, tasks, config = suite_bundle
+    clock = _Clock()
+    monkeypatch.setattr(runner, "datetime", clock)
+    first, _ = run_one(model, tasks[0], "cntp", config)
+    second, _ = run_one(model, tasks[0], "cntp", config)
+    assert clock.calls == [timezone.utc] * 2
+    assert first.timestamp < second.timestamp
+    assert dataclasses.replace(first, timestamp="") == dataclasses.replace(second, timestamp="",
+                                                                            wall_time=first.wall_time)
+
+
+def test_suite_records_behave_as_records_built_by_init(suite_bundle):
+    """A record a suite builds field by field compares, fails to hash (its
+    config and cost are dicts), stays frozen and round-trips through
+    to_dict and from_dict as the record __init__ builds from its fields;
+    the records of one batch share one ISO-8601 UTC stamp."""
+    model, tasks, config = suite_bundle
+    fields = [f.name for f in dataclasses.fields(RunRecord)]
+    for strategy in SEVEN_STRATEGIES:
+        records = run_suite(model, tasks[:4], strategy, config, [0, 1]).records
+        stamps = {record.timestamp for record in records}
+        assert len(stamps) == 1
+        stamp = datetime.fromisoformat(stamps.pop())
+        assert stamp.utcoffset() == timedelta(0) and stamp.isoformat() == records[0].timestamp
+        for record in records:
+            built = RunRecord(**{name: getattr(record, name) for name in fields})
+            assert record == built and built == record and record is not built
+            assert list(vars(record)) == list(vars(built)) == fields
+            for r in (record, built):
+                with pytest.raises(TypeError, match="unhashable"):
+                    hash(r)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    r.seed = 1
+            assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+            assert list(record.cost) == [f.name for f in dataclasses.fields(CostLedger)]
+    record, outcome = run_one(model, tasks[0], "cntp", config)
+    assert record.cost == dataclasses.asdict(outcome.cost)
 
 
 def test_run_suite_rejects_bad_inputs(suite_bundle):

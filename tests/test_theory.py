@@ -43,9 +43,14 @@ from cntp import (
     load_fixture,
     write_fixture,
 )
-from cntp.engine import policy_decode
+from cntp.engine import branch_score, branch_stop, policy_decode, stop_mask
+from cntp.harness.cli import main
+from cntp.sampling import prepare_sampling_dist, support_cumsum
 from cntp.theory import ( # noqa: the survey helpers are part of the tested surface
     _assumption1_survey,
+    _enumerate_branch_set,
+    _EnumResult,
+    _p_correct,
     _winner_probabilities,
     derive_thresholds,
     plan_vocabulary,
@@ -387,6 +392,88 @@ def test_oracle_floats_are_pinned(bundled_reports, suite_bundle):
     lines = _oracle_float_lines(bundled_reports, suite_bundle)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ORACLE_FLOATS_SHA256, "\n".join(lines)
+
+
+def _left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_oracle_sums_do_not_depend_on_the_python_version():
+    """Ten one-token branches of sampled probability 0.1 each: their mean
+    length sums, left to right, to 0x1.fffffffffffffp-1, where Python
+    3.12's compensated sum() reads 1.0. So do ten correct outcomes of 0.1."""
+    vocab = Vocabulary(tuple(f"{d}." for d in range(10)) + ("",), 10)
+    root = Distribution([0.1] * 10 + [0.0])
+    model = ScriptedModel(vocab, {(): root}, Distribution([0.0] * 10 + [1.0]))
+    config = DecodeConfig(n_max=3, temperature=1.0, top_p=1.0, global_cap=1)
+    q = prepare_sampling_dist(root, config).probs
+    terms = [float(q[tok]) * 1 for tok in range(10)]
+    assert _left_to_right(terms) != math.fsum(terms)  # the case tells the sums apart
+    assert expected_cost(model, CntpPolicy(config)).hex() == (3 * _left_to_right(terms)).hex()
+    outcomes = _EnumResult([((0,), 0.1)] * 10, 0.0, 0.0, 0.0)
+    assert _p_correct(outcomes, 0, 10, (0,)).hex() == "0x1.fffffffffffffp-1"
+
+
+def _recursive_branch_set(model, config, prefix, dist, answer_len, stops, eos):
+    """The branch set as a recursion per token gives it, depth first and
+    each node's children in support order: the order the oracle keeps."""
+    out = []
+
+    def grow(toks, qprob, model_probs, dist):
+        q = prepare_sampling_dist(dist, config)
+        for tok in support_cumsum(q)[0]:
+            branch = toks + (tok,)
+            qp = qprob * float(q.probs[tok])
+            probs = model_probs + (float(dist.probs[tok]),)
+            if branch_stop(tok, len(branch), answer_len, eos, stops, config) is not None:
+                out.append((branch, qp, branch_score(probs)[1], len(branch)))
+            else:
+                grow(branch, qp, probs, model.next_distribution(prefix + branch))
+
+    grow((), 1.0, (), dist)
+    return out
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30)
+def test_branch_sets_come_out_in_the_order_of_a_recursive_walk(seed):
+    """Random models whose punctuation set is empty, so branches run for
+    several tokens; every prefix of depth below 2 of the tree gives the
+    same branches, in the same order, float for float."""
+    model = make_random_scripted(np.random.default_rng(seed), width=3, depth=4)
+    config = DecodeConfig(temperature=0.9, top_p=0.9, punctuation=frozenset(), branch_cap=3)
+    vocab = model.vocabulary
+    stops = stop_mask(vocab, config.punctuation)
+    for prefix in [()] + [(tok,) for tok in range(len(vocab)) if tok != vocab.eos_id]:
+        dist = model.next_distribution(prefix)
+        got = _enumerate_branch_set(model, config, prefix, dist, len(prefix), stops,
+                                    vocab.eos_id, [0], 10_000)
+        want = _recursive_branch_set(model, config, prefix, dist, len(prefix), stops,
+                                     vocab.eos_id)
+        assert [(t, q.hex(), p.hex(), n) for t, q, p, n in got] == \
+            [(t, q.hex(), p.hex(), n) for t, q, p, n in want]
+
+
+def test_theorem_walks_a_1500_token_branch(tmp_path, capsys):
+    """A multi-trial step whose two branches each run to the 1 500-token
+    answer cap: the branch walk keeps its own stack, where a recursion per
+    token ended in a RecursionError."""
+    vocab = Vocabulary(("", "a", "b"), 0)
+    model = ScriptedModel(vocab, {(): Distribution([0.0, 0.6, 0.4])},
+                          Distribution([0.0, 1.0, 0.0]))
+    config = DecodeConfig(temperature=1.0, top_p=1.0, branch_cap=5000, global_cap=1500)
+    reference = (1,) * 1500
+    path = str(tmp_path / "long.model")
+    write_fixture(Theorem1Fixture(model, ReferenceSequence(reference, vocab.text(reference)),
+                                  config), path)
+    assert main(["theorem", "--fixture", path]) == 0
+    out = capsys.readouterr().out
+    # Four trials; the reference branch wins whenever one of them draws it.
+    assert "P_single=0.600000 P_cntp=0.974400 cost=6000.0000" in out
+    assert "1 fixtures: dominance ok on 1" in out
 
 
 def test_fixture_files_round_trip(tmp_path, bundled):
