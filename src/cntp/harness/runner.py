@@ -400,9 +400,9 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     with workers > 1 the seeds split into that many contiguous batches, one
     per thread. Each record is what run_one writes for its run, wall_time
     and timestamp aside: wall_time is its even share of the decode that
-    served it, and the records of one batch share the timestamp of the end
-    of its decode. run_one gets each record from one record builder per
-    task. Records come back sorted by (seed, task id), so parallel and
+    served it, and the records of one batch share one timestamp, read when
+    the batch's results are ready. run_one gets each record from one record
+    builder per task. Records come back sorted by (seed, task id), so parallel and
     serial execution agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")

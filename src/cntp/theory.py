@@ -62,24 +62,37 @@ def _enumerate_branch_set(model, config, prefix, dist, answer_len, stops, eos, c
     long as branch_cap allows: a recursion per token ran out of Python's
     stack near 1 000 tokens."""
     out = []
-    # (branch tokens, sampled probability, model probability of each token),
-    # the children of a node pushed last to first so that they pop in order.
-    stack = [((), 1.0, ())]
-    while stack:
-        toks, qprob, model_probs = stack.pop()
-        if toks:
-            if branch_stop(toks[-1], len(toks), answer_len, eos, stops, config) is not None:
-                out.append((toks, qprob, branch_score(model_probs)[1], len(toks)))
-                continue
-            dist = model.next_distribution(prefix + toks)
+    # The nodes above the one being walked, each as the walk left it: its
+    # branch tokens, their sampled probability and model probabilities, its
+    # row's sampling and model probabilities, and an iterator over the
+    # support tokens it has not yet taken.
+    stack = []
+    toks, qprob, model_probs = (), 1.0, ()
+    while True:  # enter the node at toks
         counter[0] += 1
         if counter[0] > budget:
             raise EnumerationBudgetError(f"enumeration exceeded {budget} nodes")
+        if toks:
+            dist = model.next_distribution(prefix + toks)
         q = prepare_sampling_dist(dist, config)
-        qp, model_p = q.probs, dist.probs
-        stack += [(toks + (tok,), qprob * float(qp[tok]), model_probs + (float(model_p[tok]),))
-                  for tok in reversed(support_cumsum(q)[0])]
-    return out
+        qp, model_p, support = q.probs, dist.probs, iter(support_cumsum(q)[0])
+        while True:  # take the node's next tokens until a branch grows on
+            for tok in support:
+                toks2 = toks + (tok,)
+                probs2 = model_probs + (float(model_p[tok]),)
+                qp2 = qprob * float(qp[tok])
+                if branch_stop(tok, len(toks2), answer_len, eos, stops, config) is None:
+                    break
+                out.append((toks2, qp2, branch_score(probs2)[1], len(toks2)))
+            else:  # the node is done: resume its parent, if it has one
+                if not stack:
+                    return out
+                toks, qprob, model_probs, qp, model_p, support = stack.pop()
+                continue
+            break
+        # Walk the branch that grows on before the rest of this node's support.
+        stack.append((toks, qprob, model_probs, qp, model_p, support))
+        toks, qprob, model_probs = toks2, qp2, probs2
 
 
 def _winner_probabilities(branches, n: int) -> list[float]:
