@@ -272,12 +272,13 @@ class DecodeConfig:
         for with_seed and greedy_policy's temperature 0."""
         config = object.__new__(type(self))
         # One object.__setattr__ per field, written out in __init__'s order,
-        # then the new value over its field: a loop over the field names
-        # read each by getattr and cost 3x this (a suite run copies its
-        # config once per record). Assigning __dict__ instead would give
-        # every config a dict of its own, where CPython keeps the values
-        # inline, so each later attribute read, per token in the engine,
-        # slows. tests/test_core.py checks the copy against
+        # then the new value over its field. A suite copies its config once
+        # per record, and a loop over the field names, a getattr each, cost
+        # 1.4x this copy. Assigning __dict__ instead would give every config
+        # a dict of its own, where CPython keeps the values inline: more
+        # memory per config, and slower attribute reads, which the engine
+        # makes per token. A field added to DecodeConfig needs its line
+        # here; tests/test_core.py checks the copy against
         # dataclasses.replace field by field.
         put = object.__setattr__
         put(config, "h_min", self.h_min)

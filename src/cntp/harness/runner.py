@@ -198,8 +198,7 @@ class RunRecord:
 _JSON_KINDS = {"str": "str", "int": "int", "bool": "bool", "float": "real", "dict": "object",
                "tuple[int, ...]": "[int]"}
 _RECORD_KINDS = {f.name: _JSON_KINDS[f.type] for f in dataclasses.fields(RunRecord)}
-_COST_FIELDS = tuple(f.name for f in dataclasses.fields(CostLedger))
-_COST_KINDS = dict.fromkeys(_COST_FIELDS, "int")
+_COST_KINDS = {f.name: "int" for f in dataclasses.fields(CostLedger)}
 
 
 def _prompt(vocab, task: Task):
@@ -255,10 +254,12 @@ class _RecordBuilder:
             output = answer
             tokens = ()
             correct = match_answer(answer, task.reference_answer)
-        # Built as __init__ would, one object.__setattr__ per field in field
-        # order, without its keyword parsing: a suite builds 4 200 records a
-        # bench pass, and the keyword call cost twice these calls. The cost
-        # dict is one dict display.
+        # Built as __init__ builds it, one object.__setattr__ per field in
+        # field order, but without the keyword call, which cost more than
+        # these calls together; a suite builds a record per run. The cost
+        # dict is one dict display. A field added to RunRecord or CostLedger
+        # needs its line here; tests/test_harness.py checks these records
+        # against ones built by __init__.
         record = object.__new__(RunRecord)
         put = object.__setattr__
         put(record, "task_id", task.id)
@@ -402,8 +403,8 @@ def run_suite(model: ModelSource, tasks, strategy: str, config: DecodeConfig, se
     and timestamp aside: wall_time is its even share of the decode that
     served it, and the records of one batch share one timestamp, read when
     the batch's results are ready. run_one gets each record from one record
-    builder per task. Records come back sorted by (seed, task id), so parallel and
-    serial execution agree exactly."""
+    builder per task. Records come back sorted by (seed, task id), so
+    parallel and serial execution agree exactly."""
     if not tasks:
         raise ValueError("no tasks to run")
     if not seeds:

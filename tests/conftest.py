@@ -69,6 +69,15 @@ def kgram_bundle():
     return build_kgram_suite()
 
 
+def left_to_right(values) -> float:
+    """The float sum of values in order, one rounding per addition, as
+    sum() gives it before Python 3.12 (from 3.12 on, sum() compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def make_random_scripted(rng: np.random.Generator, *, width: int = 4, depth: int = 2,
                          eos_floor: float = 0.05) -> ScriptedModel:
     """A random scripted model with rows for every prefix shorter than

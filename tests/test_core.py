@@ -344,35 +344,28 @@ def valid_configs(draw) -> DecodeConfig:
     )
 
 
-@given(valid_configs(), st.integers(0, 2**64 - 1))
+BUNDLED_CONFIGS = [load_config(bundled_path(name)) for name in (
+    "suite.config.json", "kgram.config.json", "theorem1_case.config.json")]
+
+
+@given(st.sampled_from(BUNDLED_CONFIGS) | valid_configs(), st.integers(0, 2**64 - 1))
 def test_with_seed_equals_replace(config, seed):
+    """with_seed and greedy_policy's _with("temperature", 0.0), the one
+    copy that skips __init__, give what dataclasses.replace gives: every
+    field the same value of the same type, set in the same order, and a
+    config as frozen as one built by __init__."""
     swapped = config.with_seed(seed)
     replaced = dataclasses.replace(config, seed=seed)
     assert type(swapped) is DecodeConfig and swapped.seed == seed
     assert swapped == replaced and hash(swapped) == hash(replaced)
     assert config_to_dict(swapped) == config_to_dict(replaced)
     assert list(config_to_dict(swapped)) == list(config_to_dict(replaced))
-
-
-BUNDLED_CONFIGS = [load_config(bundled_path(name)) for name in (
-    "suite.config.json", "kgram.config.json", "theorem1_case.config.json")]
-
-
-@given(st.sampled_from(BUNDLED_CONFIGS) | valid_configs(), st.integers(0, 2**64 - 1))
-def test_config_copies_equal_replace_field_by_field(config, seed):
-    """with_seed and greedy_policy's _with("temperature", 0.0), the one
-    copy that skips __init__, give what dataclasses.replace gives: every
-    field the same value of the same type, set in the same order, and a
-    config as frozen as one built by __init__."""
-    for copy, replaced in ((config.with_seed(seed), dataclasses.replace(config, seed=seed)),
-                           (config._with("temperature", 0.0),
-                            dataclasses.replace(config, temperature=0.0))):
-        assert type(copy) is DecodeConfig
+    cold = (config._with("temperature", 0.0), dataclasses.replace(config, temperature=0.0))
+    for copy, expected in ((swapped, replaced), cold):
         for field in dataclasses.fields(DecodeConfig):
-            value, expected = getattr(copy, field.name), getattr(replaced, field.name)
-            assert type(value) is type(expected) and value == expected, field.name
-        assert list(vars(copy)) == list(vars(replaced))
-        assert copy == replaced and hash(copy) == hash(replaced)
+            value, want = getattr(copy, field.name), getattr(expected, field.name)
+            assert type(value) is type(want) and value == want, field.name
+        assert list(vars(copy)) == list(vars(expected))
         with pytest.raises(dataclasses.FrozenInstanceError):
             copy.seed = 1
         with pytest.raises(dataclasses.FrozenInstanceError):

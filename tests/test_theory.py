@@ -17,7 +17,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_random_scripted
+from conftest import left_to_right, make_random_scripted
 from cntp import (
     CntpPolicy,
     ConfigError,
@@ -394,13 +394,6 @@ def test_oracle_floats_are_pinned(bundled_reports, suite_bundle):
     assert digest == ORACLE_FLOATS_SHA256, "\n".join(lines)
 
 
-def _left_to_right(values) -> float:
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 def test_oracle_sums_do_not_depend_on_the_python_version():
     """Ten one-token branches of sampled probability 0.1 each: their mean
     length sums, left to right, to 0x1.fffffffffffffp-1, where Python
@@ -411,8 +404,8 @@ def test_oracle_sums_do_not_depend_on_the_python_version():
     config = DecodeConfig(n_max=3, temperature=1.0, top_p=1.0, global_cap=1)
     q = prepare_sampling_dist(root, config).probs
     terms = [float(q[tok]) * 1 for tok in range(10)]
-    assert _left_to_right(terms) != math.fsum(terms)  # the case tells the sums apart
-    assert expected_cost(model, CntpPolicy(config)).hex() == (3 * _left_to_right(terms)).hex()
+    assert left_to_right(terms) != math.fsum(terms)  # the case tells the sums apart
+    assert expected_cost(model, CntpPolicy(config)).hex() == (3 * left_to_right(terms)).hex()
     outcomes = _EnumResult([((0,), 0.1)] * 10, 0.0, 0.0, 0.0)
     assert _p_correct(outcomes, 0, 10, (0,)).hex() == "0x1.fffffffffffffp-1"
 
