@@ -19,6 +19,8 @@ from .core import (
     DecodeOutcome,
     Sequence,
     Vocabulary,
+    new_ledger,
+    new_outcome,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .engine import SingleSamplePolicy, branch_score, policy_decode
@@ -112,8 +114,8 @@ def beam_search_decode(model: ModelSource, prompt: Sequence, config: DecodeConfi
     while path is not None:
         tok, path = path
         best_toks.append(tok)
-    cost = CostLedger(forward_passes=passes, generated_tokens=generated, total_steps=rounds)
-    return DecodeOutcome(vocab.sequence(prompt_tokens + tuple(reversed(best_toks))), cost, ())
+    cost = new_ledger(passes, generated, 0, rounds)
+    return new_outcome(vocab.sequence(prompt_tokens + tuple(reversed(best_toks))), cost, ())
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def _summed_cost(outcomes) -> CostLedger:
         generated += cost.generated_tokens
         high_steps += cost.high_entropy_steps
         steps += cost.total_steps
-    return CostLedger(passes, generated, high_steps, steps)
+    return new_ledger(passes, generated, high_steps, steps)
 
 
 def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConfig,
@@ -226,7 +228,8 @@ def best_of_n_whole_ppl(model: ModelSource, prompt: Sequence, config: DecodeConf
 
 def lowest_whole_ppl(outcomes, ppls: dict | None = None) -> DecodeOutcome:
     """Best-of-N's reduction of its runs' outcomes: the run of lowest
-    whole-sequence perplexity, the first on ties, with the summed ledger.
+    whole-sequence perplexity, the first on ties (an infinite one
+    included), with the summed ledger.
     ppls, if given, maps id(outcome) to the perplexity of each outcome
     scored before, so runs that share an outcome score it once; as with
     vote's answers, its caller keeps those outcomes alive while it keeps
@@ -240,9 +243,9 @@ def lowest_whole_ppl(outcomes, ppls: dict | None = None) -> DecodeOutcome:
         if ppl is None:
             probs = [t.chosen_prob for t in outcome.per_step_trace]
             ppl = ppls[id(outcome)] = branch_score(probs)[1] if probs else float("inf")
-        if ppl < best_ppl:
+        if best_outcome is None or ppl < best_ppl:
             best_ppl = ppl
             best_outcome = outcome
     assert best_outcome is not None
-    return DecodeOutcome(best_outcome.sequence, _summed_cost(outcomes),
-                         best_outcome.per_step_trace)
+    return new_outcome(best_outcome.sequence, _summed_cost(outcomes),
+                       best_outcome.per_step_trace)

@@ -19,12 +19,17 @@ Its lanes that hold one cursor form a group, which reads its row once for
 all of them; a group splits where its lanes' draws or winning branches
 differ. Since a lane's draws depend only on its keys, a group's lanes draw
 the tokens they would draw alone, and lane_decode draws them ahead: a
-block of steps per keyed_uniforms call, and a multi-trial step's rounds
-past the first up to the trials' cap in one call (see DRAW_BLOCK). It
-reads each distinct row into one plan per decode, so its steps and trial
-rounds pay for a row's confidence, trial count and prepared sampling row
-once, not once per token, and its single-token steps that take one token
-of one row share one StepTrace.
+block of steps per keyed_uniforms call, from an array of the live lanes'
+bases, and a multi-trial step's rounds past the first up to the trials'
+cap in one call (see DRAW_BLOCK). The first round of a wide group's trials
+goes by array: one uniform_grid call draws it, one np.searchsorted picks
+every first token, and an argmin per lane picks its best; a step whose
+trials all stop there splits its group by winning token with no entry per
+trial (see ARRAY_TRIALS). It reads each distinct row into one plan per
+decode, so its steps and trial rounds pay for a row's confidence, trial
+count, prepared sampling row and the -log p and one-token perplexity of
+each of its tokens once, not once per token, and its single-token steps
+that take one token of one row share one StepTrace.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,11 +51,13 @@ from .core import (
     Sequence,
     StepTrace,
     Trial,
+    new_ledger,
+    new_outcome,
     validate_config,  # noqa: F401  bench/tracing.py patches it here by name
 )
 from .models import ModelSource
 from .sampling import (Rng, derive_bases, derive_seeds, greedy_token, keyed_uniforms,
-                       prepare_sampling_dist, sample_token, support_cumsum)
+                       prepare_sampling_dist, sample_token, support_cumsum, uniform_grid)
 
 
 def entropy(dist: Distribution) -> float:
@@ -110,7 +119,18 @@ def branch_score(probs) -> tuple[float, float]:
     nll = 0.0
     for p in probs:
         nll -= math.log(p)
-    return nll, math.exp(nll / len(probs))
+    return nll, branch_ppl(nll, len(probs))
+
+
+def branch_ppl(nll: float, length: int) -> float:
+    """exp(nll / length), the perplexity of a branch of length tokens whose
+    -log p sum to nll; math.inf where that passes the float range: a mean
+    -log p above about 709.78, as a branch of one token of probability
+    below about 5.6e-309 has."""
+    try:
+        return math.exp(nll / length)
+    except OverflowError:
+        return math.inf
 
 
 def stop_mask(vocabulary, punctuation) -> tuple[bool, ...]:
@@ -320,17 +340,34 @@ def policy_decode(model: ModelSource, prompt: Sequence, policy: Policy) -> Decod
 # draws depend only on its keys, so lane_decode draws them ahead. Each
 # lane's single-token uniforms come a block of steps ahead, in blocks that
 # double: the block drawn at step s covers steps s..2s-1, so a lane that
-# ends early wasted at most as many draws as it used. A multi-trial step
-# draws its trials' first tokens in one call, then every later round of the
-# trials that grow on, up to their cap, in one more: most trials stop within
-# a few tokens, but a draw costs tens of ns and a call tens of us. This
-# bound shortens a block of many streams, and a trial refills only where it
-# cut the block short; it also splits the call of more streams than it, so
-# the draws held ahead stay flat in a wide batch.
+# ends early wasted at most as many draws as it used. The block is drawn
+# from an array of the live lanes' bases; a block of one step, which every
+# batch of more than DRAW_BLOCK / step lanes draws, shares its step as a key
+# part. A multi-trial step draws its trials' first tokens in one call for
+# the groups below ARRAY_TRIALS and one uniform_grid call per group of at
+# least that many, then every later round of the trials that grow on, up
+# to their cap, in one more: most trials stop within a few tokens, but a
+# draw costs tens of ns and a call tens of us. This bound shortens a block
+# of many streams, and a trial refills only where it cut the block short;
+# it also splits the call of more streams than it, so the draws held ahead
+# stay flat in a wide batch.
 DRAW_BLOCK = 4096
 
+# Fewest first-round trials (lanes x trials of one chunk) of one group that
+# a multi-trial step takes by array: uniform_grid draws them, one
+# np.searchsorted over the row's cumulative mass picks every first token,
+# and an argmin per lane over its trials' scores picks its best. A numpy
+# call costs microseconds whatever its size, a trial in the loop about a
+# third of one. Timed per group through _grow_lane_trials over 20 groups
+# of bundled suite rows, whose trials stop on their first token, the two
+# broke even near 50 trials (loop 22.0 against 22.5 us at 50, 54 against
+# 29 at 120, 228 against 49 at 600; one CPU of a 2-CPU VM). On k-gram rows,
+# where most trials grow on and so stay per-trial entries either way, the
+# array cost about 20 us more per group at every size up to 600 trials.
+ARRAY_TRIALS = 64
 
-def _block_uniforms(bases: list[int], key: tuple, draw) -> list[float]:
+
+def _block_uniforms(bases, key: tuple, draw) -> list[float]:
     """keyed_uniforms(bases, key, draw), in calls of at most DRAW_BLOCK
     streams each."""
     if len(bases) <= DRAW_BLOCK:
@@ -345,24 +382,27 @@ def _block_uniforms(bases: list[int], key: tuple, draw) -> list[float]:
 
 class _Plans(dict):
     """One decode's plan of each distinct row it meets, keyed by the row
-    object: (confidence, trial count, prepared support, its cumulative
-    mass, the model probability of each support token as a Python float,
-    a slot per support index for the StepTrace of a single-token step that
-    takes it). Support and probabilities end with their last entry twice,
-    so indexing them by bisect_left(mass, u) gives token_at's token for
-    every u, and its probability. At T=0 the prepared row is a one-hot on
-    the argmax, greedy_token's token, so the plan holds that support
-    without building the row. The trace slots fill the first time a step
-    takes their index (see trace), so every later step that takes it
-    appends the same tuple. A plan holds what the policy makes of the row,
-    so it lives only as long as its decode."""
+    object: a list of (confidence, trial count, prepared support, its
+    cumulative mass, the model probability of each support token as a
+    Python float, a slot per support index for the StepTrace of a
+    single-token step that takes it, and three tables that fill when a
+    trial first needs them: -log of each model probability (see nlls), the
+    ppl of a branch of each support token alone (see ppls), and the arrays
+    of a first round by array (see arrays)). Support and probabilities end
+    with their last entry twice, so indexing them by bisect_left(mass, u)
+    gives token_at's token for every u, and its probability. At T=0 the
+    prepared row is a one-hot on the argmax, greedy_token's token, so the
+    plan holds that support without building the row. The trace slots fill
+    the first time a step takes their index (see trace), so every later
+    step that takes it appends the same tuple. A plan holds what the policy
+    makes of the row, so it lives only as long as its decode."""
 
     __slots__ = ("policy",)
 
     def __init__(self, policy: Policy):
         self.policy = policy
 
-    def __missing__(self, dist: Distribution) -> tuple:
+    def __missing__(self, dist: Distribution) -> list:
         config = self.policy.config
         h = confidence(dist, config.confidence_measure)
         if config.temperature == 0.0:
@@ -370,42 +410,74 @@ class _Plans(dict):
         else:
             support, mass = support_cumsum(prepare_sampling_dist(dist, config))
         probs = dist.probs[support].tolist()
-        plan = self[dist] = (h, self.policy.trials(h), support + support[-1:], mass,
-                             probs + probs[-1:], [None] * (len(support) + 1))
+        plan = self[dist] = [h, self.policy.trials(h), support + support[-1:], mass,
+                             probs + probs[-1:], [None] * (len(support) + 1), None, None, None]
         return plan
 
     @staticmethod
-    def trace(plan: tuple, j: int) -> StepTrace:
+    def trace(plan: list, j: int) -> StepTrace:
         """The StepTrace of a single-token step that takes support index j
         of plan, made once: the last index shares its slot with the one
         before, since both hold one token."""
-        h, _, _, _, probs, traces = plan
+        h, _, _, _, probs, traces, *_ = plan
         trace = traces[j] = tuple.__new__(StepTrace, (h, 1, None, probs[j]))
         if j >= len(traces) - 2:
             traces[-2:] = trace, trace
         return trace
 
+    @staticmethod
+    def nlls(plan: list) -> list[float]:
+        """-log p of each support index of plan, which a growing trial adds
+        to its running nll: x - log(p) == x + (-log(p)), so the sum is
+        branch_score's."""
+        nlls = plan[6] = [-math.log(p) for p in plan[4]]
+        return nlls
+
+    @staticmethod
+    def ppls(plan: list) -> list[float]:
+        """branch_score's ppl of a branch of each support index's token
+        alone, what a trial that stops on its first token scores."""
+        ppls = plan[7] = [branch_score((p,))[1] for p in plan[4]]
+        return ppls
+
+    @staticmethod
+    def arrays(plan: list, stops: tuple[bool, ...]) -> tuple:
+        """What a first round by array reads of plan: its cumulative mass as
+        an array; the rank of each support index's one-token ppl among the
+        row's distinct ppls, so that ranks order tokens as their ppls do
+        and equal ppls rank equal; those ranks with each token that does
+        not stop a branch ranked one past the last; and that rank."""
+        ppls = plan[7] or _Plans.ppls(plan)
+        rank = {ppl: r for r, ppl in enumerate(sorted(set(ppls)))}
+        ranks = [rank[ppl] for ppl in ppls]
+        scored = [r if stops[tok] else len(rank) for r, tok in zip(ranks, plan[2])]
+        arrays = plan[8] = (np.array(plan[3]), np.array(ranks), np.array(scored), len(rank))
+        return arrays
+
 
 class _Lane:
     """One (prompt, seed) decode of lane_decode: its place among the
-    outcomes, its stream base, the tokens its losing trials drew, and where
-    its draws start in the current block of steps."""
+    outcomes, its stream base and the tokens its losing trials drew."""
 
-    __slots__ = ("index", "base", "discarded", "at")
+    __slots__ = ("index", "base", "discarded")
 
     def __init__(self, index: int, base: int):
         self.index = index
         self.base = base
         self.discarded = 0
-        self.at = 0
+
+
+_BASE = attrgetter("base")
 
 
 class _Group:
     """The live lanes that hold one cursor, and so one history: their
-    tokens, the token count they stop at, their multi-trial steps and their
-    trace. lane_decode keeps the groups' cursors in a list beside them."""
+    tokens, the token count they stop at, their multi-trial steps, their
+    trace, and where each lane's draws start in the current block of steps
+    (a range from the block's start on). lane_decode keeps the groups'
+    cursors in a list beside them."""
 
-    __slots__ = ("lanes", "tokens", "prompt_len", "limit", "high_steps", "trace")
+    __slots__ = ("lanes", "tokens", "prompt_len", "limit", "high_steps", "trace", "at")
 
     def __init__(self, prompt: tuple, global_cap: int):
         self.lanes: list[_Lane] = []
@@ -414,11 +486,13 @@ class _Group:
         self.limit = self.prompt_len + global_cap
         self.high_steps = 0
         self.trace: list[StepTrace] = []
+        self.at = range(0)
 
-    def take(self, lanes: list[_Lane], tokens: list, step: StepTrace,
+    def take(self, lanes: list[_Lane], at, tokens: list, step: StepTrace,
              high_steps: int) -> "_Group":
-        """The group of lanes, self's own list or a part of it, once they
-        take tokens: self, or a new group for a part."""
+        """The group of lanes, self's own list or a part of it whose draws
+        start at at, once they take tokens: self, or a new group for a
+        part."""
         group = self
         if lanes is self.lanes:
             self.tokens += tokens
@@ -426,6 +500,7 @@ class _Group:
         else:
             group = object.__new__(_Group)
             group.lanes = lanes
+            group.at = at
             group.tokens = self.tokens + tokens
             group.prompt_len = self.prompt_len
             group.limit = self.limit
@@ -433,6 +508,13 @@ class _Group:
             group.trace = self.trace + [step]
         group.high_steps += high_steps
         return group
+
+    def draws(self, block: list[float], offset: int):
+        """The uniform of each lane at offset steps into block."""
+        at = self.at
+        if type(at) is range:
+            return block[at.start + offset:at.stop + offset:at.step]
+        return [block[a + offset] for a in at]
 
     def finish(self, vocab, outcomes: list) -> None:
         """Put each lane's outcome in its place; lanes that discarded as
@@ -446,28 +528,39 @@ class _Group:
             if outcome is None:
                 # Each answer token and each token a losing trial drew took one pass.
                 passes = answer_len + lane.discarded
-                cost = CostLedger(forward_passes=passes, generated_tokens=passes,
-                                  high_entropy_steps=self.high_steps, total_steps=len(trace))
-                outcome = shared[lane.discarded] = DecodeOutcome(sequence, cost, trace)
+                cost = new_ledger(passes, passes, self.high_steps, len(trace))
+                outcome = shared[lane.discarded] = new_outcome(sequence, cost, trace)
             outcomes[lane.index] = outcome
 
 
 def _step_block(live: list[_Group], step: int) -> tuple[list[float], int]:
     """The single-token uniforms, keyed (seed, s, 0), of every lane of live
-    for the steps s of a block from step, each lane's from its lane.at on;
-    and the step the block ends before: as many steps as came before step,
-    at least one, and at most DRAW_BLOCK draws in all where each lane draws
-    at least one. A group's lanes draw no further than their answer cap,
-    since each step takes a token."""
-    length = max(1, min(step, DRAW_BLOCK // sum(len(group.lanes) for group in live)))
-    bases, steps = [], []
-    for group in live:
-        span = range(step, step + min(length, group.limit - len(group.tokens)))
-        for lane in group.lanes:
-            lane.at = len(bases)
-            bases += [lane.base] * len(span)
-            steps += span
-    return _block_uniforms(bases, (steps, 0), 0), step + length
+    for the steps s of a block from step, group by group and lane by lane,
+    with each group's at set to where its lanes' draws start; and the step
+    the block ends before: as many steps as came before step, at least
+    one, and at most DRAW_BLOCK draws in all where each lane draws at least
+    one. A group's lanes draw no further than their answer cap, since each
+    step takes a token."""
+    sizes = [len(group.lanes) for group in live]
+    total = sum(sizes)
+    length = max(1, min(step, DRAW_BLOCK // total))
+    bases = np.fromiter(map(_BASE, chain.from_iterable(group.lanes for group in live)),
+                        np.uint64, total)
+    if length == 1:  # a live group is at least one token short of its cap
+        at = 0
+        for group, n in zip(live, sizes):
+            group.at = range(at, at + n)
+            at += n
+        return _block_uniforms(bases, (step, 0), 0), step + 1
+    spans = [min(length, group.limit - len(group.tokens)) for group in live]
+    at = 0
+    for group, n, span in zip(live, sizes, spans):
+        group.at = range(at, at + n * span, span)
+        at += n * span
+    per_lane = np.repeat(spans, sizes)
+    starts = np.cumsum(per_lane) - per_lane
+    steps = np.arange(at) - np.repeat(starts - step, per_lane)
+    return _block_uniforms(np.repeat(bases, per_lane), (steps, 0), 0), step + length
 
 
 def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
@@ -500,6 +593,8 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     outcomes: list = [None] * len(lanes)
     plans = _Plans(policy)
     live = list(starts.values())
+    for group in live:  # at T=0, where no block sets them
+        group.at = range(len(group.lanes))
     cursors = [model.start(prompt) for prompt in starts]
     step = block_start = block_end = 0
     block: list[float] = []
@@ -513,17 +608,16 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
         # and the parts of the groups that split, each with that cursor.
         going, froms, parts, multis = [], [], [], []
         for group, cursor, dist in zip(live, cursors, rows):
-            h, n, support, mass, probs, traces = plan = plans[dist]
+            _, n, support, mass, _, traces, _, _, _ = plan = plans[dist]
             if n > 1:
                 multis.append((group, plan, cursor))
                 continue
-            lanes = group.lanes
             if greedy:
                 j = 0
-            elif len(lanes) == 1:
-                j = bisect_left(mass, block[lanes[0].at + offset])
+            elif len(group.lanes) == 1:
+                j = bisect_left(mass, block[group.at[0] + offset])
             else:
-                picks = [bisect_left(mass, block[lane.at + offset]) for lane in lanes]
+                picks = list(map(bisect_left, repeat(mass), group.draws(block, offset)))
                 j = picks[0]
                 if picks.count(j) < len(picks):
                     parts += [(part, cursor)
@@ -552,19 +646,30 @@ def lane_decode(model: ModelSource, lanes: list[tuple[Sequence, int]],
     return outcomes
 
 
-def _split_by_token(group: _Group, picks: list, plan: tuple) -> list[_Group]:
+def _split_by_token(group: _Group, picks: list, plan: list, won: tuple | None = None
+                    ) -> list[_Group]:
     """The groups that group's lanes form once each takes its token,
-    support[j] of its pick j of plan, the plan of the row they read."""
-    support, traces = plan[2], plan[5]
+    support[j] of its pick j of plan, the plan of the row they read. won,
+    if given, is the (confidence, trial count) of a multi-trial step whose
+    winning branches are those tokens alone, so a part's trace holds the
+    ppl of its token; else the step took a single token."""
+    support = plan[2]
     parts: dict[int, tuple] = {}
-    for lane, j in zip(group.lanes, picks):
+    for lane, at, j in zip(group.lanes, group.at, picks):
         part = parts.get(support[j])
         if part is None:
-            parts[support[j]] = ([lane], j)
+            parts[support[j]] = ([lane], [at], j)
         else:
             part[0].append(lane)
-    return [group.take(part, [tok], traces[j] or _Plans.trace(plan, j), 0)
-            for tok, (part, j) in parts.items()]
+            part[1].append(at)
+    if won is None:
+        traces = plan[5]
+        return [group.take(part, at, [tok], traces[j] or _Plans.trace(plan, j), 0)
+                for tok, (part, at, j) in parts.items()]
+    h, n = won
+    ppls = plan[7]
+    return [group.take(part, at, [tok], StepTrace(h, n, ppls[j], None), 1)
+            for tok, (part, at, j) in parts.items()]
 
 
 def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: DecodeConfig,
@@ -574,119 +679,196 @@ def _grow_lane_trials(model: ModelSource, steps: list, step: int, config: Decode
     does, and return the groups the lanes form after it, each with the
     cursor it took its last token at: a group splits by winning branch.
     Trials grow TRIAL_CHUNK per lane at a time, and all the trials of a
-    chunk, over every lane, in lockstep: round 0 draws their first uniforms
-    in one keyed_uniforms call, round 1 draws the rest of every trial that
-    grows on, up to its cap, in one more (see _round_block), and each round
-    steps the trials that grow on in one model.advance call and reads their
-    rows in one model.next_distributions call. Round r takes draw r of
-    trial i's stream (seed, step, i), as in _grow_trials, and each trial
-    keeps branch_score's scalar sum. A trial that stops on its first token is scored once per
-    distinct token."""
+    chunk, over every lane, in lockstep. Round 0 draws their first tokens
+    from their group's row, by array for the groups of at least
+    ARRAY_TRIALS trials and in a loop for the rest (see _round_zero); a
+    group by array whose trials all stop there is settled, and splits by
+    winning token. Round 1 draws the rest of every trial that grows on, up
+    to its cap, in one more call (see _round_block), and each round steps
+    the trials that grow on in one model.advance call and reads their rows
+    in one model.next_distributions call. Round r takes draw r of trial i's
+    stream (seed, step, i), as in _grow_trials, and each trial keeps
+    branch_score's sum as it grows, adding the -log p of each token it
+    takes from its row's plan."""
     # Per lane, the lanes of every step's group in turn (step k's from
     # bounds[k] to bounds[k + 1]): the base of its (seed, step) stream, its
     # running best as [(ppl, trial index), tokens, cursor before the last
-    # token], and the tokens its trials drew.
+    # token], and the tokens its trials drew; and per step that settles in
+    # round 0, by its place in steps, its lanes' winning support indices.
     bounds = [0]
     for group, *_ in steps:
         bounds.append(bounds[-1] + len(group.lanes))
     step_bases = derive_bases([lane.base for group, *_ in steps for lane in group.lanes], (step,))
     bests: list = [None] * len(step_bases)
     drawn = [0] * len(step_bases)
+    settled: dict[int, list] = {}
     for lo in range(0, max(plan[1] for _, plan, _ in steps), TRIAL_CHUNK):
-        chunks = [(k, range(lo, min(plan[1], lo + TRIAL_CHUNK)))
-                  for k, (_, plan, _) in enumerate(steps) if plan[1] > lo]
-        draws = iter(_block_uniforms(
-            [base for k, indices in chunks for base in step_bases[bounds[k]:bounds[k + 1]]
-             for _ in indices],
-            ([i for k, indices in chunks for _ in range(bounds[k], bounds[k + 1])
-              for i in indices],), 0))
-        # Per trial that grows on: (lane position, trial index, cap on its
-        # length, tokens, model probabilities), to which _round_block adds
-        # where its draws start in the block of rounds; and the cursor it
-        # took its last token at, and that token.
-        trials, froms, toks = [], [], []
-        # Round 0: a step's trials all draw from its row, at its cursor, and
-        # the ones that stop there score as their first token does.
-        for k, indices in chunks:
-            group, (_, _, support, mass, probs, _), cursor = steps[k]
-            cap = min(config.branch_cap, group.limit - len(group.tokens))
-            ppls: dict[int, float] = {}
-            for p in range(bounds[k], bounds[k + 1]):
-                for i in indices:
-                    j = bisect_left(mass, next(draws))
-                    tok = support[j]
-                    if cap > 1 and not stops[tok]:
-                        trials.append((p, i, cap, [tok], [probs[j]]))
-                        froms.append(cursor)
-                        toks.append(tok)
-                        continue
-                    drawn[p] += 1
-                    ppl = ppls.get(tok)
-                    if ppl is None:
-                        ppl = ppls[tok] = branch_score([probs[j]])[1]
-                    if bests[p] is None or (ppl, i) < bests[p][0]:
-                        bests[p] = [(ppl, i), [tok], cursor]
+        # Per trial that grows on: [lane position, trial index, cap on its
+        # length, tokens, running nll, where its draws start in the block
+        # of rounds (see _round_block)]; and the cursor it took its last
+        # token at, and that token.
+        trials, froms, toks = _round_zero(steps, bounds, step_bases, lo, config, stops,
+                                          bests, drawn, settled)
         cursors = model.advance(froms, toks)
         length = block_end = 1
         while trials:
             rows = model.next_distributions(cursors)
             if length == block_end:  # block holds rounds block_start..block_end - 1
                 block_start = length
-                block, trials, block_end = _round_block(trials, length, step_bases)
+                block, block_end = _round_block(trials, length, step_bases)
             offset = length - block_start
             length += 1
             live, froms, toks = [], [], []
             for trial, cur, dist in zip(trials, cursors, rows):
-                p, i, cap, tokens, chosen, at = trial
-                _, _, support, mass, probs, _ = plans[dist]
-                j = bisect_left(mass, block[at + offset])
-                tok = support[j]
+                p, i, cap, tokens, nll, at = trial
+                plan = plans[dist]
+                j = bisect_left(plan[3], block[at + offset])
+                tok = plan[2][j]
                 tokens.append(tok)
-                chosen.append(probs[j])
+                nll += (plan[6] or _Plans.nlls(plan))[j]
                 if not (length >= cap or stops[tok]):
+                    trial[4] = nll
                     live.append(trial)
                     froms.append(cur)
                     toks.append(tok)
                     continue
                 drawn[p] += length
-                ppl = branch_score(chosen)[1]
+                ppl = branch_ppl(nll, length)
                 if bests[p] is None or (ppl, i) < bests[p][0]:
                     bests[p] = [(ppl, i), tokens, cur]
             trials, cursors = live, model.advance(froms, toks)
     out = []
-    for (group, (h, n, *_), _), first in zip(steps, bounds):
+    for k, ((group, plan, cursor), first) in enumerate(zip(steps, bounds)):
+        h, n = plan[0], plan[1]
+        wins = settled.get(k)
+        if wins is not None:  # every trial stopped on its first token
+            for lane in group.lanes:
+                lane.discarded += n - 1
+            if wins.count(wins[0]) == len(wins):
+                out.append((group.take(group.lanes, group.at, [plan[2][wins[0]]],
+                                       StepTrace(h, n, plan[7][wins[0]], None), 1), cursor))
+            else:
+                out += [(part, cursor) for part in _split_by_token(group, wins, plan, (h, n))]
+            continue
         branches: dict[tuple, list] = {}
-        for p, lane in enumerate(group.lanes, first):
+        for p, lane, at in zip(range(first, first + len(group.lanes)), group.lanes, group.at):
             (ppl, _), tokens, end = bests[p]
             lane.discarded += drawn[p] - len(tokens)
             branch = branches.get(key := tuple(tokens))
             if branch is None:
-                branches[key] = [ppl, tokens, end, [lane]]
+                branches[key] = [ppl, tokens, end, [lane], [at]]
             else:
                 branch[3].append(lane)
-        whole = len(branches) == 1
-        out += [(group.take(group.lanes if whole else part, tokens, StepTrace(h, n, ppl, None), 1),
-                 end)
-                for ppl, tokens, end, part in branches.values()]
+                branch[4].append(at)
+        if len(branches) == 1:
+            (ppl, tokens, end, _, _), = branches.values()
+            out.append((group.take(group.lanes, group.at, tokens, StepTrace(h, n, ppl, None), 1),
+                        end))
+        else:
+            out += [(group.take(part, at, tokens, StepTrace(h, n, ppl, None), 1), end)
+                    for ppl, tokens, end, part, at in branches.values()]
     return out
 
 
-def _round_block(trials: list, start: int,
-                 step_bases: list[int]) -> tuple[list[float], list[tuple], int]:
+def _round_zero(steps: list, bounds: list[int], step_bases: list[int], lo: int,
+                config: DecodeConfig, stops: tuple[bool, ...], bests: list,
+                drawn: list, settled: dict) -> tuple[list, list, list]:
+    """Round 0 of the chunk of trials from trial lo of each step of
+    _grow_lane_trials: a step's trials all draw from its row, at its
+    cursor, and a trial that stops there scores its first token from the
+    plan's ppls. A group of at least ARRAY_TRIALS trials draws by array:
+    uniform_grid draws its (lane, trial) uniforms, one np.searchsorted picks
+    every first token, and per lane an argmin over its trials' scores picks
+    its best, the lowest index on ties. The rest draw in a loop, trial by
+    trial, from one keyed_uniforms call. Updates bests and drawn, and
+    returns the trials that grow on, in (group, lane, trial) order, with
+    the cursor each took its last token at and that token. A group by array
+    whose step has no trial past this chunk and whose trials all stop here
+    is settled instead: settled maps its place in steps to its lanes'
+    winning support indices, the last index read as the one before, which
+    holds the same token."""
+    chunks = [(k, range(lo, min(plan[1], lo + TRIAL_CHUNK)))
+              for k, (_, plan, _) in enumerate(steps) if plan[1] > lo]
+    wide = {k for k, indices in chunks
+            if (bounds[k + 1] - bounds[k]) * len(indices) >= ARRAY_TRIALS}
+    # The loop's uniforms, lane by lane and trial by trial.
+    narrow = [(k, indices) for k, indices in chunks if k not in wide]
+    if narrow:
+        draws = iter(_block_uniforms(
+            [base for k, indices in narrow
+             for base in step_bases[bounds[k]:bounds[k + 1]] for _ in indices],
+            ([i for k, indices in narrow for _ in range(bounds[k], bounds[k + 1])
+              for i in indices],), 0))
+    if wide:
+        lane_bases = np.array(step_bases, np.uint64)
+    trials, froms, toks = [], [], []
+    for k, indices in chunks:
+        group, plan, cursor = steps[k]
+        support, ppls = plan[2], plan[7] or _Plans.ppls(plan)
+        cap = min(config.branch_cap, group.limit - len(group.tokens))
+        first = bounds[k]
+        if k not in wide:
+            mass, nlls = plan[3], plan[6] or _Plans.nlls(plan)
+            for p in range(first, bounds[k + 1]):
+                for i in indices:
+                    j = bisect_left(mass, next(draws))
+                    tok = support[j]
+                    if cap > 1 and not stops[tok]:
+                        trials.append([p, i, cap, [tok], nlls[j], 0])
+                        froms.append(cursor)
+                        toks.append(tok)
+                        continue
+                    drawn[p] += 1
+                    ppl = ppls[j]
+                    if bests[p] is None or (ppl, i) < bests[p][0]:
+                        bests[p] = [(ppl, i), [tok], cursor]
+            continue
+        n, t = bounds[k + 1] - first, len(indices)
+        masses, ranks, scored, grow = plan[8] or _Plans.arrays(plan, stops)
+        picks = np.searchsorted(masses, uniform_grid(lane_bases[first:first + n], indices))
+        # At a cap of 1 every trial stops, whatever its token.
+        scores = (scored if cap > 1 else ranks)[picks]
+        grows = scores == grow
+        best = scores.argmin(axis=1)
+        wins = picks[np.arange(n), best]
+        growing = grows.any()
+        if not growing and plan[1] <= TRIAL_CHUNK:
+            settled[k] = np.minimum(wins, len(support) - 2).tolist()
+            continue
+        stopped = (t - grows.sum(axis=1)).tolist() if growing else repeat(t)
+        # A lane whose trials all grow on has no best yet: its argmin is one of them.
+        for p, i, j, count in zip(range(first, first + n), best.tolist(), wins.tolist(),
+                                  stopped):
+            drawn[p] += count
+            if count and (bests[p] is None or (ppls[j], lo + i) < bests[p][0]):
+                bests[p] = [(ppls[j], lo + i), [support[j]], cursor]
+        if growing:
+            nlls = plan[6] or _Plans.nlls(plan)
+            rows, cols = np.nonzero(grows)
+            for p, i, j in zip(rows.tolist(), cols.tolist(), picks[rows, cols].tolist()):
+                tok = support[j]
+                trials.append([first + p, lo + i, cap, [tok], nlls[j], 0])
+                froms.append(cursor)
+                toks.append(tok)
+    return trials, froms, toks
+
+
+def _round_block(trials: list, start: int, step_bases: list[int]) -> tuple[list[float], int]:
     """The uniforms of the live trials of _grow_lane_trials for the rounds
     from round start up to the largest cap among them, stream by stream, in
     calls of at most DRAW_BLOCK uniforms: draw r of trial i's stream
     (seed, step, i), folded from its lane's (seed, step) base in step_bases,
     is the token that makes it r + 1 long. Where DRAW_BLOCK cuts the rounds
-    short, the trials that outgrow the block refill, and only they. Also the
-    trials with where their draws start, and the round the block ends
-    before."""
+    short, the trials that outgrow the block refill, and only they. Sets
+    where each trial's draws start, and returns the block and the round it
+    ends before."""
     rounds = min(max(trial[2] for trial in trials) - start,
                  max(1, DRAW_BLOCK // len(trials)))
     block = _block_uniforms([step_bases[trial[0]] for trial in trials],
                             ([trial[1] for trial in trials],), range(start, start + rounds))
-    placed = [trial[:5] + (t * rounds,) for t, trial in enumerate(trials)]
-    return block, placed, start + rounds
+    for t, trial in enumerate(trials):
+        trial[5] = t * rounds
+    return block, start + rounds
 
 
 def cntp_decode(model: ModelSource, prompt: Sequence, config: DecodeConfig) -> DecodeOutcome:

@@ -271,7 +271,6 @@ def cmd_theorem(args) -> int:
             report = check_theorem1(fixture, node_budget=args.node_budget)
         except EnumerationBudgetError as exc:
             raise _UsageError(f"{name}: {exc}; raise --node-budget") from exc
-        single_token = fixture.branch_style == "punct"
         line = (f"{name}: P_single={report.p_single_correct:.6f} "
                 f"P_cntp={report.p_cntp_correct:.6f} "
                 f"cost={report.expected_cost_cntp:.4f} bound={report.cost_bound:.4f} "
@@ -279,7 +278,7 @@ def cmd_theorem(args) -> int:
                 f"assumption1={'yes' if report.assumption1_holds else 'NO'} "
                 f"strict={'yes' if report.strict else 'no'} "
                 f"dominance={'ok' if report.dominance_holds else 'VIOLATED'}")
-        if single_token:
+        if fixture.single_token_branches:
             bound_checked += 1
             bound_ok += report.cost_bound_holds and report.below_max_trial_cost
             line += f" cost_bound={'ok' if report.cost_bound_holds else 'VIOLATED'}"

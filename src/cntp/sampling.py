@@ -80,6 +80,7 @@ _NP_GOLDEN = np.uint64(_GOLDEN)
 _NP_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _NP_M2 = np.uint64(0x94D049BB133111EB)
 _NP_11, _NP_27, _NP_30, _NP_31 = map(np.uint64, (11, 27, 30, 31))
+_NP_SMALL_PARTS = np.frombuffer(_SMALL_PARTS, dtype=np.uint64)  # a view of the table
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
@@ -93,11 +94,21 @@ def _mix64_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _NP_31)
 
 
+def _as_ints(bases: np.ndarray, key: tuple) -> tuple:
+    """An array of bases and the array parts of key as lists of Python ints:
+    the Python int path wraps by & _M64, which numpy scalars do not."""
+    return bases.tolist(), tuple(part.tolist() if type(part) is np.ndarray else part
+                                 for part in key)
+
+
 def _fold_keys(bases, key: tuple):
     """Each base folded by every part of key, as Rng.derive folds one; a
-    part is an int every base shares or a list with one part per base. A
-    list of Python ints below NUMPY_DRAWS bases, else a numpy uint64 array."""
+    part is an int every base shares or a list with one part per base, as
+    in keyed_uniforms. A list of Python ints below NUMPY_DRAWS bases, else a
+    numpy uint64 array."""
     if len(bases) < NUMPY_DRAWS:
+        if type(bases) is np.ndarray:
+            bases, key = _as_ints(bases, key)
         out = []
         for j, h in enumerate(bases):
             for part in key:
@@ -121,7 +132,8 @@ def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int] | range) 
     given as bases, the derive_seed(seed) of each. A part of key, and draw,
     is an int every stream shares or a list with one entry per stream, so
     one call can draw a block of steps ahead: ([s, s+1, ...], 0) keys the
-    single-token draws of steps s, s+1, ... of a repeated base. A range of
+    single-token draws of steps s, s+1, ... of a repeated base. bases may
+    be a numpy uint64 array, and then so may the list parts. A range of
     draws gives those draws of every stream, grouped stream by stream, so
     one call can draw a block of rounds ahead; each stream's key is folded
     once, and each draw costs only its mix. The whole batch in one call:
@@ -133,6 +145,8 @@ def keyed_uniforms(bases: list[int], key: tuple, draw: int | list[int] | range) 
     if len(bases) < NUMPY_DRAWS:
         # _fold_keys's loop with the draw taken in it: a decode's per-step
         # call over few lanes is hot, and a second pass cost it 10-20 %.
+        if type(bases) is np.ndarray:
+            bases, key = _as_ints(bases, key)
         offset = (draw + 1) * _GOLDEN & _M64 if shared else 0
         out = []
         for j, h in enumerate(bases):
@@ -166,6 +180,24 @@ def _stream_uniforms(bases: list[int], key: tuple, draws: range) -> list[float]:
     h = np.asarray(_fold_keys(bases, key), dtype=np.uint64).reshape(-1, 1)
     h = _mix64_np(h + offsets).ravel()
     return ((h >> _NP_11).astype(np.float64) * 1.1102230246251565e-16).tolist()
+
+
+def uniform_grid(bases: np.ndarray, parts: range) -> np.ndarray:
+    """The first draw of the stream derive(part) of each base state of
+    bases (a uint64 array), for each part of parts, as a (len(bases),
+    len(parts)) float64 array: row r is keyed_uniforms([bases[r]] *
+    len(parts), (list(parts),), 0), without the lists. One fold per cell,
+    broadcast; parts below 4096 read their mix from the premixed table."""
+    if parts.step == 1 and parts.stop <= len(_NP_SMALL_PARTS):
+        mixed = _NP_SMALL_PARTS[parts.start:parts.stop]
+    else:
+        mixed = _mix64_np(np.arange(parts.start, parts.stop, parts.step, dtype=np.uint64)
+                          + _NP_GOLDEN)
+    h = _mix64_np(bases.reshape(-1, 1) ^ mixed)
+    h += _NP_GOLDEN  # draw 0 adds one gamma; uint64 arithmetic wraps, as & _M64 does
+    h = _mix64_np(h)
+    h >>= _NP_11
+    return h.astype(np.float64) * 1.1102230246251565e-16
 
 
 _SEED_SALT = 0x5851F42D4C957F2D

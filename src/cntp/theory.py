@@ -277,6 +277,16 @@ class Theorem1Fixture:
     name: str = ""
     branch_style: str = "punct"
 
+    @property
+    def single_token_branches(self) -> bool:
+        """Whether every branch is one token long, so that the single-token
+        cost bound applies: branch_cap is 1, or every token but eos stops a
+        branch under the config's punctuation. Read from the model and
+        config, so a fixture that load_fixture reads back, without a branch
+        style, is judged as the one written."""
+        return self.config.branch_cap == 1 or all(
+            stop_mask(self.model.vocabulary, self.config.punctuation))
+
 
 def derive_thresholds(low_entropies, high_entropies):
     """Pick (h_min, h_max) so declared regimes bind: every high entropy sits

@@ -18,6 +18,7 @@ from cntp import (
     Distribution,
     ScriptedModel,
     Sequence,
+    StepTrace,
     Vocabulary,
     VoteTally,
     beam_search_decode,
@@ -28,6 +29,7 @@ from cntp import (
     self_consistency,
     stochastic_decode,
 )
+from cntp.baselines import lowest_whole_ppl
 
 PROMPT = Sequence((), "")
 
@@ -286,6 +288,17 @@ def test_best_of_n_ties_keep_first_run(two_token_vocab):
                               dataclasses.replace(config, seed=derive_seed(2, 0)))
     best = best_of_n_whole_ppl(model, PROMPT, config, 4)
     assert best.sequence == first.sequence
+
+
+def test_best_of_n_ties_at_an_infinite_perplexity_keep_first_run(two_token_vocab):
+    """Runs whose one token has probability 1e-310 score a whole-sequence
+    perplexity past the float range, inf: the first of them wins, with the
+    summed ledger."""
+    runs = [DecodeOutcome(two_token_vocab.sequence((tok,)), CostLedger(1, 1, 0, 1),
+                          (StepTrace(0.5, 1, None, 1e-310),)) for tok in (1, 0)]
+    best = lowest_whole_ppl(runs)
+    assert best.sequence == runs[0].sequence
+    assert best.cost == CostLedger(2, 2, 0, 2)
 
 
 def test_all_decoders_respect_global_cap():

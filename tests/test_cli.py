@@ -464,6 +464,48 @@ def test_run_suite_and_run_ablation_reject_seeds_outside_64_bits(seed, suite_bun
         run_ablation(AblationSpec("n_max_sweep", (1, 2)), config, model, tasks, [seed])
 
 
+@pytest.mark.parametrize("name", ["case_a", "case_k"])
+def test_theorem_judges_a_fixture_read_back_as_the_bundled_run(tmp_path, name, capsys):
+    """A single-token-branch fixture and a multi-token-branch one, written
+    by write_fixture and read back (without a branch style), print the
+    lines that the bundled run prints for them, the cost bound line
+    included."""
+    assert main(["theorem"]) == 0
+    bundled = capsys.readouterr().out.splitlines()
+    at = next(k for k, line in enumerate(bundled) if line.startswith(f"{name}: "))
+    fixture = next(f for f in cntp.bundled_fixtures() if f.name == name)
+    path = str(tmp_path / f"{name}.model")
+    cntp.write_fixture(fixture, path)
+    assert main(["theorem", "--fixture", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [path + bundled[at][len(name):], bundled[at + 1]]
+    assert ("cost_bound=n/a (multi-token branches)" in lines[0]) == (name == "case_k")
+
+
+def test_commands_on_a_token_below_the_float_range_exit_0(tmp_path, capsys):
+    """A root row whose eos has probability 1e-310: a branch of that token
+    alone has a mean -log p past 709.78, where exp overflows, so its
+    perplexity is inf. The oracle and a cntp decode that draws it finish."""
+    path = tmp_path / "tiny.model"
+    path.write_text(json.dumps({
+        "tokens": ["a", "b.", "c.", ""], "eos": 3,
+        "rows": [{"prefix": [], "probs": [0.4, 0.3, 0.3 - 1e-310, 1e-310]}],
+        "default": [0.0, 0.0, 0.0, 1.0],
+    }), encoding="utf-8")
+    (tmp_path / "tiny.ref").write_text(json.dumps({"tokens": [1]}), encoding="utf-8")
+    (tmp_path / "tiny.config.json").write_text(json.dumps({
+        "h_min": 0.1, "h_max": 0.5, "n_max": 4, "top_p": 1.0, "global_cap": 4}),
+        encoding="utf-8")
+    assert main(["theorem", "--fixture", str(path)]) == 0
+    assert "cost_bound=n/a (multi-token branches)" in capsys.readouterr().out
+    rc = main(["decode", "--model", str(path), "--strategy", "cntp", "--temperature", "100",
+               "--n-max", "4", "--h-min", "0.1", "--h-max", "0.5", "--top-p", "1",
+               "--seed", "730", "--prompt", "", "--out", str(tmp_path)])
+    assert rc == 0
+    records, = glob.glob(str(tmp_path / "*" / "records.jsonl"))
+    assert main(["replay", "--record", records, "--line", "1"]) == 0
+
+
 def test_theorem_over_its_node_budget_exits_1(capsys):
     assert main(["theorem", "--node-budget", "1"]) == 1
     err = capsys.readouterr().err

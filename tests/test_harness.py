@@ -358,13 +358,34 @@ def test_run_one_alone_stamps_its_own_record(suite_bundle, monkeypatch):
     assert dataclasses.replace(first, **same_clock) == dataclasses.replace(second, **same_clock)
 
 
+def _assert_as_built_by_init(obj):
+    """obj, a frozen dataclass built field by field, compares both ways,
+    hashes (or fails to), stays frozen and holds its instance attributes in
+    field order as the object its class's __init__ builds from its fields."""
+    fields = [f.name for f in dataclasses.fields(obj)]
+    built = type(obj)(**{name: getattr(obj, name) for name in fields})
+    assert obj == built and built == obj and obj is not built
+    assert list(vars(obj)) == list(vars(built)) == fields
+    try:
+        expected = hash(built)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=str(exc)):
+            hash(obj)
+    else:
+        assert hash(obj) == expected
+    for o in (obj, built):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(o, fields[0], None)
+
+
 def test_suite_records_behave_as_records_built_by_init(suite_bundle):
     """A record a suite builds field by field compares, fails to hash (its
     config and cost are dicts), stays frozen and round-trips through
     to_dict and from_dict as the record __init__ builds from its fields;
-    the records of one batch share one ISO-8601 UTC stamp."""
+    the records of one batch share one ISO-8601 UTC stamp. So do the
+    outcomes and ledgers that its lanes, their reductions and beam search
+    build without __init__."""
     model, tasks, config = suite_bundle
-    fields = [f.name for f in dataclasses.fields(RunRecord)]
     for strategy in SEVEN_STRATEGIES:
         records = run_suite(model, tasks[:4], strategy, config, [0, 1]).records
         stamps = {record.timestamp for record in records}
@@ -372,18 +393,26 @@ def test_suite_records_behave_as_records_built_by_init(suite_bundle):
         stamp = datetime.fromisoformat(stamps.pop())
         assert stamp.utcoffset() == timedelta(0) and stamp.isoformat() == records[0].timestamp
         for record in records:
-            built = RunRecord(**{name: getattr(record, name) for name in fields})
-            assert record == built and built == record and record is not built
-            assert list(vars(record)) == list(vars(built)) == fields
-            for r in (record, built):
-                with pytest.raises(TypeError, match="unhashable"):
-                    hash(r)
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    r.seed = 1
+            _assert_as_built_by_init(record)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
             assert RunRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
             assert list(record.cost) == [f.name for f in dataclasses.fields(CostLedger)]
     record, outcome = run_one(model, tasks[0], "cntp", config)
     assert record.cost == dataclasses.asdict(outcome.cost)
+    # engine._Group.finish, baselines.vote's and lowest_whole_ppl's summed
+    # ledgers, and beam_search_decode, over every strategy's runs.
+    prompts = [runner._prompt(model.vocabulary, task) for task in tasks[:4]]
+    configs = [config.with_seed(seed) for seed in (0, 1) for _ in prompts]
+    for strategy in SEVEN_STRATEGIES:
+        root, width = parse_strategy(strategy)
+        for result in runner._decode_lanes(model, STRATEGIES[root], width, tasks[:4], prompts,
+                                           configs):
+            ledger = result[1] if type(result) is tuple else result.cost
+            assert type(ledger) is CostLedger
+            _assert_as_built_by_init(ledger)
+            if type(result) is not tuple:
+                _assert_as_built_by_init(result)
 
 
 def test_run_suite_rejects_bad_inputs(suite_bundle):

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from cntp import (
     CntpPolicy,
     DecodeConfig,
     DecodeOutcome,
+    Distribution,
     ModelServer,
     RemoteModel,
     Rng,
+    ScriptedModel,
     Sequence,
     SingleSamplePolicy,
     UniformMultisamplePolicy,
+    Vocabulary,
     derive_seed,
     keyed_uniforms,
     lane_decode,
@@ -419,6 +423,35 @@ def test_keyed_uniforms_take_a_part_per_stream_and_derived_bases():
         assert keyed_uniforms(sampling.derive_bases([step] * count, (parts,)), (), 0) == firsts
 
 
+@pytest.mark.parametrize("parts", [range(0, 10), range(60, 124), range(4090, 4100),
+                                   range(2**40, 2**40 + 3)])
+def test_uniform_grid_draws_what_keyed_uniforms_draws(parts):
+    """Row r of uniform_grid(bases, parts) is keyed_uniforms's first draw of
+    (bases[r], part) for each part: for parts in the premixed table, across
+    its end and past it, at bases near 2**64."""
+    bases = sampling.derive_seeds([derive_seed(2, j) for j in range(20)])
+    assert max(bases) >= 2**63
+    grid = sampling.uniform_grid(np.array(bases, np.uint64), parts)
+    assert grid.shape == (len(bases), len(parts))
+    assert grid.tolist() == [keyed_uniforms([base] * len(parts), (list(parts),), 0)
+                             for base in bases]
+
+
+@pytest.mark.parametrize("count", [3, sampling.NUMPY_DRAWS + 3])
+def test_keyed_uniforms_take_bases_and_parts_as_arrays(count):
+    """Bases as a uint64 array, and a key part as an int64 array, as
+    lane_decode's step blocks and first rounds pass them, draw what the
+    same lists draw, on the Python int path and on the numpy one."""
+    bases = sampling.derive_seeds([derive_seed(1, j) for j in range(count)])
+    assert max(bases) >= 2**63
+    steps = [2**33 + j for j in range(count)]
+    array = np.array(bases, np.uint64)
+    assert keyed_uniforms(array, (np.array(steps), 0), 0) == keyed_uniforms(bases, (steps, 0), 0)
+    assert keyed_uniforms(array, (5, 0), 0) == keyed_uniforms(bases, (5, 0), 0)
+    assert (keyed_uniforms(array, (np.array(steps),), range(1, 4))
+            == keyed_uniforms(bases, (steps,), range(1, 4)))
+
+
 def _uniform_written_out(base, draw):
     """Draw number draw of the stream whose base state is base, spelled out:
     splitmix64's state after draw + 1 golden-gamma steps, mixed, its top 53
@@ -586,13 +619,16 @@ def test_block_calls_of_a_thousand_lanes_stay_within_the_bound(monkeypatch):
 
 def test_blocks_double_and_stop_at_the_answer_cap(monkeypatch):
     """One stochastic k-gram lane draws its steps in blocks 0, 1, 2-3, 4-7,
-    ..., the last one cut at its answer cap."""
+    ..., the last one cut at its answer cap. A block of one step keys its
+    draws by that step as a shared key part, a longer one by an array of
+    steps."""
     calls = _recorded_calls(monkeypatch)
     model, _, prompts, config = _bundled("kgram", global_cap=100)
     lane_decode(model, [(prompts[0], 5)], SingleSamplePolicy(config))
-    assert [key[0] for _, key, _ in calls] == [
-        [0], [1], [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)),
+    assert [key[0] if type(key[0]) is int else key[0].tolist() for _, key, _ in calls] == [
+        0, 1, [2, 3], list(range(4, 8)), list(range(8, 16)), list(range(16, 32)),
         list(range(32, 64)), list(range(64, 100))]
+    assert all(key[1:] == (0,) and draw == 0 for _, key, draw in calls)
 
 
 def test_trials_draw_their_rounds_to_the_cap_in_one_call(monkeypatch):
@@ -663,9 +699,9 @@ def test_long_kgram_suite_lanes_run_both_round_paths(monkeypatch):
     original = engine._round_block
 
     def recorded(trials, start, step_bases):
-        block, placed, end = original(trials, start, step_bases)
+        block, end = original(trials, start, step_bases)
         blocks.append((start, end, max(cap for _, _, cap, *_ in trials)))
-        return block, placed, end
+        return block, end
 
     monkeypatch.setattr(engine, "_round_block", recorded)
     sizes = _recorded_sizes(monkeypatch)
@@ -675,6 +711,103 @@ def test_long_kgram_suite_lanes_run_both_round_paths(monkeypatch):
     assert any(start == 1 and end < cap for start, end, cap in blocks)
     assert any(start > 1 for start, _, _ in blocks)
     assert max(size for size, _ in sizes) <= engine.DRAW_BLOCK
+
+
+def _first_rounds(monkeypatch):
+    """Per group of each _round_zero call: its first-round trials (its lanes
+    × the trials of the chunk), how many of them grew past their first
+    token, and whether its step settled there."""
+    seen = []
+    original = engine._round_zero
+
+    def recorded(steps, bounds, step_bases, lo, *rest):
+        settled = rest[-1]
+        before = set(settled)
+        trials, froms, toks = original(steps, bounds, step_bases, lo, *rest)
+        for k, (_, plan, _) in enumerate(steps):
+            if plan[1] > lo:
+                size = (bounds[k + 1] - bounds[k]) * (min(plan[1], lo + TRIAL_CHUNK) - lo)
+                seen.append((size, sum(bounds[k] <= trial[0] < bounds[k + 1]
+                                       for trial in trials), k in settled and k not in before))
+        return trials, froms, toks
+
+    monkeypatch.setattr(engine, "_round_zero", recorded)
+    return seen
+
+
+def _suite_lanes(monkeypatch):
+    """The (lanes, policy, outcomes) of each lane_decode call of run_suite."""
+    calls = []
+    decode = runner.lane_decode
+
+    def recorded(model, lanes, policy):
+        outcomes = decode(model, lanes, policy)
+        calls.append((lanes, policy, outcomes))
+        return outcomes
+
+    monkeypatch.setattr(runner, "lane_decode", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["cntp", "cntp_sc:3"])
+def test_wide_kgram_groups_grow_past_their_first_round_as_scalar_decodes(monkeypatch,
+                                                                         strategy):
+    """cntp and cntp_sc suites over the bundled k-gram tasks at 8 seeds,
+    at T=1, at T=0 and at branch_cap 1. A task's lanes start as one group,
+    so a multi-trial step of up to 10 trials over its 8 (24) lanes takes
+    its first round by array; the groups that lanes split into, and the
+    steps of few trials, take it in the loop. Trials of the groups by array
+    grow past their first token, except at branch_cap 1, where every such
+    group's step settles in its first round, and only a group by array
+    settles. Each lane equals policy_decode at its seed: tokens, ledger,
+    and every trace float by float.hex."""
+    seen = _first_rounds(monkeypatch)
+    calls = _suite_lanes(monkeypatch)
+    model, tasks, _, config = _bundled("kgram", global_cap=16)
+    for cfg in (config, config._with("temperature", 0.0),
+                dataclasses.replace(config, branch_cap=1)):
+        seen.clear()
+        calls.clear()
+        run_suite(model, tasks, strategy, cfg, list(range(8)))
+        wide = [(grew, settled) for size, grew, settled in seen if size >= engine.ARRAY_TRIALS]
+        assert wide and len(wide) < len(seen)
+        assert any(grew for grew, _ in wide) == (cfg.branch_cap > 1)
+        assert all(settled == (not grew) for grew, settled in wide)
+        assert not any(settled for size, _, settled in seen if size < engine.ARRAY_TRIALS)
+        for lanes, policy, outcomes in calls:
+            assert policy.config.temperature == cfg.temperature
+            for (prompt, seed), outcome in zip(lanes, outcomes):
+                scalar = policy_decode(model, prompt, dataclasses.replace(
+                    policy, config=policy.config.with_seed(seed)))
+                assert _exact(outcome) == _exact(scalar)
+
+
+def _tiny_token_model(root):
+    """A scripted model over a, b., c. and eos: root is the row at the
+    empty prefix, and eos follows every other prefix."""
+    vocab = Vocabulary(("a", "b.", "c.", ""), 3)
+    return ScriptedModel(vocab, {(): Distribution(np.array(root))},
+                         Distribution(np.array([0.0, 0.0, 0.0, 1.0])))
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 40])
+def test_lanes_on_tokens_below_the_float_range_equal_scalar_decodes(lanes):
+    """A branch of one token of probability 1e-310 has a mean -log p past
+    709.78, so its perplexity is inf; its trial loses to every finite one,
+    and trials that all score inf go to the lowest index. In one narrow
+    group and in one wide enough to pick its first tokens by array, every
+    lane equals policy_decode at its seed."""
+    config = DecodeConfig(h_min=0.1, h_max=0.5, n_max=4, top_p=1.0, global_cap=4)
+    prompts = [Sequence((), "")] * lanes
+    seeds = [730] + [derive_seed(3, i) for i in range(lanes - 1)]
+    _assert_lanes_match(_tiny_token_model([0.4, 0.3, 0.3 - 1e-310, 1e-310]), prompts, seeds,
+                        CntpPolicy(dataclasses.replace(config, temperature=100.0)))
+    # At this temperature each token is about as likely, and only a stops on a finite ppl.
+    tiny = _tiny_token_model([1.0, 1e-310, 1e-310, 0.0])
+    outcomes = _assert_lanes_match(tiny, prompts, seeds, UniformMultisamplePolicy(
+        dataclasses.replace(config, temperature=1e6), 4))
+    if lanes * 4 >= engine.ARRAY_TRIALS:
+        assert any(t.chosen_ppl == math.inf for o in outcomes for t in o.per_step_trace)
 
 
 def test_single_token_steps_on_one_row_and_token_share_their_trace():
